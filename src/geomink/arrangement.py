@@ -30,6 +30,7 @@ from .spherical import (
     classify,
     intersect,
     is_mergeable,
+    make_arc,
     point_on_arc,
     strictly_inside_arc,
 )
@@ -111,7 +112,8 @@ class Face:
 
     def __init__(self, fid: int):
         self.ccbs: List[Halfedge] = []  # one representative halfedge per CCB
-        self.isolated: Set[Vertex] = set()
+        # an ordered set: iteration follows insertion, not memory addresses
+        self.isolated: Dict[Vertex, None] = {}
         self.payload: Any = None
         self.id = fid
 
@@ -221,13 +223,13 @@ class SphereArrangement:
             face = cell.ref
         v = self._new_vertex(q)
         v.isolated_face = face
-        face.isolated.add(v)
+        face.isolated[v] = None
         return v
 
     def remove_isolated_vertex(self, v: Vertex) -> None:
         if not v.is_isolated:
             raise ValueError("vertex is not isolated")
-        v.isolated_face.isolated.discard(v)
+        del v.isolated_face.isolated[v]
         v.isolated_face = None
         self._drop_vertex(v)
 
@@ -271,7 +273,7 @@ class SphereArrangement:
         Returns the face of the surrounding gap (None when v was bare)."""
         if v.is_isolated:
             f = v.isolated_face
-            f.isolated.discard(v)
+            del f.isolated[v]
             v.isolated_face = None
             g_in.nxt = h_out
             h_out.prv = g_in
@@ -407,8 +409,8 @@ class SphereArrangement:
             if self.side_of_cycle(w.point, cycle_g) == LEFT:
                 moved.append(w)
         for w in moved:
-            f.isolated.discard(w)
-            f_new.isolated.add(w)
+            del f.isolated[w]
+            f_new.isolated[w] = None
             w.isolated_face = f_new
         return h
 
@@ -470,7 +472,7 @@ class SphereArrangement:
         if drop is not None:
             for w in drop.isolated:
                 w.isolated_face = keep
-                keep.isolated.add(w)
+                keep.isolated[w] = None
             drop.isolated.clear()
             self.faces.remove(drop)
 
@@ -478,7 +480,7 @@ class SphereArrangement:
             if not v.out:
                 if keep_isolated:
                     v.isolated_face = keep
-                    keep.isolated.add(v)
+                    keep.isolated[v] = None
                 else:
                     self._drop_vertex(v)
 
@@ -813,15 +815,6 @@ def new_arrangement() -> SphereArrangement:
 # -- aggregate construction ---------------------------------------------------
 
 
-def _boundary_split(arc: GeodesicArc) -> List[GeodesicArc]:
-    """Split an arbitrary (<pi) arc at interior pole or identification
-    crossings, like make_arc does for fresh arcs."""
-    from .spherical import make_arc
-
-    pieces = make_arc(arc.source, arc.target)
-    return pieces
-
-
 def _order_along(arc: GeodesicArc, pts: List[DirPoint]) -> List[DirPoint]:
     import functools
 
@@ -886,7 +879,7 @@ def sweep_build(arcs: Iterable[GeodesicArc]) -> SphereArrangement:
     for idx, a in enumerate(arcs):
         if not isinstance(a, GeodesicArc):
             raise InvalidArc(f"not a geodesic arc: {a!r}")
-        for piece in _boundary_split(a):
+        for piece in make_arc(a.source, a.target):
             prepared.append((piece, (idx,)))
     arr = new_arrangement()
     for sub, _tags in _split_all(prepared):

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .arrangement import Cell, OverlayCallbacks, SphereArrangement, new_arrangement, overlay, sweep_build
-from .gaussian import GaussianMap, Mesh, build, reflect
+from .arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay, sweep_build
+from .gaussian import GaussianMap, Mesh, build
 from .kernel import Vec3, cross, dot
 from .minkowski import minkowski, primal_facets
 from .proximity import INSIDE, classify_point
-from .spherical import BoundaryClass, classify, full_circle_arcs, is_mergeable, make_arc
+from .spherical import BoundaryClass, arc_between, classify, full_circle_arcs, is_mergeable, make_arc
 
 
 @dataclass
@@ -275,25 +275,52 @@ def cleanup_region(region: SphericalRegion) -> None:
 
 def reflect_region(region: SphericalRegion) -> SphericalRegion:
     """The antipodal image of a region; a direction pierces the original
-    solid iff its negation pierces the reflected solid."""
+    solid iff its negation pierces the reflected solid.
+
+    The source arcs are interior-disjoint, so their negations go straight
+    into a new arrangement, and every cell takes the flag of its source
+    cell.  The antipodal map reverses orientation: the face left of an
+    image arc is the image of the face right of its source arc."""
     src = region.arrangement
-    arcs = []
+    out = new_arrangement()
+    image = {}  # source face -> output halfedge with the face's image on its left
+
+    def image_face(f):
+        # Until all arcs are in, source faces merge across the edges not
+        # inserted yet; any face of the merged region that borders an
+        # inserted edge names the output face holding the region's image.
+        seen, todo = {f}, [f]
+        while todo:
+            f = todo.pop()
+            if f in image:
+                return image[f].face
+            for rep in f.ccbs:
+                for e in rep.cycle():
+                    if e.twin.face not in seen:
+                        seen.add(e.twin.face)
+                        todo.append(e.twin.face)
+        return out.initial_face()
+
     for h in src.edges():
-        arcs.extend(make_arc(-h.arc.source.dir, -h.arc.target.dir))
-    out = sweep_build(arcs) if arcs else new_arrangement()
+        pieces = make_arc(-h.arc.source.dir, -h.arc.target.dir)
+        for piece in pieces:
+            # each piece keeps its own normal, cross(source, target)
+            arc = arc_between(piece.source, piece.target)
+            g = out.insert_disjoint_arc(arc, face=image_face(h.face))
+            out.set_edge_payload(g, h.payload)
+            image[h.twin.face], image[h.face] = g, g.twin
+        for piece in pieces[1:]:
+            # a new seam or pole split inside the source edge
+            out.find_vertex(piece.source).payload = h.payload
+    for f in src.faces:
+        image_face(f).payload = f.payload
     for v in src.vertices:
         if v.is_isolated:
-            out.insert_isolated_vertex(-v.point.dir)
+            out.insert_isolated_vertex(-v.point.dir, image_face(v.isolated_face))
     for v in out.vertices:
-        v.payload = bool(src.locate(classify(-v.point.dir)).ref.payload)
-    for h in out.edges():
-        p = h.arc.interior_point()
-        out.set_edge_payload(
-            h, bool(src.locate(classify(-p.dir)).ref.payload)
-        )
-    for f in out.faces:
-        p = out.interior_point(f)
-        f.payload = bool(src.locate(classify(-p.dir)).ref.payload)
+        sv = src.find_vertex(-v.point.dir)
+        if sv is not None:
+            v.payload = sv.payload
     return SphericalRegion(out)
 
 
@@ -409,9 +436,6 @@ class MotionSpace:
     arrangement: SphereArrangement
     n_parts: int
 
-    def cell_dbg(self, cell: Cell) -> BlockSet:
-        return cell.ref.payload or frozenset()
-
 
 @dataclass
 class PartitionSolution:
@@ -443,7 +467,7 @@ def pairwise_subpart_sums(
     if gmaps is None:
         gmaps = [[build(m) for m in subs] for subs in assembly.parts]
     if reflected is None:
-        reflected = [[reflect(g) for g in subs] for subs in gmaps]
+        reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts]
     if ordered_pairs is None:
         ordered_pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     sums: Dict[Tuple[int, int, int, int], GaussianMap] = {}
@@ -460,21 +484,6 @@ def build_motion_space(
     """Overlay all pairwise piercing regions into one arrangement whose
     cells carry the directional blocking graph."""
 
-    def lift(region: SphericalRegion, pair) -> SphereArrangement:
-        arr = region.arrangement
-        edge = frozenset((pair,))
-        empty = frozenset()
-        out = overlay(
-            arr,
-            new_arrangement(),
-            OverlayCallbacks(
-                vertex_face=lambda a, b: edge if a else empty,
-                edge_face=lambda a, b: edge if a else empty,
-                face_face=lambda a, b: edge if a else empty,
-            ),
-        )
-        return out
-
     def merge_cb(pair) -> OverlayCallbacks:
         edge = frozenset((pair,))
         empty = frozenset()
@@ -488,14 +497,10 @@ def build_motion_space(
             face_edge=f, face_face=f,
         )
 
-    acc: Optional[SphereArrangement] = None
+    acc = new_arrangement()
+    acc.initial_face().payload = frozenset()
     for pair in sorted(q_regions):
-        region = q_regions[pair]
-        if acc is None:
-            acc = lift(region, pair)
-        else:
-            acc = overlay(acc, region.arrangement, merge_cb(pair))
-    assert acc is not None
+        acc = overlay(acc, q_regions[pair].arrangement, merge_cb(pair))
     return MotionSpace(acc, n_parts)
 
 
@@ -545,7 +550,6 @@ def partition(
     assembly: Assembly,
     mode: str = FIRST,
     use_reflection_identity: bool = True,
-    validate: bool = True,
 ) -> PartitionResult:
     """The full pipeline: sub-part Gaussian maps, reflections, pairwise
     sums, central projections, per-pair unions, motion space, and the
@@ -555,7 +559,7 @@ def partition(
         raise ValueError("an assembly needs at least two parts")
     assembly.validate_meshes()
     gmaps = [[build(m) for m in subs] for subs in assembly.parts]
-    reflected = [[reflect(g) for g in subs] for subs in gmaps]
+    reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts]
 
     if use_reflection_identity:
         ordered = [(i, j) for i in range(n) for j in range(n) if i < j]
@@ -563,14 +567,12 @@ def partition(
         ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
     sums = pairwise_subpart_sums(assembly, gmaps, reflected, ordered)
 
-    if validate:
-        origin = Vec3(0, 0, 0)
-        for (i, j, k, l), m in sums.items():
-            wit = classify_point(m, origin)
-            if wit.classification == INSIDE:
-                raise ValueError(
-                    f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors"
-                )
+    origin = Vec3(0, 0, 0)
+    for (i, j, k, l), m in sums.items():
+        if classify_point(m, origin).classification == INSIDE:
+            raise ValueError(
+                f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors"
+            )
 
     q: Dict[Tuple[int, int], SphericalRegion] = {}
     for i, j in ordered:

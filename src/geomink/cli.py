@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation failure, 1 internal error."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import fileio
@@ -32,15 +31,6 @@ def _parse_vec(text: str) -> Vec3:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected x,y,z with rational components")
     return Vec3(*(rat(p) for p in parts))
-
-
-def _thread_cap() -> int:
-    # Caps pipeline parallelism; 0 means fully sequential.  The current
-    # pipeline runs sequentially, which respects any cap.
-    try:
-        return max(0, int(os.environ.get("GEOMINK_THREADS", "0")))
-    except ValueError:
-        return 0
 
 
 def cmd_gmap(args) -> int:
@@ -129,7 +119,6 @@ def cmd_maxgen(args) -> int:
 def cmd_partition(args) -> int:
     names, parts = fileio.read_scene(args.scene)
     assembly = Assembly(names, parts)
-    _ = _thread_cap()
     res = partition(assembly, FIRST if args.mode == "first" else ALL)
     payload = {
         "parts": names,
@@ -204,6 +193,7 @@ VALIDATION_ERRORS = (
     DegenerateInput,
     ParamsRejected,
     ValueError,
+    OSError,  # an input or output path that cannot be used
 )
 
 

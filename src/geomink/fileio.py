@@ -38,6 +38,16 @@ def format_mesh(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_count(tok: str, path: str, line: int) -> int:
+    try:
+        value = int(tok)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ParseError(path, line, f"expected a non-negative count, got {tok!r}")
+    return value
+
+
 def _parse_rat(tok: str, path: str, line: int) -> Fraction:
     try:
         value = rat(tok)
@@ -56,7 +66,7 @@ def parse_mesh_tokens(tok_iter, path: str) -> Mesh:
     line, counts = next(tok_iter, (line, None))
     if counts is None or len(counts) != 2:
         raise ParseError(path, line, "expected '<vertices> <facets>' counts line")
-    nv, nf = int(counts[0]), int(counts[1])
+    nv, nf = (_parse_count(t, path, line) for t in counts)
     verts: List[Vec3] = []
     for _ in range(nv):
         line, toks = next(tok_iter, (line, None))
@@ -117,7 +127,7 @@ def parse_scene(text: str, path: str = "<string>"):
     line, head = next(tok_iter, (0, None))
     if head is None or head[0] != "assembly" or len(head) != 2:
         raise ParseError(path, line, "expected 'assembly <count>' header")
-    n = int(head[1])
+    n = _parse_count(head[1], path, line)
     names: List[str] = []
     parts: List[List[Mesh]] = []
     for _ in range(n):
@@ -126,7 +136,7 @@ def parse_scene(text: str, path: str = "<string>"):
             raise ParseError(path, line, "expected 'part <name> <subparts>'")
         names.append(toks[1])
         subs = []
-        for _ in range(int(toks[2])):
+        for _ in range(_parse_count(toks[2], path, line)):
             subs.append(parse_mesh_tokens(tok_iter, path))
         parts.append(subs)
     return names, parts

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .arrangement import SphereArrangement, new_arrangement
+from .arrangement import Face, Halfedge, SphereArrangement, new_arrangement
 from .kernel import Rational, Vec3, cross, dot
-from .spherical import classify, make_arc
+from .spherical import make_arc
 
 
 class InvalidMesh(ValueError):
@@ -197,9 +197,15 @@ def build(mesh: Mesh) -> GaussianMap:
     verts, _edges = _halfedge_structure(mesh)
     normals = [mesh.facet_normal(i) for i in range(len(mesh.facets))]
 
+    # The dual arc of primal edge e runs from the normal of e's facet to
+    # the normal of the facet across e; the normal cone of e.dst lies on
+    # its left and that of e.src on its right.  Faces split while arcs go
+    # in, so the sides are recorded now and decorated at the end.  An arc
+    # with two new endpoints lies in the face holding e.src's cone, which
+    # is the face beside any arc inserted before on that cone's boundary.
     arr = new_arrangement()
-    facet_handle: List[Optional[object]] = [None] * len(mesh.facets)
-
+    sides: List[Tuple[Halfedge, int, int]] = []
+    cone: Dict[int, Halfedge] = {}  # primal vertex -> halfedge facing its cone
     stack = [verts[0]]
     while stack:
         v = stack.pop()
@@ -210,14 +216,12 @@ def build(mesh: Mesh) -> GaussianMap:
         e = e0
         while True:
             if not e.processed:
-                f1 = e.facet
-                around = e.twin.nxt  # next halfedge in the cycle around v
-                f2 = around.facet  # the facet on the other side of e
-                n1, n2 = normals[f1], normals[f2]
-                for piece in make_arc(n1, n2):
-                    arr.insert_disjoint_arc(piece)
-                facet_handle[f1] = arr.find_vertex(classify(n1))
-                facet_handle[f2] = arr.find_vertex(classify(n2))
+                for piece in make_arc(normals[e.facet], normals[e.twin.facet]):
+                    near = cone.get(e.src)
+                    face = near.face if near is not None else arr.initial_face()
+                    h = arr.insert_disjoint_arc(piece, face=face)
+                    sides.append((h, e.dst, e.src))
+                    cone[e.dst], cone[e.src] = h, h.twin
                 e.processed = True
                 e.twin.processed = True
             w = verts[e.dst]
@@ -227,23 +231,15 @@ def build(mesh: Mesh) -> GaussianMap:
             if e is e0:
                 break
 
-    # Decorate: each arrangement face is the set of directions whose
-    # extremal point is one primal vertex; the sum of the incident facet
-    # normals lies strictly inside that face.
-    for v in verts:
-        probe = Vec3(0, 0, 0)
-        e = v.halfedge
-        while True:
-            probe = probe + normals[e.facet]
-            e = e.twin.nxt
-            if e is v.halfedge:
-                break
-        cell = arr.locate(classify(probe))
-        if cell.kind != "face":  # pragma: no cover - guarded by mesh validity
-            raise InvalidGaussianMap(
-                f"normal-cone probe of vertex {v.index} hit a {cell.kind}"
-            )
-        cell.ref.payload = mesh.vertices[v.index]
+    owner: Dict[Face, int] = {}
+    for h, left, right in sides:
+        for f, vi in ((h.face, left), (h.twin.face, right)):
+            if owner.setdefault(f, vi) != vi:
+                raise InvalidGaussianMap(
+                    f"face {f} lies in the normal cones of primal vertices "
+                    f"{owner[f]} and {vi}"
+                )
+            f.payload = mesh.vertices[vi]
 
     g = GaussianMap(arr)
     _check_decoration(g, mesh)

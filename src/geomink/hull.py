@@ -9,11 +9,10 @@ Gaussian-map results.  All predicates are exact rational signs.
 from __future__ import annotations
 
 import random
-from math import gcd
 from typing import Dict, Iterable, List, Tuple
 
 from .gaussian import Mesh
-from .kernel import Rational, Vec3, cross, dot, triple
+from .kernel import Rational, Vec3, cross, dot, scale_key, triple
 
 
 class DegenerateInput(ValueError):
@@ -22,20 +21,6 @@ class DegenerateInput(ValueError):
 
 def _orient(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Rational:
     return triple(b - a, c - a, d - a)
-
-
-def plane_key(normal: Vec3, offset: Rational) -> tuple:
-    """Canonical key of an oriented plane <n,x> = b, invariant under
-    positive scaling."""
-    nums = (normal.x, normal.y, normal.z, offset)
-    lcm = 1
-    for q in nums:
-        lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-    ints = [int(q * lcm) for q in nums]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(c // g for c in ints)
 
 
 class _Tri:
@@ -125,7 +110,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     # Merge coplanar triangles into maximal facets.
     groups: Dict[tuple, List[_Tri]] = {}
     for t in tris:
-        groups.setdefault(plane_key(t.normal, t.offset), []).append(t)
+        groups.setdefault(scale_key(*t.normal.as_tuple(), t.offset), []).append(t)
 
     facets: List[List[int]] = []
     used: set = set()
@@ -180,6 +165,12 @@ def meshes_equivalent(a: Mesh, b: Mesh) -> bool:
     vb = {v.as_tuple() for v in b.vertices}
     if va != vb:
         return False
-    pa = {plane_key(a.facet_normal(i), a.facet_offset(i)) for i in range(len(a.facets))}
-    pb = {plane_key(b.facet_normal(i), b.facet_offset(i)) for i in range(len(b.facets))}
-    return pa == pb
+    return _plane_keys(a) == _plane_keys(b)
+
+
+def _plane_keys(m: Mesh) -> set:
+    """Keys of the facets' oriented supporting planes."""
+    return {
+        scale_key(*m.facet_normal(i).as_tuple(), m.facet_offset(i))
+        for i in range(len(m.facets))
+    }

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 Rational = Fraction
@@ -58,6 +59,17 @@ def rat(x: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
+def scale_key(*nums: Fraction) -> tuple:
+    """Scale-invariant key of a rational tuple: the positive multiple of
+    it whose entries are coprime integers.  Two tuples get the same key
+    iff one is a positive rational multiple of the other; negation
+    changes the key, and the zero tuple keys to zeros."""
+    m = lcm(*(q.denominator for q in nums))
+    ints = [q.numerator * (m // q.denominator) for q in nums]
+    g = gcd(*ints) or 1
+    return tuple(c // g for c in ints)
+
+
 def format_rat(x: Fraction) -> str:
     """Canonical "p/q" (or bare "p") literal used by all file formats."""
     if x.denominator == 1:
@@ -101,21 +113,8 @@ class Vec3:
         return (self.x, self.y, self.z)
 
     def canonical(self) -> tuple:
-        """Scale-invariant key: two vectors get the same key iff one is a
-        positive rational multiple of the other.  Antipodes differ."""
-        if self.is_zero():
-            return (0, 0, 0)
-        nums = (self.x, self.y, self.z)
-        from math import gcd
-
-        g = 0
-        lcm = 1
-        for c in nums:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in nums]
-        for c in ints:
-            g = gcd(g, abs(c))
-        return tuple(c // g for c in ints)
+        """Scale-invariant key of the direction (see scale_key)."""
+        return scale_key(self.x, self.y, self.z)
 
     def __repr__(self) -> str:
         return f"({format_rat(self.x)}, {format_rat(self.y)}, {format_rat(self.z)})"

@@ -2,18 +2,21 @@
 against a precomputed Minkowski sum M = P (+) (-Q).
 
 Translates of P and Q intersect exactly when the query point s = w - u
-lies in M; the classification walks the Gaussian map of M toward the
-facet stabbed by the ray from an interior point through s, reusing the
-previous answer as a hint.
+lies in M.  The classification walks the Gaussian map of M, facet to
+adjacent facet, toward the facet stabbed by the ray from an interior
+point through s.  The facet where the walk stops is certified by its
+neighbors alone, so a good start saves the work: each answer carries its
+facet as a hint for the next query on the same map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Tuple
 
-from .gaussian import GaussianMap, primal_mesh, reflect
+from .gaussian import GaussianMap, Mesh, primal_mesh, reflect
 from .kernel import Rational, Vec3, cross, dot
 from .minkowski import minkowski, primal_facets
 
@@ -47,11 +50,12 @@ class Witness:
     classification: str
     facet_normal: Vec3
     facet_offset: Rational
-    hint: object  # arrangement vertex handle, reusable across queries
+    hint: object  # facet vertex handle, reusable by queries on the same map
 
 
 class _FacetIndex:
-    """Facet planes of a Gaussian map, addressable by arrangement vertex."""
+    """Facet planes of a Gaussian map, keyed by arrangement vertex, plus
+    the centroid of the primal vertices and, on demand, the primal mesh."""
 
     def __init__(self, g: GaussianMap):
         self.g = g
@@ -59,18 +63,23 @@ class _FacetIndex:
         self.plane = {}
         for w in self.facets:
             n = w.point.dir
-            b = dot(n, w.out[0].face.payload)
-            self.plane[w.id] = (n, b)
+            self.plane[w] = (n, dot(n, w.out[0].face.payload))
+        pts = g.primal_vertices()
+        self.centroid = sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
+
+    @cached_property
+    def mesh(self) -> Mesh:
+        return primal_mesh(self.g)
 
     def neighbors(self, w):
         out = []
         for h in w.out:
             e, t = h, h.target
-            while t.id not in self.plane and t.degree == 2:
+            while t not in self.plane and t.degree == 2:
                 # hop over identification-split artifact vertices
                 e = t.out[0] if t.out[0] is not e.twin else t.out[1]
                 t = e.target
-            if t.id in self.plane:
+            if t in self.plane:
                 out.append(t)
         return out
 
@@ -81,14 +90,6 @@ def _facet_index(g: GaussianMap) -> _FacetIndex:
         idx = _FacetIndex(g)
         object.__setattr__(g, "_facet_index", idx)
     return idx
-
-
-def _interior_centroid(g: GaussianMap) -> Vec3:
-    pts = g.primal_vertices()
-    acc = Vec3(0, 0, 0)
-    for p in pts:
-        acc = acc + p
-    return acc.scale(Fraction(1, len(pts)))
 
 
 def _exit_parameter(plane, c: Vec3, d: Vec3) -> Optional[Rational]:
@@ -102,46 +103,44 @@ def _exit_parameter(plane, c: Vec3, d: Vec3) -> Optional[Rational]:
 def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
     """Exact classification of s against the primal polytope of M.
 
-    Walks the Gaussian map from the hint (or the best-matching facet
-    normal) toward the facet stabbed by the ray from the interior point
-    through s; a final scan certifies the stabbed facet, so hints can
-    never change the answer."""
+    Walks the Gaussian map toward the facet where the ray from the
+    centroid c through s leaves the polytope, moving to an adjacent facet
+    while its exit parameter is smaller.  Where the walk stops, the exit
+    point lies on the current facet's plane and inside every adjacent
+    facet's halfspace, so it lies on the current facet: the facet is
+    certified locally, with no scan of the others.
+
+    The walk starts at the hint when the hint is a facet vertex of this
+    very map (arrangement vertex ids repeat across maps, so identity is
+    checked) and the ray leaves through the hint's plane; otherwise it
+    starts at the facet whose normal best matches the ray."""
     idx = _facet_index(M)
-    c = _interior_centroid(M)
+    c = idx.centroid
     d = s - c
     if d.is_zero():
         w0 = idx.facets[0]
-        n, b = idx.plane[w0.id]
+        n, b = idx.plane[w0]
         return Witness(INSIDE, n, b, w0)
 
     def t_of(w):
-        return _exit_parameter(idx.plane[w.id], c, d)
+        return _exit_parameter(idx.plane[w], c, d)
 
-    if hint is not None and getattr(hint, "id", None) in idx.plane:
-        cur = hint
-    else:
+    cur_t = t_of(hint) if hint in idx.plane else None
+    if cur_t is None:
         cur = max(idx.facets, key=lambda w: _dot_score(w.point.dir, d))
-    cur_t = t_of(cur)
-    visited = {cur.id}
+        cur_t = t_of(cur)
+    else:
+        cur = hint
     improved = True
     while improved:
         improved = False
         for nb in idx.neighbors(cur):
-            if nb.id in visited:
-                continue
             nt = t_of(nb)
-            if nt is not None and (cur_t is None or nt < cur_t):
+            if nt is not None and nt < cur_t:
                 cur, cur_t = nb, nt
-                visited.add(nb.id)
                 improved = True
                 break
-    best, best_t = cur, cur_t
-    # Verify global optimality; scan everything if the local walk stalled.
-    for w in idx.facets:
-        t = t_of(w)
-        if t is not None and (best_t is None or t < best_t):
-            best, best_t = w, t
-    n, b = idx.plane[best.id]
+    n, b = idx.plane[cur]
     side = dot(n, s) - b
     if side < 0:
         cls = INSIDE
@@ -149,7 +148,7 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
         cls = ON_BOUNDARY
     else:
         cls = OUTSIDE
-    return Witness(cls, n, b, best)
+    return Witness(cls, n, b, cur)
 
 
 def _dot_score(n: Vec3, d: Vec3):
@@ -193,7 +192,7 @@ def trace(
 def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
     """Exact squared distance from s to the primal polytope of M (zero
     when s is inside or on the boundary)."""
-    mesh = primal_mesh(M)
+    mesh = _facet_index(M).mesh
     inside = True
     for i in range(len(mesh.facets)):
         n, b = mesh.facet_normal(i), mesh.facet_offset(i)
@@ -252,7 +251,7 @@ def directional_penetration(
     idx = _facet_index(M)
     alpha = None
     for w in idx.facets:
-        n, b = idx.plane[w.id]
+        n, b = idx.plane[w]
         if dot(n, s) > b:
             raise PointOutside(f"{s} is outside the polytope")
         t = _exit_parameter((n, b), s, r)

@@ -15,8 +15,10 @@ from geomink.assembly import (
     tarjan_scc,
     union_regions,
 )
+from geomink.arrangement import SphereArrangement
 from geomink.gaussian import Mesh, build
 from geomink.kernel import Vec3, dot
+from geomink.minkowski import minkowski
 from geomink.shapes import (
     box,
     cube,
@@ -192,6 +194,70 @@ class TestUnion:
             if d.is_zero():
                 continue
             assert r.pierces(d) == rr.pierces(-d)
+        # every vertex, edge and face, both ways, including seam and pole
+        # splits, isolated vertices and a region without edges
+        for r in sample_regions():
+            rr = reflect_region(r)
+            assert rr.arrangement.validate() == []
+            for d, flag in cell_directions(rr.arrangement):
+                assert r.pierces(-d) == flag, f"d={d}"
+            for d, flag in cell_directions(r.arrangement):
+                assert rr.pierces(-d) == flag, f"d={d}"
+
+    def test_reflect_region_uses_no_point_location(self, monkeypatch):
+        regions = sample_regions()
+        calls = []
+        real = SphereArrangement.locate
+
+        def spy(arr, p):
+            calls.append(p)
+            return real(arr, p)
+
+        monkeypatch.setattr(SphereArrangement, "locate", spy)
+        for r in regions:
+            reflect_region(r)
+        assert calls == []
+
+
+def sample_regions():
+    """Projections for each position of the origin, a union of two
+    separate projections, and the peg-in-hole union, whose complement is
+    one isolated vertex."""
+    regions = [
+        project_polytope(build(mesh))
+        for mesh in (
+            random_polytope(9, 12).translated(Vec3(-3, 8, 5)),  # separated
+            cube(1),  # origin inside: no edges
+            box(-1, -1, -2, 1, 1, 0),  # on a facet
+            box(0, -1, -2, 2, 1, 0),  # on an edge
+            box(0, 0, 0, 2, 2, 2),  # at a vertex
+        )
+    ]
+    # two components: the second one's first arc floats in a split sphere
+    regions.append(
+        union_regions(
+            [
+                project_polytope(build(tetrahedron().translated(t)))
+                for t in (Vec3(9, 0, 1), Vec3(-8, 3, -2))
+            ]
+        )
+    )
+    parts = dict(peg_in_hole_assembly())
+    neg_peg = build(parts["peg"][0].negated())
+    regions.append(
+        union_regions(
+            [project_polytope(minkowski(build(w), neg_peg)) for w in parts["block"]]
+        )
+    )
+    return regions
+
+
+def cell_directions(arr):
+    """A direction inside every vertex, edge and face, with the cell's flag."""
+    out = [(v.point.dir, v.payload) for v in arr.vertices]
+    out += [(h.arc.interior_point().dir, h.payload) for h in arr.edges()]
+    out += [(arr.interior_point(f).dir, f.payload) for f in arr.faces]
+    return out
 
 
 def v_dir_matches(a: Vec3, b: Vec3) -> bool:

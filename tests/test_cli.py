@@ -82,3 +82,17 @@ def test_bad_mesh_exits_2(tmp_path, capsys):
     bad.write_text("EOFF\n4 4\n0 0 3/0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n3 0 3 1\n3 1 3 2\n3 0 2 3\n")
     assert main(["gmap", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_missing_input_exits_2_and_names_path(tmp_path, capsys):
+    missing = str(tmp_path / "missing.eoff")
+    assert main(["gmap", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and missing in err
+
+
+def test_bad_count_exits_2_with_path_and_line(tmp_path, capsys):
+    bad = tmp_path / "bad.asm"
+    bad.write_text("assembly 1\npart a x\n")
+    assert main(["partition", str(bad)]) == 2
+    assert f"{bad}:2:" in capsys.readouterr().err

@@ -87,3 +87,19 @@ def test_point_file(tmp_path):
 def test_report_schema():
     data = json.loads(report({"x": 1}))
     assert data["schema"] == 1 and data["x"] == 1
+
+
+@pytest.mark.parametrize(
+    "parse, text, where",
+    [
+        (parse_mesh, "EOFF\n4 x\n", "in.txt:2"),
+        (parse_scene, "assembly x\n", "in.txt:1"),
+        (parse_scene, "assembly 1\n# one part\npart a x\n", "in.txt:3"),
+        (parse_mesh, "EOFF\n-1 4\n", "in.txt:2"),
+        (parse_scene, "assembly -2\n", "in.txt:1"),
+    ],
+)
+def test_bad_count_reports_line(parse, text, where):
+    with pytest.raises(ParseError) as exc:
+        parse(text, "in.txt")
+    assert where in str(exc.value)

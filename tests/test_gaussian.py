@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geomink.arrangement import SphereArrangement
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import meshes_equivalent
 from geomink.kernel import Vec3, dot
@@ -87,8 +89,10 @@ class TestBuild:
 
 
 class TestDecoration:
-    def test_extremal_property_inside_every_face(self):
-        m = random_polytope(10, 21)
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=5, max_value=12), st.integers(min_value=0, max_value=10**6))
+    def test_extremal_property_inside_every_face(self, n_points, seed):
+        m = random_polytope(n_points, seed)
         g = build(m)
         for f in g.arrangement.faces:
             v = f.payload
@@ -96,6 +100,20 @@ class TestDecoration:
             best = max(dot(d, u) for u in m.vertices)
             assert dot(d, v) == best
             assert sum(1 for u in m.vertices if dot(d, u) == best) == 1
+
+    def test_decoration_uses_mesh_adjacency_not_point_location(self, monkeypatch):
+        calls = []
+        real = SphereArrangement.locate
+
+        def spy(arr, p):
+            calls.append(p)
+            return real(arr, p)
+
+        monkeypatch.setattr(SphereArrangement, "locate", spy)
+        for m in (tetrahedron(), icosahedron(), random_polytope(12, 4)):
+            build(m)
+            build(m.negated())
+        assert calls == []
 
     def test_support_examples(self):
         g = build(box(0, 0, 0, 1, 1, 1))

@@ -58,13 +58,31 @@ class TestClassifyPoint:
         rng = random.Random(29)
         m = random_polytope(10, 6)
         g = build(m)
+        # arrangement vertex ids repeat across maps, so hints from another
+        # sum look like ids of this map and must still be ignored
+        other = minkowski(build(random_polytope(8, 61)), build(random_polytope(8, 62)))
+        planes = [(m.facet_normal(i), m.facet_offset(i)) for i in range(len(m.facets))]
+        c = sum(m.vertices, Vec3(0, 0, 0)).scale(Fraction(1, len(m.vertices)))
+
+        def exit_parameter(n, b, d):
+            return (b - dot(n, c)) / dot(n, d)
+
         hints = [None]
+        foreign = [None]
         for _ in range(100):
             s = Vec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
             base = classify_point(g, s, None)
             again = classify_point(g, s, hints[-1])
-            assert base.classification == again.classification
+            alien = classify_point(g, s, foreign[-1])
+            assert base.classification == again.classification == alien.classification
+            d = s - c
+            if not d.is_zero():
+                # the witness facet is where the ray from c through s exits
+                want = min(exit_parameter(n, b, d) for n, b in planes if dot(n, d) > 0)
+                for w in (base, again, alien):
+                    assert exit_parameter(w.facet_normal, w.facet_offset, d) == want
             hints.append(again.hint)
+            foreign.append(classify_point(other, s, foreign[-1]).hint)
 
 
 class TestCollide:
