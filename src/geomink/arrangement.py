@@ -25,6 +25,7 @@ from .spherical import (
     BoundaryClass,
     DirPoint,
     GeodesicArc,
+    _mk_arc,
     arc_between,
     as_point,
     classify,
@@ -159,7 +160,7 @@ class SphereArrangement:
         self.vertices: List[Vertex] = []
         self.halfedges: List[Halfedge] = []
         self.faces: List[Face] = []
-        self._vertex_map: Dict[tuple, Vertex] = {}
+        self._vertex_map: Dict[DirPoint, Vertex] = {}
         f0 = Face(next(self._next_id))
         self.faces.append(f0)
         self._initial_face = f0
@@ -178,7 +179,7 @@ class SphereArrangement:
         return [h for h in self.halfedges if h.id < h.twin.id]
 
     def find_vertex(self, p) -> Optional[Vertex]:
-        return self._vertex_map.get(as_point(p).dir.canonical())
+        return self._vertex_map.get(as_point(p))
 
     def initial_face(self) -> Face:
         return self._initial_face
@@ -197,13 +198,13 @@ class SphereArrangement:
     def _new_vertex(self, p: DirPoint) -> Vertex:
         v = Vertex(p, next(self._next_id))
         self.vertices.append(v)
-        self._vertex_map[p.dir.canonical()] = v
+        self._vertex_map[p] = v
         self._register_boundary_vertex(v)
         return v
 
     def _drop_vertex(self, v: Vertex) -> None:
         self.vertices.remove(v)
-        del self._vertex_map[v.point.dir.canonical()]
+        del self._vertex_map[v.point]
         bc = v.point.boundary_class
         if bc is BoundaryClass.NORTH_POLE:
             self.pole_vertices.pop("north", None)
@@ -214,7 +215,7 @@ class SphereArrangement:
 
     def insert_isolated_vertex(self, p, face: Optional[Face] = None) -> Vertex:
         q = as_point(p)
-        if q.dir.canonical() in self._vertex_map:
+        if q in self._vertex_map:
             raise ArcNotDisjoint(f"vertex at {q} already exists")
         if face is None:
             cell = self.locate(q)
@@ -715,7 +716,7 @@ class SphereArrangement:
         raise RuntimeError("interior point search failed")  # pragma: no cover
 
     def _strictly_inside(self, q: DirPoint, face: Face) -> bool:
-        if q.dir.canonical() in self._vertex_map:
+        if q in self._vertex_map:
             return False
         for rep in face.ccbs:
             for h in rep.cycle():
@@ -837,7 +838,7 @@ def _split_all(
     points).  Returns interior-disjoint sub-arcs, each with the list of
     tags of the input arcs it belongs to.  With cross_only, arcs sharing
     a tag group key (tag[0]) are assumed interior-disjoint already."""
-    cuts: List[Set[tuple]] = [set() for _ in tagged_arcs]
+    cuts: List[Set[DirPoint]] = [set() for _ in tagged_arcs]
     for i in range(len(tagged_arcs)):
         ai = tagged_arcs[i][0]
         for j in range(i + 1, len(tagged_arcs)):
@@ -847,28 +848,29 @@ def _split_all(
             r = intersect(ai, aj)
             if r.overlap is not None:
                 for p in (r.overlap.source, r.overlap.target):
-                    cuts[i].add(p.dir.canonical())
-                    cuts[j].add(p.dir.canonical())
+                    cuts[i].add(p)
+                    cuts[j].add(p)
             for p in r.points:
-                cuts[i].add(p.dir.canonical())
-                cuts[j].add(p.dir.canonical())
+                cuts[i].add(p)
+                cuts[j].add(p)
     for p, _tag in extra_points:
         for i, (a, _t) in enumerate(tagged_arcs):
             if point_on_arc(p, a, closed=False):
-                cuts[i].add(p.dir.canonical())
+                cuts[i].add(p)
 
     pieces: Dict[frozenset, Tuple[GeodesicArc, List[Any]]] = {}
     for i, (a, tag) in enumerate(tagged_arcs):
-        pts = [classify(Vec3(*k)) for k in cuts[i]]
-        pts = [p for p in pts if p != a.source and p != a.target]
+        pts = [p for p in cuts[i] if p != a.source and p != a.target]
         pts = [p for p in pts if point_on_arc(p, a, closed=False)]
         chain = [a.source] + _order_along(a, pts) + [a.target]
         for s, t in zip(chain, chain[1:]):
-            key = frozenset((s.dir.canonical(), t.dir.canonical()))
+            key = frozenset((s, t))
             if key in pieces:
                 pieces[key][1].append(tag)
             else:
-                pieces[key] = (arc_between(s, t), [tag])
+                # a piece keeps its input arc's normal: the cross product
+                # of two split points would be wider for the same plane
+                pieces[key] = (_mk_arc(s, t, a.normal), [tag])
     return list(pieces.values())
 
 
@@ -1097,7 +1099,8 @@ def loads(text: str) -> SphereArrangement:
     for ln in lines[1 + nv : 1 + nv + ne]:
         parts = ln.split()
         s, t = int(parts[1]), int(parts[2])
-        arr.insert_disjoint_arc(arc_between(dirs[s], dirs[t]))
+        normal = Vec3(parts[3], parts[4], parts[5])
+        arr.insert_disjoint_arc(arc_between(dirs[s], dirs[t], normal))
     for d, iso in zip(dirs, isolated):
         if iso:
             arr.insert_isolated_vertex(d)

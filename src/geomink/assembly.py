@@ -22,7 +22,7 @@ from .gaussian import GaussianMap, Mesh, build
 from .kernel import Vec3, cross, dot
 from .minkowski import minkowski, primal_facets
 from .proximity import INSIDE, classify_point
-from .spherical import BoundaryClass, arc_between, classify, full_circle_arcs, is_mergeable, make_arc
+from .spherical import BoundaryClass, classify, full_circle_arcs, is_mergeable, make_arc
 
 
 @dataclass
@@ -116,8 +116,8 @@ def _lune_interior_direction(n1: Vec3, n2: Vec3) -> Vec3:
         return -(n1 + n2)
     # -(q1*n1 + q2*n2) works iff q2/q1 lies strictly between
     # (-ip)/|n2|^2 and |n1|^2/(-ip); take the midpoint of that interval.
-    lo = (-ip) / n2.norm_sq()
-    hi = n1.norm_sq() / (-ip)
+    lo = Fraction(-ip, n2.norm_sq())
+    hi = Fraction(n1.norm_sq(), -ip)
     t = (lo + hi) / 2
     return -(n1 + n2.scale(t))
 
@@ -182,7 +182,7 @@ def _project_separated(g: GaussianMap, planes) -> SphericalRegion:
     for v in verts:
         t = dot(v, w)
         assert t > 0, "separator failed"
-        key = (dot(v, e1) / t, dot(v, e2) / t)
+        key = (Fraction(dot(v, e1), t), Fraction(dot(v, e2), t))
         pts2d.setdefault(key, v)
     hull2d = _convex_hull_2d(list(pts2d))
     cyc = [pts2d[key] for key in hull2d]
@@ -304,9 +304,7 @@ def reflect_region(region: SphericalRegion) -> SphericalRegion:
     for h in src.edges():
         pieces = make_arc(-h.arc.source.dir, -h.arc.target.dir)
         for piece in pieces:
-            # each piece keeps its own normal, cross(source, target)
-            arc = arc_between(piece.source, piece.target)
-            g = out.insert_disjoint_arc(arc, face=image_face(h.face))
+            g = out.insert_disjoint_arc(piece, face=image_face(h.face))
             out.set_edge_payload(g, h.payload)
             image[h.twin.face], image[h.face] = g, g.twin
         for piece in pieces[1:]:

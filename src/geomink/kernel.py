@@ -1,9 +1,13 @@
 """Exact rational scalars, 3-vectors, and the core sign predicates.
 
 Every geometric decision in this package reduces to a handful of exact
-sign computations on rational numbers.  No routine here ever computes a
-square root or touches floating point; directions are kept as
-unnormalized vectors throughout.
+sign computations on rational numbers.  A scalar is a Python ``int`` or
+a ``Fraction``; ``rat`` lets both through and rejects floats, so an
+inexact value raises where it enters instead of deciding anything.  No
+routine here ever computes a square root; directions are kept as
+unnormalized vectors throughout.  Sphere points store the primitive
+integer representative of their direction (``scale_key``), so the
+products on them are plain integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
 
-Rational = Fraction
+Rational = Union[int, Fraction]
 
 RationalLike = Union[Fraction, int, str]
 
@@ -48,65 +52,73 @@ def sign(x: Rational) -> Sign:
     return Sign.ZERO
 
 
-def rat(x: RationalLike) -> Fraction:
-    """Coerce ints, strings like "3/4", or Fractions to an exact rational."""
-    if isinstance(x, Fraction):
+def rat(x: RationalLike) -> Rational:
+    """An exact rational: ints and Fractions pass unchanged, strings like
+    "3/4" are parsed, and anything else (a float above all) raises."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())
     raise TypeError(f"not a rational value: {x!r}")
 
 
-def scale_key(*nums: Fraction) -> tuple:
+def scale_key(*nums: Rational) -> tuple:
     """Scale-invariant key of a rational tuple: the positive multiple of
     it whose entries are coprime integers.  Two tuples get the same key
     iff one is a positive rational multiple of the other; negation
     changes the key, and the zero tuple keys to zeros."""
-    m = lcm(*(q.denominator for q in nums))
-    ints = [q.numerator * (m // q.denominator) for q in nums]
-    g = gcd(*ints) or 1
+    try:
+        ints = nums
+        g = gcd(*nums)  # ints only; a Fraction raises TypeError
+    except TypeError:
+        m = lcm(*(q.denominator for q in nums))
+        ints = [q.numerator * (m // q.denominator) for q in nums]
+        g = gcd(*ints)
+    if g <= 1:  # already coprime, or the zero tuple
+        return tuple(ints)
     return tuple(c // g for c in ints)
 
 
-def format_rat(x: Fraction) -> str:
+def format_rat(x: Rational) -> str:
     """Canonical "p/q" (or bare "p") literal used by all file formats."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec3:
-    """Immutable exact 3-vector over the rationals."""
+    """Immutable exact 3-vector over the rationals (ints or Fractions)."""
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    x: Rational
+    y: Rational
+    z: Rational
 
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
         object.__setattr__(self, "x", rat(x))
         object.__setattr__(self, "y", rat(y))
         object.__setattr__(self, "z", rat(z))
 
+    # Sums, differences and products of exact coordinates are exact, so
+    # the arithmetic below builds its results with exact_vec.
+
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        return exact_vec(self.x + other.x, self.y + other.y, self.z + other.z)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        return exact_vec(self.x - other.x, self.y - other.y, self.z - other.z)
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
+        return exact_vec(-self.x, -self.y, -self.z)
 
     def scale(self, k: RationalLike) -> "Vec3":
         k = rat(k)
-        return Vec3(self.x * k, self.y * k, self.z * k)
+        return exact_vec(self.x * k, self.y * k, self.z * k)
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0 and self.z == 0
 
-    def norm_sq(self) -> Fraction:
+    def norm_sq(self) -> Rational:
         return self.x * self.x + self.y * self.y + self.z * self.z
 
     def as_tuple(self) -> tuple:
@@ -120,6 +132,20 @@ class Vec3:
         return f"({format_rat(self.x)}, {format_rat(self.y)}, {format_rat(self.z)})"
 
 
+_set_x, _set_y, _set_z = Vec3.x.__set__, Vec3.y.__set__, Vec3.z.__set__
+
+
+def exact_vec(x: Rational, y: Rational, z: Rational) -> Vec3:
+    """A Vec3 of coordinates already known to be ints or Fractions, such
+    as results of ring operations on exact coordinates; it skips rat's
+    checks, which cost more than the arithmetic on small ints."""
+    v = object.__new__(Vec3)
+    _set_x(v, x)
+    _set_y(v, y)
+    _set_z(v, z)
+    return v
+
+
 ZERO3 = Vec3(0, 0, 0)
 
 
@@ -127,7 +153,7 @@ def vec(x: RationalLike, y: RationalLike, z: RationalLike) -> Vec3:
     return Vec3(x, y, z)
 
 
-def dot(u: Vec3, v: Vec3) -> Fraction:
+def dot(u: Vec3, v: Vec3) -> Rational:
     return u.x * v.x + u.y * v.y + u.z * v.z
 
 
@@ -138,14 +164,14 @@ def dot_sign(u: Vec3, v: Vec3) -> Sign:
 
 def cross(u: Vec3, v: Vec3) -> Vec3:
     """Exact cross product; zero iff the inputs are parallel."""
-    return Vec3(
+    return exact_vec(
         u.y * v.z - u.z * v.y,
         u.z * v.x - u.x * v.z,
         u.x * v.y - u.y * v.x,
     )
 
 
-def triple(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
+def triple(a: Vec3, b: Vec3, c: Vec3) -> Rational:
     """Determinant det[a b c] = <a, b x c>."""
     return dot(a, cross(b, c))
 
@@ -168,7 +194,7 @@ def parallel_same_direction(u: Vec3, v: Vec3) -> bool:
 # -- planar (2D) helpers for azimuthal comparisons -------------------------
 
 
-def cross2(ax: Fraction, ay: Fraction, bx: Fraction, by: Fraction) -> Fraction:
+def cross2(ax: Rational, ay: Rational, bx: Rational, by: Rational) -> Rational:
     return ax * by - ay * bx
 
 

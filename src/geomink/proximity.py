@@ -55,7 +55,8 @@ class Witness:
 
 class _FacetIndex:
     """Facet planes of a Gaussian map, keyed by arrangement vertex, plus
-    the centroid of the primal vertices and, on demand, the primal mesh."""
+    the centroid of the primal vertices and, on demand, the primal mesh
+    and its facet planes."""
 
     def __init__(self, g: GaussianMap):
         self.g = g
@@ -70,6 +71,16 @@ class _FacetIndex:
     @cached_property
     def mesh(self) -> Mesh:
         return primal_mesh(self.g)
+
+    @cached_property
+    def mesh_planes(self) -> List[Tuple[Vec3, Rational]]:
+        """(normal, offset) of each facet of `mesh`, in its facet order."""
+        m = self.mesh
+        planes = []
+        for i, cyc in enumerate(m.facets):
+            n = m.facet_normal(i)
+            planes.append((n, dot(n, m.vertices[cyc[0]])))
+        return planes
 
     def neighbors(self, w):
         out = []
@@ -97,7 +108,7 @@ def _exit_parameter(plane, c: Vec3, d: Vec3) -> Optional[Rational]:
     den = dot(n, d)
     if den <= 0:
         return None
-    return (b - dot(n, c)) / den
+    return Fraction(b - dot(n, c), den)
 
 
 def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
@@ -192,14 +203,9 @@ def trace(
 def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
     """Exact squared distance from s to the primal polytope of M (zero
     when s is inside or on the boundary)."""
-    mesh = _facet_index(M).mesh
-    inside = True
-    for i in range(len(mesh.facets)):
-        n, b = mesh.facet_normal(i), mesh.facet_offset(i)
-        if dot(n, s) > b:
-            inside = False
-            break
-    if inside:
+    idx = _facet_index(M)
+    mesh, planes = idx.mesh, idx.mesh_planes
+    if all(dot(n, s) <= b for n, b in planes):
         return Fraction(0)
     best = None
     for v in mesh.vertices:
@@ -214,16 +220,15 @@ def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
             seen.add((a_i, b_i))
             a, b = mesh.vertices[a_i], mesh.vertices[b_i]
             e = b - a
-            t = dot(s - a, e) / e.norm_sq()
+            t = Fraction(dot(s - a, e), e.norm_sq())
             if 0 < t < 1:
                 q = a + e.scale(t)
                 d2 = (s - q).norm_sq()
                 if d2 < best:
                     best = d2
-    for i, cyc in enumerate(mesh.facets):
-        n, bo = mesh.facet_normal(i), mesh.facet_offset(i)
+    for (n, bo), cyc in zip(planes, mesh.facets):
         h = dot(n, s) - bo
-        q = s - n.scale(h / n.norm_sq())
+        q = s - n.scale(Fraction(h, n.norm_sq()))
         ok = True
         m = len(cyc)
         for k in range(m):
@@ -233,7 +238,7 @@ def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
                 ok = False
                 break
         if ok:
-            d2 = h * h / n.norm_sq()
+            d2 = Fraction(h * h, n.norm_sq())
             if d2 < best:
                 best = d2
     return best

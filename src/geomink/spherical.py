@@ -1,13 +1,20 @@
 """Points and geodesic arcs on the unit sphere, with the exact predicate
 and construction set the arrangement engine needs.
 
-A point is an unnormalized rational direction vector; an arc of a great
-circle is a pair of endpoint directions plus the oriented plane through
-the origin containing them.  The sphere is parameterized by azimuth
-u in [-pi, pi] and latitude v in [-pi/2, pi/2]; the u = +-pi meridian
-half (y = 0, x < 0) is the identification curve and (0, 0, -+1) are the
-contraction poles.  All predicates are exact over the rationals and
-invariant under positive scaling of every input direction.
+A point is named by an unnormalized rational direction vector and stored
+as that direction's primitive integer triple: the coprime ints, sign
+kept, that every positive multiple of the direction reduces to.  Point
+equality is therefore a comparison of three ints.  An arc of a great
+circle is a pair of endpoints plus a normal of the oriented plane through
+the origin containing them.  Normals are not reduced: an arc's normal is
+the cross product of the endpoints it was made from, and the pieces of a
+split arc keep it.
+
+The sphere is parameterized by azimuth u in [-pi, pi] and latitude v in
+[-pi/2, pi/2]; the u = +-pi meridian half (y = 0, x < 0) is the
+identification curve and (0, 0, -+1) are the contraction poles.  All
+predicates are exact over the rationals and invariant under positive
+scaling of every input direction.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from .kernel import (
     ccw_strictly_before,
     cross,
     dot,
+    exact_vec,
     parallel_same_direction,
+    scale_key,
     sign,
 )
 
@@ -69,9 +78,11 @@ MIN_END = 0
 MAX_END = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirPoint:
-    """A point on the sphere named by an exact unnormalized direction."""
+    """A point on the sphere.  `dir` is the primitive integer triple of
+    the direction that names it (see `classify`, the one constructor), so
+    two points are equal exactly when their triples are."""
 
     dir: Vec3
     boundary_class: BoundaryClass
@@ -79,26 +90,30 @@ class DirPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirPoint):
             return NotImplemented
-        return parallel_same_direction(self.dir, other.dir)
+        a, b = self.dir, other.dir
+        return a.x == b.x and a.y == b.y and a.z == b.z
 
     def __hash__(self) -> int:
-        return hash(self.dir.canonical())
+        d = self.dir
+        return hash((d.x, d.y, d.z))
 
     def __repr__(self) -> str:
         return f"DirPoint{self.dir!r}"
 
 
 def classify(direction: Vec3) -> DirPoint:
-    """Tag a direction with its boundary class."""
+    """The point a nonzero direction names: its primitive integer triple
+    (scale_key), tagged with its boundary class."""
     if direction.is_zero():
         raise ZeroVector("cannot classify the zero vector")
-    if direction.x == 0 and direction.y == 0:
-        cls = BoundaryClass.NORTH_POLE if direction.z > 0 else BoundaryClass.SOUTH_POLE
-    elif direction.y == 0 and direction.x < 0:
+    x, y, z = scale_key(direction.x, direction.y, direction.z)
+    if x == 0 and y == 0:
+        cls = BoundaryClass.NORTH_POLE if z > 0 else BoundaryClass.SOUTH_POLE
+    elif y == 0 and x < 0:
         cls = BoundaryClass.ON_IDENTIFICATION
     else:
         cls = BoundaryClass.INTERIOR
-    return DirPoint(direction, cls)
+    return DirPoint(exact_vec(x, y, z), cls)
 
 
 def as_point(p: Union[DirPoint, Vec3]) -> DirPoint:
@@ -156,7 +171,7 @@ def compare_uv(p1: DirPoint, p2: DirPoint) -> Sign:
     return c if c != EQUAL else compare_v(p1, p2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeodesicArc:
     """A u-monotone arc of a great circle, subtending strictly less than pi.
 

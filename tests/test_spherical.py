@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geomink.kernel import EQUAL, LARGER, SMALLER, Vec3, dot, cross
+from geomink.kernel import EQUAL, LARGER, SMALLER, Vec3, cross, dot, parallel_same_direction
 from geomink.spherical import (
     BoundaryClass,
     BoundarySide,
@@ -364,4 +365,34 @@ def test_no_square_roots_everything_rational():
             continue
         r = intersect(a, b)
         for p in r.points:
-            assert isinstance(p.dir.x, Fraction)
+            coords = p.dir.as_tuple()
+            # exact and stored as the primitive integer triple, never a float
+            assert all(type(c) is int for c in coords)
+            assert math.gcd(*coords) == 1
+
+
+_coords = st.one_of(
+    st.integers(min_value=-60, max_value=60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+_directions = st.builds(Vec3, _coords, _coords, _coords).filter(lambda v: not v.is_zero())
+_positive = st.one_of(
+    st.integers(min_value=1, max_value=10**6),
+    st.fractions(min_value=0, max_value=1000, max_denominator=97).filter(lambda k: k > 0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_directions, _directions, _positive)
+def test_point_is_the_primitive_triple_of_its_direction(d, e, k):
+    p = classify(d)
+    q = classify(d.scale(k))
+    assert p == q and hash(p) == hash(q)
+    assert p != classify(-d)
+    coords = p.dir.as_tuple()
+    assert all(type(c) is int for c in coords)
+    assert math.gcd(*coords) == 1
+    assert parallel_same_direction(p.dir, d)
+    # equality on triples agrees with the geometric test on any representatives
+    for other in (e, e.scale(k), d.scale(k), -d.scale(k)):
+        assert (p == classify(other)) == parallel_same_direction(d, other)
