@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .arrangement import Face, Halfedge, SphereArrangement, new_arrangement
-from .kernel import Rational, Vec3, cross, dot
+from .kernel import (
+    Rational,
+    Vec3,
+    cross,
+    cross3,
+    dot,
+    dot3,
+    exact_vec,
+    integer_coords,
+    turn3,
+)
 from .spherical import make_arc
 
 
@@ -39,16 +49,8 @@ class Mesh:
     def facet_normal(self, i: int) -> Vec3:
         """Outward normal, computed exactly from the first non-collinear
         corner of the facet."""
-        cyc = self.facets[i]
-        n = len(cyc)
-        for k in range(n):
-            a = self.vertices[cyc[k]]
-            b = self.vertices[cyc[(k + 1) % n]]
-            c = self.vertices[cyc[(k + 2) % n]]
-            nrm = cross(b - a, c - b)
-            if not nrm.is_zero():
-                return nrm
-        raise InvalidMesh(f"facet {i} is collinear")
+        corners = [self.vertices[v].as_tuple() for v in self.facets[i]]
+        return exact_vec(*cycle_normal(i, corners))
 
     def facet_offset(self, i: int) -> Rational:
         n = self.facet_normal(i)
@@ -56,7 +58,13 @@ class Mesh:
 
     def validate(self) -> None:
         """Raise InvalidMesh unless this is a closed convex 2-manifold
-        with planar, strictly convex, consistently oriented facets."""
+        with planar, strictly convex, consistently oriented facets.
+
+        Every predicate runs on the common-denominator integer
+        representative of the vertex set (kernel.integer_coords), with
+        each facet's normal computed once: scaling all vertices by one
+        positive integer changes no sign.  The mesh keeps its input
+        coordinates."""
         if len(self.vertices) < 4:
             raise InvalidMesh("need at least 4 vertices")
         if len(self.facets) < 4:
@@ -74,24 +82,25 @@ class Mesh:
                 raise InvalidMesh(f"edge {(a, b)} of facet {fi} has no twin")
         if len(self.vertices) - len(seen) // 2 + len(self.facets) != 2:
             raise InvalidMesh("Euler characteristic is not 2")
+        pts = integer_coords(self.vertices)
+        normals = []
         for fi, cyc in enumerate(self.facets):
-            n = self.facet_normal(fi)
-            b0 = dot(n, self.vertices[cyc[0]])
-            for vi in cyc:
-                if dot(n, self.vertices[vi]) != b0:
-                    raise InvalidMesh(f"facet {fi} is not planar")
-            m = len(cyc)
+            corners = [pts[vi] for vi in cyc]
+            n = cycle_normal(fi, corners)
+            normals.append(n)
+            b0 = dot3(n, corners[0])
+            if any(dot3(n, c) != b0 for c in corners):
+                raise InvalidMesh(f"facet {fi} is not planar")
+            m = len(corners)
             for k in range(m):
-                a = self.vertices[cyc[k]]
-                b = self.vertices[cyc[(k + 1) % m]]
-                c = self.vertices[cyc[(k + 2) % m]]
-                turn = dot(cross(b - a, c - b), n)
-                if turn <= 0:
+                turn = turn3(corners[k], corners[(k + 1) % m], corners[(k + 2) % m])
+                if dot3(turn, n) <= 0:
                     raise InvalidMesh(
                         f"facet {fi} is not a strictly convex CCW polygon"
                     )
-            for vi, v in enumerate(self.vertices):
-                s = dot(n, v) - b0
+            nx, ny, nz = n
+            for vi, (x, y, z) in enumerate(pts):
+                s = nx * x + ny * y + nz * z - b0
                 if s > 0:
                     raise InvalidMesh(
                         f"vertex {vi} lies outside facet {fi}: not convex "
@@ -103,8 +112,8 @@ class Mesh:
                     )
         for (a, b), fi in seen.items():
             fj = seen[(b, a)]
-            ni, nj = self.facet_normal(fi), self.facet_normal(fj)
-            if cross(ni, nj).is_zero() and dot(ni, nj) > 0:
+            ni, nj = normals[fi], normals[fj]
+            if cross3(ni, nj) == (0, 0, 0) and dot3(ni, nj) > 0:
                 raise InvalidMesh(
                     f"facets {fi} and {fj} are coplanar; merge them first"
                 )
@@ -115,6 +124,17 @@ class Mesh:
     def negated(self) -> "Mesh":
         """Central reflection through the origin (facet cycles reversed)."""
         return Mesh([-v for v in self.vertices], [list(reversed(f)) for f in self.facets])
+
+
+def cycle_normal(fi: int, corners: List[tuple]) -> tuple:
+    """Normal of facet fi from the coordinate triples of its cycle: the
+    turn (kernel.turn3) at its first non-collinear corner."""
+    m = len(corners)
+    for k in range(m):
+        turn = turn3(corners[k], corners[(k + 1) % m], corners[(k + 2) % m])
+        if turn != (0, 0, 0):
+            return turn
+    raise InvalidMesh(f"facet {fi} is collinear")
 
 
 @dataclass

@@ -3,7 +3,10 @@ Minkowski sums and as a mesh utility.
 
 Internally the hull is kept simplicial; coplanar triangles are merged
 into maximal facets at the end so facet counts compare directly against
-Gaussian-map results.  All predicates are exact rational signs.
+Gaussian-map results.  All predicates are exact signs, taken on the
+integer representative of the input (kernel.integer_coords: every point
+scaled by the lcm of all the denominators, which changes no sign); the
+output mesh holds the input points themselves.
 """
 
 from __future__ import annotations
@@ -11,25 +14,25 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Tuple
 
-from .gaussian import Mesh
-from .kernel import Rational, Vec3, cross, dot, scale_key, triple
+from .gaussian import Mesh, cycle_normal
+from .kernel import Vec3, dot3, integer_coords, scale_key, turn3
 
 
 class DegenerateInput(ValueError):
     """Input points do not affinely span 3-space."""
 
 
-def _orient(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> Rational:
-    return triple(b - a, c - a, d - a)
+def _orient(a: tuple, b: tuple, c: tuple, d: tuple) -> int:
+    return dot3(turn3(a, b, c), (d[0] - a[0], d[1] - a[1], d[2] - a[2]))
 
 
 class _Tri:
     __slots__ = ("a", "b", "c", "normal", "offset", "alive")
 
-    def __init__(self, a: int, b: int, c: int, pts: List[Vec3]):
+    def __init__(self, a: int, b: int, c: int, pts: List[tuple]):
         self.a, self.b, self.c = a, b, c
-        self.normal = cross(pts[b] - pts[a], pts[c] - pts[a])
-        self.offset = dot(self.normal, pts[a])
+        self.normal = turn3(pts[a], pts[b], pts[c])
+        self.offset = dot3(self.normal, pts[a])
         self.alive = True
 
     def edges(self) -> List[Tuple[int, int]]:
@@ -39,15 +42,16 @@ class _Tri:
 def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     """Exact convex hull; output vertices are exactly the extreme points
     and coplanar facets are merged into maximal planar facets."""
-    pts: List[Vec3] = []
+    inputs: List[Vec3] = []
     seen = set()
     for p in points:
         k = p.as_tuple()
         if k not in seen:
             seen.add(k)
-            pts.append(p)
-    if len(pts) < 4:
+            inputs.append(p)
+    if len(inputs) < 4:
         raise DegenerateInput("need at least 4 distinct points")
+    pts = integer_coords(inputs)
 
     # Seed simplex: four affinely independent points.
     i0 = 0
@@ -57,7 +61,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
             i
             for i in range(len(pts))
             if i not in (i0, i1)
-            and not cross(pts[i1] - pts[i0], pts[i] - pts[i0]).is_zero()
+            and turn3(pts[i0], pts[i1], pts[i]) != (0, 0, 0)
         ),
         None,
     )
@@ -88,7 +92,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
 
     for pi in order:
         p = pts[pi]
-        visible = [t for t in tris if t.alive and dot(t.normal, p) > t.offset]
+        visible = [t for t in tris if t.alive and dot3(t.normal, p) > t.offset]
         if not visible:
             continue
         for t in visible:
@@ -110,7 +114,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     # Merge coplanar triangles into maximal facets.
     groups: Dict[tuple, List[_Tri]] = {}
     for t in tris:
-        groups.setdefault(scale_key(*t.normal.as_tuple(), t.offset), []).append(t)
+        groups.setdefault(scale_key(*t.normal, t.offset), []).append(t)
 
     facets: List[List[int]] = []
     used: set = set()
@@ -134,7 +138,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
                 a = pts[cycle[k - 1]]
                 b = pts[cycle[k]]
                 c = pts[cycle[(k + 1) % len(cycle)]]
-                if cross(b - a, c - b).is_zero():
+                if turn3(a, b, c) == (0, 0, 0):
                     del cycle[k]
                     changed = True
                     break
@@ -147,7 +151,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
         for vi in f:
             if vi not in remap:
                 remap[vi] = len(verts)
-                verts.append(pts[vi])
+                verts.append(inputs[vi])
     mesh = Mesh(verts, [[remap[v] for v in f] for f in facets])
     mesh.validate()
     return mesh
@@ -169,8 +173,12 @@ def meshes_equivalent(a: Mesh, b: Mesh) -> bool:
 
 
 def _plane_keys(m: Mesh) -> set:
-    """Keys of the facets' oriented supporting planes."""
-    return {
-        scale_key(*m.facet_normal(i).as_tuple(), m.facet_offset(i))
-        for i in range(len(m.facets))
-    }
+    """Keys of the facets' oriented supporting planes, taken on
+    integer_coords(m.vertices): the keys of two meshes compare when
+    their vertex sets are equal, which meshes_equivalent checks first."""
+    pts = integer_coords(m.vertices)
+    keys = set()
+    for fi, cyc in enumerate(m.facets):
+        n = cycle_normal(fi, [pts[v] for v in cyc])
+        keys.add(scale_key(*n, dot3(n, pts[cyc[0]])))
+    return keys

@@ -7,7 +7,10 @@ inexact value raises where it enters instead of deciding anything.  No
 routine here ever computes a square root; directions are kept as
 unnormalized vectors throughout.  Sphere points store the primitive
 integer representative of their direction (``scale_key``), so the
-products on them are plain integer arithmetic.
+products on them are plain integer arithmetic.  Predicates on a whole
+point set, such as a mesh's, run on one integer representative of the
+set (``integer_coords``) with the triple helpers ``cross3``, ``dot3`` and
+``turn3``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
+from typing import Iterable, List, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -77,6 +80,39 @@ def scale_key(*nums: Rational) -> tuple:
     if g <= 1:  # already coprime, or the zero tuple
         return tuple(ints)
     return tuple(c // g for c in ints)
+
+
+def integer_coords(points: Iterable["Vec3"]) -> List[Tuple[int, int, int]]:
+    """The points scaled by the lcm of all their denominators, as int
+    triples; all-int points come back as they are.  One positive scaling
+    of every point changes no orientation, side, planarity or coplanarity
+    sign, so exact predicates on a point set can run on these ints."""
+    coords = [(p.x, p.y, p.z) for p in points]
+    m = lcm(*(c.denominator for t in coords for c in t))
+    return [tuple(c.numerator * (m // c.denominator) for c in t) for t in coords]
+
+
+def cross3(u: tuple, v: tuple) -> tuple:
+    """Cross product of coordinate triples (see integer_coords)."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def dot3(u: tuple, v: tuple) -> Rational:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def turn3(a: tuple, b: tuple, c: tuple) -> tuple:
+    """cross(b - a, c - b) of coordinate triples: the right-hand normal
+    of the triangle abc (equal to cross(b - a, c - a)), zero iff the
+    three points are collinear."""
+    return cross3(
+        (b[0] - a[0], b[1] - a[1], b[2] - a[2]),
+        (c[0] - b[0], c[1] - b[1], c[2] - b[2]),
+    )
 
 
 def format_rat(x: Rational) -> str:
@@ -169,11 +205,6 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
         u.z * v.x - u.x * v.z,
         u.x * v.y - u.y * v.x,
     )
-
-
-def triple(a: Vec3, b: Vec3, c: Vec3) -> Rational:
-    """Determinant det[a b c] = <a, b x c>."""
-    return dot(a, cross(b, c))
 
 
 def side_of_origin_plane(normal: Vec3, p: Vec3) -> Sign:

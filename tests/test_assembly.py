@@ -40,7 +40,7 @@ def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
             if b <= 0:
                 return False
             continue
-        t = b / a
+        t = Fraction(b, a)
         if a > 0:
             hi = t if hi is None else min(hi, t)
         else:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,128 @@ class TestBuild:
         bad = Mesh(t.vertices, [list(reversed(f)) for f in t.facets])
         with pytest.raises(InvalidMesh):
             build(bad)
+
+
+# A box with mixed-denominator coordinates, with shapes.cube()'s vertex
+# order and facet cycles; _CORNERS picks the low (0) or high (1) end of
+# each axis.
+_XS = (Fraction(-1, 2), Fraction(2, 3))
+_YS = (Fraction(-3, 4), Fraction(1, 5))
+_ZS = (Fraction(-1, 7), Fraction(5, 6))
+_CORNERS = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
+_BOX_FACETS = [[0, 1, 2, 3], [0, 3, 4, 5], [1, 0, 5, 6], [7, 4, 3, 2], [5, 4, 7, 6], [1, 6, 7, 2]]
+
+
+def _box_vertices():
+    return [Vec3(_XS[i], _YS[j], _ZS[k]) for i, j, k in _CORNERS]
+
+
+def _mid(a, b):
+    return (a + b).scale(Fraction(1, 2))
+
+
+def _bad_cycle():
+    facets = [list(f) for f in _BOX_FACETS]
+    facets[2] = [1, 0, 5, 0]
+    return Mesh(_box_vertices(), facets)
+
+
+def _edge_twice():
+    return Mesh(_box_vertices(), _BOX_FACETS + [[0, 1, 2, 3]])
+
+
+def _missing_twin():
+    return Mesh(_box_vertices(), _BOX_FACETS[:5] + [[1, 6, 7]])
+
+
+def _euler():
+    v = _box_vertices()
+    return Mesh(v + [_mid(v[0], v[7])], _BOX_FACETS)
+
+
+def _collinear():
+    a, b, d = Vec3(Fraction(1, 3), 0, Fraction(-1, 2)), Vec3(2, Fraction(3, 4), 1), Vec3(0, 1, Fraction(2, 5))
+    return Mesh([a, b, _mid(a, b), d], [[0, 1, 2], [0, 2, 3], [2, 1, 3], [1, 0, 3]])
+
+
+def _non_planar():
+    v = _box_vertices()
+    v[3] = v[3] + Vec3(Fraction(1, 9), 0, 0)
+    return Mesh(v, _BOX_FACETS)
+
+
+def _non_convex():
+    # A vertex dented into facet 0 (the x = -1/2 side) from edge (0, 1).
+    v = _box_vertices()
+    dent = _mid(v[0], v[1]) + Vec3(0, Fraction(1, 11), 0)
+    facets = [list(f) for f in _BOX_FACETS]
+    facets[0] = [0, 8, 1, 2, 3]
+    facets[2] = [1, 8, 0, 5, 6]
+    return Mesh(v + [dent], facets)
+
+
+def _vertex_outside():
+    return Mesh(_box_vertices(), [list(reversed(f)) for f in _BOX_FACETS])
+
+
+def _coplanar_not_on_facet():
+    # The top facet split into a fan around its centre.
+    v = _box_vertices()
+    fan = [[1, 6, 8], [6, 7, 8], [7, 2, 8], [2, 1, 8]]
+    return Mesh(v + [_mid(v[1], v[7])], _BOX_FACETS[:5] + fan)
+
+
+def _coplanar_neighbours():
+    # Facets 0 and 1 both pass through all six vertices of a convex
+    # hexagon, each winding twice around it with every turn positive, so
+    # no vertex is coplanar with either facet but off it.  An apex below
+    # closes the hull edges, and two unused interior vertices make
+    # V - E + F = 2.
+    hexagon = [(0, 0), (8, 0), (10, 5), (8, 10), (0, 10), (-2, 5)]
+    v = [Vec3(Fraction(x, 3), Fraction(y, 5), Fraction(1, 2)) for x, y in hexagon]
+    v += [
+        Vec3(Fraction(4, 3), 1, Fraction(-1, 2)),
+        Vec3(Fraction(4, 3), 1, 0),
+        Vec3(Fraction(4, 3), Fraction(6, 5), Fraction(1, 7)),
+    ]
+    sides = [[(a + 1) % 6, a, 6] for a in range(6)]
+    return Mesh(v, [[0, 1, 4, 5, 2, 3], [0, 3, 4, 1, 2, 5]] + sides)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (_bad_cycle, "facet 2 has a bad vertex cycle"),
+        (_edge_twice, "directed edge (0, 1) appears twice"),
+        (_missing_twin, "edge (1, 2) of facet 0 has no twin"),
+        (_euler, "Euler characteristic is not 2"),
+        (_collinear, "facet 0 is collinear"),
+        (_non_planar, "facet 0 is not planar"),
+        (_non_convex, "facet 0 is not a strictly convex CCW polygon"),
+        (_vertex_outside, "vertex 4 lies outside facet 0: not convex or facets are misoriented"),
+        (_coplanar_not_on_facet, "vertex 2 is coplanar with facet 5 but not on it"),
+        (_coplanar_neighbours, "facets 0 and 1 are coplanar; merge them first"),
+    ],
+    ids=lambda x: x.__name__.strip("_") if callable(x) else None,
+)
+def test_validate_rejection_messages(make, message):
+    mesh = make()
+    with pytest.raises(InvalidMesh) as exc:
+        mesh.validate()
+    assert str(exc.value) == message
+
+
+def test_unmodified_fixture_box_is_valid():
+    Mesh(_box_vertices(), _BOX_FACETS).validate()
+
+
+def test_validate_computes_no_fraction_normals(monkeypatch):
+    def refuse(mesh, i):
+        raise AssertionError("validate called facet_normal")
+
+    monkeypatch.setattr(Mesh, "facet_normal", refuse)
+    Mesh(_box_vertices(), _BOX_FACETS).validate()
+    random_polytope(12, 5).validate()
 
 
 class TestDecoration:

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geomink.gaussian import InvalidMesh, Mesh
 from geomink.hull import DegenerateInput, convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.kernel import Vec3, dot
 from geomink.shapes import cube, octahedron, random_polytope, tetrahedron
@@ -97,3 +99,59 @@ def test_euler_on_random_hulls():
         m = random_polytope(15, seed)
         V, E, F = len(m.vertices), m.edge_count(), len(m.facets)
         assert V - E + F == 2
+
+
+_coord = st.integers(min_value=-5, max_value=5)
+_points = st.lists(st.tuples(_coord, _coord, _coord), min_size=4, max_size=14)
+_scales = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)
+_shifts = st.tuples(*[st.fractions(min_value=-7, max_value=7, max_denominator=11)] * 3)
+
+
+def _hull_outcome(pts):
+    try:
+        m = convex_hull_3(pts)
+    except DegenerateInput as e:
+        return str(e), None
+    return m.facets, m.vertices
+
+
+def _validate_outcome(mesh):
+    try:
+        mesh.validate()
+    except InvalidMesh as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_points, _scales, _shifts, st.integers(min_value=0, max_value=3), st.integers(min_value=0))
+def test_hull_and_validate_commute_with_scaling_and_translation(raw, k, shift, defect, pick):
+    """A positive rational scaling plus a rational translation changes no
+    exact sign: the hull keeps its facet cycles and its vertices are the
+    transformed inputs, and validate gives the same verdict."""
+    t = Vec3(*shift)
+
+    def move(v):
+        return v.scale(k) + t
+
+    pts = [Vec3(*p) for p in raw]
+    facets, verts = _hull_outcome(pts)
+    moved_facets, moved_verts = _hull_outcome([move(p) for p in pts])
+    assert moved_facets == facets
+    if verts is None:
+        assert moved_verts is None
+        return
+    assert moved_verts == [move(v) for v in verts]
+
+    # The same verdict on the hull and on a damaged copy of it.
+    verts, facets = list(verts), [list(f) for f in facets]
+    i = pick % len(verts)
+    if defect == 1:
+        facets[pick % len(facets)].reverse()
+    elif defect == 2:
+        verts[i] = verts[i] + Vec3(1, 0, Fraction(-1, 2))
+    elif defect == 3:
+        verts[i] = verts[i].scale(Fraction(1, 2))
+    mesh = Mesh(verts, facets)
+    moved = Mesh([move(v) for v in verts], facets)
+    assert _validate_outcome(moved) == _validate_outcome(mesh)

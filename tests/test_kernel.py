@@ -11,9 +11,12 @@ from geomink.kernel import (
     ccw_strictly_before,
     cross,
     dot_sign,
+    dot3,
     format_rat,
+    integer_coords,
     rat,
     side_of_origin_plane,
+    turn3,
 )
 
 
@@ -104,3 +107,26 @@ def test_rat_parsing_and_formatting():
     assert rat(5) == Fraction(5)
     assert format_rat(Fraction(3, 4)) == "3/4"
     assert format_rat(Fraction(-8, 2)) == "-4"
+
+
+def test_integer_coords_scales_by_the_common_denominator():
+    pts = [Vec3(Fraction(1, 2), 0, Fraction(-2, 3)), Vec3(3, Fraction(4, 2), Fraction(5, 6))]
+    assert integer_coords(pts) == [(3, 0, -4), (18, 12, 5)]
+    ints = [Vec3(1, -2, 3), Vec3(0, 5, Fraction(8, 4))]
+    got = integer_coords(ints)
+    assert got == [(1, -2, 3), (0, 5, 2)]
+    assert all(type(c) is int for t in got for c in t)
+
+
+def test_integer_coords_keep_orientation_signs():
+    rng = random.Random(12)
+    for _ in range(200):
+        pts = [
+            Vec3(*(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)))
+            for _ in range(4)
+        ]
+        a, b, c, d = pts
+        want = dot_sign(cross(b - a, c - a), d - a)
+        ia, ib, ic, id_ = integer_coords(pts)
+        got = dot3(turn3(ia, ib, ic), (id_[0] - ia[0], id_[1] - ia[1], id_[2] - ia[2]))
+        assert (got > 0) - (got < 0) == want

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geomink.gaussian import build, primal_mesh, reflect
+from geomink.extremal import RationalRotation, rotate_mesh
+from geomink.gaussian import Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.kernel import Vec3
 from geomink.minkowski import (
@@ -121,3 +124,48 @@ class TestStats:
         s = minkowski(c, reflect(c))
         m = primal_mesh(s)
         assert meshes_equivalent(m, cube(1))
+
+
+def _quaternion_rotation(w: int, x: int, y: int, z: int) -> RationalRotation:
+    """The rotation of the (nonzero, unnormalized) integer quaternion."""
+    n = Fraction(1, w * w + x * x + y * y + z * z)
+    return RationalRotation(
+        (
+            ((w * w + x * x - y * y - z * z) * n, 2 * (x * y - w * z) * n, 2 * (x * z + w * y) * n),
+            (2 * (x * y + w * z) * n, (w * w - x * x + y * y - z * z) * n, 2 * (y * z - w * x) * n),
+            (2 * (x * z - w * y) * n, 2 * (y * z + w * x) * n, (w * w - x * x - y * y + z * z) * n),
+        )
+    )
+
+
+_quaternions = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 4).filter(any)
+_shapes = st.sampled_from([tetrahedron, cube, lambda: box(0, 0, 0, 3, 1, 2)])
+_scales = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=5)
+_shifts = st.tuples(*[st.fractions(min_value=-3, max_value=3, max_denominator=4)] * 3)
+_FAMILIES = ["independent", "same rotation", "scaled copy"]
+
+
+def test_quaternion_rotations_are_rotations():
+    for q in ((1, 0, 0, 0), (1, 1, 0, 0), (2, -1, 3, 1), (0, 1, 1, 1)):
+        r = _quaternion_rotation(*q)
+        assert r.is_orthogonal() and r.det() == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(_shapes, _shapes, _quaternions, _quaternions, st.sampled_from(_FAMILIES), _scales, _shifts)
+def test_sum_matches_hull_oracle_on_degenerate_families(
+    shape_p, shape_q, qp, qq, family, k, shift
+):
+    """Rationally rotated cubes, boxes and tetrahedra.  Under one shared
+    rotation, the box and cube share all their facet normals; a scaled
+    and translated copy of P shares every normal with P.  Their Gaussian
+    maps then overlap vertex on vertex and arc on arc."""
+    p = rotate_mesh(shape_p(), _quaternion_rotation(*qp))
+    if family == "scaled copy":
+        t = Vec3(*shift)
+        q = Mesh([v.scale(k) + t for v in p.vertices], [list(f) for f in p.facets])
+    else:
+        rot = qp if family == "same rotation" else qq
+        q = rotate_mesh(shape_q(), _quaternion_rotation(*rot))
+    got = primal_mesh(minkowski(build(p), build(q)))
+    assert meshes_equivalent(got, convex_hull_3(pairwise_sums(p, q)))
