@@ -3,9 +3,12 @@
 The DCEL is intrinsic to the sphere: vertices at the poles or on the
 identification curve are ordinary vertices (recorded in a topology
 registry), and the circular order of edges around any vertex is the
-exact 3D tangent order.  Faces own one or more boundary cycles (CCBs)
-plus isolated vertices, and a user payload slot; payloads should be
-immutable values since face splits share them.
+exact 3D tangent order.  At a vertex v, the normal of an arc leaving v
+is the arc's tangent there turned a quarter turn about v, so the ring
+order is taken on the arc normals and no tangent is built.  Faces own
+one or more boundary cycles (CCBs) plus isolated vertices, and a user
+payload slot; payloads should be immutable values since face splits
+share them.
 
 Aggregate construction splits all input arcs at their exact pairwise
 intersections and inserts the interior-disjoint pieces one by one; the
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .kernel import Vec3, cross, dot, sign
+from .kernel import Vec3, cross, det3, dot
 from .spherical import (
     BoundaryClass,
     DirPoint,
@@ -92,10 +95,6 @@ class Halfedge:
     def target(self) -> Vertex:
         return self.twin.source
 
-    def tangent(self) -> Vec3:
-        """Departure direction at the source."""
-        return cross(self.arc.normal, self.source.point.dir)
-
     def cycle(self) -> List["Halfedge"]:
         out = [self]
         e = self.nxt
@@ -134,24 +133,27 @@ class Cell:
         return self.ref.payload
 
 
+def _ccw_class(axis: Vec3, start: Vec3, v: Vec3) -> int:
+    """CCW angle of v from start around axis: 0 codirectional, 1 in
+    (0, pi), 2 exactly pi, 3 in (pi, 2*pi)."""
+    c = det3(start, v, axis)
+    if c > 0:
+        return 1
+    if c < 0:
+        return 3
+    return 0 if dot(start, v) > 0 else 2
+
+
 def _ccw_strictly_before3(axis: Vec3, start: Vec3, probe: Vec3, target: Vec3) -> bool:
-    """In the tangent plane with outward axis, is probe reached strictly
-    before target when rotating CCW from start?"""
-
-    def angle_class(v: Vec3) -> int:
-        c = dot(axis, cross(start, v))
-        if c > 0:
-            return 1
-        if c < 0:
-            return 3
-        return 0 if dot(start, v) > 0 else 2
-
-    kp, kt = angle_class(probe), angle_class(target)
+    """In the plane normal to axis, is probe reached strictly before
+    target when rotating CCW from start?"""
+    kp = _ccw_class(axis, start, probe)
     if kp == 0:
         return False
+    kt = _ccw_class(axis, start, target)
     if kp != kt:
         return kp < kt
-    return dot(axis, cross(probe, target)) > 0
+    return det3(probe, target, axis) > 0
 
 
 class SphereArrangement:
@@ -236,25 +238,22 @@ class SphereArrangement:
 
     # -- angular order around a vertex ---------------------------------------
 
-    def _insert_position(self, v: Vertex, tau: Vec3) -> int:
-        """Index i such that tau fits CCW-between v.out[i] and v.out[i+1]."""
-        k = len(v.out)
-        if k == 0:
-            return 0
+    def _insert_position(self, v: Vertex, n: Vec3) -> int:
+        """Index i such that an arc leaving v with normal n fits CCW-between
+        v.out[i] and v.out[i+1] (v.out is not empty)."""
         axis = v.point.dir
-        tangents = [h.tangent() for h in v.out]
-        for i, t in enumerate(tangents):
-            if dot(axis, cross(t, tau)) == 0 and dot(t, tau) > 0:
+        normals = [h.arc.normal for h in v.out]
+        for m in normals:
+            if det3(m, n, axis) == 0 and dot(m, n) > 0:
                 raise ArcNotDisjoint(
                     f"new arc overlaps an existing edge at vertex {v}"
                 )
+        k = len(normals)
         if k == 1:
             return 0
         for i in range(k):
-            a = tangents[i]
-            b = tangents[(i + 1) % k]
-            # tau strictly inside the CCW gap (a, b)?
-            if _ccw_strictly_before3(axis, a, tau, b):
+            # n strictly inside the CCW gap (out[i], out[i+1])?
+            if _ccw_strictly_before3(axis, normals[i], n, normals[(i + 1) % k]):
                 return i
         raise AssertionError("no angular gap admits the new edge")
 
@@ -285,7 +284,7 @@ class SphereArrangement:
             h_out.prv = g_in
             v.out.append(h_out)
             return None
-        pos = self._insert_position(v, h_out.tangent())
+        pos = self._insert_position(v, h_out.arc.normal)
         # The face corner spanning the CCW gap (out[pos], out[pos+1]) turns
         # from the incoming twin(out[pos+1]) to the outgoing out[pos].
         t_in = v.out[(pos + 1) % len(v.out)].twin
@@ -571,15 +570,7 @@ class SphereArrangement:
             side_m = self._side_direct(m, cyc, targets)
             if side_m is None:  # pragma: no cover - m was checked generic
                 continue
-            crossings = 0
-            for h in cyc:
-                r = intersect(leg, h.arc)
-                for p in r.points:
-                    if strictly_inside_arc(p.dir, leg) and strictly_inside_arc(
-                        p.dir, h.arc
-                    ):
-                        crossings += 1
-            if crossings % 2 == 1:
+            if _interior_crossings(leg, cyc) % 2 == 1:
                 side_m = LEFT if side_m == RIGHT else RIGHT
             return side_m
         raise RuntimeError("side_of_cycle failed to find a generic probe")
@@ -600,42 +591,20 @@ class SphereArrangement:
                 if cross(q.dir, t.dir).is_zero():
                     continue
                 g = arc_between(q, t)
-                ok = True
-                for w in verts:
-                    if point_on_arc(w, g, closed=False) and w != t:
-                        ok = False
-                        break
-                if ok:
-                    for h in cyc:
-                        if cross(g.normal, h.arc.normal).is_zero():
-                            r = intersect(g, h.arc)
-                            if r.overlap is not None or any(
-                                p != t and p != q for p in r.points
-                            ):
-                                ok = False
-                                break
-                if not ok:
+                if any(point_on_arc(w, g, closed=False) for w in verts):
                     continue
-                crossings = 0
-                for h in cyc:
-                    if h is target_edge:
-                        continue
-                    r = intersect(g, h.arc)
-                    for p in r.points:
-                        if strictly_inside_arc(p.dir, g) and strictly_inside_arc(
-                            p.dir, h.arc
-                        ):
-                            crossings += 1
-                r = intersect(g, target_edge.arc)
-                for p in r.points:
-                    if p != t and strictly_inside_arc(p.dir, g) and strictly_inside_arc(
-                        p.dir, target_edge.arc
-                    ):
-                        crossings += 1
-                arrival = sign(dot(target_edge.arc.normal, cross(t.dir, g.normal)))
+                # an arc on g's great circle may touch g only at q or t
+                on_circle = (h.arc for h in cyc if cross(g.normal, h.arc.normal).is_zero())
+                if any(
+                    r.overlap is not None or any(p != t and p != q for p in r.points)
+                    for r in (intersect(g, arc) for arc in on_circle)
+                ):
+                    continue
+                arrival = det3(t.dir, g.normal, target_edge.arc.normal)
                 assert arrival != 0
                 from_left = arrival > 0
-                if crossings % 2 == 1:
+                # g ends at t on target_edge, which adds no interior crossing
+                if _interior_crossings(g, cyc) % 2 == 1:
                     from_left = not from_left
                 return LEFT if from_left else RIGHT
         return None
@@ -798,15 +767,23 @@ class SphereArrangement:
                 if bc is BoundaryClass.SOUTH_POLE and self.pole_vertices.get("south") is not v:
                     errs.append(f"{v}: missing from pole registry")
                 axis = v.point.dir
-                k = v.degree
-                for i in range(k):
-                    a = v.out[i].tangent()
-                    b = v.out[(i + 1) % k].tangent()
-                    c = v.out[(i + 2) % k].tangent() if k > 2 else None
-                    if k > 2 and not _ccw_strictly_before3(axis, a, b, c):
-                        errs.append(f"{v}: vertex ring not CCW-sorted")
-                        break
+                ns = [h.arc.normal for h in v.out]
+                k = len(ns)
+                if k > 2 and not all(
+                    _ccw_strictly_before3(axis, ns[i], ns[(i + 1) % k], ns[(i + 2) % k])
+                    for i in range(k)
+                ):
+                    errs.append(f"{v}: vertex ring not CCW-sorted")
         return errs
+
+
+def _interior_crossings(g: GeodesicArc, cyc: Sequence[Halfedge]) -> int:
+    """How many times g crosses the cycle's arcs, interior to both."""
+    return sum(
+        strictly_inside_arc(p.dir, g) and strictly_inside_arc(p.dir, h.arc)
+        for h in cyc
+        for p in intersect(g, h.arc).points
+    )
 
 
 def new_arrangement() -> SphereArrangement:
@@ -824,7 +801,7 @@ def _order_along(arc: GeodesicArc, pts: List[DirPoint]) -> List[DirPoint]:
     def cmp(a: DirPoint, b: DirPoint) -> int:
         if a == b:
             return 0
-        return -1 if dot(cross(a.dir, b.dir), n) > 0 else 1
+        return -1 if det3(a.dir, b.dir, n) > 0 else 1
 
     return sorted(pts, key=functools.cmp_to_key(cmp))
 
@@ -860,8 +837,8 @@ def _split_all(
 
     pieces: Dict[frozenset, Tuple[GeodesicArc, List[Any]]] = {}
     for i, (a, tag) in enumerate(tagged_arcs):
+        # every cut is on the closed arc: intersect's points lie on both arcs
         pts = [p for p in cuts[i] if p != a.source and p != a.target]
-        pts = [p for p in pts if point_on_arc(p, a, closed=False)]
         chain = [a.source] + _order_along(a, pts) + [a.target]
         for s, t in zip(chain, chain[1:]):
             key = frozenset((s, t))

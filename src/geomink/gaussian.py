@@ -24,7 +24,7 @@ from .kernel import (
     integer_coords,
     turn3,
 )
-from .spherical import make_arc
+from .spherical import classify, make_arc
 
 
 class InvalidMesh(ValueError):
@@ -56,7 +56,7 @@ class Mesh:
         n = self.facet_normal(i)
         return dot(n, self.vertices[self.facets[i][0]])
 
-    def validate(self) -> None:
+    def validate(self) -> List[tuple]:
         """Raise InvalidMesh unless this is a closed convex 2-manifold
         with planar, strictly convex, consistently oriented facets.
 
@@ -64,7 +64,8 @@ class Mesh:
         representative of the vertex set (kernel.integer_coords), with
         each facet's normal computed once: scaling all vertices by one
         positive integer changes no sign.  The mesh keeps its input
-        coordinates."""
+        coordinates.  Returns the facets' outward normals as those
+        integer triples, positive multiples of facet_normal's."""
         if len(self.vertices) < 4:
             raise InvalidMesh("need at least 4 vertices")
         if len(self.facets) < 4:
@@ -117,6 +118,7 @@ class Mesh:
                 raise InvalidMesh(
                     f"facets {fi} and {fj} are coplanar; merge them first"
                 )
+        return normals
 
     def translated(self, t: Vec3) -> "Mesh":
         return Mesh([v + t for v in self.vertices], [list(f) for f in self.facets])
@@ -213,9 +215,8 @@ def _halfedge_structure(mesh: Mesh):
 
 def build(mesh: Mesh) -> GaussianMap:
     """Construct the decorated Gaussian map of a valid convex mesh."""
-    mesh.validate()
+    normals = [classify(exact_vec(*n)) for n in mesh.validate()]
     verts, _edges = _halfedge_structure(mesh)
-    normals = [mesh.facet_normal(i) for i in range(len(mesh.facets))]
 
     # The dual arc of primal edge e runs from the normal of e's facet to
     # the normal of the facet across e; the normal cone of e.dst lies on

@@ -7,10 +7,11 @@ inexact value raises where it enters instead of deciding anything.  No
 routine here ever computes a square root; directions are kept as
 unnormalized vectors throughout.  Sphere points store the primitive
 integer representative of their direction (``scale_key``), so the
-products on them are plain integer arithmetic.  Predicates on a whole
-point set, such as a mesh's, run on one integer representative of the
-set (``integer_coords``) with the triple helpers ``cross3``, ``dot3`` and
-``turn3``.
+products on them are plain integer arithmetic; every triple product
+``dot(cross(u, v), w)`` goes through ``det3``, which builds no vector.
+Predicates on a whole point set, such as a mesh's, run on one integer
+representative of the set (``integer_coords``) with the triple helpers
+``cross3``, ``dot3`` and ``turn3``.
 """
 
 from __future__ import annotations
@@ -185,12 +186,18 @@ def exact_vec(x: Rational, y: Rational, z: Rational) -> Vec3:
 ZERO3 = Vec3(0, 0, 0)
 
 
-def vec(x: RationalLike, y: RationalLike, z: RationalLike) -> Vec3:
-    return Vec3(x, y, z)
-
-
 def dot(u: Vec3, v: Vec3) -> Rational:
     return u.x * v.x + u.y * v.y + u.z * v.z
+
+
+def det3(u: Vec3, v: Vec3, w: Vec3) -> Rational:
+    """dot(cross(u, v), w), the orientation of three directions, without
+    building the cross product."""
+    return (
+        (u.y * v.z - u.z * v.y) * w.x
+        + (u.z * v.x - u.x * v.z) * w.y
+        + (u.x * v.y - u.y * v.x) * w.z
+    )
 
 
 def dot_sign(u: Vec3, v: Vec3) -> Sign:

@@ -8,7 +8,9 @@ equality is therefore a comparison of three ints.  An arc of a great
 circle is a pair of endpoints plus a normal of the oriented plane through
 the origin containing them.  Normals are not reduced: an arc's normal is
 the cross product of the endpoints it was made from, and the pieces of a
-split arc keep it.
+split arc keep it.  Triple products go through ``kernel.det3``, which
+builds no vector, and ``intersect`` tests its candidates +-cross(n1, n2)
+unreduced, reducing one to its point (``classify``) only on a hit.
 
 The sphere is parameterized by azimuth u in [-pi, pi] and latitude v in
 [-pi/2, pi/2]; the u = +-pi meridian half (y = 0, x < 0) is the
@@ -27,11 +29,13 @@ from .kernel import (
     EQUAL,
     LARGER,
     SMALLER,
+    Rational,
     Sign,
     Vec3,
     ZeroVector,
     ccw_strictly_before,
     cross,
+    det3,
     dot,
     exact_vec,
     parallel_same_direction,
@@ -231,9 +235,7 @@ def arc_between(source, target, normal: Optional[Vec3] = None) -> GeodesicArc:
 def strictly_inside_arc(q: Vec3, arc: GeodesicArc) -> bool:
     """Is q (assumed coplanar with the arc) strictly between the endpoints?"""
     n = arc.normal
-    return (
-        dot(cross(arc.source.dir, q), n) > 0 and dot(cross(q, arc.target.dir), n) > 0
-    )
+    return det3(arc.source.dir, q, n) > 0 and det3(q, arc.target.dir, n) > 0
 
 
 def point_on_arc(p: Union[DirPoint, Vec3], arc: GeodesicArc, closed: bool = True) -> bool:
@@ -375,46 +377,60 @@ def _reoriented(a2: GeodesicArc, n: Vec3) -> Tuple[DirPoint, DirPoint]:
     return a2.target, a2.source
 
 
+_NO_INTERSECTION = IntersectionResult((), None)
+
+
+def _end_orientations(arc: GeodesicArc, x, y, z) -> Tuple[Rational, Rational]:
+    """det3(source, q, normal) and det3(q, target, normal) for q = (x, y, z)."""
+    s, t, n = arc.source.dir, arc.target.dir, arc.normal
+    return (
+        (s.y * z - s.z * y) * n.x + (s.z * x - s.x * z) * n.y + (s.x * y - s.y * x) * n.z,
+        (y * t.z - z * t.y) * n.x + (z * t.x - x * t.z) * n.y + (x * t.y - y * t.x) * n.z,
+    )
+
+
 def intersect(a1: GeodesicArc, a2: GeodesicArc) -> IntersectionResult:
     """All intersections of two arcs: transversal points or the overlap
     sub-arc of coplanar arcs (a single-point overlap is reported as a
-    point)."""
-    c = cross(a1.normal, a2.normal)
-    if c.is_zero():
-        n = a1.normal
-        s2, t2 = _reoriented(a2, n)
-        ends = []
-        for cand in (a1.source, a1.target):
-            if _on_circle_arc(cand, s2, t2, n):
-                ends.append(cand)
-        for cand in (s2, t2):
-            if _on_circle_arc(cand, a1.source, a1.target, n):
-                if all(cand != e for e in ends):
-                    ends.append(cand)
+    point).  A transversal candidate is tested unreduced and reduced to
+    its point (classify) only on a hit."""
+    n1, n2 = a1.normal, a2.normal
+    x = n1.y * n2.z - n1.z * n2.y
+    y = n1.z * n2.x - n1.x * n2.z
+    z = n1.x * n2.y - n1.y * n2.x
+    if x == 0 and y == 0 and z == 0:
+        s2, t2 = _reoriented(a2, n1)
+        ends = [p for p in (a1.source, a1.target) if _on_circle_arc(p, s2, t2, n1)]
+        ends += [
+            p for p in (s2, t2) if _on_circle_arc(p, a1.source, a1.target, n1) and p not in ends
+        ]
         if not ends:
-            return IntersectionResult((), None)
+            return _NO_INTERSECTION
         if len(ends) == 1:
             return IntersectionResult((ends[0],), None)
-        # Order the two overlap endpoints CCW around n: the start is the one
-        # lying strictly after the other is impossible to disambiguate by
-        # membership alone, so order by position along a1.
-        x, y = ends[0], ends[1]
-        if dot(cross(x.dir, y.dir), n) < 0:
-            x, y = y, x
-        if x == y:
-            return IntersectionResult((x,), None)
-        return IntersectionResult((), _mk_arc(x, y, n))
-    for cand in (c, -c):
-        q = classify(cand)
-        if point_on_arc(q, a1) and point_on_arc(q, a2):
-            return IntersectionResult((q,), None)
-    return IntersectionResult((), None)
+        # two distinct overlap endpoints, ordered CCW around n1
+        p, q = ends if det3(ends[0].dir, ends[1].dir, n1) > 0 else ends[::-1]
+        return IntersectionResult((), _mk_arc(p, q, n1))
+    # q = cross(n1, n2) and -q are where the two circles meet.  A point q
+    # of an arc's circle lies on the closed arc (shorter than pi) iff both
+    # end orientations are >= 0, and -q iff both are <= 0; they are never
+    # both zero, so at most one of +-q is on a1.
+    d, e = _end_orientations(a1, x, y, z)
+    if d >= 0 and e >= 0:
+        k = 1
+    elif d <= 0 and e <= 0:
+        k = -1
+    else:
+        return _NO_INTERSECTION
+    d, e = _end_orientations(a2, x, y, z)
+    if k * d >= 0 and k * e >= 0:
+        return IntersectionResult((classify(exact_vec(k * x, k * y, k * z)),), None)
+    return _NO_INTERSECTION
 
 
 def _on_circle_arc(q: DirPoint, s: DirPoint, t: DirPoint, n: Vec3) -> bool:
-    if q == s or q == t:
-        return True
-    return dot(cross(s.dir, q.dir), n) > 0 and dot(cross(q.dir, t.dir), n) > 0
+    """Is q, a point of the circle, on the closed arc from s CCW around n to t?"""
+    return det3(s.dir, q.dir, n) >= 0 and det3(q.dir, t.dir, n) >= 0
 
 
 def split(arc: GeodesicArc, p) -> Tuple[GeodesicArc, GeodesicArc]:
@@ -435,8 +451,7 @@ def is_mergeable(a1: GeodesicArc, a2: GeodesicArc) -> bool:
         lo, hi = s2, a1.target
     else:
         return False
-    c = cross(lo.dir, hi.dir)
-    return (not c.is_zero()) and dot(c, a1.normal) > 0
+    return det3(lo.dir, hi.dir, a1.normal) > 0
 
 
 def merge(a1: GeodesicArc, a2: GeodesicArc) -> GeodesicArc:

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geomink.gaussian import build
 from geomink.kernel import Vec3
+from geomink.shapes import random_polytope
 from geomink.arrangement import (
     ArcNotDisjoint,
     AnchorMismatch,
@@ -225,6 +229,75 @@ class TestOverlay:
         out = overlay(a, b, OverlayCallbacks())
         assert len(out.vertices) == 5
         assert out.validate() == []
+
+
+_PAIR_CASES = [
+    ("vertex", "vertex"), ("vertex", "edge"), ("edge", "vertex"),
+    ("vertex", "face"), ("face", "vertex"), ("edge", "edge"),
+    ("edge", "face"), ("face", "edge"), ("face", "face"),
+]
+
+
+def _tagging_callbacks(swap: bool) -> OverlayCallbacks:
+    """Callbacks for overlay(a, b) whose payload is (feature kind in a,
+    kind in b, a's payload, b's payload); with swap, the callbacks for
+    overlay(b, a) that give every feature the same payload."""
+
+    def tag(ka, kb):
+        if swap:
+            return lambda pb, pa: (ka, kb, pa, pb)
+        return lambda pa, pb: (ka, kb, pa, pb)
+
+    fields = {(f"{kb}_{ka}" if swap else f"{ka}_{kb}"): tag(ka, kb) for ka, kb in _PAIR_CASES}
+    return OverlayCallbacks(edge_overlap=tag("overlap", "overlap"), **fields)
+
+
+def _side_tagged(mesh, side):
+    """The arrangement of mesh's Gaussian map with every payload tagged
+    with its side."""
+    arr = build(mesh).arrangement
+    for v in arr.vertices:
+        v.payload = (side, v.point)
+    for h in arr.edges():
+        arr.set_edge_payload(h, (side, frozenset((h.source.point, h.target.point))))
+    for f in arr.faces:
+        f.payload = (side, f.payload)
+    return arr
+
+
+def _cells(arr):
+    return (
+        Counter((v.point, v.payload) for v in arr.vertices),
+        Counter((frozenset((h.source.point, h.target.point)), h.payload) for h in arr.edges()),
+        Counter(f.payload for f in arr.faces),
+    )
+
+
+@st.composite
+def _mesh_pairs(draw):
+    sizes, seeds = st.integers(5, 10), st.integers(0, 10**6)
+    ma = random_polytope(draw(sizes), draw(seeds))
+    how = draw(st.sampled_from(["independent", "translated", "negated"]))
+    if how == "independent":
+        mb = random_polytope(draw(sizes), draw(seeds))
+    elif how == "translated":  # the maps share every vertex and edge
+        mb = ma.translated(Vec3(1, -2, 3))
+    else:  # each map vertex is antipodal to one of the other's
+        mb = ma.negated()
+    return ma, mb
+
+
+@settings(max_examples=20, deadline=None)
+@given(_mesh_pairs())
+def test_overlay_commutes_with_swapped_callbacks(pair):
+    ma, mb = pair
+    a, b = _side_tagged(ma, "a"), _side_tagged(mb, "b")
+    ab = overlay(a, b, _tagging_callbacks(swap=False))
+    ba = overlay(b, a, _tagging_callbacks(swap=True))
+    assert _cells(ab) == _cells(ba)
+    features = [v.payload for v in ab.vertices] + [h.payload for h in ab.edges()]
+    for _ka, _kb, pa, pb in features + [f.payload for f in ab.faces]:
+        assert pa[0] == "a" and pb[0] == "b"
 
 
 class TestRemoveAndMerge:

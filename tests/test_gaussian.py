@@ -211,6 +211,21 @@ def test_validate_computes_no_fraction_normals(monkeypatch):
     random_polytope(12, 5).validate()
 
 
+def test_build_computes_no_fraction_normals(monkeypatch):
+    meshes = [Mesh(_box_vertices(), _BOX_FACETS), random_polytope(12, 5)]
+    keys = [[m.facet_normal(i).canonical() for i in range(len(m.facets))] for m in meshes]
+    for m, k in zip(meshes, keys):
+        assert [Vec3(*n).canonical() for n in m.validate()] == k
+
+    def refuse(mesh, i):
+        raise AssertionError("build called facet_normal")
+
+    monkeypatch.setattr(Mesh, "facet_normal", refuse)
+    for m, k in zip(meshes, keys):
+        arr = build(m).arrangement
+        assert all(arr.find_vertex(Vec3(*key)) is not None for key in k)
+
+
 class TestDecoration:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=5, max_value=12), st.integers(min_value=0, max_value=10**6))

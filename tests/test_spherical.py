@@ -396,3 +396,76 @@ def test_point_is_the_primitive_triple_of_its_direction(d, e, k):
     # equality on triples agrees with the geometric test on any representatives
     for other in (e, e.scale(k), d.scale(k), -d.scale(k)):
         assert (p == classify(other)) == parallel_same_direction(d, other)
+
+
+# Small-int arcs, biased toward the poles, the seam (y = 0, x < 0) and
+# shared or antipodal endpoints.
+_small = st.integers(min_value=-3, max_value=3)
+_small_directions = st.one_of(
+    st.sampled_from(
+        [Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(-1, 0, 1), Vec3(-2, 0, -1), Vec3(-1, 0, 0), Vec3(1, 0, 0)]
+    ),
+    st.builds(Vec3, _small, _small, _small).filter(lambda v: not v.is_zero()),
+)
+
+
+@st.composite
+def _small_arc(draw, source=None):
+    s = draw(_small_directions) if source is None else source
+    t = draw(_small_directions.filter(lambda v: not cross(s, v).is_zero()))
+    arc = draw(st.sampled_from(make_arc(s, t)))
+    return arc.reversed() if draw(st.booleans()) else arc
+
+
+@st.composite
+def _arc_pairs(draw):
+    a = draw(_small_arc())
+    end = draw(st.sampled_from([a.source.dir, a.target.dir]))
+    source = draw(st.sampled_from([None, end, -end]))
+    return a, draw(_small_arc(source))
+
+
+def _reference_intersect(a, b):
+    """Reduce both candidates +-cross(n1, n2) and test each on both arcs;
+    on one great circle, the common endpoints."""
+    c = cross(a.normal, b.normal)
+    if c.is_zero():
+        ends = {p for p in (a.source, a.target, b.source, b.target)
+                if point_on_arc(p, a) and point_on_arc(p, b)}
+        return ends, len(ends) == 2
+    for cand in (c, -c):
+        q = classify(cand)
+        if point_on_arc(q, a) and point_on_arc(q, b):
+            return {q}, False
+    return set(), False
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arc_pairs())
+def test_intersect_matches_reduced_candidate_reference(pair):
+    a, b = pair
+    ends, overlap = _reference_intersect(a, b)
+    r = intersect(a, b)
+    if overlap:
+        assert r.points == () and {r.overlap.source, r.overlap.target} == ends
+        assert dot(cross(r.overlap.source.dir, r.overlap.target.dir), a.normal) > 0
+    else:
+        assert r.overlap is None and set(r.points) == ends and len(r.points) == len(ends)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _small_arc(),
+    st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_order_along_matches_parameter_sort(arc, weights, rnd):
+    from geomink.arrangement import _order_along
+
+    # i*s + j*t runs from s to t as j/i grows
+    s, t = arc.source.dir, arc.target.dir
+    by_ratio = {Fraction(j, i): classify(s.scale(i) + t.scale(j)) for i, j in weights}
+    expected = [by_ratio[k] for k in sorted(by_ratio)]
+    pts = list(expected)
+    rnd.shuffle(pts)
+    assert _order_along(arc, pts) == expected
