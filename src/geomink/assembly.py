@@ -9,20 +9,43 @@ cells of constant blocking graph; any cell whose graph is not strongly
 connected yields a partitioning direction and a movable subassembly.
 Lower-dimensional cells matter: with sliding contact allowed, the only
 valid motions may sit on single arrangement vertices.
+
+`partition` runs these stages:
+
+1. the Gaussian map of every sub-part and of its reflection;
+2. the pairwise sums, for part pairs i < j only;
+3. one scan of each sum's facet planes, which both rejects overlapping
+   interiors (the origin strictly inside the sum) and picks the
+   projection's case: the spherical hull of the sum's vertices when the
+   origin is separated from it (a monotone chain on their primitive
+   integer triples), the polar cone when the origin is a vertex, the
+   open hemisphere when it is inside a facet, and the lune when it is
+   inside an edge.  All but the lune are bounded by one simple cycle,
+   built arc by arc in cycle order; only the lune's two crossing circles
+   go through `sweep_build` and point location;
+4. the union of each pair's projections, a left fold of overlays that
+   removes buried cells after every step;
+5. the antipodal image of each union for the reversed pair;
+6. the motion space, the overlay of all pairs' unions, each cell
+   carrying its blocking graph;
+7. the scan of its vertices, then edges, then faces.  In FIRST mode the
+   answer is the first solution in the arrangement's cell order; which
+   solution that is is not part of the contract, only that it is one of
+   the solutions ALL mode returns.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay, sweep_build
-from .gaussian import GaussianMap, Mesh, build
-from .kernel import Vec3, cross, dot
+from .gaussian import GaussianMap, Mesh, _is_split_artifact, build
+from .kernel import ZERO3, Rational, Vec3, cross, det3, dot
 from .minkowski import minkowski, primal_facets
-from .proximity import INSIDE, classify_point
-from .spherical import BoundaryClass, classify, full_circle_arcs, is_mergeable, make_arc
+from .spherical import BoundaryClass, DirPoint, classify, full_circle_arcs, is_mergeable, make_arc
 
 
 @dataclass
@@ -66,47 +89,85 @@ def _whole_sphere_region(flag: bool) -> SphericalRegion:
 
 
 def _flag_boundary_region(arcs, interior_dir: Vec3) -> SphericalRegion:
-    """Region bounded by the given arcs: the face containing interior_dir
-    is flagged True, every other cell False."""
+    """Region bounded by the given (possibly crossing) arcs: the face
+    containing interior_dir is flagged True, every other cell False."""
     arr = sweep_build(arcs)
-    for f in arr.faces:
-        f.payload = False
-    for v in arr.vertices:
-        v.payload = False
-    for h in arr.halfedges:
-        h.payload = False
+    _clear_flags(arr)
     cell = arr.locate(classify(interior_dir))
     assert cell.kind == "face"
     cell.ref.payload = True
     return SphericalRegion(arr)
 
 
-def project_polytope(g: GaussianMap) -> SphericalRegion:
+def _cycle_region(arcs, interior_dir: Vec3) -> SphericalRegion:
+    """Region bounded by arcs that form one simple closed cycle, given in
+    cycle order, whose inside holds interior_dir.
+
+    Each arc is re-made as sweep_build re-makes it, and the pieces go in
+    in cycle order, so the arrangement equals sweep_build's without its
+    pairwise intersection tests: each piece after the first extends the
+    open chain, and the last one closes it and splits the sphere.  The
+    inside is convex, so it lies on one side of the first piece's great
+    circle, which one sign decides."""
+    pieces = [piece for a in arcs for piece in make_arc(a.source, a.target)]
+    arr = new_arrangement()
+    first = arr.insert_disjoint_arc(pieces[0], face=arr.initial_face())
+    for a in pieces[1:]:
+        arr.insert_disjoint_arc(a)
+    _clear_flags(arr)
+    inside = first if dot(first.arc.normal, interior_dir) > 0 else first.twin
+    inside.face.payload = True
+    return SphericalRegion(arr)
+
+
+def _polygon_arcs(points: list) -> list:
+    """The arcs of the closed polygon through the given points, in order."""
+    return [piece for p, q in zip(points, points[1:] + points[:1]) for piece in make_arc(p, q)]
+
+
+def _clear_flags(arr: SphereArrangement) -> None:
+    for f in arr.faces:
+        f.payload = False
+    for v in arr.vertices:
+        v.payload = False
+    for h in arr.halfedges:
+        h.payload = False
+
+
+def facet_planes(g: GaussianMap) -> List[Tuple[Vec3, Rational]]:
+    """(normal, offset) of every facet plane n . x = b of g's primal
+    polytope; the origin is strictly inside exactly when every b > 0."""
+    return [
+        (w.point.dir, dot(w.point.dir, w.out[0].face.payload)) for w in primal_facets(g)
+    ]
+
+
+def project_polytope(
+    g: GaussianMap, planes: Optional[List[Tuple[Vec3, Rational]]] = None
+) -> SphericalRegion:
     """Central projection of the primal polytope onto the direction
     sphere, with interior cells flagged True (grazing rays do not pierce
-    the interior).  Four cases by the position of the origin."""
-    facets = primal_facets(g)
-    planes = []
-    for w in facets:
-        n = w.point.dir
-        planes.append((w, n, dot(n, w.out[0].face.payload)))
-    if any(b < 0 for _, _, b in planes):
+    the interior).  Four cases by the position of the origin.  planes
+    are g's facet_planes, for a caller that has them already."""
+    if planes is None:
+        planes = facet_planes(g)
+    if any(b < 0 for _, b in planes):
         return _project_separated(g, planes)
-    tight = [(w, n) for w, n, b in planes if b == 0]
+    tight = [n for n, b in planes if b == 0]
     if not tight:
         return _whole_sphere_region(True)  # origin strictly inside
     if len(tight) == 1:
         # Origin interior to one facet: the open opposite hemisphere.
-        n = tight[0][1]
-        return _flag_boundary_region(full_circle_arcs(n), -n)
+        n = tight[0]
+        return _cycle_region(full_circle_arcs(n), -n)
     if len(tight) == 2:
-        n1, n2 = tight[0][1], tight[1][1]
+        n1, n2 = tight
         return _flag_boundary_region(
             full_circle_arcs(n1) + full_circle_arcs(n2),
             _lune_interior_direction(n1, n2),
         )
     # Origin at a vertex: the polar cone of the incident facet normals.
-    return _project_vertex_cone(g, [n for _, n in tight])
+    return _project_vertex_cone(g)
 
 
 def _lune_interior_direction(n1: Vec3, n2: Vec3) -> Vec3:
@@ -122,41 +183,25 @@ def _lune_interior_direction(n1: Vec3, n2: Vec3) -> Vec3:
     return -(n1 + n2.scale(t))
 
 
-def _project_vertex_cone(g: GaussianMap, normals: List[Vec3]) -> SphericalRegion:
+def _project_vertex_cone(g: GaussianMap) -> SphericalRegion:
     """Directions entering the solid through a vertex at the origin: the
     spherical polygon cut out by the incident facet halfspaces."""
-    corners: List[Vec3] = []
-    k = len(normals)
     # Order the normals by walking the dual face of the origin vertex.
     arr = g.arrangement
-    origin_face = None
-    for f in arr.faces:
-        if f.payload is not None and f.payload.is_zero():
-            origin_face = f
-            break
-    assert origin_face is not None, "origin vertex has no dual face"
-    ring: List[Vec3] = []
-    rep = origin_face.ccbs[0]
-    for h in rep.cycle():
-        w = h.source
-        from .gaussian import _is_split_artifact
-
-        if not _is_split_artifact(arr, w):
-            ring.append(w.point.dir)
+    origin_face = next(f for f in arr.faces if f.payload.is_zero())
+    ring = [
+        h.source.point.dir
+        for h in origin_face.ccbs[0].cycle()
+        if not _is_split_artifact(arr, h.source)
+    ]
     k = len(ring)
+    corners: List[Vec3] = []
     for i in range(k):
         c = cross(ring[i], ring[(i + 1) % k])
-        other = ring[(i + 2) % k]
-        if dot(c, other) > 0:
+        if dot(c, ring[(i + 2) % k]) > 0:
             c = -c
         corners.append(c)
-    arcs = []
-    interior = Vec3(0, 0, 0)
-    for c in corners:
-        interior = interior + c
-    for i in range(k):
-        arcs.extend(make_arc(corners[i], corners[(i + 1) % k]))
-    return _flag_boundary_region(arcs, interior)
+    return _cycle_region(_polygon_arcs(corners), sum(corners, ZERO3))
 
 
 def _project_separated(g: GaussianMap, planes) -> SphericalRegion:
@@ -164,58 +209,53 @@ def _project_separated(g: GaussianMap, planes) -> SphericalRegion:
     spherical hull of the projected vertices, the cycle the silhouette
     edges trace out (redundant collinear projections drop out of the
     hull automatically)."""
-    verts: List[Vec3] = []
-    seen: Set[tuple] = set()
-    for f in g.arrangement.faces:
-        v = f.payload
-        if v.as_tuple() not in seen:
-            seen.add(v.as_tuple())
-            verts.append(v)
+    verts = g.primal_vertices()
     # A facet plane the origin strictly violates supplies an exact
     # separator: every vertex has positive inner product with w.
-    w = next(-n for _f, n, b in planes if b < 0)
+    w = next(-n for n, b in planes if b < 0)
+    hull = _gnomonic_hull({classify(v) for v in verts}, w)
+    return _cycle_region(_polygon_arcs(hull), sum(verts, ZERO3))
+
+
+def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:
+    """Monotone-chain hull, counterclockwise with strict turns (collinear
+    points dropped), of distinct directions p with <p, w> > 0, taken in
+    the plane <x, w> = 1 with coordinates (<x, e1>, <x, e2>) for e1, e2
+    orthogonal to w.
+
+    No point is divided out: the coordinates of p there are
+    <p, e_i> / <p, w>, so keys compare by cross-multiplying with the
+    positive <p, w>, and since e1 x e2 is a positive multiple of w, a
+    planar turn o, a, b has the sign of det3(o, a, b)."""
     e1 = cross(w, Vec3(1, 0, 0))
     if e1.is_zero():
         e1 = cross(w, Vec3(0, 1, 0))
     e2 = cross(w, e1)
-    pts2d: Dict[Tuple[Fraction, Fraction], Vec3] = {}
-    for v in verts:
-        t = dot(v, w)
+    key = {}
+    for p in points:
+        t = dot(p.dir, w)
         assert t > 0, "separator failed"
-        key = (Fraction(dot(v, e1), t), Fraction(dot(v, e2), t))
-        pts2d.setdefault(key, v)
-    hull2d = _convex_hull_2d(list(pts2d))
-    cyc = [pts2d[key] for key in hull2d]
-    centroid = Vec3(0, 0, 0)
-    for v in verts:
-        centroid = centroid + v
-    arcs = []
-    for i in range(len(cyc)):
-        arcs.extend(make_arc(cyc[i], cyc[(i + 1) % len(cyc)]))
-    return _flag_boundary_region(arcs, centroid)
+        key[p] = (dot(p.dir, e1), dot(p.dir, e2), t)
 
+    def cmp(p: DirPoint, q: DirPoint) -> int:
+        px, py, pt = key[p]
+        qx, qy, qt = key[q]
+        c = px * qt - qx * pt or py * qt - qy * pt
+        return (c > 0) - (c < 0)
 
-def _convex_hull_2d(pts: List[Tuple[Fraction, Fraction]]):
-    """Monotone-chain hull with strict turns (collinear points dropped),
-    counterclockwise order."""
-    pts = sorted(set(pts))
+    pts = sorted(points, key=functools.cmp_to_key(cmp))
     if len(pts) < 3:
         raise ValueError("degenerate planar projection")
 
-    def turn(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def chain(seq: List[DirPoint]) -> List[DirPoint]:
+        out: List[DirPoint] = []
+        for p in seq:
+            while len(out) >= 2 and det3(out[-2].dir, out[-1].dir, p.dir) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
 
-    lower: List = []
-    for p in pts:
-        while len(lower) >= 2 and turn(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and turn(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return chain(pts) + chain(pts[::-1])
 
 
 # -- union of regions -----------------------------------------------------------
@@ -236,11 +276,14 @@ def union_regions(regions: Sequence[SphericalRegion]) -> SphericalRegion:
     holes in it survive."""
     if not regions:
         raise ValueError("need at least one region")
-    acc = regions[0].arrangement
+    out = regions[0]
     for r in regions[1:]:
-        acc = overlay(acc, r.arrangement, _or_callbacks())
-    out = SphericalRegion(acc)
-    cleanup_region(out)
+        out = SphericalRegion(overlay(out.arrangement, r.arrangement, _or_callbacks()))
+        # Cleaning at every step keeps the fold's accumulator down to the
+        # current union's boundary, so no buried edge is split again.
+        cleanup_region(out)
+    if len(regions) == 1:
+        cleanup_region(out)
     return out
 
 
@@ -544,45 +587,34 @@ def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
     return PartitionResult(not solutions, solutions)
 
 
-def partition(
-    assembly: Assembly,
-    mode: str = FIRST,
-    use_reflection_identity: bool = True,
-) -> PartitionResult:
+def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     """The full pipeline: sub-part Gaussian maps, reflections, pairwise
     sums, central projections, per-pair unions, motion space, and the
-    strong-connectivity scan."""
+    strong-connectivity scan.  Only the sums for pairs i < j are built:
+    q[j, i] is the antipodal image of q[i, j]."""
     n = len(assembly.parts)
     if n < 2:
         raise ValueError("an assembly needs at least two parts")
     assembly.validate_meshes()
     gmaps = [[build(m) for m in subs] for subs in assembly.parts]
     reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts]
-
-    if use_reflection_identity:
-        ordered = [(i, j) for i in range(n) for j in range(n) if i < j]
-    else:
-        ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
+    ordered = [(i, j) for i in range(n) for j in range(i + 1, n)]
     sums = pairwise_subpart_sums(assembly, gmaps, reflected, ordered)
-
-    origin = Vec3(0, 0, 0)
-    for (i, j, k, l), m in sums.items():
-        if classify_point(m, origin).classification == INSIDE:
-            raise ValueError(
-                f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors"
-            )
 
     q: Dict[Tuple[int, int], SphericalRegion] = {}
     for i, j in ordered:
-        regions = [
-            project_polytope(sums[(i, j, k, l)])
-            for k in range(len(assembly.parts[i]))
-            for l in range(len(assembly.parts[j]))
-        ]
+        regions = []
+        for k in range(len(assembly.parts[i])):
+            for l in range(len(assembly.parts[j])):
+                m = sums[(i, j, k, l)]
+                planes = facet_planes(m)
+                if all(b > 0 for _, b in planes):  # the origin is inside the sum
+                    raise ValueError(
+                        f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors"
+                    )
+                regions.append(project_polytope(m, planes))
         q[(i, j)] = union_regions(regions)
-    if use_reflection_identity:
-        for i, j in list(q):
-            q[(j, i)] = reflect_region(q[(i, j)])
+        q[(j, i)] = reflect_region(q[(i, j)])
 
     ms = build_motion_space(n, q)
     return find_partitions(ms, mode)

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomink.assembly import (
     ALL,
     Assembly,
     FIRST,
+    SphericalRegion,
+    _or_callbacks,
+    cleanup_region,
     movable_subset,
+    pairwise_subpart_sums,
     partition,
     project_polytope,
     reachability_components,
@@ -15,8 +20,9 @@ from geomink.assembly import (
     tarjan_scc,
     union_regions,
 )
-from geomink.arrangement import SphereArrangement
-from geomink.gaussian import Mesh, build
+from geomink.arrangement import OverlayCallbacks, SphereArrangement, overlay
+from geomink.gaussian import Mesh, build, primal_mesh, reflect
+from geomink.hull import convex_hull_3
 from geomink.kernel import Vec3, dot
 from geomink.minkowski import minkowski
 from geomink.shapes import (
@@ -25,16 +31,25 @@ from geomink.shapes import (
     hollow_box_assembly,
     peg_in_hole_assembly,
     random_polytope,
+    split_star_assembly,
     tetrahedron,
 )
 
 
 def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
-    """Brute oracle: does {t*d : t>0} meet the interior of the solid?
-    Solved exactly as a 1-D feasibility problem over the facet planes."""
+    """Brute oracle: does {t*d : t>0} meet the interior of the solid?"""
+    return ray_meets_planes(mesh_planes(mesh), d)
+
+
+def mesh_planes(mesh: Mesh):
+    return [(mesh.facet_normal(i), mesh.facet_offset(i)) for i in range(len(mesh.facets))]
+
+
+def ray_meets_planes(planes, d: Vec3) -> bool:
+    """Does {t*d : t>0} meet the open intersection of the halfspaces
+    <n, x> < b?  Solved exactly as a 1-D feasibility problem."""
     lo, hi = Fraction(0), None  # open interval (lo, hi) of admissible t
-    for i in range(len(mesh.facets)):
-        n, b = mesh.facet_normal(i), mesh.facet_offset(i)
+    for n, b in planes:
         a = dot(n, d)
         if a == 0:
             if b <= 0:
@@ -304,12 +319,153 @@ class TestPartition:
         )
         assert len(half) == 3
 
-    def test_reflection_identity_agrees(self):
-        a = Assembly(
-            ["one", "two"],
-            [[cube(1)], [tetrahedron().translated(Vec3(9, 2, 1))]],
-        )
-        r1 = partition(a, ALL, use_reflection_identity=True)
-        r2 = partition(a, ALL, use_reflection_identity=False)
-        assert r1.interlocked == r2.interlocked
-        assert len(r1.solutions) == len(r2.solutions)
+    def test_reflected_region_matches_direct_projection(self):
+        # partition builds only the i < j sums and reflects their unions;
+        # every ordered pair's reflection must carry the flags of the
+        # directly projected opposite pair, cell by cell.
+        for scene in (peg_in_hole_assembly(), hollow_box_assembly(), split_star_assembly()):
+            a = Assembly([n for n, _ in scene], [p for _, p in scene])
+            sums = pairwise_subpart_sums(a)
+            q = {}
+            for (i, j, _k, _l), m in sums.items():
+                q.setdefault((i, j), []).append(project_polytope(m))
+            q = {pair: union_regions(regions) for pair, regions in q.items()}
+            for (i, j), region in q.items():
+                xor = overlay(
+                    reflect_region(region).arrangement, q[(j, i)].arrangement, _xor_callbacks()
+                )
+                assert not any(_payloads(xor)), (i, j)
+
+
+def _xor_callbacks() -> OverlayCallbacks:
+    xor = lambda a, b: bool(a) != bool(b)
+    return OverlayCallbacks(*([xor] * 10))
+
+
+def _payloads(arr):
+    return [c.payload for c in arr.vertices + arr.halfedges + arr.faces]
+
+
+def _origin_cases(mesh: Mesh):
+    """The mesh translated to put the origin at a vertex, inside an edge,
+    inside a facet, strictly inside, and outside."""
+    vs = mesh.vertices
+    facet = mesh.facets[0]
+    mid_edge = (vs[facet[0]] + vs[facet[1]]).scale(Fraction(1, 2))
+    mid_facet = sum((vs[i] for i in facet), Vec3(0, 0, 0)).scale(Fraction(1, len(facet)))
+    centroid = sum(vs, Vec3(0, 0, 0)).scale(Fraction(1, len(vs)))
+    extent = max(abs(c) for v in vs for c in (v.x, v.y, v.z))
+    far = Vec3(2 * extent + 1, 0, 0)
+    return {
+        "vertex": mesh.translated(-vs[facet[0]]),
+        "edge": mesh.translated(-mid_edge),
+        "facet": mesh.translated(-mid_facet),
+        "interior": mesh.translated(-centroid),
+        "outside": mesh.translated(far),
+    }
+
+
+_small = st.integers(-6, 6)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(5, 12),
+    st.integers(0, 10**6),
+    st.lists(st.tuples(_small, _small, _small), min_size=12, max_size=12),
+)
+def test_projection_matches_ray_oracle_for_every_origin_position(size, seed, dirs):
+    for case, mesh in _origin_cases(random_polytope(size, seed)).items():
+        region = project_polytope(build(mesh))
+        # the directions toward the vertices include boundary directions
+        probes = [Vec3(*d) for d in dirs] + mesh.vertices
+        for d in probes:
+            if d.is_zero():
+                continue
+            assert region.pierces(d) == ray_pierces_interior(mesh, d), (case, d)
+
+
+@st.composite
+def _separated_assemblies(draw):
+    """2 or 3 random polytopes, each in its own cell of a grid wider than
+    any of them, with one or two sub-parts per part."""
+    n = draw(st.integers(2, 3))
+    cells = draw(
+        st.lists(st.tuples(_small, _small, _small), min_size=n, max_size=n, unique=True)
+    )
+    parts = []
+    for cell in cells:
+        subs = []
+        for _ in range(draw(st.integers(1, 2))):
+            mesh = random_polytope(draw(st.integers(5, 7)), draw(st.integers(0, 10**6)), 4)
+            subs.append(mesh.translated(Vec3(*(20 * c for c in cell))))
+        parts.append(subs)
+    # sub-parts of one part may overlap; across parts the grid separates them
+    return Assembly([f"p{i}" for i in range(n)], parts)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_separated_assemblies())
+def test_partition_solutions_are_free_motions(a):
+    res = partition(a, ALL)
+    assert res.interlocked == (not res.solutions)
+    if len(a.parts) == 2:
+        assert res.solutions  # a separating plane gives a free direction
+    # i moving along d meets j iff the ray along d enters the interior of
+    # the difference body of any of their sub-parts
+    diffs = {
+        (i, j): [
+            mesh_planes(convex_hull_3([b - c for b in pj.vertices for c in pi.vertices]))
+            for pi in a.parts[i]
+            for pj in a.parts[j]
+        ]
+        for i in range(len(a.parts))
+        for j in range(len(a.parts))
+        if i != j
+    }
+    for sol in res.solutions:
+        assert 0 < len(sol.subset) < len(a.parts)
+        for i in sol.subset:
+            for j in set(range(len(a.parts))) - set(sol.subset):
+                for planes in diffs[(i, j)]:
+                    assert not ray_meets_planes(planes, sol.direction), (sol, i, j)
+
+
+def _or_union_cleaned_once(regions):
+    """Reference union: every overlay first, then one cleanup."""
+    acc = regions[0].arrangement
+    for r in regions[1:]:
+        acc = overlay(acc, r.arrangement, _or_callbacks())
+    out = SphericalRegion(acc)
+    cleanup_region(out)
+    return out
+
+
+@st.composite
+def _projection_lists(draw):
+    """2 to 9 projections of random sums, each placed apart from the
+    origin or touching it at a vertex, inside an edge or inside a facet."""
+    regions = []
+    for _ in range(draw(st.integers(2, 9))):
+        a = build(random_polytope(draw(st.integers(5, 7)), draw(st.integers(0, 10**6)), 6))
+        b = build(random_polytope(draw(st.integers(5, 7)), draw(st.integers(0, 10**6)), 6))
+        mesh = primal_mesh(minkowski(a, reflect(b)))
+        case = draw(st.sampled_from(["vertex", "edge", "facet", "outside"]))
+        mesh = _origin_cases(mesh)["interior" if case == "outside" else case]
+        if case == "outside":
+            # one coordinate moves past the extent of the centred sum
+            step = max(abs(c) for v in mesh.vertices for c in (v.x, v.y, v.z)) + 1
+            d = draw(st.tuples(_small, _small, _small).filter(any))
+            mesh = mesh.translated(Vec3(*(step * c for c in d)))
+        regions.append(project_polytope(build(mesh)))
+    return regions
+
+
+@settings(max_examples=10, deadline=None)
+@given(_projection_lists())
+def test_union_cleaned_per_step_matches_union_cleaned_once(regions):
+    u = union_regions(regions)
+    ref = _or_union_cleaned_once(regions)
+    xor = overlay(u.arrangement, ref.arrangement, _xor_callbacks())
+    assert not any(_payloads(xor))
+    assert u.arrangement.validate() == []
