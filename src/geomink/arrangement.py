@@ -10,14 +10,23 @@ one or more boundary cycles (CCBs) plus isolated vertices, and a user
 payload slot; payloads should be immutable values since face splits
 share them.
 
-Aggregate construction splits all input arcs at their exact pairwise
-intersections and inserts the interior-disjoint pieces one by one; the
-result is the same subdivision a sweep would produce, independent of
-insertion order.
+Aggregate construction (`sweep_build`, `overlay`) splits all input arcs
+at their exact pairwise intersections and assembles the interior-
+disjoint pieces in one pass; the result is the same subdivision a sweep
+would produce, independent of input order.  A pair of arcs is tested
+for intersection only if both lie on one great circle, or if they share
+no endpoint and neither has both endpoints strictly on one side of the
+other's plane; the sides come from one table of <normal, endpoint> signs.
+The assembler sorts each vertex ring once, links the boundary cycles
+from the rings, and gives each cycle of a connected component its own
+face; a further component or isolated point is placed by side-of-cycle
+tests, never by point location.  Its output is exactly the DCEL that
+inserting the pieces one by one with `insert_disjoint_arc` produces.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -794,8 +803,6 @@ def new_arrangement() -> SphereArrangement:
 
 
 def _order_along(arc: GeodesicArc, pts: List[DirPoint]) -> List[DirPoint]:
-    import functools
-
     n = arc.normal
 
     def cmp(a: DirPoint, b: DirPoint) -> int:
@@ -814,15 +821,66 @@ def _split_all(
     """Split arcs at all pairwise intersections (and at the given extra
     points).  Returns interior-disjoint sub-arcs, each with the list of
     tags of the input arcs it belongs to.  With cross_only, arcs sharing
-    a tag group key (tag[0]) are assumed interior-disjoint already."""
+    a tag group key (tag[0]) are assumed interior-disjoint already.
+
+    A pair goes to intersect only if the two arcs lie on one great
+    circle, or if they share no endpoint and neither has both endpoints
+    strictly on one side of the other's plane.  A minor arc is made of
+    positive combinations of its endpoints, so it misses a plane that
+    has both of them strictly on one side; and two arcs on different
+    circles that share an endpoint p meet only at p, which cuts neither.
+    The sides come from a table of <normal, endpoint> on the integer
+    triples, one entry per arc and per distinct endpoint of the arcs it
+    is paired with."""
+    arcs = [a for a, _ in tagged_arcs]
+    n = len(arcs)
+    index: Dict[DirPoint, int] = {}
+    ends = [
+        (index.setdefault(a.source, len(index)), index.setdefault(a.target, len(index)))
+        for a in arcs
+    ]
+    coords = [(p.dir.x, p.dir.y, p.dir.z) for p in index]
+    # for each arc: the later arcs it is paired with, and their endpoints
+    if cross_only:
+        groups: Dict[Any, List[int]] = {}
+        for i, (_, tag) in enumerate(tagged_arcs):
+            groups.setdefault(tag[0], []).append(i)
+        blocks = list(groups.values())
+        mates: List[Iterable[int]] = [()] * n
+        probes: List[Iterable[int]] = [()] * n
+        for x, b in enumerate(blocks):
+            later = [j for c in blocks[x + 1:] for j in c]
+            others = {k for c in blocks if c is not b for j in c for k in ends[j]}
+            for i in b:
+                mates[i], probes[i] = later, others
+    else:
+        mates = [range(i + 1, n) for i in range(n)]
+        probes = [range(len(coords))] * n
+    side: List[List[Any]] = []
+    for a, ks in zip(arcs, probes):
+        nx, ny, nz = a.normal.x, a.normal.y, a.normal.z
+        row: List[Any] = [0] * len(coords)
+        for k in ks:
+            x, y, z = coords[k]
+            row[k] = nx * x + ny * y + nz * z
+        side.append(row)
+
     cuts: List[Set[DirPoint]] = [set() for _ in tagged_arcs]
-    for i in range(len(tagged_arcs)):
-        ai = tagged_arcs[i][0]
-        for j in range(i + 1, len(tagged_arcs)):
-            if cross_only and tagged_arcs[i][1][0] == tagged_arcs[j][1][0]:
-                continue
-            aj = tagged_arcs[j][0]
-            r = intersect(ai, aj)
+    for i, js in enumerate(mates):
+        si, ti = ends[i]
+        row = side[i]
+        for j in js:
+            sj, tj = ends[j]
+            d0, d1 = row[sj], row[tj]
+            if d0 or d1:  # the arcs lie on different great circles
+                if si == sj or si == tj or ti == sj or ti == tj:
+                    continue
+                if d0 > 0 and d1 > 0 or d0 < 0 and d1 < 0:
+                    continue
+                e0, e1 = side[j][si], side[j][ti]
+                if e0 > 0 and e1 > 0 or e0 < 0 and e1 < 0:
+                    continue
+            r = intersect(arcs[i], arcs[j])
             if r.overlap is not None:
                 for p in (r.overlap.source, r.overlap.target):
                     cuts[i].add(p)
@@ -860,10 +918,175 @@ def sweep_build(arcs: Iterable[GeodesicArc]) -> SphereArrangement:
             raise InvalidArc(f"not a geodesic arc: {a!r}")
         for piece in make_arc(a.source, a.target):
             prepared.append((piece, (idx,)))
-    arr = new_arrangement()
-    for sub, _tags in _split_all(prepared):
-        arr.insert_disjoint_arc(sub)
+    arr, _ = _assemble([sub for sub, _tags in _split_all(prepared)])
     return arr
+
+
+def _ring_sorted(v: Vertex) -> List[Halfedge]:
+    """v's outgoing halfedges in CCW order of their normals, starting at
+    the first one."""
+    axis, start = v.point.dir, v.out[0].arc.normal
+    turn = {h: _ccw_class(axis, start, h.arc.normal) for h in v.out[1:]}
+    if 0 in turn.values():
+        raise ArcNotDisjoint(f"two arcs overlap at vertex {v}")
+
+    def cmp(g: Halfedge, h: Halfedge) -> int:
+        if turn[g] != turn[h]:
+            return turn[g] - turn[h]
+        d = det3(g.arc.normal, h.arc.normal, axis)
+        if d == 0:  # same turn class and parallel normals: codirectional
+            raise ArcNotDisjoint(f"two arcs overlap at vertex {v}")
+        return -1 if d > 0 else 1
+
+    return v.out[:1] + sorted(v.out[1:], key=functools.cmp_to_key(cmp))
+
+
+def _assemble(
+    arcs: Sequence[GeodesicArc], points: Iterable[DirPoint] = ()
+) -> Tuple[SphereArrangement, List[Halfedge]]:
+    """Build, in one pass, the arrangement of arcs whose interiors are
+    pairwise disjoint and hold no endpoint of another arc, plus isolated
+    points off every arc (a point that is already a vertex is skipped).
+    Returns it with, for each arc, the halfedge directed along it.
+
+    Vertices and twin pairs are made in arc order, each pair led by the
+    halfedge insert_disjoint_arc would lead it with.  Each vertex ring is
+    sorted once, the next/prev links follow from the rings, and each
+    boundary cycle of a connected component bounds its own face.  Every
+    further component, and every point, lies in the face whose cycles
+    all have it on their left (side_of_cycle); the face keeps one of the
+    newcomer's cycles and hands each of its old cycles inside one of the
+    newcomer's other cycles to the new face there.
+
+    The result is the DCEL that inserting the arcs in order with
+    insert_disjoint_arc, then the points with insert_isolated_vertex,
+    produces, down to the order of faces and of their CCBs.  That
+    insertion splits a face exactly when an arc joins two vertices of
+    one component: the new face, on the twin's side, is appended to the
+    face list, and the cycles of both sides head their CCB lists.  A
+    component merge or a new component appends its cycle instead, and
+    each CCB is represented by the halfedge of the last of these events
+    it took part in."""
+    arr = SphereArrangement()
+    vmap = arr._vertex_map
+    root: Dict[Vertex, Vertex] = {}  # union-find over the vertices
+
+    def find(v: Vertex) -> Vertex:
+        while root[v] is not v:
+            root[v] = v = root[root[v]]
+        return v
+
+    def vertex(p: DirPoint, joined: Optional[Vertex] = None) -> Vertex:
+        v = arr._new_vertex(p)
+        root[v] = joined or v
+        return v
+
+    along: List[Halfedge] = []
+    # arc index of the event each CCB representative comes from, in
+    # increasing order: the last entry on a cycle represents it
+    stamp: Dict[Halfedge, int] = {}
+    splits: Dict[int, Halfedge] = {}  # arc index of a face split -> twin side
+    for t, a in enumerate(arcs):
+        v1, v2 = vmap.get(a.source), vmap.get(a.target)
+        if v1 is None and v2 is not None:
+            # insert_disjoint_arc leads this pair from the old endpoint
+            v1 = vertex(a.source, v2)
+            h = arr._make_pair(a.reversed(), v2, v1).twin
+        elif v1 is None:  # a new component
+            v1 = vertex(a.source)
+            v2 = vertex(a.target, v1)
+            h = arr._make_pair(a, v1, v2)
+            stamp[h] = t
+        elif v2 is None:
+            v2 = vertex(a.target, v1)
+            h = arr._make_pair(a, v1, v2)
+        else:
+            h = arr._make_pair(a, v1, v2)
+            stamp[h] = t
+            r1, r2 = find(v1), find(v2)
+            if r1 is r2:
+                stamp[h.twin] = t
+                splits[t] = h.twin
+            else:
+                root[r1] = r2
+        v1.out.append(h)
+        v2.out.append(h.twin)
+        along.append(h)
+
+    for v in arr.vertices:
+        out = v.out = _ring_sorted(v) if len(v.out) > 2 else v.out
+        # the face corner in the CCW gap (out[i], out[i+1]) turns from
+        # the incoming twin of out[i+1] to out[i]
+        for h, g in zip(out, out[1:] + out[:1]):
+            g.twin.nxt = h
+            h.prv = g.twin
+
+    cycles: List[List[Halfedge]] = []
+    cycle_of: Dict[Halfedge, int] = {}
+    components: Dict[Vertex, List[int]] = {}
+    for h in arr.halfedges:
+        if h not in cycle_of:
+            cyc = h.cycle()
+            cycle_of.update((e, len(cycles)) for e in cyc)
+            components.setdefault(find(h.source), []).append(len(cycles))
+            cycles.append(cyc)
+    rep = {cycle_of[e]: e for e in stamp}
+
+    region: Dict[Face, List[int]] = {arr.initial_face(): []}
+
+    def face_of(q: DirPoint) -> Face:
+        *tested, last = region
+        for f in tested:
+            if all(arr.side_of_cycle(q, cycles[c]) == LEFT for c in region[f]):
+                return f
+        return last
+
+    for first, *others in components.values():
+        host = face_of(cycles[first][0].source.point)
+        old, region[host] = region[host], [first]
+        fresh = [(Face(next(arr._next_id)), c) for c in others]
+        region.update((f, [c]) for f, c in fresh)
+        for c in old:
+            q = cycles[c][0].source.point
+            inside = (f for f, nc in fresh if arr.side_of_cycle(q, cycles[nc]) == LEFT)
+            region[next(inside, host)].append(c)
+
+    def ccb_key(r: Halfedge) -> Tuple[int, int]:
+        t = stamp[r]
+        return (-1, -t) if t in splits else (0, t)
+
+    for f, cs in region.items():
+        for c in cs:
+            for e in cycles[c]:
+                e.face = f
+        f.ccbs = sorted((rep[c] for c in cs), key=ccb_key)
+
+    # Face order: undo the arcs from last to first, merging faces across
+    # each; a face split at arc t owns the one face of its merged group
+    # not yet owned by a later split.
+    created: Dict[Face, int] = {}
+    group: Dict[Face, List[Face]] = {f: [f] for f in region}
+    head = {f: f for f in region}
+    for t in reversed(range(len(along))):
+        if t in splits:
+            for f in group[head[splits[t].face]]:
+                created.setdefault(f, t)
+        fa, fb = head[along[t].face], head[along[t].twin.face]
+        if fa is not fb:
+            if len(group[fa]) > len(group[fb]):
+                fa, fb = fb, fa
+            for f in group.pop(fa):
+                head[f] = fb
+                group[fb].append(f)
+    arr.faces = sorted(region, key=lambda f: created.get(f, -1))
+    arr._initial_face = arr.faces[0]
+
+    for p in points:
+        if p not in vmap:
+            v = arr._new_vertex(p)
+            v.isolated_face = f = face_of(p)
+            f.isolated[v] = None
+    return arr, along
 
 
 # -- overlay -------------------------------------------------------------------
@@ -903,16 +1126,10 @@ def overlay(
             if v.is_isolated:
                 iso_points.append((v.point, (side, v)))
 
-    out = new_arrangement()
-    sub_tags: Dict[int, List[Any]] = {}
-    for sub, tags in _split_all(tagged, cross_only=True, extra_points=iso_points):
-        h = out.insert_disjoint_arc(sub)
-        sub_tags[min(h.id, h.twin.id)] = tags
-
-    # Isolated source vertices that are not on any output feature.
-    for p, tag in iso_points:
-        if out.find_vertex(p) is None:
-            out.insert_isolated_vertex(p)
+    pieces = _split_all(tagged, cross_only=True, extra_points=iso_points)
+    # Isolated source vertices not on an output feature stay isolated.
+    out, along = _assemble([sub for sub, _ in pieces], [p for p, _ in iso_points])
+    sub_tags = {min(h.id, h.twin.id): tags for h, (_, tags) in zip(along, pieces)}
 
     # --- provenance of output edges -------------------------------------
     edge_prov: Dict[int, Dict[str, Any]] = {}

@@ -21,8 +21,9 @@ valid motions may sit on single arrangement vertices.
    integer triples), the polar cone when the origin is a vertex, the
    open hemisphere when it is inside a facet, and the lune when it is
    inside an edge.  All but the lune are bounded by one simple cycle,
-   built arc by arc in cycle order; only the lune's two crossing circles
-   go through `sweep_build` and point location;
+   assembled in cycle order; the lune's two great circles are split at
+   their two crossings, and its face is picked by its sides of the two
+   facet planes, with no point location;
 4. the union of each pair's projections, a left fold of overlays that
    removes buried cells after every step;
 5. the antipodal image of each union for the reversed pair;
@@ -38,14 +39,22 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay, sweep_build
+from .arrangement import OverlayCallbacks, SphereArrangement, _assemble, new_arrangement, overlay
 from .gaussian import GaussianMap, Mesh, _is_split_artifact, build
 from .kernel import ZERO3, Rational, Vec3, cross, det3, dot
 from .minkowski import minkowski, primal_facets
-from .spherical import BoundaryClass, DirPoint, classify, full_circle_arcs, is_mergeable, make_arc
+from .spherical import (
+    BoundaryClass,
+    DirPoint,
+    classify,
+    full_circle_arcs,
+    is_mergeable,
+    make_arc,
+    split,
+    strictly_inside_arc,
+)
 
 
 @dataclass
@@ -88,35 +97,51 @@ def _whole_sphere_region(flag: bool) -> SphericalRegion:
     return SphericalRegion(arr)
 
 
-def _flag_boundary_region(arcs, interior_dir: Vec3) -> SphericalRegion:
-    """Region bounded by the given (possibly crossing) arcs: the face
-    containing interior_dir is flagged True, every other cell False."""
-    arr = sweep_build(arcs)
-    _clear_flags(arr)
-    cell = arr.locate(classify(interior_dir))
-    assert cell.kind == "face"
-    cell.ref.payload = True
-    return SphericalRegion(arr)
-
-
 def _cycle_region(arcs, interior_dir: Vec3) -> SphericalRegion:
     """Region bounded by arcs that form one simple closed cycle, given in
     cycle order, whose inside holds interior_dir.
 
-    Each arc is re-made as sweep_build re-makes it, and the pieces go in
-    in cycle order, so the arrangement equals sweep_build's without its
-    pairwise intersection tests: each piece after the first extends the
-    open chain, and the last one closes it and splits the sphere.  The
-    inside is convex, so it lies on one side of the first piece's great
-    circle, which one sign decides."""
+    Each arc is re-made as sweep_build re-makes it and the pieces are
+    assembled in cycle order, so the arrangement equals sweep_build's
+    without its pairwise intersection tests.  The inside is convex, so
+    it lies on one side of the first piece's great circle, which one
+    sign decides."""
     pieces = [piece for a in arcs for piece in make_arc(a.source, a.target)]
-    arr = new_arrangement()
-    first = arr.insert_disjoint_arc(pieces[0], face=arr.initial_face())
-    for a in pieces[1:]:
-        arr.insert_disjoint_arc(a)
+    arr, along = _assemble(pieces)
     _clear_flags(arr)
+    first = along[0]
     inside = first if dot(first.arc.normal, interior_dir) > 0 else first.twin
     inside.face.payload = True
+    return SphericalRegion(arr)
+
+
+def _lune_region(n1: Vec3, n2: Vec3) -> SphericalRegion:
+    """The open lune <n1, d> < 0, <n2, d> < 0, bounded by the great
+    circles of n1 and n2 (not parallel), flagged True.
+
+    The circles meet only at +-cross(n1, n2), so their quarter arcs,
+    re-made as sweep_build re-makes them and split there, are already
+    the pieces sweep_build assembles.  A piece on the n1 circle runs
+    with n1 on its left, and its interior lies on one side of n2's
+    plane; the lune is right of any piece on the negative side."""
+    q = cross(n1, n2)
+
+    def circle(n: Vec3) -> list:
+        pieces = []
+        for quarter in full_circle_arcs(n):
+            for a in make_arc(quarter.source, quarter.target):
+                cut = next((p for p in (q, -q) if strictly_inside_arc(p, a)), None)
+                pieces.extend([a] if cut is None else split(a, classify(cut)))
+        return pieces
+
+    first = circle(n1)
+    arr, along = _assemble(first + circle(n2))
+    _clear_flags(arr)
+    border = next(
+        h for h in along[: len(first)]
+        if dot(h.source.point.dir, n2) + dot(h.target.point.dir, n2) < 0
+    )
+    border.twin.face.payload = True
     return SphericalRegion(arr)
 
 
@@ -161,26 +186,9 @@ def project_polytope(
         n = tight[0]
         return _cycle_region(full_circle_arcs(n), -n)
     if len(tight) == 2:
-        n1, n2 = tight
-        return _flag_boundary_region(
-            full_circle_arcs(n1) + full_circle_arcs(n2),
-            _lune_interior_direction(n1, n2),
-        )
+        return _lune_region(*tight)
     # Origin at a vertex: the polar cone of the incident facet normals.
     return _project_vertex_cone(g)
-
-
-def _lune_interior_direction(n1: Vec3, n2: Vec3) -> Vec3:
-    """An exact direction with <n1,d> < 0 and <n2,d> < 0."""
-    ip = dot(n1, n2)
-    if ip >= 0:
-        return -(n1 + n2)
-    # -(q1*n1 + q2*n2) works iff q2/q1 lies strictly between
-    # (-ip)/|n2|^2 and |n1|^2/(-ip); take the midpoint of that interval.
-    lo = Fraction(-ip, n2.norm_sq())
-    hi = Fraction(n1.norm_sq(), -ip)
-    t = (lo + hi) / 2
-    return -(n1 + n2.scale(t))
 
 
 def _project_vertex_cone(g: GaussianMap) -> SphericalRegion:
@@ -320,44 +328,25 @@ def reflect_region(region: SphericalRegion) -> SphericalRegion:
     """The antipodal image of a region; a direction pierces the original
     solid iff its negation pierces the reflected solid.
 
-    The source arcs are interior-disjoint, so their negations go straight
-    into a new arrangement, and every cell takes the flag of its source
+    The source arcs are interior-disjoint, so their negations are
+    assembled as they are, and every cell takes the flag of its source
     cell.  The antipodal map reverses orientation: the face left of an
     image arc is the image of the face right of its source arc."""
     src = region.arrangement
-    out = new_arrangement()
-    image = {}  # source face -> output halfedge with the face's image on its left
-
-    def image_face(f):
-        # Until all arcs are in, source faces merge across the edges not
-        # inserted yet; any face of the merged region that borders an
-        # inserted edge names the output face holding the region's image.
-        seen, todo = {f}, [f]
-        while todo:
-            f = todo.pop()
-            if f in image:
-                return image[f].face
-            for rep in f.ccbs:
-                for e in rep.cycle():
-                    if e.twin.face not in seen:
-                        seen.add(e.twin.face)
-                        todo.append(e.twin.face)
-        return out.initial_face()
-
+    pieces, sources = [], []
     for h in src.edges():
-        pieces = make_arc(-h.arc.source.dir, -h.arc.target.dir)
-        for piece in pieces:
-            g = out.insert_disjoint_arc(piece, face=image_face(h.face))
-            out.set_edge_payload(g, h.payload)
-            image[h.twin.face], image[h.face] = g, g.twin
-        for piece in pieces[1:]:
-            # a new seam or pole split inside the source edge
-            out.find_vertex(piece.source).payload = h.payload
-    for f in src.faces:
-        image_face(f).payload = f.payload
-    for v in src.vertices:
-        if v.is_isolated:
-            out.insert_isolated_vertex(-v.point.dir, image_face(v.isolated_face))
+        for k, piece in enumerate(make_arc(-h.arc.source.dir, -h.arc.target.dir)):
+            pieces.append(piece)
+            sources.append((h, k > 0))
+    isolated = [classify(-v.point.dir) for v in src.vertices if v.is_isolated]
+    out, along = _assemble(pieces, isolated)
+    out.faces[0].payload = src.faces[0].payload  # the one face when there are no arcs
+    for g, (h, split_inside) in zip(along, sources):
+        out.set_edge_payload(g, h.payload)
+        g.face.payload = h.twin.face.payload
+        g.twin.face.payload = h.face.payload
+        if split_inside:  # a new seam or pole split inside the source edge
+            g.source.payload = h.payload
     for v in out.vertices:
         sv = src.find_vertex(-v.point.dir)
         if sv is not None:

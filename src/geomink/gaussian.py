@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .arrangement import Face, Halfedge, SphereArrangement, new_arrangement
+from .arrangement import Face, SphereArrangement, _assemble
 from .kernel import (
     Rational,
     Vec3,
@@ -24,7 +24,7 @@ from .kernel import (
     integer_coords,
     turn3,
 )
-from .spherical import classify, make_arc
+from .spherical import GeodesicArc, classify, make_arc
 
 
 class InvalidMesh(ValueError):
@@ -58,7 +58,8 @@ class Mesh:
 
     def validate(self) -> List[tuple]:
         """Raise InvalidMesh unless this is a closed convex 2-manifold
-        with planar, strictly convex, consistently oriented facets.
+        with planar, simple, strictly convex, consistently oriented
+        facets, and every vertex on a facet.
 
         Every predicate runs on the common-denominator integer
         representative of the vertex set (kernel.integer_coords), with
@@ -83,6 +84,10 @@ class Mesh:
                 raise InvalidMesh(f"edge {(a, b)} of facet {fi} has no twin")
         if len(self.vertices) - len(seen) // 2 + len(self.facets) != 2:
             raise InvalidMesh("Euler characteristic is not 2")
+        used = {a for a, _ in seen}
+        for vi in range(len(self.vertices)):
+            if vi not in used:
+                raise InvalidMesh(f"vertex {vi} is on no facet")
         pts = integer_coords(self.vertices)
         normals = []
         for fi, cyc in enumerate(self.facets):
@@ -92,14 +97,33 @@ class Mesh:
             b0 = dot3(n, corners[0])
             if any(dot3(n, c) != b0 for c in corners):
                 raise InvalidMesh(f"facet {fi} is not planar")
-            m = len(corners)
-            for k in range(m):
-                turn = turn3(corners[k], corners[(k + 1) % m], corners[(k + 2) % m])
-                if dot3(turn, n) <= 0:
+            nx, ny, nz = n
+            # Every turn a x b between consecutive edges must be strictly
+            # left about n, so each is less than a half turn.  Then
+            # s = det(e0, b, n) is > 0 when b's direction is a turn in
+            # (0, pi) past e0's, < 0 in (pi, 2 pi) and 0 at 0 or pi, so the
+            # directions come round to e0's once per step from s < 0 to
+            # s >= 0: more than one such step is a facet that winds twice.
+            edges = [
+                (q[0] - p[0], q[1] - p[1], q[2] - p[2])
+                for p, q in zip(corners, corners[1:] + corners[:1])
+            ]
+            cx, cy, cz = cross3(n, edges[0])
+            ax, ay, az = edges[-1]
+            s_a = ax * cx + ay * cy + az * cz
+            rounds = 0
+            for bx, by, bz in edges:
+                if (ay * bz - az * by) * nx + (az * bx - ax * bz) * ny + (
+                    ax * by - ay * bx
+                ) * nz <= 0:
                     raise InvalidMesh(
                         f"facet {fi} is not a strictly convex CCW polygon"
                     )
-            nx, ny, nz = n
+                s_b = bx * cx + by * cy + bz * cz
+                rounds += s_a < 0 <= s_b
+                ax, ay, az, s_a = bx, by, bz, s_b
+            if rounds > 1:
+                raise InvalidMesh(f"facet {fi} winds more than once around its plane")
             for vi, (x, y, z) in enumerate(pts):
                 s = nx * x + ny * y + nz * z - b0
                 if s > 0:
@@ -220,13 +244,10 @@ def build(mesh: Mesh) -> GaussianMap:
 
     # The dual arc of primal edge e runs from the normal of e's facet to
     # the normal of the facet across e; the normal cone of e.dst lies on
-    # its left and that of e.src on its right.  Faces split while arcs go
-    # in, so the sides are recorded now and decorated at the end.  An arc
-    # with two new endpoints lies in the face holding e.src's cone, which
-    # is the face beside any arc inserted before on that cone's boundary.
-    arr = new_arrangement()
-    sides: List[Tuple[Halfedge, int, int]] = []
-    cone: Dict[int, Halfedge] = {}  # primal vertex -> halfedge facing its cone
+    # its left and that of e.src on its right.  The arcs are assembled in
+    # the order a depth-first walk of the mesh meets the edges.
+    pieces: List[GeodesicArc] = []
+    sides: List[Tuple[int, int]] = []
     stack = [verts[0]]
     while stack:
         v = stack.pop()
@@ -238,11 +259,8 @@ def build(mesh: Mesh) -> GaussianMap:
         while True:
             if not e.processed:
                 for piece in make_arc(normals[e.facet], normals[e.twin.facet]):
-                    near = cone.get(e.src)
-                    face = near.face if near is not None else arr.initial_face()
-                    h = arr.insert_disjoint_arc(piece, face=face)
-                    sides.append((h, e.dst, e.src))
-                    cone[e.dst], cone[e.src] = h, h.twin
+                    pieces.append(piece)
+                    sides.append((e.dst, e.src))
                 e.processed = True
                 e.twin.processed = True
             w = verts[e.dst]
@@ -252,8 +270,9 @@ def build(mesh: Mesh) -> GaussianMap:
             if e is e0:
                 break
 
+    arr, along = _assemble(pieces)
     owner: Dict[Face, int] = {}
-    for h, left, right in sides:
+    for h, (left, right) in zip(along, sides):
         for f, vi in ((h.face, left), (h.twin.face, right)):
             if owner.setdefault(f, vi) != vi:
                 raise InvalidGaussianMap(

@@ -86,10 +86,12 @@ MAX_END = 1
 class DirPoint:
     """A point on the sphere.  `dir` is the primitive integer triple of
     the direction that names it (see `classify`, the one constructor), so
-    two points are equal exactly when their triples are."""
+    two points are equal exactly when their triples are; `key_hash` is
+    the hash of that triple, computed once."""
 
     dir: Vec3
     boundary_class: BoundaryClass
+    key_hash: int
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirPoint):
@@ -98,8 +100,7 @@ class DirPoint:
         return a.x == b.x and a.y == b.y and a.z == b.z
 
     def __hash__(self) -> int:
-        d = self.dir
-        return hash((d.x, d.y, d.z))
+        return self.key_hash
 
     def __repr__(self) -> str:
         return f"DirPoint{self.dir!r}"
@@ -117,7 +118,7 @@ def classify(direction: Vec3) -> DirPoint:
         cls = BoundaryClass.ON_IDENTIFICATION
     else:
         cls = BoundaryClass.INTERIOR
-    return DirPoint(exact_vec(x, y, z), cls)
+    return DirPoint(exact_vec(x, y, z), cls, hash((x, y, z)))
 
 
 def as_point(p: Union[DirPoint, Vec3]) -> DirPoint:

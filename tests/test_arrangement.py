@@ -3,15 +3,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geomink.gaussian import build
-from geomink.kernel import Vec3
+from geomink.kernel import Vec3, cross, det3
 from geomink.shapes import random_polytope
 from geomink.arrangement import (
     ArcNotDisjoint,
     AnchorMismatch,
     OverlayCallbacks,
+    _assemble,
+    _split_all,
     dumps,
     loads,
     new_arrangement,
@@ -22,7 +24,10 @@ from geomink.spherical import (
     arc_between,
     classify,
     full_circle_arcs,
+    intersect,
     make_arc,
+    point_on_arc,
+    strictly_inside_arc,
 )
 
 
@@ -402,3 +407,130 @@ def test_merge_at_degree_two_inside_triangle_chain():
     arr.merge_edges_at(arr.find_vertex(classify(m)))
     assert arr.counts() == (3, 6, 2)
     assert arr.validate() == []
+
+
+# -- one-pass assembly and the pair filter --------------------------------------
+
+# Small integer directions, with the poles and points of the seam (the
+# y = 0, x < 0 half-meridian) drawn as often as generic ones.
+_coord = st.integers(min_value=-4, max_value=4)
+_generic = st.builds(Vec3, _coord, _coord, _coord).filter(lambda v: not v.is_zero())
+_special = st.sampled_from(
+    [Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(-1, 0, 0), Vec3(-1, 0, 1), Vec3(-2, 0, -1)]
+)
+_directions = st.one_of(_generic, _special)
+
+
+@st.composite
+def _polygon(draw):
+    """A small closed polygon around a drawn direction c, at one or two
+    sizes, so that components nest, touch or lie apart."""
+    c = draw(_directions)
+    u = cross(c, Vec3(1, 2, 3))
+    if u.is_zero():
+        u = cross(c, Vec3(3, -1, 2))
+    w = cross(c, u)
+    far = c.scale(8 * u.norm_sq())
+    triangle, square = [(1, 0), (0, 1), (-1, -1)], [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    shape = draw(st.sampled_from([triangle, square]))
+    arcs = []
+    for size in draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=2, unique=True)):
+        ring = [far + u.scale(size * x) + w.scale(size * y) for x, y in shape]
+        for p, q in zip(ring, ring[1:] + ring[:1]):
+            arcs.extend(make_arc(p, q))
+    return arcs
+
+
+@st.composite
+def _scenes(draw):
+    arcs = [a for poly in draw(st.lists(_polygon(), min_size=1, max_size=3)) for a in poly]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        p, q = draw(_directions), draw(_directions)
+        if not cross(p, q).is_zero():
+            arcs.extend(make_arc(p, q))
+    pieces = [a for a, _ in _split_all([(a, (i,)) for i, a in enumerate(arcs)])]
+    points = []
+    for d in draw(st.lists(_directions, max_size=4)):
+        p = classify(d)
+        if not any(point_on_arc(p, a) for a in pieces):
+            points.append(p)
+    return pieces, points
+
+
+def _rings(arr):
+    return [[h.target.point for h in v.out] for v in arr.vertices]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenes())
+def test_assembly_matches_arc_by_arc_insertion(scene):
+    pieces, points = scene
+    ref = new_arrangement()
+    for a in pieces:
+        ref.insert_disjoint_arc(a)
+    for p in points:
+        if ref.find_vertex(p) is None:
+            ref.insert_isolated_vertex(p)
+    arr, along = _assemble(pieces, points)
+    assert arr.validate() == []
+    assert [(h.arc.source, h.arc.target) for h in along] == [(a.source, a.target) for a in pieces]
+    assert [v.point for v in arr.vertices] == [v.point for v in ref.vertices]
+    assert _rings(arr) == _rings(ref)
+    # the same faces in the same order, each CCB list led by the same
+    # representatives, and the same isolated vertices
+    assert dumps(arr) == dumps(ref)
+
+
+@st.composite
+def _arc_pairs(draw):
+    """Two arcs, biased to the cases the filter must not skip: a shared
+    endpoint, one great circle, an endpoint inside the other arc, and
+    endpoints at a pole or on the seam."""
+    a = None
+    while a is None:
+        p, q = draw(_directions), draw(_directions)
+        if not cross(p, q).is_zero():
+            a = arc_between(p, q)
+    s, t = a.source.dir, a.target.dir
+    k = st.integers(min_value=-3, max_value=3)
+    pos = st.integers(min_value=1, max_value=3)
+    on_circle = st.builds(lambda i, j: s.scale(i) + t.scale(j), k, k)
+    inside = st.builds(lambda i, j: s.scale(i) + t.scale(j), pos, pos)
+    ends = draw(
+        st.sampled_from(["free", "shared", "circle", "touch", "touch_circle"])
+    )
+    first = {
+        "free": _directions,
+        "shared": st.sampled_from([s, t]),
+        "circle": on_circle,
+        "touch": inside,
+        "touch_circle": inside,
+    }[ends]
+    second = on_circle if ends in ("circle", "touch_circle") else _directions
+    b_src, b_tgt = draw(first), draw(second)
+    assume(not b_src.is_zero() and not b_tgt.is_zero() and not cross(b_src, b_tgt).is_zero())
+    b = arc_between(b_src, b_tgt)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def _pieces_cut_at(arc, cuts):
+    """The endpoint pairs of arc cut at the cuts strictly inside it."""
+    inner = [p for p in cuts if strictly_inside_arc(p.dir, arc)]
+    # a point comes first when most others follow it along the arc
+    inner = sorted(inner, key=lambda p: -sum(det3(p.dir, q.dir, arc.normal) > 0 for q in inner))
+    chain = [arc.source] + inner + [arc.target]
+    return {frozenset(ends) for ends in zip(chain, chain[1:])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arc_pairs(), st.booleans())
+def test_pair_filter_keeps_every_pair_that_cuts(pair, cross_only):
+    a, b = pair
+    r = intersect(a, b)
+    cuts = set(r.points)
+    if r.overlap is not None:
+        cuts |= {r.overlap.source, r.overlap.target}
+    want = _pieces_cut_at(a, cuts) | _pieces_cut_at(b, cuts)
+    pieces = _split_all([(a, ("a",)), (b, ("b",))], cross_only=cross_only)
+    got = [frozenset((x.source, x.target)) for x, _ in pieces]
+    assert len(got) == len(want) and set(got) == want

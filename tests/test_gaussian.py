@@ -175,6 +175,18 @@ def _coplanar_neighbours():
     return Mesh(v, [[0, 1, 4, 5, 2, 3], [0, 3, 4, 1, 2, 5]] + sides)
 
 
+def _winds_twice():
+    # A pyramid over a pentagram: facet 0 visits the five corners of a
+    # convex pentagon in star order, every turn positive, and winds twice
+    # around its plane; the side triangles close its edges.
+    pentagon = [(0, 0), (6, 0), (8, 5), (3, 9), (-2, 5)]
+    v = [Vec3(Fraction(x, 3), Fraction(y, 5), Fraction(1, 2)) for x, y in pentagon]
+    v.append(Vec3(Fraction(2, 3), Fraction(4, 5), Fraction(-1, 2)))
+    star = [0, 2, 4, 1, 3]
+    sides = [[star[(k + 1) % 5], star[k], 5] for k in range(5)]
+    return Mesh(v, [star] + sides)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -187,7 +199,12 @@ def _coplanar_neighbours():
         (_non_convex, "facet 0 is not a strictly convex CCW polygon"),
         (_vertex_outside, "vertex 4 lies outside facet 0: not convex or facets are misoriented"),
         (_coplanar_not_on_facet, "vertex 2 is coplanar with facet 5 but not on it"),
-        (_coplanar_neighbours, "facets 0 and 1 are coplanar; merge them first"),
+        # An orientable mesh has an even Euler characteristic, so unused
+        # vertices pass the Euler check only in pairs, beside facets that
+        # wind more than once, as here; the unused-vertex check now
+        # rejects this mesh before the coplanar-neighbour check.
+        (_coplanar_neighbours, "vertex 7 is on no facet"),
+        (_winds_twice, "facet 0 winds more than once around its plane"),
     ],
     ids=lambda x: x.__name__.strip("_") if callable(x) else None,
 )
