@@ -22,6 +22,9 @@ from the rings, and gives each cycle of a connected component its own
 face; a further component or isolated point is placed by side-of-cycle
 tests, never by point location.  Its output is exactly the DCEL that
 inserting the pieces one by one with `insert_disjoint_arc` produces.
+An overlay face takes its source faces from the edges around it, by a
+flood across the other operand's edges, so `overlay` makes no point-
+location call either.
 """
 
 from __future__ import annotations
@@ -1153,7 +1156,7 @@ def overlay(
                         src = prov[side]
                         aligned = src if _same_direction(src, h) else src.twin
                         face_prov[f.id][side] = aligned.face
-    # Flood remaining sides across edges of the other color, then locate.
+    # Flood remaining sides across edges of the other color.
     for side, arr in (("a", a), ("b", b)):
         pending = [f for f in out.faces if side not in face_prov[f.id]]
         changed = True
@@ -1180,11 +1183,11 @@ def overlay(
                 else:
                     still.append(f)
             pending = still
+        # The faces of a sphere map are connected across its edges, so a
+        # face the flood leaves pending meets no path to an edge of this
+        # side: the operand has no edges, and then it has just one face.
         for f in pending:
-            probe = out.interior_point(f)
-            cell = arr.locate(probe)
-            assert cell.kind == "face"
-            face_prov[f.id][side] = cell.ref
+            (face_prov[f.id][side],) = arr.faces
 
     # --- provenance of output vertices ------------------------------------
     def vertex_side_prov(v: Vertex, side: str, arr: SphereArrangement):

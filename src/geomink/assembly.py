@@ -14,7 +14,8 @@ valid motions may sit on single arrangement vertices.
 
 1. the Gaussian map of every sub-part and of its reflection;
 2. the pairwise sums, for part pairs i < j only;
-3. one scan of each sum's facet planes, which both rejects overlapping
+3. one scan of each sum's facet planes, read from the map's own table
+   (`GaussianMap.facet_planes`), which both rejects overlapping
    interiors (the origin strictly inside the sum) and picks the
    projection's case: the spherical hull of the sum's vertices when the
    origin is separated from it (a monotone chain on their primitive
@@ -42,9 +43,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .arrangement import OverlayCallbacks, SphereArrangement, _assemble, new_arrangement, overlay
-from .gaussian import GaussianMap, Mesh, _is_split_artifact, build
-from .kernel import ZERO3, Rational, Vec3, cross, det3, dot
-from .minkowski import minkowski, primal_facets
+from .gaussian import GaussianMap, Mesh, build
+from .kernel import ZERO3, Vec3, cross, det3, dot
+from .minkowski import minkowski
 from .spherical import (
     BoundaryClass,
     DirPoint,
@@ -159,23 +160,12 @@ def _clear_flags(arr: SphereArrangement) -> None:
         h.payload = False
 
 
-def facet_planes(g: GaussianMap) -> List[Tuple[Vec3, Rational]]:
-    """(normal, offset) of every facet plane n . x = b of g's primal
-    polytope; the origin is strictly inside exactly when every b > 0."""
-    return [
-        (w.point.dir, dot(w.point.dir, w.out[0].face.payload)) for w in primal_facets(g)
-    ]
-
-
-def project_polytope(
-    g: GaussianMap, planes: Optional[List[Tuple[Vec3, Rational]]] = None
-) -> SphericalRegion:
+def project_polytope(g: GaussianMap) -> SphericalRegion:
     """Central projection of the primal polytope onto the direction
     sphere, with interior cells flagged True (grazing rays do not pierce
-    the interior).  Four cases by the position of the origin.  planes
-    are g's facet_planes, for a caller that has them already."""
-    if planes is None:
-        planes = facet_planes(g)
+    the interior).  Four cases by the position of the origin, read from
+    the offsets of g's facet planes."""
+    planes = g.facet_planes.values()
     if any(b < 0 for _, b in planes):
         return _project_separated(g, planes)
     tight = [n for n, b in planes if b == 0]
@@ -195,12 +185,11 @@ def _project_vertex_cone(g: GaussianMap) -> SphericalRegion:
     """Directions entering the solid through a vertex at the origin: the
     spherical polygon cut out by the incident facet halfspaces."""
     # Order the normals by walking the dual face of the origin vertex.
-    arr = g.arrangement
-    origin_face = next(f for f in arr.faces if f.payload.is_zero())
+    origin_face = next(f for f in g.arrangement.faces if f.payload.is_zero())
     ring = [
         h.source.point.dir
         for h in origin_face.ccbs[0].cycle()
-        if not _is_split_artifact(arr, h.source)
+        if h.source in g.facet_planes
     ]
     k = len(ring)
     corners: List[Vec3] = []
@@ -596,12 +585,11 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
         for k in range(len(assembly.parts[i])):
             for l in range(len(assembly.parts[j])):
                 m = sums[(i, j, k, l)]
-                planes = facet_planes(m)
-                if all(b > 0 for _, b in planes):  # the origin is inside the sum
+                if all(b > 0 for _, b in m.facet_planes.values()):  # the origin is inside
                     raise ValueError(
                         f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors"
                     )
-                regions.append(project_polytope(m, planes))
+                regions.append(project_polytope(m))
         q[(i, j)] = union_regions(regions)
         q[(j, i)] = reflect_region(q[(i, j)])
 

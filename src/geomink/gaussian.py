@@ -5,14 +5,23 @@ support-plane normals: facets become arrangement vertices (their exact
 unnormalized normal directions), edges become geodesic arcs, and every
 arrangement face carries the primal vertex it maps back to.  Overlaying
 two such maps yields the map of the Minkowski sum.
+
+Arcs are also split where they cross the identification curve or pass
+through a pole, and those splits are degree-2 vertices that are not
+facets.  The map names its facets once: `GaussianMap.facet_planes` is
+the one table of facet vertices and their planes, and every reader of
+the primal facets (the primal mesh, sum statistics, projections and
+proximity queries) takes them from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .arrangement import Face, SphereArrangement, _assemble
+from .arrangement import Face, SphereArrangement, Vertex, _assemble
 from .kernel import (
     Rational,
     Vec3,
@@ -24,7 +33,7 @@ from .kernel import (
     integer_coords,
     turn3,
 )
-from .spherical import GeodesicArc, classify, make_arc
+from .spherical import BoundaryClass, GeodesicArc, classify, make_arc
 
 
 class InvalidMesh(ValueError):
@@ -171,6 +180,21 @@ class GaussianMap:
         """(V, HE, F) of the underlying arrangement."""
         return self.arrangement.counts()
 
+    @cached_property
+    def facet_planes(self) -> Dict[Vertex, Tuple[Vec3, Rational]]:
+        """The facets of the primal polytope, in arrangement order: each
+        facet vertex w maps to the plane <n, x> = b of its facet, with n
+        the primitive integer normal w.point.dir and b = <n, v> for a
+        primal vertex v on the facet.  Seam and pole splits are left out.
+        Computed once: a map's arrangement is not changed once built."""
+        arr = self.arrangement
+        planes = {}
+        for w in arr.vertices:
+            if not _is_split_artifact(arr, w):
+                n = w.point.dir
+                planes[w] = (n, _offset(n, w.out[0].face.payload))
+        return planes
+
     def primal_vertices(self) -> List[Vec3]:
         out = []
         seen = set()
@@ -306,8 +330,6 @@ def reflect(g: GaussianMap) -> GaussianMap:
 def _is_split_artifact(arr: SphereArrangement, v) -> bool:
     """A degree-2 vertex created only to split an arc at the parameter-
     space boundary: both incident arcs lie on one great circle."""
-    from .spherical import BoundaryClass
-
     if v.degree != 2:
         return False
     if v.point.boundary_class is BoundaryClass.INTERIOR:
@@ -317,9 +339,22 @@ def _is_split_artifact(arr: SphereArrangement, v) -> bool:
     return cross(n1, n2).is_zero()
 
 
+def _offset(n: Vec3, v: Vec3) -> Rational:
+    """dot(n, v) for an integer n, over the product of v's denominators:
+    one Fraction normalisation where dot's Fraction sum makes five."""
+    x, y, z = v.x, v.y, v.z
+    if type(x) is type(y) is type(z) is int:
+        return dot(n, v)
+    qx, qy, qz = x.denominator, y.denominator, z.denominator
+    return Fraction(
+        (n.x * x.numerator * qy + n.y * y.numerator * qx) * qz + n.z * z.numerator * qx * qy,
+        qx * qy * qz,
+    )
+
+
 def primal_mesh(g: GaussianMap) -> Mesh:
-    """Invert the map: face payloads become vertices, arrangement vertices
-    (fused across identification splits) become facets."""
+    """Invert the map: face payloads become vertices, and the facet
+    vertices of g.facet_planes become facets, in its order."""
     arr = g.arrangement
     coords: List[Vec3] = []
     index: Dict[tuple, int] = {}
@@ -333,9 +368,7 @@ def primal_mesh(g: GaussianMap) -> Mesh:
             coords.append(v)
 
     facets: List[List[int]] = []
-    for w in arr.vertices:
-        if _is_split_artifact(arr, w):
-            continue
+    for w in g.facet_planes:
         k = w.degree
         cycle = []
         for i in range(k):

@@ -4,13 +4,14 @@ maps.
 The overlay identifies every pair of features with parallel supporting
 planes; a face of the result is decorated with the sum of the primal
 vertices of the two inducing faces, so the output is again a decorated
-Gaussian map.
+Gaussian map.  The facet counts come from each map's own facet table,
+`GaussianMap.facet_planes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .arrangement import OverlayCallbacks, overlay
 from .gaussian import GaussianMap
@@ -81,8 +82,8 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
     e_in = [g.counts()[1] // 2 for g in inputs]
     v_x = V_out - v_in
     st = SumStats(
-        summand_facets=tuple(len(primal_facets(g)) for g in inputs),
-        sum_facets=len(primal_facets(g_out)),
+        summand_facets=tuple(len(g.facet_planes) for g in inputs),
+        sum_facets=len(g_out.facet_planes),
         sum_edges=HE_out // 2,
         sum_vertices=V_out,
         crossings=v_x,
@@ -95,16 +96,5 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
     return st
 
 
-def primal_facets(g: GaussianMap) -> List:
-    """The real (fused) facet-vertices of a Gaussian map."""
-    from .gaussian import _is_split_artifact
-
-    return [
-        w
-        for w in g.arrangement.vertices
-        if not _is_split_artifact(g.arrangement, w)
-    ]
-
-
 def facet_count(g: GaussianMap) -> int:
-    return len(primal_facets(g))
+    return len(g.facet_planes)

@@ -6,7 +6,8 @@ lies in M.  The classification walks the Gaussian map of M, facet to
 adjacent facet, toward the facet stabbed by the ray from an interior
 point through s.  The facet where the walk stops is certified by its
 neighbors alone, so a good start saves the work: each answer carries its
-facet as a hint for the next query on the same map.
+facet as a hint for the next query on the same map.  Facets and their
+planes come from the map's own table, `GaussianMap.facet_planes`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from .gaussian import GaussianMap, Mesh, primal_mesh, reflect
 from .kernel import Rational, Vec3, cross, dot
-from .minkowski import minkowski, primal_facets
+from .minkowski import minkowski
 
 INSIDE = "inside"
 ON_BOUNDARY = "on_boundary"
@@ -54,17 +55,12 @@ class Witness:
 
 
 class _FacetIndex:
-    """Facet planes of a Gaussian map, keyed by arrangement vertex, plus
-    the centroid of the primal vertices and, on demand, the primal mesh
-    and its facet planes."""
+    """The centroid of a Gaussian map's primal vertices, the facet
+    adjacency across seam and pole splits, and, on demand, the primal
+    mesh, whose facets follow the map's facet table."""
 
     def __init__(self, g: GaussianMap):
         self.g = g
-        self.facets = primal_facets(g)
-        self.plane = {}
-        for w in self.facets:
-            n = w.point.dir
-            self.plane[w] = (n, dot(n, w.out[0].face.payload))
         pts = g.primal_vertices()
         self.centroid = sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
 
@@ -72,26 +68,16 @@ class _FacetIndex:
     def mesh(self) -> Mesh:
         return primal_mesh(self.g)
 
-    @cached_property
-    def mesh_planes(self) -> List[Tuple[Vec3, Rational]]:
-        """(normal, offset) of each facet of `mesh`, in its facet order."""
-        m = self.mesh
-        planes = []
-        for i, cyc in enumerate(m.facets):
-            n = m.facet_normal(i)
-            planes.append((n, dot(n, m.vertices[cyc[0]])))
-        return planes
-
     def neighbors(self, w):
+        planes = self.g.facet_planes
         out = []
         for h in w.out:
             e, t = h, h.target
-            while t not in self.plane and t.degree == 2:
-                # hop over identification-split artifact vertices
+            while t not in planes:
+                # hop over a seam or pole split: it has degree 2
                 e = t.out[0] if t.out[0] is not e.twin else t.out[1]
                 t = e.target
-            if t in self.plane:
-                out.append(t)
+            out.append(t)
         return out
 
 
@@ -126,19 +112,20 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
     checked) and the ray leaves through the hint's plane; otherwise it
     starts at the facet whose normal best matches the ray."""
     idx = _facet_index(M)
+    planes = M.facet_planes
     c = idx.centroid
     d = s - c
     if d.is_zero():
-        w0 = idx.facets[0]
-        n, b = idx.plane[w0]
+        w0 = next(iter(planes))
+        n, b = planes[w0]
         return Witness(INSIDE, n, b, w0)
 
     def t_of(w):
-        return _exit_parameter(idx.plane[w], c, d)
+        return _exit_parameter(planes[w], c, d)
 
-    cur_t = t_of(hint) if hint in idx.plane else None
+    cur_t = t_of(hint) if hint in planes else None
     if cur_t is None:
-        cur = max(idx.facets, key=lambda w: _dot_score(w.point.dir, d))
+        cur = max(planes, key=lambda w: _dot_score(w.point.dir, d))
         cur_t = t_of(cur)
     else:
         cur = hint
@@ -151,7 +138,7 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
                 cur, cur_t = nb, nt
                 improved = True
                 break
-    n, b = idx.plane[cur]
+    n, b = planes[cur]
     side = dot(n, s) - b
     if side < 0:
         cls = INSIDE
@@ -202,9 +189,11 @@ def trace(
 
 def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
     """Exact squared distance from s to the primal polytope of M (zero
-    when s is inside or on the boundary)."""
-    idx = _facet_index(M)
-    mesh, planes = idx.mesh, idx.mesh_planes
+    when s is inside or on the boundary).  The mesh lists its facets in
+    the order of M's facet table, and every quantity below is unchanged
+    when a plane (n, b) is scaled by a positive factor."""
+    mesh = _facet_index(M).mesh
+    planes = M.facet_planes.values()
     if all(dot(n, s) <= b for n, b in planes):
         return Fraction(0)
     best = None
@@ -253,10 +242,8 @@ def directional_penetration(
         from .kernel import ZeroVector
 
         raise ZeroVector("penetration direction must be nonzero")
-    idx = _facet_index(M)
     alpha = None
-    for w in idx.facets:
-        n, b = idx.plane[w]
+    for n, b in M.facet_planes.values():
         if dot(n, s) > b:
             raise PointOutside(f"{s} is outside the polytope")
         t = _exit_parameter((n, b), s, r)

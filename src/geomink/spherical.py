@@ -189,19 +189,12 @@ class GeodesicArc:
     target: DirPoint
     normal: Vec3
     is_vertical: bool
-    axis_zero_flags: Tuple[bool, bool, bool]
 
     def __repr__(self) -> str:
         return f"Arc[{self.source.dir!r} -> {self.target.dir!r}]"
 
     def reversed(self) -> "GeodesicArc":
-        return GeodesicArc(
-            self.target,
-            self.source,
-            -self.normal,
-            self.is_vertical,
-            (self.axis_zero_flags),
-        )
+        return GeodesicArc(self.target, self.source, -self.normal, self.is_vertical)
 
     def endpoint(self, end: int) -> DirPoint:
         return self.source if end == MIN_END else self.target
@@ -212,8 +205,7 @@ class GeodesicArc:
 
 
 def _mk_arc(s: DirPoint, t: DirPoint, normal: Vec3) -> GeodesicArc:
-    flags = (normal.x == 0, normal.y == 0, normal.z == 0)
-    return GeodesicArc(s, t, normal, flags[2], flags)
+    return GeodesicArc(s, t, normal, normal.z == 0)
 
 
 def arc_between(source, target, normal: Optional[Vec3] = None) -> GeodesicArc:

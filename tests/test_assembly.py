@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geomink import assembly
 from geomink.assembly import (
     ALL,
     Assembly,
@@ -20,7 +21,7 @@ from geomink.assembly import (
     tarjan_scc,
     union_regions,
 )
-from geomink.arrangement import OverlayCallbacks, SphereArrangement, overlay
+from geomink.arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay
 from geomink.gaussian import Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
 from geomink.kernel import Vec3, dot
@@ -34,6 +35,7 @@ from geomink.shapes import (
     split_star_assembly,
     tetrahedron,
 )
+from geomink.spherical import classify
 
 
 def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
@@ -42,7 +44,14 @@ def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
 
 
 def mesh_planes(mesh: Mesh):
-    return [(mesh.facet_normal(i), mesh.facet_offset(i)) for i in range(len(mesh.facets))]
+    """The facet planes <n, x> = b, each scaled to make n its primitive
+    integer triple: no ray test below changes, and on integer vertices
+    they are integer planes."""
+    planes = []
+    for i, cyc in enumerate(mesh.facets):
+        n = Vec3(*mesh.facet_normal(i).canonical())
+        planes.append((n, dot(n, mesh.vertices[cyc[0]])))
+    return planes
 
 
 def ray_meets_planes(planes, d: Vec3) -> bool:
@@ -404,16 +413,11 @@ def _separated_assemblies(draw):
     return Assembly([f"p{i}" for i in range(n)], parts)
 
 
-@settings(max_examples=10, deadline=None)
-@given(_separated_assemblies())
-def test_partition_solutions_are_free_motions(a):
-    res = partition(a, ALL)
-    assert res.interlocked == (not res.solutions)
-    if len(a.parts) == 2:
-        assert res.solutions  # a separating plane gives a free direction
-    # i moving along d meets j iff the ray along d enters the interior of
-    # the difference body of any of their sub-parts
-    diffs = {
+def _difference_planes(a: Assembly):
+    """For each ordered part pair (i, j), the facet planes of the
+    difference bodies of their sub-parts: i moving along d meets j iff
+    the ray along d enters the interior of any of them."""
+    return {
         (i, j): [
             mesh_planes(convex_hull_3([b - c for b in pj.vertices for c in pi.vertices]))
             for pi in a.parts[i]
@@ -423,6 +427,16 @@ def test_partition_solutions_are_free_motions(a):
         for j in range(len(a.parts))
         if i != j
     }
+
+
+@settings(max_examples=10, deadline=None)
+@given(_separated_assemblies())
+def test_partition_solutions_are_free_motions(a):
+    res = partition(a, ALL)
+    assert res.interlocked == (not res.solutions)
+    if len(a.parts) == 2:
+        assert res.solutions  # a separating plane gives a free direction
+    diffs = _difference_planes(a)
     for sol in res.solutions:
         assert 0 < len(sol.subset) < len(a.parts)
         for i in sol.subset:
@@ -469,3 +483,88 @@ def test_union_cleaned_per_step_matches_union_cleaned_once(regions):
     xor = overlay(u.arrangement, ref.arrangement, _xor_callbacks())
     assert not any(_payloads(xor))
     assert u.arrangement.validate() == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    _separated_assemblies(),
+    st.lists(st.tuples(_small, _small, _small), min_size=12, max_size=12),
+)
+def test_motion_space_cells_carry_every_blocking_pair(a, dirs):
+    # the blocking graph of each cell, not only of the solutions: a
+    # partition that skipped the antipodal reflection fails here
+    spaces = []
+    real = assembly.build_motion_space
+
+    def capture(n, q):
+        spaces.append(real(n, q))
+        return spaces[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "build_motion_space", capture)
+        partition(a, ALL)
+    (ms,) = spaces
+    arr = ms.arrangement
+    diffs = _difference_planes(a)
+    # random directions, and one inside every vertex, edge and face
+    probes = [Vec3(*d) for d in dirs if any(d)] + [d for d, _ in cell_directions(arr)]
+    for d in probes:
+        blocking = frozenset(
+            pair for pair, bodies in diffs.items()
+            if any(ray_meets_planes(planes, d) for planes in bodies)
+        )
+        assert arr.locate(classify(d)).payload == blocking, d
+
+
+def _overlay_refusing_point_location(monkeypatch):
+    """overlay, also bound in assembly, with SphereArrangement.locate and
+    interior_point raising while it runs."""
+    running = []
+    for name in ("locate", "interior_point"):
+        real = getattr(SphereArrangement, name)
+
+        def refuse(arr, *args, real=real, name=name):
+            if running:
+                raise AssertionError(f"overlay called {name}")
+            return real(arr, *args)
+
+        monkeypatch.setattr(SphereArrangement, name, refuse)
+
+    def guarded(a, b, cb):
+        running.append(True)
+        try:
+            return overlay(a, b, cb)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(assembly, "overlay", guarded)
+    return guarded
+
+
+def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
+    region = project_polytope(build(random_polytope(9, 12).translated(Vec3(-3, 8, 5))))
+    isolated = new_arrangement()
+    face = isolated.initial_face()
+    face.payload = "F"
+    for d in (Vec3(0, 0, 1), Vec3(-1, 0, 0), Vec3(1, 2, 3)):  # pole, seam, inside
+        isolated.insert_isolated_vertex(d, face).payload = "V"
+    overlay_ = _overlay_refusing_point_location(monkeypatch)
+    tag = OverlayCallbacks(*([lambda a, b: (a, b)] * 10))
+
+    # an empty accumulator, as build_motion_space starts its fold
+    acc = new_arrangement()
+    acc.initial_face().payload = frozenset()
+    out = overlay_(acc, region.arrangement, tag)
+    assert {f.payload for f in out.faces} == {(frozenset(), True), (frozenset(), False)}
+
+    # an operand with isolated vertices and no edges, on either side
+    for a, b in ((region.arrangement, isolated), (isolated, region.arrangement)):
+        out = overlay_(a, b, tag)
+        assert out.validate() == []
+        assert all("F" in f.payload for f in out.faces)
+        assert sum(v.is_isolated for v in out.vertices) == 3
+
+    # the folds of a whole partition
+    scene = peg_in_hole_assembly()
+    res = partition(Assembly([n for n, _ in scene], [p for _, p in scene]), ALL)
+    assert not res.interlocked

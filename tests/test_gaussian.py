@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomink.arrangement import SphereArrangement
+from geomink.extremal import default_params, witness_polytope
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
-from geomink.hull import meshes_equivalent
+from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.kernel import Vec3, dot
+from geomink.minkowski import minkowski
 from geomink.shapes import box, icosahedron, octahedron, random_polytope, tetrahedron
+from geomink.spherical import BoundaryClass
 
 
 def identification_crossings(mesh: Mesh) -> int:
@@ -326,3 +329,52 @@ class TestReflect:
     def test_reflect_centrally_symmetric_is_isomorphic(self):
         o = octahedron()
         assert meshes_equivalent(primal_mesh(reflect(build(o))), o)
+
+
+@st.composite
+def _maps_and_facet_counts(draw):
+    """A Gaussian map and its primal facet count: a random difference
+    body (counted by the hull oracle), a box, a witness polytope, or the
+    sum of both.  Box and witness normals sit at the poles and on the
+    seam, where arcs are split."""
+    kind = draw(st.sampled_from(["sum", "box", "witness", "box+witness"]))
+    if kind == "sum":
+        m1, m2 = (
+            random_polytope(draw(st.integers(5, 9)), draw(st.integers(0, 10**6)), 6)
+            for _ in range(2)
+        )
+        g = minkowski(build(m1), reflect(build(m2)))
+        return g, len(convex_hull_3(pairwise_sums(m1, m2.negated())).facets)
+    lo = draw(st.tuples(*[st.integers(-4, 3)] * 3))
+    size = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    b = box(*lo, *(c + d for c, d in zip(lo, size)))
+    w = witness_polytope(default_params(draw(st.integers(4, 8))))
+    if kind == "box":
+        return build(b), 6
+    if kind == "witness":
+        return build(w), len(w.facets)
+    g = minkowski(build(b), build(w))
+    return g, len(primal_mesh(g).facets)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_maps_and_facet_counts())
+def test_facet_table_names_the_primal_facets(case):
+    g, facet_count = case
+    arr = g.arrangement
+    table = g.facet_planes
+    mesh = primal_mesh(g)
+    assert len(table) == len(mesh.facets) == facet_count
+    # keys in arrangement order; every other vertex is a seam or pole split
+    assert list(table) == [w for w in arr.vertices if w in table]
+    for w in arr.vertices:
+        if w not in table:
+            assert w.degree == 2
+            assert w.point.boundary_class is not BoundaryClass.INTERIOR
+    # the i-th key is the mesh's i-th facet: its normal, its corners, its plane
+    for i, (w, (n, b)) in enumerate(table.items()):
+        assert n == w.point.dir
+        assert n.canonical() == mesh.facet_normal(i).canonical()
+        corners = [mesh.vertices[v] for v in mesh.facets[i]]
+        assert {h.face.payload.as_tuple() for h in w.out} == {c.as_tuple() for c in corners}
+        assert all(dot(n, c) == b for c in corners)
