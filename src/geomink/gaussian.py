@@ -8,16 +8,15 @@ two such maps yields the map of the Minkowski sum.
 
 Arcs are also split where they cross the identification curve or pass
 through a pole, and those splits are degree-2 vertices that are not
-facets.  The map names its facets once: `GaussianMap.facet_planes` is
-the one table of facet vertices and their planes, and every reader of
-the primal facets (the primal mesh, sum statistics, projections and
-proximity queries) takes them from it.
+facets.  The map names its facets once: `GaussianMap.facet_vertices`
+is the one list of facet vertices, `GaussianMap.facet_planes` adds
+their planes, and every reader of the primal facets (the primal mesh,
+facet counts, projections and proximity queries) takes them from these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -181,26 +180,30 @@ class GaussianMap:
         return self.arrangement.counts()
 
     @cached_property
-    def facet_planes(self) -> Dict[Vertex, Tuple[Vec3, Rational]]:
-        """The facets of the primal polytope, in arrangement order: each
-        facet vertex w maps to the plane <n, x> = b of its facet, with n
-        the primitive integer normal w.point.dir and b = <n, v> for a
-        primal vertex v on the facet.  Seam and pole splits are left out.
-        Computed once: a map's arrangement is not changed once built."""
+    def facet_vertices(self) -> List[Vertex]:
+        """The facets of the primal polytope, in arrangement order: every
+        arrangement vertex but the seam and pole splits.  Computed once:
+        a map's arrangement is not changed once built."""
         arr = self.arrangement
-        planes = {}
-        for w in arr.vertices:
-            if not _is_split_artifact(arr, w):
-                n = w.point.dir
-                planes[w] = (n, _offset(n, w.out[0].face.payload))
-        return planes
+        return [w for w in arr.vertices if not _is_split_artifact(arr, w)]
+
+    @cached_property
+    def facet_planes(self) -> Dict[Vertex, Tuple[Vec3, Rational]]:
+        """Each facet vertex w, in the order of facet_vertices, maps to
+        the plane <n, x> = b of its facet, with n the primitive integer
+        normal w.point.dir and b = <n, v> for a primal vertex v on the
+        facet."""
+        return {
+            w: (w.point.dir, dot(w.point.dir, w.out[0].face.payload))
+            for w in self.facet_vertices
+        }
 
     def primal_vertices(self) -> List[Vec3]:
         out = []
         seen = set()
         for f in self.arrangement.faces:
             v = f.payload
-            key = v.as_tuple()
+            key = v.ratio_key()
             if key not in seen:
                 seen.add(key)
                 out.append(v)
@@ -316,7 +319,7 @@ def _check_decoration(g: GaussianMap, mesh: Mesh) -> None:
             f"face count {len(g.arrangement.faces)} != vertex count "
             f"{len(mesh.vertices)}"
         )
-    payloads = {f.payload.as_tuple() for f in g.arrangement.faces}
+    payloads = {f.payload.ratio_key() for f in g.arrangement.faces}
     if len(payloads) != len(mesh.vertices):
         raise InvalidGaussianMap("face decoration is not a bijection")
 
@@ -339,22 +342,9 @@ def _is_split_artifact(arr: SphereArrangement, v) -> bool:
     return cross(n1, n2).is_zero()
 
 
-def _offset(n: Vec3, v: Vec3) -> Rational:
-    """dot(n, v) for an integer n, over the product of v's denominators:
-    one Fraction normalisation where dot's Fraction sum makes five."""
-    x, y, z = v.x, v.y, v.z
-    if type(x) is type(y) is type(z) is int:
-        return dot(n, v)
-    qx, qy, qz = x.denominator, y.denominator, z.denominator
-    return Fraction(
-        (n.x * x.numerator * qy + n.y * y.numerator * qx) * qz + n.z * z.numerator * qx * qy,
-        qx * qy * qz,
-    )
-
-
 def primal_mesh(g: GaussianMap) -> Mesh:
     """Invert the map: face payloads become vertices, and the facet
-    vertices of g.facet_planes become facets, in its order."""
+    vertices of g.facet_vertices become facets, in its order."""
     arr = g.arrangement
     coords: List[Vec3] = []
     index: Dict[tuple, int] = {}
@@ -362,18 +352,18 @@ def primal_mesh(g: GaussianMap) -> Mesh:
         v = f.payload
         if v is None:
             raise InvalidGaussianMap("undecorated face")
-        key = v.as_tuple()
+        key = v.ratio_key()
         if key not in index:
             index[key] = len(coords)
             coords.append(v)
 
     facets: List[List[int]] = []
-    for w in g.facet_planes:
+    for w in g.facet_vertices:
         k = w.degree
         cycle = []
         for i in range(k):
             corner_face = w.out[(i + 1) % k].twin.face
-            cycle.append(index[corner_face.payload.as_tuple()])
+            cycle.append(index[corner_face.payload.ratio_key()])
         facets.append(cycle)
     m = Mesh(coords, facets)
     m.validate()

@@ -45,7 +45,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     inputs: List[Vec3] = []
     seen = set()
     for p in points:
-        k = p.as_tuple()
+        k = p.ratio_key()
         if k not in seen:
             seen.add(k)
             inputs.append(p)
@@ -165,8 +165,8 @@ def pairwise_sums(m1: Mesh, m2: Mesh) -> List[Vec3]:
 def meshes_equivalent(a: Mesh, b: Mesh) -> bool:
     """Same vertex sets and the same facet supporting planes (up to
     positive scaling of normals)."""
-    va = {v.as_tuple() for v in a.vertices}
-    vb = {v.as_tuple() for v in b.vertices}
+    va = {v.ratio_key() for v in a.vertices}
+    vb = {v.ratio_key() for v in b.vertices}
     if va != vb:
         return False
     return _plane_keys(a) == _plane_keys(b)

@@ -12,6 +12,19 @@ products on them are plain integer arithmetic; every triple product
 Predicates on a whole point set, such as a mesh's, run on one integer
 representative of the set (``integer_coords``) with the triple helpers
 ``cross3``, ``dot3`` and ``turn3``.
+
+``dot``, ``det3``, ``cross`` and ``Vec3.norm_sq`` have a rational path
+for Fraction coordinates.  The operator expression on Fractions
+normalises every product and every sum, one gcd each.  The rational path
+reads each coordinate's numerator and denominator once, works on ints
+over the product of the denominators, and builds one ``Fraction(n, d)``
+per result scalar.  It is taken when the x coordinate of the point
+argument is a Fraction: ``dot``'s second argument (``dot(normal,
+point)``), the first of ``det3`` and ``cross``, ``norm_sq``'s vector.
+One type test is all the int path pays; any other mix of coordinates
+takes the operator expression.  Both paths give the same value and type:
+an int exactly when every coordinate involved is an int, a Fraction
+otherwise (``Fraction(0)`` and ``Fraction(n, 1)`` included).
 """
 
 from __future__ import annotations
@@ -156,10 +169,23 @@ class Vec3:
         return self.x == 0 and self.y == 0 and self.z == 0
 
     def norm_sq(self) -> Rational:
-        return self.x * self.x + self.y * self.y + self.z * self.z
+        if type(self.x) is not Fraction:
+            return self.x * self.x + self.y * self.y + self.z * self.z
+        return _norm_sq_rational(self)
 
     def as_tuple(self) -> tuple:
         return (self.x, self.y, self.z)
+
+    def ratio_key(self) -> tuple:
+        """Each coordinate's (numerator, denominator): a key of ints that
+        two vectors share iff they are equal (an int n and Fraction(n)
+        both give (n, 1)).  Hashing it computes no Fraction hash, which
+        takes a modular inverse per coordinate."""
+        return (
+            self.x.as_integer_ratio(),
+            self.y.as_integer_ratio(),
+            self.z.as_integer_ratio(),
+        )
 
     def canonical(self) -> tuple:
         """Scale-invariant key of the direction (see scale_key)."""
@@ -187,17 +213,22 @@ ZERO3 = Vec3(0, 0, 0)
 
 
 def dot(u: Vec3, v: Vec3) -> Rational:
-    return u.x * v.x + u.y * v.y + u.z * v.z
+    """Exact inner product; rational path when v.x is a Fraction."""
+    if type(v.x) is not Fraction:
+        return u.x * v.x + u.y * v.y + u.z * v.z
+    return _dot_rational(u, v)
 
 
 def det3(u: Vec3, v: Vec3, w: Vec3) -> Rational:
     """dot(cross(u, v), w), the orientation of three directions, without
-    building the cross product."""
-    return (
-        (u.y * v.z - u.z * v.y) * w.x
-        + (u.z * v.x - u.x * v.z) * w.y
-        + (u.x * v.y - u.y * v.x) * w.z
-    )
+    building the cross product; rational path when u.x is a Fraction."""
+    if type(u.x) is not Fraction:
+        return (
+            (u.y * v.z - u.z * v.y) * w.x
+            + (u.z * v.x - u.x * v.z) * w.y
+            + (u.x * v.y - u.y * v.x) * w.z
+        )
+    return _det3_rational(u, v, w)
 
 
 def dot_sign(u: Vec3, v: Vec3) -> Sign:
@@ -206,12 +237,73 @@ def dot_sign(u: Vec3, v: Vec3) -> Sign:
 
 
 def cross(u: Vec3, v: Vec3) -> Vec3:
-    """Exact cross product; zero iff the inputs are parallel."""
-    return exact_vec(
-        u.y * v.z - u.z * v.y,
-        u.z * v.x - u.x * v.z,
-        u.x * v.y - u.y * v.x,
+    """Exact cross product; zero iff the inputs are parallel.  Rational
+    path when u.x is a Fraction."""
+    if type(u.x) is not Fraction:
+        return exact_vec(
+            u.y * v.z - u.z * v.y,
+            u.z * v.x - u.x * v.z,
+            u.x * v.y - u.y * v.x,
+        )
+    return _cross_rational(u, v)
+
+
+# -- the rational paths (see the module docstring) ----------------------------
+#
+# They are helpers so that the int paths above keep small frames.
+
+
+def _over_common_denominator(v: Vec3) -> Tuple[int, int, int, int]:
+    """(x, y, z, d) with v = (x, y, z) / d: ints, d > 0 the product of
+    v's denominators."""
+    a, p = v.x.as_integer_ratio()
+    b, q = v.y.as_integer_ratio()
+    c, r = v.z.as_integer_ratio()
+    return a * q * r, b * p * r, c * p * q, p * q * r
+
+
+def _norm_sq_rational(v: Vec3) -> Fraction:
+    x, y, z, d = _over_common_denominator(v)
+    return Fraction(x * x + y * y + z * z, d * d)
+
+
+def _dot_rational(u: Vec3, v: Vec3) -> Fraction:
+    d, s = v.x.as_integer_ratio()
+    e, t = v.y.as_integer_ratio()
+    f, w = v.z.as_integer_ratio()
+    a, b, c = u.x, u.y, u.z
+    # u is most often an integer normal, whose ratios need no reading
+    if type(a) is not int or type(b) is not int or type(c) is not int:
+        a, p = a.as_integer_ratio()
+        b, q = b.as_integer_ratio()
+        c, r = c.as_integer_ratio()
+        s, t, w = p * s, q * t, r * w
+    # s, t and w are the denominators of the three products
+    st = s * t
+    return Fraction((a * d * t + b * e * s) * w + c * f * st, st * w)
+
+
+def _det3_rational(u: Vec3, v: Vec3, w: Vec3) -> Fraction:
+    ux, uy, uz, du = _over_common_denominator(u)
+    vx, vy, vz, dv = _over_common_denominator(v)
+    wx, wy, wz, dw = _over_common_denominator(w)
+    return Fraction(
+        (uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy + (ux * vy - uy * vx) * wz,
+        du * dv * dw,
     )
+
+
+def _cross_rational(u: Vec3, v: Vec3) -> Vec3:
+    ux, uy, uz, du = _over_common_denominator(u)
+    vx, vy, vz, dv = _over_common_denominator(v)
+    d = du * dv
+    # u.x is a factor of the y and z coordinates, so they are Fractions;
+    # the x coordinate is an int when its four factors are.
+    if all(isinstance(c, int) for c in (u.y, u.z, v.y, v.z)):
+        x = u.y * v.z - u.z * v.y
+    else:
+        x = Fraction(uy * vz - uz * vy, d)
+    return exact_vec(x, Fraction(uz * vx - ux * vz, d), Fraction(ux * vy - uy * vx, d))
 
 
 def side_of_origin_plane(normal: Vec3, p: Vec3) -> Sign:

@@ -4,8 +4,8 @@ maps.
 The overlay identifies every pair of features with parallel supporting
 planes; a face of the result is decorated with the sum of the primal
 vertices of the two inducing faces, so the output is again a decorated
-Gaussian map.  The facet counts come from each map's own facet table,
-`GaussianMap.facet_planes`.
+Gaussian map.  The facet counts come from each map's own facet list,
+`GaussianMap.facet_vertices`.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
     e_in = [g.counts()[1] // 2 for g in inputs]
     v_x = V_out - v_in
     st = SumStats(
-        summand_facets=tuple(len(g.facet_planes) for g in inputs),
-        sum_facets=len(g_out.facet_planes),
+        summand_facets=tuple(len(g.facet_vertices) for g in inputs),
+        sum_facets=len(g_out.facet_vertices),
         sum_edges=HE_out // 2,
         sum_vertices=V_out,
         crossings=v_x,
@@ -97,4 +97,4 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
 
 
 def facet_count(g: GaussianMap) -> int:
-    return len(g.facet_planes)
+    return len(g.facet_vertices)

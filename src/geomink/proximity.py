@@ -223,7 +223,7 @@ def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
         for k in range(m):
             a = mesh.vertices[cyc[k]]
             b = mesh.vertices[cyc[(k + 1) % m]]
-            if dot(cross(b - a, q - a), n) < 0:
+            if dot(n, cross(b - a, q - a)) < 0:
                 ok = False
                 break
         if ok:

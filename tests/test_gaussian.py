@@ -365,6 +365,7 @@ def test_facet_table_names_the_primal_facets(case):
     table = g.facet_planes
     mesh = primal_mesh(g)
     assert len(table) == len(mesh.facets) == facet_count
+    assert list(table) == g.facet_vertices
     # keys in arrangement order; every other vertex is a seam or pole split
     assert list(table) == [w for w in arr.vertices if w in table]
     for w in arr.vertices:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomink.kernel import (
     Sign,
@@ -10,6 +11,8 @@ from geomink.kernel import (
     ZeroNormal,
     ccw_strictly_before,
     cross,
+    det3,
+    dot,
     dot_sign,
     dot3,
     format_rat,
@@ -130,3 +133,38 @@ def test_integer_coords_keep_orientation_signs():
         ia, ib, ic, id_ = integer_coords(pts)
         got = dot3(turn3(ia, ib, ic), (id_[0] - ia[0], id_[1] - ia[1], id_[2] - ia[2]))
         assert (got > 0) - (got < 0) == want
+
+
+# ints, Fractions with denominator 1, zeros and negatives among them, and
+# ~200-bit numerators, mixed freely within a vector
+_coords = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.integers(-(2**200), 2**200),
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**64)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
+_vecs = st.builds(Vec3, _coords, _coords, _coords)
+
+
+def _same(got, want):
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vecs, _vecs, _vecs)
+def test_kernel_products_equal_the_operator_expressions(u, v, w):
+    """dot, norm_sq, det3 and cross give the value and the type of the
+    plain operator expression, on their int and rational paths alike:
+    an int exactly when every coordinate involved is an int."""
+    cx = u.y * v.z - u.z * v.y
+    cy = u.z * v.x - u.x * v.z
+    cz = u.x * v.y - u.y * v.x
+    c = cross(u, v)
+    assert _same(c.x, cx) and _same(c.y, cy) and _same(c.z, cz)
+    assert _same(dot(u, v), u.x * v.x + u.y * v.y + u.z * v.z)
+    assert _same(u.norm_sq(), u.x * u.x + u.y * u.y + u.z * u.z)
+    assert _same(det3(u, v, w), cx * w.x + cy * w.y + cz * w.z)
+    if all(type(k) is int for k in u.as_tuple() + v.as_tuple() + w.as_tuple()):
+        assert type(dot(u, v)) is type(u.norm_sq()) is type(det3(u, v, w)) is int
+        assert all(type(k) is int for k in c.as_tuple())

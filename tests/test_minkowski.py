@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomink.extremal import RationalRotation, rotate_mesh
-from geomink.gaussian import Mesh, build, primal_mesh, reflect
+from geomink import gaussian
+from geomink.gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.kernel import Vec3
 from geomink.minkowski import (
     DegenerateCoincidence,
+    facet_count,
     minkowski,
     minkowski_many,
     stats,
@@ -169,3 +171,22 @@ def test_sum_matches_hull_oracle_on_degenerate_families(
         q = rotate_mesh(shape_q(), _quaternion_rotation(*rot))
     got = primal_mesh(minkowski(build(p), build(q)))
     assert meshes_equivalent(got, convex_hull_3(pairwise_sums(p, q)))
+
+
+def test_facet_count_computes_no_plane_offset(monkeypatch):
+    """Counting facets reads the facet list alone: no offset <n, v> of a
+    facet plane is computed, on integer or rational payloads."""
+    sums = [
+        minkowski(build(cube()), build(tetrahedron())),
+        minkowski(build(random_polytope(9, 3)), reflect(build(random_polytope(8, 4)))),
+    ]
+    want = [len(primal_mesh(s).facets) for s in sums]
+
+    def no_offset(u, v):
+        raise AssertionError("facet_count computed a plane offset")
+
+    monkeypatch.setattr(gaussian, "dot", no_offset)
+    for s, n in zip(sums, want):
+        g = GaussianMap(s.arrangement)
+        assert facet_count(g) == n
+        assert "facet_planes" not in vars(g)
