@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .kernel import Vec3, cross, det3, dot
 from .spherical import (
@@ -133,8 +134,7 @@ class Face:
         return f"F{self.id}"
 
 
-@dataclass
-class Cell:
+class Cell(NamedTuple):
     """Tagged reference to an arrangement feature."""
 
     kind: str  # "vertex" | "edge" | "face"
@@ -1095,8 +1095,7 @@ def _assemble(
 # -- overlay -------------------------------------------------------------------
 
 
-@dataclass
-class OverlayCallbacks:
+class OverlayCallbacks(NamedTuple):
     """The ten payload-merge functions of a map overlay, one per
     provenance case.  Each receives the payloads of the two inducing
     features (first the left operand's, then the right's) and returns

@@ -39,8 +39,7 @@ valid motions may sit on single arrangement vertices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .arrangement import OverlayCallbacks, SphereArrangement, _assemble, new_arrangement, overlay
 from .gaussian import GaussianMap, Mesh, build
@@ -58,17 +57,15 @@ from .spherical import (
 )
 
 
-@dataclass
 class Assembly:
     """Named parts, each an ordered list of convex sub-part meshes whose
     interiors are pairwise disjoint across different parts."""
 
-    names: List[str]
-    parts: List[List[Mesh]]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.parts):
+    def __init__(self, names: List[str], parts: List[List[Mesh]]):
+        if len(names) != len(parts):
             raise ValueError("names and parts differ in length")
+        self.names = names
+        self.parts = parts
 
     def validate_meshes(self) -> None:
         for subs in self.parts:
@@ -79,8 +76,7 @@ class Assembly:
 # -- spherical regions with piercing flags -------------------------------------
 
 
-@dataclass
-class SphericalRegion:
+class SphericalRegion(NamedTuple):
     """An arrangement whose every cell carries a boolean flag: True when
     every ray from the origin in a direction of the cell pierces the
     interior of the associated solid."""
@@ -450,23 +446,20 @@ def movable_subset(n: int, edges: BlockSet) -> Optional[Tuple[int, ...]]:
     return tuple(sorted(comps[comp_of[0]]))
 
 
-@dataclass
-class MotionSpace:
+class MotionSpace(NamedTuple):
     arrangement: SphereArrangement
     n_parts: int
 
 
-@dataclass
-class PartitionSolution:
+class PartitionSolution(NamedTuple):
     cell_kind: str  # vertex | edge | face
     direction: Vec3
     subset: Tuple[int, ...]
 
 
-@dataclass
-class PartitionResult:
+class PartitionResult(NamedTuple):
     interlocked: bool
-    solutions: List[PartitionSolution] = field(default_factory=list)
+    solutions: List[PartitionSolution]
 
 
 FIRST = "first"
@@ -546,7 +539,7 @@ def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
     if not solutions and arr.vertices and every_face_bounded and mode == FIRST:
         # each edge/face graph contains an incident vertex graph,
         # so all of them are strongly connected as well
-        return PartitionResult(True)
+        return PartitionResult(True, solutions)
     edge_solution = False
     for h in arr.edges():
         d = h.arc.interior_point().dir

@@ -12,9 +12,8 @@ attaining the exact bound on the number of facets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .gaussian import GaussianMap, Mesh, build
 from .kernel import Rational, Vec3, cross, dot
@@ -47,8 +46,7 @@ def max_complexity(ms: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class RationalRotation:
+class RationalRotation(NamedTuple):
     """Exact rational orthogonal matrix with determinant one."""
 
     rows: Tuple[Tuple[Rational, ...], ...]
@@ -100,8 +98,7 @@ def rotate_mesh(mesh: Mesh, rot: RationalRotation) -> Mesh:
     return Mesh([rot.apply(v) for v in mesh.vertices], [list(f) for f in mesh.facets])
 
 
-@dataclass(frozen=True)
-class WitnessParams:
+class WitnessParams(NamedTuple):
     """Angles of a witness polytope, all encoded as exact rational
     tangent-half-angle values so every coordinate stays rational.
 
@@ -385,8 +382,7 @@ def tune_params(m: int, n: int, cap: int = 64) -> Tuple[WitnessParams, WitnessPa
     return pm, pn
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     m: int
     n: int
     bound: int

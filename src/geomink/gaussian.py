@@ -16,7 +16,6 @@ facet counts, projections and proximity queries) takes them from these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
@@ -43,13 +42,13 @@ class InvalidGaussianMap(ValueError):
     pass
 
 
-@dataclass
 class Mesh:
     """A convex polyhedral mesh: exact vertices plus counterclockwise
     (viewed from outside) facet index cycles."""
 
-    vertices: List[Vec3]
-    facets: List[List[int]]
+    def __init__(self, vertices: List[Vec3], facets: List[List[int]]):
+        self.vertices = vertices
+        self.facets = facets
 
     def edge_count(self) -> int:
         return sum(len(f) for f in self.facets) // 2
@@ -171,9 +170,9 @@ def cycle_normal(fi: int, corners: List[tuple]) -> tuple:
     raise InvalidMesh(f"facet {fi} is collinear")
 
 
-@dataclass
 class GaussianMap:
-    arrangement: SphereArrangement
+    def __init__(self, arrangement: SphereArrangement):
+        self.arrangement = arrangement
 
     def counts(self) -> Tuple[int, int, int]:
         """(V, HE, F) of the underlying arrangement."""

@@ -13,23 +13,23 @@ Predicates on a whole point set, such as a mesh's, run on one integer
 representative of the set (``integer_coords``) with the triple helpers
 ``cross3``, ``dot3`` and ``turn3``.
 
-``dot``, ``det3``, ``cross`` and ``Vec3.norm_sq`` have a rational path
-for Fraction coordinates.  The operator expression on Fractions
-normalises every product and every sum, one gcd each.  The rational path
-reads each coordinate's numerator and denominator once, works on ints
-over the product of the denominators, and builds one ``Fraction(n, d)``
-per result scalar.  It is taken when the x coordinate of the point
-argument is a Fraction: ``dot``'s second argument (``dot(normal,
-point)``), the first of ``det3`` and ``cross``, ``norm_sq``'s vector.
-One type test is all the int path pays; any other mix of coordinates
-takes the operator expression.  Both paths give the same value and type:
-an int exactly when every coordinate involved is an int, a Fraction
-otherwise (``Fraction(0)`` and ``Fraction(n, 1)`` included).
+``dot``, ``cross`` and ``Vec3.norm_sq`` have a rational path for
+Fraction coordinates.  The operator expression on Fractions normalises
+every product and every sum, one gcd each.  The rational path reads each
+coordinate's numerator and denominator once, works on ints over the
+product of the denominators, and builds one ``Fraction(n, d)`` per
+result scalar.  It is taken when the x coordinate of the point argument
+is a Fraction: ``dot``'s second argument (``dot(normal, point)``), the
+first of ``cross``, ``norm_sq``'s vector.  One type test is all the int
+path pays; any other mix of coordinates takes the operator expression.
+Both paths give the same value and type: an int exactly when every
+coordinate involved is an int, a Fraction otherwise (``Fraction(0)`` and
+``Fraction(n, 1)`` included).  ``det3`` has no rational path: its
+operands are always primitive integer directions or arc normals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from math import gcd, lcm
@@ -136,10 +136,30 @@ def format_rat(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, slots=True)
-class Vec3:
-    """Immutable exact 3-vector over the rationals (ints or Fractions)."""
+class Frozen:
+    """Base of the package's immutable value classes.  Their fields are
+    __slots__, set once in __init__ through object.__setattr__; assigning
+    or deleting one afterwards raises."""
 
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which takes the
+        # fields in __slots__ order
+        return (self.__class__, tuple(getattr(self, f) for f in self.__slots__))
+
+
+class Vec3(Frozen):
+    """Immutable exact 3-vector over the rationals (ints or Fractions);
+    equal and hashed as its coordinate triple."""
+
+    __slots__ = ("x", "y", "z")
     x: Rational
     y: Rational
     z: Rational
@@ -148,6 +168,14 @@ class Vec3:
         object.__setattr__(self, "x", rat(x))
         object.__setattr__(self, "y", rat(y))
         object.__setattr__(self, "z", rat(z))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Vec3:
+            return NotImplemented
+        return (self.x, self.y, self.z) == (other.x, other.y, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.z))
 
     # Sums, differences and products of exact coordinates are exact, so
     # the arithmetic below builds its results with exact_vec.
@@ -221,14 +249,12 @@ def dot(u: Vec3, v: Vec3) -> Rational:
 
 def det3(u: Vec3, v: Vec3, w: Vec3) -> Rational:
     """dot(cross(u, v), w), the orientation of three directions, without
-    building the cross product; rational path when u.x is a Fraction."""
-    if type(u.x) is not Fraction:
-        return (
-            (u.y * v.z - u.z * v.y) * w.x
-            + (u.z * v.x - u.x * v.z) * w.y
-            + (u.x * v.y - u.y * v.x) * w.z
-        )
-    return _det3_rational(u, v, w)
+    building the cross product."""
+    return (
+        (u.y * v.z - u.z * v.y) * w.x
+        + (u.z * v.x - u.x * v.z) * w.y
+        + (u.x * v.y - u.y * v.x) * w.z
+    )
 
 
 def dot_sign(u: Vec3, v: Vec3) -> Sign:
@@ -281,16 +307,6 @@ def _dot_rational(u: Vec3, v: Vec3) -> Fraction:
     # s, t and w are the denominators of the three products
     st = s * t
     return Fraction((a * d * t + b * e * s) * w + c * f * st, st * w)
-
-
-def _det3_rational(u: Vec3, v: Vec3, w: Vec3) -> Fraction:
-    ux, uy, uz, du = _over_common_denominator(u)
-    vx, vy, vz, dv = _over_common_denominator(v)
-    wx, wy, wz, dw = _over_common_denominator(w)
-    return Fraction(
-        (uy * vz - uz * vy) * wx + (uz * vx - ux * vz) * wy + (ux * vy - uy * vx) * wz,
-        du * dv * dw,
-    )
 
 
 def _cross_rational(u: Vec3, v: Vec3) -> Vec3:

@@ -10,8 +10,7 @@ Gaussian map.  The facet counts come from each map's own facet list,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .arrangement import OverlayCallbacks, overlay
 from .gaussian import GaussianMap
@@ -53,8 +52,7 @@ def minkowski_many(gs: Sequence[GaussianMap]) -> GaussianMap:
     return acc
 
 
-@dataclass
-class SumStats:
+class SumStats(NamedTuple):
     """Feature bookkeeping of a Minkowski-sum overlay."""
 
     summand_facets: Tuple[int, ...]

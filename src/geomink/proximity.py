@@ -12,10 +12,9 @@ planes come from the map's own table, `GaussianMap.facet_planes`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianMap, Mesh, primal_mesh, reflect
 from .kernel import Rational, Vec3, cross, dot
@@ -30,8 +29,7 @@ class PointOutside(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlacementQuery:
+class PlacementQuery(NamedTuple):
     """Translations of the two bodies; the derived configuration-space
     query point is their exact difference."""
 
@@ -43,8 +41,7 @@ class PlacementQuery:
         return self.w - self.u
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     """Classification plus the facet certifying it: OUTSIDE means the
     query point violates the witness facet's supporting halfspace."""
 

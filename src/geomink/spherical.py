@@ -21,14 +21,14 @@ scaling of every input direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .kernel import (
     EQUAL,
     LARGER,
     SMALLER,
+    Frozen,
     Rational,
     Sign,
     Vec3,
@@ -82,16 +82,21 @@ MIN_END = 0
 MAX_END = 1
 
 
-@dataclass(frozen=True, slots=True)
-class DirPoint:
+class DirPoint(Frozen):
     """A point on the sphere.  `dir` is the primitive integer triple of
     the direction that names it (see `classify`, the one constructor), so
     two points are equal exactly when their triples are; `key_hash` is
     the hash of that triple, computed once."""
 
+    __slots__ = ("dir", "boundary_class", "key_hash")
     dir: Vec3
     boundary_class: BoundaryClass
     key_hash: int
+
+    def __init__(self, dir: Vec3, boundary_class: BoundaryClass, key_hash: int):
+        object.__setattr__(self, "dir", dir)
+        object.__setattr__(self, "boundary_class", boundary_class)
+        object.__setattr__(self, "key_hash", key_hash)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DirPoint):
@@ -176,19 +181,36 @@ def compare_uv(p1: DirPoint, p2: DirPoint) -> Sign:
     return c if c != EQUAL else compare_v(p1, p2)
 
 
-@dataclass(frozen=True, slots=True)
-class GeodesicArc:
+class GeodesicArc(Frozen):
     """A u-monotone arc of a great circle, subtending strictly less than pi.
 
     The arc runs counterclockwise from source to target around `normal`
     (so cross(source, target) is a positive multiple of `normal`).
-    Vertical arcs lie on a meridian plane containing the z-axis.
+    Vertical arcs lie on a meridian plane containing the z-axis.  Two
+    arcs are equal when their four fields are.
     """
 
+    __slots__ = ("source", "target", "normal", "is_vertical")
     source: DirPoint
     target: DirPoint
     normal: Vec3
     is_vertical: bool
+
+    def __init__(self, source: DirPoint, target: DirPoint, normal: Vec3, is_vertical: bool):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "is_vertical", is_vertical)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GeodesicArc:
+            return NotImplemented
+        return (self.source, self.target, self.normal, self.is_vertical) == (
+            other.source, other.target, other.normal, other.is_vertical
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.normal, self.is_vertical))
 
     def __repr__(self) -> str:
         return f"Arc[{self.source.dir!r} -> {self.target.dir!r}]"
@@ -353,10 +375,16 @@ def compare_v_at_u_left(a1: GeodesicArc, a2: GeodesicArc, p) -> Sign:
     return _compare_tangents(t1, t2, -east, north)
 
 
-@dataclass(frozen=True)
-class IntersectionResult:
+class IntersectionResult(Frozen):
+    """The points two arcs share, or the arc they overlap on."""
+
+    __slots__ = ("points", "overlap")
     points: Tuple[DirPoint, ...]
     overlap: Optional[GeodesicArc]
+
+    def __init__(self, points: Tuple[DirPoint, ...], overlap: Optional[GeodesicArc]):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "overlap", overlap)
 
     @property
     def empty(self) -> bool:
@@ -459,8 +487,7 @@ def merge(a1: GeodesicArc, a2: GeodesicArc) -> GeodesicArc:
 # -- parameter-space boundary handling --------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryDescriptor:
+class BoundaryDescriptor(NamedTuple):
     u: BoundarySide  # LEFT, RIGHT, ON_IDENTIFICATION or INTERIOR
     v: BoundarySide  # BOTTOM, TOP or INTERIOR
 

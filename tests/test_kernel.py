@@ -1,10 +1,15 @@
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geomink
 from geomink.kernel import (
     Sign,
     Vec3,
@@ -155,8 +160,8 @@ def _same(got, want):
 @given(_vecs, _vecs, _vecs)
 def test_kernel_products_equal_the_operator_expressions(u, v, w):
     """dot, norm_sq, det3 and cross give the value and the type of the
-    plain operator expression, on their int and rational paths alike:
-    an int exactly when every coordinate involved is an int."""
+    plain operator expression, on the int and rational paths alike: an
+    int exactly when every coordinate involved is an int."""
     cx = u.y * v.z - u.z * v.y
     cy = u.z * v.x - u.x * v.z
     cz = u.x * v.y - u.y * v.x
@@ -168,3 +173,31 @@ def test_kernel_products_equal_the_operator_expressions(u, v, w):
     if all(type(k) is int for k in u.as_tuple() + v.as_tuple() + w.as_tuple()):
         assert type(dot(u, v)) is type(u.norm_sq()) is type(det3(u, v, w)) is int
         assert all(type(k) is int for k in c.as_tuple())
+
+
+def test_vectors_are_immutable_values():
+    v = Vec3(1, Fraction(2), Fraction(3, 4))
+    w = Vec3(Fraction(1), 2, Fraction(6, 8))
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    assert v != Vec3(1, 2, 1) and v != (1, 2, Fraction(3, 4))
+    with pytest.raises(AttributeError):
+        v.x = 5
+    with pytest.raises(AttributeError):
+        del v.y
+    assert v.as_tuple() == (1, 2, Fraction(3, 4))
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    """The value classes are hand-written or NamedTuples: importing
+    dataclasses also loads inspect, ast and dis, about 0.9 MB of resident
+    memory in every process that uses geomink."""
+    modules = ["arrangement", "assembly", "cli", "extremal", "fileio", "gaussian",
+               "hull", "kernel", "minkowski", "proximity", "shapes", "spherical"]
+    src = os.path.dirname(os.path.dirname(geomink.__file__))
+    code = f"import sys\nsys.path.insert(0, {src!r})\n"
+    code += "".join(f"import geomink.{m}\n" for m in modules)
+    code += "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -469,3 +470,16 @@ def test_order_along_matches_parameter_sort(arc, weights, rnd):
     pts = list(expected)
     rnd.shuffle(pts)
     assert _order_along(arc, pts) == expected
+
+
+def test_points_and_arcs_are_immutable_values():
+    a = arc_between(classify(Vec3(1, 0, 0)), classify(Vec3(0, 1, 0)))
+    b = arc_between(classify(Vec3(2, 0, 0)), classify(Vec3(0, 3, 0)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != a.reversed() and a.reversed().reversed() == a
+    assert pickle.loads(pickle.dumps(a)) == a
+    r = pickle.loads(pickle.dumps(intersect(a, b)))
+    assert r.points == () and r.overlap == a
+    for obj, name in ((a, "normal"), (a.source, "dir")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, Vec3(0, 0, 1))
