@@ -8,7 +8,8 @@ routine here ever computes a square root; directions are kept as
 unnormalized vectors throughout.  Sphere points store the primitive
 integer representative of their direction (``scale_key``), so the
 products on them are plain integer arithmetic; every triple product
-``dot(cross(u, v), w)`` goes through ``det3``, which builds no vector.
+of them, ``dot(cross(u, v), w)``, goes through ``det3``, which builds
+no vector.
 Predicates on a whole point set, such as a mesh's, run on one integer
 representative of the set (``integer_coords``) with the triple helpers
 ``cross3``, ``dot3`` and ``turn3``.
