@@ -22,9 +22,12 @@ from the rings, and gives each cycle of a connected component its own
 face; a further component or isolated point is placed by side-of-cycle
 tests, never by point location.  Its output is exactly the DCEL that
 inserting the pieces one by one with `insert_disjoint_arc` produces.
-An overlay face takes its source faces from the edges around it, by a
-flood across the other operand's edges, so `overlay` makes no point-
-location call either.
+A side-of-cycle test reads q's side at a point of the cycle closest to
+q, inside an arc or in a corner at a vertex; closeness is compared
+exactly, and no probe arc is cast.  An overlay face takes its source
+faces from the source edges its pieces run along, and a face that no
+edge of one operand touches by a flood across the other operand's
+edges, so `overlay` makes no point-location call either.
 """
 
 from __future__ import annotations
@@ -554,99 +557,48 @@ class SphereArrangement:
 
     def side_of_cycle(self, q: DirPoint, cycle: Sequence[Halfedge]) -> str:
         """Which side of a boundary cycle q lies on; LEFT is the side the
-        cycle's face lies on.  q must not lie on the cycle."""
-        cyc = list(cycle)
-        in_cycle = set(cyc)
-        targets = [h for h in cyc if h.twin not in in_cycle]
-        if not targets:
-            return LEFT  # antenna-only cycle: its left region is everything
-        res = self._side_direct(q, cyc, targets)
-        if res is not None:
-            return res
-        # q is coplanar with every usable target edge: route the probe
-        # through a generic intermediate point.
-        verts = {h.source.point for h in cyc}
-        for m_dir in self._generic_directions():
-            if cross(q.dir, m_dir).is_zero():
-                continue
-            m = classify(m_dir)
-            if any(cross(m_dir, h.arc.normal).is_zero() for h in cyc):
-                continue
-            if m in verts:
-                continue
-            leg = arc_between(q, m)
-            if any(point_on_arc(w, leg, closed=False) for w in verts):
-                continue
-            if any(cross(leg.normal, h.arc.normal).is_zero() for h in cyc):
-                continue
-            side_m = self._side_direct(m, cyc, targets)
-            if side_m is None:  # pragma: no cover - m was checked generic
-                continue
-            if _interior_crossings(leg, cyc) % 2 == 1:
-                side_m = LEFT if side_m == RIGHT else RIGHT
-            return side_m
-        raise RuntimeError("side_of_cycle failed to find a generic probe")
+        cycle's face lies on.  q must not lie on the cycle.
 
-    def _side_direct(
-        self, q: DirPoint, cyc: List[Halfedge], targets: List[Halfedge]
-    ) -> Optional[str]:
-        verts = {h.source.point for h in cyc}
-        for target_edge in targets:
-            e0 = target_edge.arc
-            if dot(e0.normal, q.dir) == 0:
-                continue  # every probe to this edge would be coplanar
-            lam = self._probe_lambdas()
-            for _ in range(24):
-                l = next(lam)
-                t_dir = e0.source.dir + e0.target.dir.scale(l)
-                t = classify(t_dir)
-                if cross(q.dir, t.dir).is_zero():
-                    continue
-                g = arc_between(q, t)
-                if any(point_on_arc(w, g, closed=False) for w in verts):
-                    continue
-                # an arc on g's great circle may touch g only at q or t
-                on_circle = (h.arc for h in cyc if cross(g.normal, h.arc.normal).is_zero())
-                if any(
-                    r.overlap is not None or any(p != t and p != q for p in r.points)
-                    for r in (intersect(g, arc) for arc in on_circle)
-                ):
-                    continue
-                arrival = det3(t.dir, g.normal, target_edge.arc.normal)
-                assert arrival != 0
-                from_left = arrival > 0
-                # g ends at t on target_edge, which adds no interior crossing
-                if _interior_crossings(g, cyc) % 2 == 1:
-                    from_left = not from_left
-                return LEFT if from_left else RIGHT
-        return None
-
-    @staticmethod
-    def _probe_lambdas():
-        yield Fraction(1)
-        k = 2
-        while True:
-            yield Fraction(1, k)
-            yield Fraction(k)
-            yield Fraction(2 * k - 1, 2)
-            k += 1
-
-    @staticmethod
-    def _generic_directions():
-        import random as _random
-
-        rng = _random.Random(0x5EED)
-        fixed = [
-            Vec3(3, 5, 7), Vec3(-7, 3, 5), Vec3(5, -7, 3), Vec3(2, 9, -11),
-        ]
-        for v in fixed:
-            yield v
-        while True:
-            yield Vec3(
-                Fraction(rng.randint(-97, 97), rng.randint(1, 13)),
-                Fraction(rng.randint(-97, 97), rng.randint(1, 13)),
-                Fraction(rng.randint(-97, 97), rng.randint(1, 13)),
-            )
+        The side is read at a point p of the cycle closest to q: the short
+        arc from q to p meets the cycle nowhere else, so q lies on the side
+        the cycle has next to p.  Closeness is the signed squared cosine of
+        the angle to q, times |q|^2: <q,v>|<q,v>|/|v|^2 at a vertex v, and
+        |q|^2 - <q,n>^2/|n|^2 at the foot q|n|^2 - <q,n>n of an arc with
+        normal n, when the foot is strictly inside the arc.  At such a foot
+        q is LEFT iff the arc's twin is in the cycle too or <n, q> > 0.  At
+        a vertex v it is LEFT iff cross(v, q), the normal of the arc from
+        v toward q, lies strictly inside one of the cycle's corners at v:
+        the CCW gap from an outgoing normal to the normal of the twin of
+        the halfedge before it (all of the ring at a degree-1 tip)."""
+        x = q.dir
+        qq = x.norm_sq()
+        best: Optional[Fraction] = None
+        for h in cycle:
+            v = h.source.point.dir
+            s = dot(x, v)
+            c = Fraction(s * abs(s), v.norm_sq())
+            if best is None or c > best:
+                best, near, at_vertex = c, h, True
+            n = h.arc.normal
+            t = dot(x, n)
+            nn = n.norm_sq()
+            foot = Vec3(x.x * nn - n.x * t, x.y * nn - n.y * t, x.z * nn - n.z * t)
+            if strictly_inside_arc(foot, h.arc):
+                c = qq - Fraction(t * t, nn)
+                if c > best:
+                    best, near, at_vertex = c, h, False
+        if not at_vertex:
+            left = near.twin in cycle or dot(near.arc.normal, x) > 0
+            return LEFT if left else RIGHT
+        v = near.source
+        axis = v.point.dir
+        d = cross(axis, x)
+        for h in cycle:
+            if h.source is v:
+                back = h.prv.twin
+                if back is h or _ccw_strictly_before3(axis, h.arc.normal, d, back.arc.normal):
+                    return LEFT
+        return RIGHT
 
     def locate(self, p) -> Cell:
         """Naive point location: scan vertices, edges, then faces."""
@@ -787,15 +739,6 @@ class SphereArrangement:
                 ):
                     errs.append(f"{v}: vertex ring not CCW-sorted")
         return errs
-
-
-def _interior_crossings(g: GeodesicArc, cyc: Sequence[Halfedge]) -> int:
-    """How many times g crosses the cycle's arcs, interior to both."""
-    return sum(
-        strictly_inside_arc(p.dir, g) and strictly_inside_arc(p.dir, h.arc)
-        for h in cyc
-        for p in intersect(g, h.arc).points
-    )
 
 
 def new_arrangement() -> SphereArrangement:
@@ -1131,33 +1074,26 @@ def overlay(
     pieces = _split_all(tagged, cross_only=True, extra_points=iso_points)
     # Isolated source vertices not on an output feature stay isolated.
     out, along = _assemble([sub for sub, _ in pieces], [p for p, _ in iso_points])
-    sub_tags = {min(h.id, h.twin.id): tags for h, (_, tags) in zip(along, pieces)}
 
-    # --- provenance of output edges -------------------------------------
-    edge_prov: Dict[int, Dict[str, Any]] = {}
-    for h in out.edges():
-        tags = sub_tags.get(min(h.id, h.twin.id), [])
-        prov: Dict[str, Any] = {}
-        for side, src_h in tags:
-            # Orient the source halfedge along h.
-            aligned = src_h if dot(src_h.arc.normal, h.arc.normal) > 0 else src_h.twin
-            prov[side] = aligned
-        edge_prov[min(h.id, h.twin.id)] = prov
-
-    # --- provenance of output faces --------------------------------------
-    face_prov: Dict[int, Dict[str, Face]] = {f.id: {} for f in out.faces}
-    for f in out.faces:
-        for rep in f.ccbs:
-            for h in rep.cycle():
-                prov = edge_prov[min(h.id, h.twin.id)]
-                for side in ("a", "b"):
-                    if side in prov and side not in face_prov[f.id]:
-                        src = prov[side]
-                        aligned = src if _same_direction(src, h) else src.twin
-                        face_prov[f.id][side] = aligned.face
-    # Flood remaining sides across edges of the other color.
+    # --- provenance of output edges, and of the faces beside them --------
+    # edge_prov[h][side] is the source halfedge of that side h runs along;
+    # h's face lies in its face, and the twin's face in its twin's face.
+    edge_prov: Dict[Halfedge, Dict[str, Halfedge]] = {}
+    face_prov: Dict[Face, Dict[str, Face]] = {f: {} for f in out.faces}
+    for h, (_, tags) in zip(along, pieces):
+        prov: Dict[str, Halfedge] = {}
+        back: Dict[str, Halfedge] = {}
+        for side, src in tags:
+            if dot(src.arc.normal, h.arc.normal) < 0:
+                src = src.twin
+            prov[side], back[side] = src, src.twin
+            face_prov[h.face][side] = src.face
+            face_prov[h.twin.face][side] = src.twin.face
+        edge_prov[h], edge_prov[h.twin] = prov, back
+    # A face no edge of a side touches takes that side's face by a flood
+    # across edges of the other color.
     for side, arr in (("a", a), ("b", b)):
-        pending = [f for f in out.faces if side not in face_prov[f.id]]
+        pending = [f for f in out.faces if side not in face_prov[f]]
         changed = True
         while changed and pending:
             changed = False
@@ -1168,16 +1104,16 @@ def overlay(
                     for h in rep.cycle():
                         # Crossing an edge of the other color stays inside
                         # the same source face of this side.
-                        if side in edge_prov[min(h.id, h.twin.id)]:
+                        if side in edge_prov[h]:
                             continue
                         nb = h.twin.face
-                        if side in face_prov[nb.id]:
-                            resolved = face_prov[nb.id][side]
+                        if side in face_prov[nb]:
+                            resolved = face_prov[nb][side]
                             break
                     if resolved is not None:
                         break
                 if resolved is not None:
-                    face_prov[f.id][side] = resolved
+                    face_prov[f][side] = resolved
                     changed = True
                 else:
                     still.append(f)
@@ -1186,7 +1122,7 @@ def overlay(
         # face the flood leaves pending meets no path to an edge of this
         # side: the operand has no edges, and then it has just one face.
         for f in pending:
-            (face_prov[f.id][side],) = arr.faces
+            (face_prov[f][side],) = arr.faces
 
     # --- provenance of output vertices ------------------------------------
     def vertex_side_prov(v: Vertex, side: str, arr: SphereArrangement):
@@ -1194,15 +1130,15 @@ def overlay(
         if sv is not None:
             return ("vertex", sv)
         for h in v.out:
-            prov = edge_prov[min(h.id, h.twin.id)]
+            prov = edge_prov[h]
             if side in prov:
                 return ("edge", prov[side])
         # Interior to a face of that side: inherit from an incident cell.
         if v.out:
             f = v.out[0].face
-            return ("face", face_prov[f.id][side])
+            return ("face", face_prov[f][side])
         f = v.isolated_face
-        return ("face", face_prov[f.id][side])
+        return ("face", face_prov[f][side])
 
     # --- apply the ten callbacks ------------------------------------------
     for v in out.vertices:
@@ -1226,26 +1162,21 @@ def overlay(
             raise AssertionError("vertex with face/face provenance")
 
     for h in out.edges():
-        prov = edge_prov[min(h.id, h.twin.id)]
+        prov = edge_prov[h]
         if "a" in prov and "b" in prov:
             val = cb.edge_overlap(prov["a"].payload, prov["b"].payload)
         elif "a" in prov:
-            fb = face_prov[h.face.id]["b"]
+            fb = face_prov[h.face]["b"]
             val = cb.edge_face(prov["a"].payload, fb.payload)
         else:
-            fa = face_prov[h.face.id]["a"]
+            fa = face_prov[h.face]["a"]
             val = cb.face_edge(fa.payload, prov["b"].payload)
         out.set_edge_payload(h, val)
 
     for f in out.faces:
-        fa, fb = face_prov[f.id]["a"], face_prov[f.id]["b"]
+        fa, fb = face_prov[f]["a"], face_prov[f]["b"]
         f.payload = cb.face_face(fa.payload, fb.payload)
     return out
-
-
-def _same_direction(src: Halfedge, h: Halfedge) -> bool:
-    """Do a source halfedge and an output sub-halfedge run the same way?"""
-    return dot(src.arc.normal, h.arc.normal) > 0
 
 
 # -- debug dump ------------------------------------------------------------------

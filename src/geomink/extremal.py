@@ -117,9 +117,6 @@ class WitnessParams(NamedTuple):
         a = self.alpha_t
         return 2 * a / (1 - a * a)
 
-    def gamma(self) -> float:
-        return 2 * math.atan(float(self.gamma_t))
-
     def scaled(self, k: Fraction) -> "WitnessParams":
         return WitnessParams(
             self.facets, self.alpha_t * k, self.beta_t * k, self.gamma_t * k

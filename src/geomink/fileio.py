@@ -96,8 +96,18 @@ def parse_mesh_tokens(tok_iter, path: str) -> Mesh:
     return mesh
 
 
+def _expect_end(tok_iter, path: str) -> None:
+    """Reject any content after the declared counts."""
+    line, toks = next(tok_iter, (0, None))
+    if toks is not None:
+        raise ParseError(path, line, f"extra line after the declared counts: {' '.join(toks)}")
+
+
 def parse_mesh(text: str, path: str = "<string>") -> Mesh:
-    return parse_mesh_tokens(_tokens(text), path)
+    tok_iter = _tokens(text)
+    mesh = parse_mesh_tokens(tok_iter, path)
+    _expect_end(tok_iter, path)
+    return mesh
 
 
 def read_mesh(path: str) -> Mesh:
@@ -139,6 +149,7 @@ def parse_scene(text: str, path: str = "<string>"):
         for _ in range(_parse_count(toks[2], path, line)):
             subs.append(parse_mesh_tokens(tok_iter, path))
         parts.append(subs)
+    _expect_end(tok_iter, path)
     return names, parts
 
 

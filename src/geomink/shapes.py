@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .gaussian import Mesh
 from .hull import convex_hull_3
@@ -76,10 +76,6 @@ def random_polytope(n_points: int, seed: int, spread: int = 12) -> Mesh:
 
 
 # -- assemblies ---------------------------------------------------------------
-
-
-def _pyramid(apex: Vec3, base: Sequence[Vec3]) -> Mesh:
-    return convex_hull_3([apex, *base])
 
 
 def _axis_bipyramid(axis: Vec3) -> Mesh:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from geomink.gaussian import build
-from geomink.kernel import Vec3, cross, det3
+from geomink.gaussian import build, reflect
+from geomink.kernel import Vec3, cross, det3, dot
+from geomink.minkowski import minkowski
 from geomink.shapes import random_polytope
 from geomink.arrangement import (
     ArcNotDisjoint,
@@ -534,3 +535,86 @@ def test_pair_filter_keeps_every_pair_that_cuts(pair, cross_only):
     pieces = _split_all([(a, ("a",)), (b, ("b",))], cross_only=cross_only)
     got = [frozenset((x.source, x.target)) for x, _ in pieces]
     assert len(got) == len(want) and set(got) == want
+
+
+# -- side of a cycle ---------------------------------------------------------------
+
+_SEAM_AND_POLES = [Vec3(0, 0, 1), Vec3(0, 0, -1), Vec3(-1, 0, 0), Vec3(-1, 0, 1), Vec3(-3, 0, -2)]
+
+
+@st.composite
+def _convex_maps(draw):
+    """A Gaussian map, or the sum of two, with small random probes."""
+    sizes, seeds = st.integers(5, 10), st.integers(0, 10**6)
+    g = build(random_polytope(draw(sizes), draw(seeds)))
+    if draw(st.booleans()):
+        g = minkowski(g, reflect(build(random_polytope(draw(sizes), draw(seeds)))))
+    return g.arrangement, draw(st.lists(_generic, max_size=6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_convex_maps())
+def test_side_of_cycle_matches_the_convex_cells(scene):
+    # A face of a Gaussian map is a convex cell on the normal side of each
+    # of its arcs, so q off its cycle is on the left iff it is on the
+    # positive side of every arc's plane.
+    arr, extra = scene
+    dirs = _SEAM_AND_POLES + extra
+    for h in arr.halfedges:
+        dirs += [-h.source.point.dir, -(h.arc.source.dir + h.arc.target.dir), h.arc.normal]
+    probes = {classify(d) for d in dirs}
+    for f in arr.faces:
+        (rep,) = f.ccbs
+        cycle = rep.cycle()
+        for q in probes:
+            if any(point_on_arc(q, h.arc) for h in cycle):
+                continue
+            inside = all(dot(h.arc.normal, q.dir) > 0 for h in cycle)
+            assert arr.side_of_cycle(q, cycle) == ("left" if inside else "right")
+
+
+def test_side_of_cycle_at_an_antenna_and_a_pinch():
+    # Two triangles touch at s, both above s in the plane y = 20; the
+    # first holds an antenna from its corner b to the tip d.  The face
+    # outside both is bounded by one 6-halfedge cycle through s twice.
+    def at(x, z, k=1):
+        return Vec3(x, 20 * k, z)
+
+    s, b, c, d = at(0, 0), at(4, 1), at(1, 4), at(2, 2)
+    e, f = at(-1, 4), at(-4, 1)
+    arr = sweep_build(
+        [arc_between(p, q) for p, q in [(s, b), (b, c), (c, s), (b, d), (s, e), (e, f), (f, s)]]
+    )
+    assert arr.validate() == []
+    cycles = {len(c): c for c in (rep.cycle() for g in arr.faces for rep in g.ccbs)}
+    assert sorted(cycles) == [3, 5, 6]
+
+    def inside(tri, q):
+        o = det3(*tri) > 0
+        return all((det3(p, r, q) > 0) == o and det3(p, r, q) != 0
+                   for p, r in zip(tri, tri[1:] + tri[:1]))
+
+    t1, t2 = (s, b, c), (s, e, f)
+    probes = [
+        at(6, 3, 2),  # inside the antenna, halfway from b to d
+        at(29, 13, 10), at(61, 32, 20),  # just off it, on either side
+        d,  # the antenna's tip
+        at(6, 9, 4),  # beyond the tip: the tip is the closest point
+        at(0, -1), at(0, 1),  # the two outer wedges at s
+        at(1, 1), at(-1, 1),  # inside each triangle next to s
+    ]
+    expected = {
+        6: lambda q: not inside(t1, q) and not inside(t2, q),
+        5: lambda q: inside(t1, q),
+        3: lambda q: inside(t2, q),
+    }
+    checked = 0
+    for n, cycle in cycles.items():
+        for p in probes:
+            q = classify(p)
+            if any(point_on_arc(q, h.arc) for h in cycle):
+                continue
+            want = "left" if expected[n](p) else "right"
+            assert arr.side_of_cycle(q, cycle) == want, (n, p)
+            checked += 1
+    assert checked == 3 * len(probes) - 2  # the antenna lies on the 5-cycle

@@ -96,3 +96,12 @@ def test_bad_count_exits_2_with_path_and_line(tmp_path, capsys):
     bad.write_text("assembly 1\npart a x\n")
     assert main(["partition", str(bad)]) == 2
     assert f"{bad}:2:" in capsys.readouterr().err
+
+
+def test_trailing_facet_line_exits_2_with_path_and_line(tmp_path, capsys):
+    bad = tmp_path / "cube.eoff"
+    write_mesh(box(0, 0, 0, 1, 1, 1), str(bad))
+    where = len(bad.read_text().splitlines()) + 1
+    bad.write_text(bad.read_text() + "3 0 1 2\n")
+    assert main(["gmap", str(bad)]) == 2
+    assert f"{bad}:{where}:" in capsys.readouterr().err

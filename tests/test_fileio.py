@@ -5,6 +5,7 @@ import pytest
 from geomink.fileio import (
     ParseError,
     format_mesh,
+    format_scene,
     parse_mesh,
     parse_scene,
     read_mesh,
@@ -103,3 +104,21 @@ def test_bad_count_reports_line(parse, text, where):
     with pytest.raises(ParseError) as exc:
         parse(text, "in.txt")
     assert where in str(exc.value)
+
+
+@pytest.mark.parametrize("extra", ["3 0 1 2", "garbage here"])
+def test_mesh_with_trailing_lines_is_rejected(extra):
+    text = format_mesh(cube())
+    where = len(text.splitlines()) + 1
+    with pytest.raises(ParseError) as exc:
+        parse_mesh(text + extra + "\n", "cube.eoff")
+    assert f"cube.eoff:{where}:" in str(exc.value)
+
+
+def test_scene_with_an_undeclared_part_is_rejected():
+    parts = split_star_assembly()[:2]
+    text = format_scene([n for n, _ in parts], [p for _, p in parts])
+    where = len(text.splitlines()) + 1
+    with pytest.raises(ParseError) as exc:
+        parse_scene(text + "part c 1\n", "two.asm")
+    assert f"two.asm:{where}:" in str(exc.value)

@@ -7,10 +7,13 @@ queries and the partition pipeline, and assert that every returned scalar
 and coordinate is an int or a Fraction.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import geomink
 from geomink.assembly import ALL, Assembly, partition, project_polytope
 from geomink.gaussian import build, reflect
 from geomink.hull import convex_hull_3
@@ -113,3 +116,26 @@ def test_a_float_coordinate_raises():
         Vec3(0.5, 0, 0)
     with pytest.raises(TypeError):
         Vec3(1, 2, 3).scale(0.5)
+
+
+EXACT_MODULES = ["kernel", "spherical", "arrangement", "gaussian", "minkowski", "proximity", "assembly"]
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_use_no_random_and_no_float(name):
+    """Static guard: the modules that make geometric decisions import no
+    `random`, take nothing from `math` but gcd and lcm, and call no
+    `float`."""
+    path = Path(geomink.__file__).with_name(f"{name}.py")
+    bad = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            bad += [a.name for a in node.names if a.name.split(".")[0] in ("random", "math")]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "random":
+                bad.append("from random")
+            elif node.module == "math":
+                bad += [a.name for a in node.names if a.name not in ("gcd", "lcm")]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            bad.append(f"float() at line {node.lineno}")
+    assert bad == [], f"{path.name}: {bad}"
