@@ -10,6 +10,8 @@ from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import minkowski
 from geomink.shapes import random_polytope
 from geomink.arrangement import (
+    LEFT,
+    RIGHT,
     ArcNotDisjoint,
     AnchorMismatch,
     OverlayCallbacks,
@@ -570,7 +572,7 @@ def test_side_of_cycle_matches_the_convex_cells(scene):
             if any(point_on_arc(q, h.arc) for h in cycle):
                 continue
             inside = all(dot(h.arc.normal, q.dir) > 0 for h in cycle)
-            assert arr.side_of_cycle(q, cycle) == ("left" if inside else "right")
+            assert arr.side_of_cycle(q, cycle) == (LEFT if inside else RIGHT)
 
 
 def test_side_of_cycle_at_an_antenna_and_a_pinch():
@@ -586,7 +588,7 @@ def test_side_of_cycle_at_an_antenna_and_a_pinch():
         [arc_between(p, q) for p, q in [(s, b), (b, c), (c, s), (b, d), (s, e), (e, f), (f, s)]]
     )
     assert arr.validate() == []
-    cycles = {len(c): c for c in (rep.cycle() for g in arr.faces for rep in g.ccbs)}
+    cycles = {len(cyc): cyc for cyc in (rep.cycle() for g in arr.faces for rep in g.ccbs)}
     assert sorted(cycles) == [3, 5, 6]
 
     def inside(tri, q):
@@ -614,7 +616,7 @@ def test_side_of_cycle_at_an_antenna_and_a_pinch():
             q = classify(p)
             if any(point_on_arc(q, h.arc) for h in cycle):
                 continue
-            want = "left" if expected[n](p) else "right"
+            want = LEFT if expected[n](p) else RIGHT
             assert arr.side_of_cycle(q, cycle) == want, (n, p)
             checked += 1
     assert checked == 3 * len(probes) - 2  # the antenna lies on the 5-cycle
