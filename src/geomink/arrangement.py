@@ -13,15 +13,19 @@ share them.
 Aggregate construction (`sweep_build`, `overlay`) splits all input arcs
 at their exact pairwise intersections and assembles the interior-
 disjoint pieces in one pass; the result is the same subdivision a sweep
-would produce, independent of input order.  A pair of arcs is tested
-for intersection only if both lie on one great circle, or if they share
-no endpoint and neither has both endpoints strictly on one side of the
-other's plane; the sides come from one table of <normal, endpoint> signs.
+would produce, independent of input order.  Arcs known to be interior-
+disjoint (the pieces of one input arc, the edges of one overlay operand)
+are never paired; any other pair is tested for intersection only if
+both lie on one great circle, or if they share no endpoint and neither
+has both endpoints strictly on one side of the other's plane; the sides
+come from one table of <normal, endpoint> signs.  `loads` runs the same
+split over a dump's arcs to check them before it assembles them.
 The assembler sorts each vertex ring once, links the boundary cycles
 from the rings, and gives each cycle of a connected component its own
 face; a further component or isolated point is placed by side-of-cycle
-tests, never by point location.  Its output is exactly the DCEL that
-inserting the pieces one by one with `insert_disjoint_arc` produces.
+tests, never by point location.  Its output has the same cells and
+vertex rings as inserting the pieces one by one with
+`insert_disjoint_arc`, with faces listed in the order they are found.
 A side-of-cycle test reads q's side at a point of the cycle closest to
 q, inside an arc or in a corner at a vertex; closeness is compared
 exactly, and no probe arc is cast.  An overlay face takes its source
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
-from .kernel import Vec3, cross, det3, dot
+from .kernel import Rational, Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, format_rat
 from .spherical import (
     BoundaryClass,
     DirPoint,
@@ -51,6 +56,7 @@ from .spherical import (
     intersect,
     is_mergeable,
     make_arc,
+    merge,
     point_on_arc,
     strictly_inside_arc,
 )
@@ -146,29 +152,6 @@ class Cell(NamedTuple):
     @property
     def payload(self):
         return self.ref.payload
-
-
-def _ccw_class(axis: Vec3, start: Vec3, v: Vec3) -> int:
-    """CCW angle of v from start around axis: 0 codirectional, 1 in
-    (0, pi), 2 exactly pi, 3 in (pi, 2*pi)."""
-    c = det3(start, v, axis)
-    if c > 0:
-        return 1
-    if c < 0:
-        return 3
-    return 0 if dot(start, v) > 0 else 2
-
-
-def _ccw_strictly_before3(axis: Vec3, start: Vec3, probe: Vec3, target: Vec3) -> bool:
-    """In the plane normal to axis, is probe reached strictly before
-    target when rotating CCW from start?"""
-    kp = _ccw_class(axis, start, probe)
-    if kp == 0:
-        return False
-    kt = _ccw_class(axis, start, target)
-    if kp != kt:
-        return kp < kt
-    return det3(probe, target, axis) > 0
 
 
 class SphereArrangement:
@@ -268,7 +251,7 @@ class SphereArrangement:
             return 0
         for i in range(k):
             # n strictly inside the CCW gap (out[i], out[i+1])?
-            if _ccw_strictly_before3(axis, normals[i], n, normals[(i + 1) % k]):
+            if ccw_strictly_before(axis, normals[i], n, normals[(i + 1) % k]):
                 return i
         raise AssertionError("no angular gap admits the new edge")
 
@@ -509,9 +492,7 @@ class SphereArrangement:
         p2 = h2  # v->b
         if not is_mergeable(p1.arc, p2.arc):
             raise ValueError("incident arcs are not mergeable")
-        from .spherical import merge as _merge_arcs
-
-        arc_f = _merge_arcs(p1.arc, p2.arc)
+        arc_f = merge(p1.arc, p2.arc)
         a_v, b_v = p1.source, p2.target
         H = Halfedge(a_v, arc_f, next(self._next_id))
         G = Halfedge(b_v, arc_f.reversed(), next(self._next_id))
@@ -596,7 +577,7 @@ class SphereArrangement:
         for h in cycle:
             if h.source is v:
                 back = h.prv.twin
-                if back is h or _ccw_strictly_before3(axis, h.arc.normal, d, back.arc.normal):
+                if back is h or ccw_strictly_before(axis, h.arc.normal, d, back.arc.normal):
                     return LEFT
         return RIGHT
 
@@ -734,7 +715,7 @@ class SphereArrangement:
                 ns = [h.arc.normal for h in v.out]
                 k = len(ns)
                 if k > 2 and not all(
-                    _ccw_strictly_before3(axis, ns[i], ns[(i + 1) % k], ns[(i + 2) % k])
+                    ccw_strictly_before(axis, ns[i], ns[(i + 1) % k], ns[(i + 2) % k])
                     for i in range(k)
                 ):
                     errs.append(f"{v}: vertex ring not CCW-sorted")
@@ -761,13 +742,12 @@ def _order_along(arc: GeodesicArc, pts: List[DirPoint]) -> List[DirPoint]:
 
 def _split_all(
     tagged_arcs: List[Tuple[GeodesicArc, Any]],
-    cross_only: bool = False,
     extra_points: Sequence[Tuple[DirPoint, Any]] = (),
 ) -> List[Tuple[GeodesicArc, List[Any]]]:
     """Split arcs at all pairwise intersections (and at the given extra
     points).  Returns interior-disjoint sub-arcs, each with the list of
-    tags of the input arcs it belongs to.  With cross_only, arcs sharing
-    a tag group key (tag[0]) are assumed interior-disjoint already.
+    tags of the input arcs it belongs to.  Arcs sharing a tag group key
+    (tag[0]) are assumed interior-disjoint already and are not paired.
 
     A pair goes to intersect only if the two arcs lie on one great
     circle, or if they share no endpoint and neither has both endpoints
@@ -776,8 +756,8 @@ def _split_all(
     has both of them strictly on one side; and two arcs on different
     circles that share an endpoint p meet only at p, which cuts neither.
     The sides come from a table of <normal, endpoint> on the integer
-    triples, one entry per arc and per distinct endpoint of the arcs it
-    is paired with."""
+    triples, one entry per arc and per distinct endpoint of the other
+    groups' arcs."""
     arcs = [a for a, _ in tagged_arcs]
     n = len(arcs)
     index: Dict[DirPoint, int] = {}
@@ -786,54 +766,52 @@ def _split_all(
         for a in arcs
     ]
     coords = [(p.dir.x, p.dir.y, p.dir.z) for p in index]
-    # for each arc: the later arcs it is paired with, and their endpoints
-    if cross_only:
-        groups: Dict[Any, List[int]] = {}
-        for i, (_, tag) in enumerate(tagged_arcs):
-            groups.setdefault(tag[0], []).append(i)
-        blocks = list(groups.values())
-        mates: List[Iterable[int]] = [()] * n
-        probes: List[Iterable[int]] = [()] * n
-        for x, b in enumerate(blocks):
-            later = [j for c in blocks[x + 1:] for j in c]
-            others = {k for c in blocks if c is not b for j in c for k in ends[j]}
-            for i in b:
-                mates[i], probes[i] = later, others
-    else:
-        mates = [range(i + 1, n) for i in range(n)]
-        probes = [range(len(coords))] * n
-    side: List[List[Any]] = []
-    for a, ks in zip(arcs, probes):
-        nx, ny, nz = a.normal.x, a.normal.y, a.normal.z
-        row: List[Any] = [0] * len(coords)
-        for k in ks:
-            x, y, z = coords[k]
-            row[k] = nx * x + ny * y + nz * z
-        side.append(row)
+    groups: Dict[Any, List[int]] = {}
+    for i, (_, tag) in enumerate(tagged_arcs):
+        groups.setdefault(tag[0], []).append(i)
+    blocks = list(groups.values())
+    # an arc's row of sides covers the endpoints of the other groups'
+    # arcs: all but those its own group alone has
+    block_ends = [{k for j in b for k in ends[j]} for b in blocks]
+    users = Counter(k for e in block_ends for k in e)
+    every = set(range(len(coords)))
+    side: List[List[Any]] = [[]] * n
+    for b, e in zip(blocks, block_ends):
+        others = every.difference(k for k in e if users[k] == 1)
+        for i in b:
+            nx, ny, nz = arcs[i].normal.x, arcs[i].normal.y, arcs[i].normal.z
+            row: List[Any] = [0] * len(coords)
+            for k in others:
+                x, y, z = coords[k]
+                row[k] = nx * x + ny * y + nz * z
+            side[i] = row
 
     cuts: List[Set[DirPoint]] = [set() for _ in tagged_arcs]
-    for i, js in enumerate(mates):
-        si, ti = ends[i]
-        row = side[i]
-        for j in js:
-            sj, tj = ends[j]
-            d0, d1 = row[sj], row[tj]
-            if d0 or d1:  # the arcs lie on different great circles
-                if si == sj or si == tj or ti == sj or ti == tj:
-                    continue
-                if d0 > 0 and d1 > 0 or d0 < 0 and d1 < 0:
-                    continue
-                e0, e1 = side[j][si], side[j][ti]
-                if e0 > 0 and e1 > 0 or e0 < 0 and e1 < 0:
-                    continue
-            r = intersect(arcs[i], arcs[j])
-            if r.overlap is not None:
-                for p in (r.overlap.source, r.overlap.target):
+    later = [i for b in blocks for i in b]
+    for b in blocks:
+        later = later[len(b):]  # each arc is paired with the arcs of later groups
+        for i in b:
+            si, ti = ends[i]
+            row = side[i]
+            for j in later:
+                sj, tj = ends[j]
+                d0, d1 = row[sj], row[tj]
+                if d0 or d1:  # the arcs lie on different great circles
+                    if si == sj or si == tj or ti == sj or ti == tj:
+                        continue
+                    if d0 > 0 and d1 > 0 or d0 < 0 and d1 < 0:
+                        continue
+                    e0, e1 = side[j][si], side[j][ti]
+                    if e0 > 0 and e1 > 0 or e0 < 0 and e1 < 0:
+                        continue
+                r = intersect(arcs[i], arcs[j])
+                if r.overlap is not None:
+                    for p in (r.overlap.source, r.overlap.target):
+                        cuts[i].add(p)
+                        cuts[j].add(p)
+                for p in r.points:
                     cuts[i].add(p)
                     cuts[j].add(p)
-            for p in r.points:
-                cuts[i].add(p)
-                cuts[j].add(p)
     for p, _tag in extra_points:
         for i, (a, _t) in enumerate(tagged_arcs):
             if point_on_arc(p, a, closed=False):
@@ -872,7 +850,7 @@ def _ring_sorted(v: Vertex) -> List[Halfedge]:
     """v's outgoing halfedges in CCW order of their normals, starting at
     the first one."""
     axis, start = v.point.dir, v.out[0].arc.normal
-    turn = {h: _ccw_class(axis, start, h.arc.normal) for h in v.out[1:]}
+    turn = {h: ccw_class(axis, start, h.arc.normal) for h in v.out[1:]}
     if 0 in turn.values():
         raise ArcNotDisjoint(f"two arcs overlap at vertex {v}")
 
@@ -896,23 +874,20 @@ def _assemble(
     Returns it with, for each arc, the halfedge directed along it.
 
     Vertices and twin pairs are made in arc order, each pair led by the
-    halfedge insert_disjoint_arc would lead it with.  Each vertex ring is
-    sorted once, the next/prev links follow from the rings, and each
-    boundary cycle of a connected component bounds its own face.  Every
-    further component, and every point, lies in the face whose cycles
-    all have it on their left (side_of_cycle); the face keeps one of the
-    newcomer's cycles and hands each of its old cycles inside one of the
-    newcomer's other cycles to the new face there.
+    halfedge along its arc.  Each vertex ring is sorted once, the
+    next/prev links follow from the rings, and each boundary cycle of a
+    connected component bounds its own face.  Every further component,
+    and every point, lies in the face whose cycles all have it on their
+    left (side_of_cycle); the face keeps one of the newcomer's cycles
+    and hands each of its old cycles inside one of the newcomer's other
+    cycles to the new face there.
 
-    The result is the DCEL that inserting the arcs in order with
-    insert_disjoint_arc, then the points with insert_isolated_vertex,
-    produces, down to the order of faces and of their CCBs.  That
-    insertion splits a face exactly when an arc joins two vertices of
-    one component: the new face, on the twin's side, is appended to the
-    face list, and the cycles of both sides head their CCB lists.  A
-    component merge or a new component appends its cycle instead, and
-    each CCB is represented by the halfedge of the last of these events
-    it took part in."""
+    The result has the same vertices, vertex rings and cells as
+    inserting the arcs in order with insert_disjoint_arc, then the
+    points with insert_isolated_vertex.  Faces are listed in the order
+    they are found, the initial face first, and each CCB is represented
+    by the first halfedge of its cycle.  The input is trusted: nothing
+    checks that the arcs are interior-disjoint."""
     arr = SphereArrangement()
     vmap = arr._vertex_map
     root: Dict[Vertex, Vertex] = {}  # union-find over the vertices
@@ -922,39 +897,18 @@ def _assemble(
             root[v] = v = root[root[v]]
         return v
 
-    def vertex(p: DirPoint, joined: Optional[Vertex] = None) -> Vertex:
-        v = arr._new_vertex(p)
-        root[v] = joined or v
+    def vertex(p: DirPoint) -> Vertex:
+        v = vmap.get(p)
+        if v is None:
+            v = arr._new_vertex(p)
+            root[v] = v
         return v
 
     along: List[Halfedge] = []
-    # arc index of the event each CCB representative comes from, in
-    # increasing order: the last entry on a cycle represents it
-    stamp: Dict[Halfedge, int] = {}
-    splits: Dict[int, Halfedge] = {}  # arc index of a face split -> twin side
-    for t, a in enumerate(arcs):
-        v1, v2 = vmap.get(a.source), vmap.get(a.target)
-        if v1 is None and v2 is not None:
-            # insert_disjoint_arc leads this pair from the old endpoint
-            v1 = vertex(a.source, v2)
-            h = arr._make_pair(a.reversed(), v2, v1).twin
-        elif v1 is None:  # a new component
-            v1 = vertex(a.source)
-            v2 = vertex(a.target, v1)
-            h = arr._make_pair(a, v1, v2)
-            stamp[h] = t
-        elif v2 is None:
-            v2 = vertex(a.target, v1)
-            h = arr._make_pair(a, v1, v2)
-        else:
-            h = arr._make_pair(a, v1, v2)
-            stamp[h] = t
-            r1, r2 = find(v1), find(v2)
-            if r1 is r2:
-                stamp[h.twin] = t
-                splits[t] = h.twin
-            else:
-                root[r1] = r2
+    for a in arcs:
+        v1, v2 = vertex(a.source), vertex(a.target)
+        root[find(v1)] = find(v2)
+        h = arr._make_pair(a, v1, v2)
         v1.out.append(h)
         v2.out.append(h.twin)
         along.append(h)
@@ -968,15 +922,14 @@ def _assemble(
             h.prv = g.twin
 
     cycles: List[List[Halfedge]] = []
-    cycle_of: Dict[Halfedge, int] = {}
+    seen: Set[Halfedge] = set()
     components: Dict[Vertex, List[int]] = {}
     for h in arr.halfedges:
-        if h not in cycle_of:
+        if h not in seen:
             cyc = h.cycle()
-            cycle_of.update((e, len(cycles)) for e in cyc)
+            seen.update(cyc)
             components.setdefault(find(h.source), []).append(len(cycles))
             cycles.append(cyc)
-    rep = {cycle_of[e]: e for e in stamp}
 
     region: Dict[Face, List[int]] = {arr.initial_face(): []}
 
@@ -997,35 +950,12 @@ def _assemble(
             inside = (f for f, nc in fresh if arr.side_of_cycle(q, cycles[nc]) == LEFT)
             region[next(inside, host)].append(c)
 
-    def ccb_key(r: Halfedge) -> Tuple[int, int]:
-        t = stamp[r]
-        return (-1, -t) if t in splits else (0, t)
-
     for f, cs in region.items():
+        f.ccbs = [cycles[c][0] for c in cs]
         for c in cs:
             for e in cycles[c]:
                 e.face = f
-        f.ccbs = sorted((rep[c] for c in cs), key=ccb_key)
-
-    # Face order: undo the arcs from last to first, merging faces across
-    # each; a face split at arc t owns the one face of its merged group
-    # not yet owned by a later split.
-    created: Dict[Face, int] = {}
-    group: Dict[Face, List[Face]] = {f: [f] for f in region}
-    head = {f: f for f in region}
-    for t in reversed(range(len(along))):
-        if t in splits:
-            for f in group[head[splits[t].face]]:
-                created.setdefault(f, t)
-        fa, fb = head[along[t].face], head[along[t].twin.face]
-        if fa is not fb:
-            if len(group[fa]) > len(group[fb]):
-                fa, fb = fb, fa
-            for f in group.pop(fa):
-                head[f] = fb
-                group[fb].append(f)
-    arr.faces = sorted(region, key=lambda f: created.get(f, -1))
-    arr._initial_face = arr.faces[0]
+    arr.faces = list(region)
 
     for p in points:
         if p not in vmap:
@@ -1071,7 +1001,7 @@ def overlay(
             if v.is_isolated:
                 iso_points.append((v.point, (side, v)))
 
-    pieces = _split_all(tagged, cross_only=True, extra_points=iso_points)
+    pieces = _split_all(tagged, iso_points)
     # Isolated source vertices not on an output feature stay isolated.
     out, along = _assemble([sub for sub, _ in pieces], [p for p, _ in iso_points])
 
@@ -1184,8 +1114,6 @@ def overlay(
 
 def dumps(arr: SphereArrangement) -> str:
     """Round-trippable text dump: vertices, edges, face CCB index lists."""
-    from .kernel import format_rat
-
     vid = {v: i for i, v in enumerate(arr.vertices)}
     lines = [f"spherical-arrangement {len(arr.vertices)} {len(arr.edges())} {len(arr.faces)}"]
     for v in arr.vertices:
@@ -1212,7 +1140,12 @@ def dumps(arr: SphereArrangement) -> str:
 
 
 def loads(text: str) -> SphereArrangement:
-    """Rebuild an arrangement from its dump (payloads are not carried)."""
+    """Rebuild an arrangement from its dump (payloads are not carried).
+
+    The dump is outside text, so it is checked before it is assembled:
+    the arcs, split at their pairwise intersections and at the isolated
+    points, must come back as themselves, and no isolated point may
+    repeat or be an arc endpoint.  Otherwise ArcNotDisjoint is raised."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
     nv, ne = int(head[1]), int(head[2])
@@ -1222,13 +1155,25 @@ def loads(text: str) -> SphereArrangement:
         parts = ln.split()
         dirs.append(Vec3(parts[1], parts[2], parts[3]))
         isolated.append(ln.endswith(" isolated"))
-    arr = new_arrangement()
+    def num(text: str) -> Rational:
+        # an integral value stays an int, as a computed normal is
+        q = Fraction(text)
+        return q.numerator if q.denominator == 1 else q
+
+    arcs = []
     for ln in lines[1 + nv : 1 + nv + ne]:
         parts = ln.split()
         s, t = int(parts[1]), int(parts[2])
-        normal = Vec3(parts[3], parts[4], parts[5])
-        arr.insert_disjoint_arc(arc_between(dirs[s], dirs[t], normal))
-    for d, iso in zip(dirs, isolated):
-        if iso:
-            arr.insert_isolated_vertex(d)
-    return arr
+        normal = Vec3(*map(num, parts[3:6]))
+        arcs.append(arc_between(dirs[s], dirs[t], normal))
+    points = [classify(d) for d, iso in zip(dirs, isolated) if iso]
+    pieces = _split_all([(a, (i,)) for i, a in enumerate(arcs)], [(p, None) for p in points])
+    ends = {p for a in arcs for p in (a.source, a.target)}
+    if (
+        Counter(frozenset((a.source, a.target)) for a in arcs)
+        != Counter(frozenset((a.source, a.target)) for a, _ in pieces)
+        or len(set(points)) < len(points)
+        or ends.intersection(points)
+    ):
+        raise ArcNotDisjoint("the dumped arcs and isolated points are not interior-disjoint")
+    return _assemble(arcs, points)[0]

@@ -23,6 +23,7 @@ from .arrangement import Face, SphereArrangement, Vertex, _assemble
 from .kernel import (
     Rational,
     Vec3,
+    ZeroVector,
     cross,
     cross3,
     dot,
@@ -211,8 +212,6 @@ class GaussianMap:
     def support(self, d: Vec3) -> Tuple[Rational, Vec3]:
         """Support value max <d, v> over primal vertices and one maximizer."""
         if d.is_zero():
-            from .kernel import ZeroVector
-
             raise ZeroVector("support direction must be nonzero")
         best = None
         arg = None

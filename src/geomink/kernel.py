@@ -338,45 +338,31 @@ def parallel_same_direction(u: Vec3, v: Vec3) -> bool:
     return cross(u, v).is_zero() and dot_sign(u, v) == Sign.POSITIVE
 
 
-# -- planar (2D) helpers for azimuthal comparisons -------------------------
+# -- angular order about an axis ---------------------------------------------
 
 
-def cross2(ax: Rational, ay: Rational, bx: Rational, by: Rational) -> Rational:
-    return ax * by - ay * bx
+def ccw_class(axis: Vec3, start: Vec3, v: Vec3) -> int:
+    """CCW angle of v from start around axis: 0 codirectional, 1 in
+    (0, pi), 2 exactly pi, 3 in (pi, 2*pi).  start and v are nonzero
+    vectors in the plane normal to axis."""
+    c = det3(start, v, axis)
+    if c > 0:
+        return 1
+    if c < 0:
+        return 3
+    return 0 if dot(start, v) > 0 else 2
 
 
-def ccw_strictly_before(start: tuple, probe: tuple, target: tuple) -> bool:
-    """Rotating counterclockwise from `start`, is `probe`'s ray reached
-    strictly before `target`'s ray?
-
-    All three are nonzero planar vectors given as (x, y) pairs of
-    rationals.  Conventions: a probe codirectional with `start` is never
-    strictly before anything, and a probe codirectional with `target`
-    ties toward "not before".
-    """
-    sx, sy = start
-    px, py = probe
-    tx, ty = target
-    if (sx == 0 and sy == 0) or (px == 0 and py == 0) or (tx == 0 and ty == 0):
-        raise ZeroVector("ccw_strictly_before requires nonzero planar vectors")
-
-    def angle_class(vx, vy):
-        # CCW angle from `start`: 0 codirectional, 1 in (0,pi), 2 exactly
-        # pi, 3 in (pi, 2*pi).
-        c = cross2(sx, sy, vx, vy)
-        if c > 0:
-            return 1
-        if c < 0:
-            return 3
-        return 0 if sx * vx + sy * vy > 0 else 2
-
-    kp = angle_class(px, py)
-    kt = angle_class(tx, ty)
+def ccw_strictly_before(axis: Vec3, start: Vec3, probe: Vec3, target: Vec3) -> bool:
+    """In the plane normal to axis, is probe reached strictly before
+    target when rotating CCW from start?  A probe codirectional with
+    start is never strictly before anything, and a probe codirectional
+    with target ties toward "not before"."""
+    kp = ccw_class(axis, start, probe)
     if kp == 0:
-        return False  # probe codirectional with start: not strictly before
+        return False
+    kt = ccw_class(axis, start, target)
     if kp != kt:
         return kp < kt
-    # Same open half-turn: the relative angle is below pi, so a single
-    # orientation test decides; codirectional probe/target gives 0 (ties
-    # break toward "not before").
-    return cross2(px, py, tx, ty) > 0
+    # same open half-turn: one orientation test decides
+    return det3(probe, target, axis) > 0

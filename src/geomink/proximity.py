@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianMap, Mesh, primal_mesh, reflect
-from .kernel import Rational, Vec3, cross, dot
+from .kernel import Rational, Vec3, ZeroVector, cross, dot
 from .minkowski import minkowski
 
 INSIDE = "inside"
@@ -236,8 +236,6 @@ def directional_penetration(
     """Exact exit parameter: the smallest alpha >= 0 with s + alpha*r on
     the boundary of M's primal polytope, plus the exit point."""
     if r.is_zero():
-        from .kernel import ZeroVector
-
         raise ZeroVector("penetration direction must be nonzero")
     alpha = None
     for n, b in M.facet_planes.values():

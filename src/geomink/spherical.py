@@ -33,6 +33,7 @@ from .kernel import (
     Sign,
     Vec3,
     ZeroVector,
+    ccw_class,
     ccw_strictly_before,
     cross,
     det3,
@@ -133,8 +134,8 @@ def as_point(p: Union[DirPoint, Vec3]) -> DirPoint:
 NORTH = classify(Vec3(0, 0, 1))
 SOUTH = classify(Vec3(0, 0, -1))
 
-# Intersection of the identification arc with the xy-plane, projected.
-_IDENT_DIR_2D = (-1, 0)
+# Intersection of the identification arc with the xy-plane.
+_IDENT_DIR = Vec3(-1, 0, 0)
 
 
 def _is_pole(p: DirPoint) -> bool:
@@ -147,13 +148,14 @@ def compare_u(p1: DirPoint, p2: DirPoint) -> Sign:
     for p in (p1, p2):
         if p.boundary_class is not BoundaryClass.INTERIOR:
             raise PreconditionViolation(f"compare_u needs interior points, got {p}")
-    a = (p1.dir.x, p1.dir.y)
-    b = (p2.dir.x, p2.dir.y)
-    if a[0] * b[1] - a[1] * b[0] == 0 and a[0] * b[0] + a[1] * b[1] > 0:
+    # the projections onto the xy-plane, turning about the north pole
+    a = Vec3(p1.dir.x, p1.dir.y, 0)
+    b = Vec3(p2.dir.x, p2.dir.y, 0)
+    if ccw_class(NORTH.dir, a, b) == 0:
         return EQUAL
     # Rotating CCW from p1's projection, if the identification direction is
     # reached strictly before p2's projection then u(p1) > u(p2).
-    return LARGER if ccw_strictly_before(a, _IDENT_DIR_2D, b) else SMALLER
+    return LARGER if ccw_strictly_before(NORTH.dir, a, _IDENT_DIR, b) else SMALLER
 
 
 def compare_v(p1: DirPoint, p2: DirPoint) -> Sign:

@@ -385,6 +385,47 @@ def test_dump_roundtrip():
     assert arr2.validate() == []
 
 
+def _dump_text(vertices, edges):
+    """A dump of the given vertices ((x, y, z), isolated) and edges
+    (source index, target index), each arc's normal the cross product of
+    its endpoints; loads reads no face line."""
+    lines = [f"spherical-arrangement {len(vertices)} {len(edges)} 1"]
+    for d, iso in vertices:
+        lines.append("v %d %d %d" % d + (" isolated" if iso else ""))
+    for s, t in edges:
+        n = cross(Vec3(*vertices[s][0]), Vec3(*vertices[t][0]))
+        lines.append(f"e {s} {t} {n.x} {n.y} {n.z}")
+    return "\n".join(lines) + "\n"
+
+
+_S, _N = ((1, -1, 0), False), ((1, 1, 0), False)  # the ends of a short arc through (1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        # (1, 0, 0)-(1, 1, 0) runs along the arc (1, 0, 0)-(0, 1, 0) from their shared vertex
+        ([((1, 0, 0), False), ((1, 1, 0), False), ((0, 1, 0), False)], [(0, 1), (0, 2)]),
+        ([_S, _N, ((1, 0, -1), False), ((1, 0, 1), False)], [(0, 1), (2, 3)]),  # crossing
+        # a T-junction, with the stem listed first and last
+        ([_S, _N, ((1, 0, 0), False), ((1, 0, 1), False)], [(2, 3), (0, 1)]),
+        ([_S, _N, ((1, 0, 0), False), ((1, 0, 1), False)], [(0, 1), (2, 3)]),
+        ([_S, _N, ((1, 0, 0), True)], [(0, 1)]),  # isolated point on an edge
+        ([_S, _N, ((1, 1, 0), True)], [(0, 1)]),  # isolated point on a vertex
+        ([_S, _N, ((0, 0, 1), True), ((0, 0, 1), True)], [(0, 1)]),  # one point twice
+        ([_S, _N], [(0, 1), (1, 0)]),  # one arc twice
+    ],
+    ids=[
+        "overlap", "crossing", "t-junction", "t-junction-stem-last", "point-on-edge",
+        "point-on-vertex", "repeated-point", "repeated-arc",
+    ],
+)
+def test_loads_rejects_malformed_dumps(vertices, edges):
+    text = _dump_text(vertices, edges)
+    with pytest.raises(ArcNotDisjoint):
+        loads(text)
+
+
 def test_merge_at_degree_two_with_bare_far_endpoints():
     # a dangling two-edge chain: merging the middle vertex must rewire
     # the degree-one turns at both tips
@@ -464,6 +505,21 @@ def _rings(arr):
     return [[h.target.point for h in v.out] for v in arr.vertices]
 
 
+def _faces(arr):
+    """Each face as its boundary cycles, each a set of directed
+    (source, target) point pairs, and its isolated points; as a multiset,
+    so neither the order of the faces nor of their CCBs counts."""
+    return Counter(
+        (
+            frozenset(
+                frozenset((h.source.point, h.target.point) for h in rep.cycle()) for rep in f.ccbs
+            ),
+            frozenset(w.point for w in f.isolated),
+        )
+        for f in arr.faces
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(_scenes())
 def test_assembly_matches_arc_by_arc_insertion(scene):
@@ -479,9 +535,8 @@ def test_assembly_matches_arc_by_arc_insertion(scene):
     assert [(h.arc.source, h.arc.target) for h in along] == [(a.source, a.target) for a in pieces]
     assert [v.point for v in arr.vertices] == [v.point for v in ref.vertices]
     assert _rings(arr) == _rings(ref)
-    # the same faces in the same order, each CCB list led by the same
-    # representatives, and the same isolated vertices
-    assert dumps(arr) == dumps(ref)
+    # the same faces, each with the same boundary cycles and isolated points
+    assert _faces(arr) == _faces(ref)
 
 
 @st.composite
@@ -526,15 +581,15 @@ def _pieces_cut_at(arc, cuts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_arc_pairs(), st.booleans())
-def test_pair_filter_keeps_every_pair_that_cuts(pair, cross_only):
+@given(_arc_pairs())
+def test_pair_filter_keeps_every_pair_that_cuts(pair):
     a, b = pair
     r = intersect(a, b)
     cuts = set(r.points)
     if r.overlap is not None:
         cuts |= {r.overlap.source, r.overlap.target}
     want = _pieces_cut_at(a, cuts) | _pieces_cut_at(b, cuts)
-    pieces = _split_all([(a, ("a",)), (b, ("b",))], cross_only=cross_only)
+    pieces = _split_all([(a, ("a",)), (b, ("b",))])
     got = [frozenset((x.source, x.target)) for x, _ in pieces]
     assert len(got) == len(want) and set(got) == want
 

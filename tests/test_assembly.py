@@ -436,6 +436,11 @@ def test_partition_solutions_are_free_motions(a):
     assert res.interlocked == (not res.solutions)
     if len(a.parts) == 2:
         assert res.solutions  # a separating plane gives a free direction
+    # FIRST gives the same verdict, and its solution is one ALL lists
+    first = partition(a, FIRST)
+    assert first.interlocked == res.interlocked
+    assert len(first.solutions) == (0 if first.interlocked else 1)
+    assert all(sol in res.solutions for sol in first.solutions)
     diffs = _difference_planes(a)
     for sol in res.solutions:
         assert 0 < len(sol.subset) < len(a.parts)

@@ -49,13 +49,20 @@ def test_side_of_origin_plane_examples():
         side_of_origin_plane(Vec3(0, 0, 0), Vec3(1, 1, 1))
 
 
+_Z = Vec3(0, 0, 1)
+
+
 def test_ccw_strictly_before_examples():
     # From the u-comparison geometry: d-hat is reached strictly before p2-hat.
-    assert ccw_strictly_before((1, 1), (-1, 0), (1, -1)) is True
+    assert ccw_strictly_before(_Z, Vec3(1, 1, 0), Vec3(-1, 0, 0), Vec3(1, -1, 0)) is True
     # Probe coincident with start is never strictly before.
-    assert ccw_strictly_before((1, 0), (1, 0), (0, 1)) is False
+    assert ccw_strictly_before(_Z, Vec3(1, 0, 0), Vec3(1, 0, 0), Vec3(0, 1, 0)) is False
+    # A probe codirectional with the target ties toward "not before".
+    assert ccw_strictly_before(_Z, Vec3(1, 0, 0), Vec3(0, 2, 0), Vec3(0, 1, 0)) is False
     # CCW from +y reaches -x before +x.
-    assert ccw_strictly_before((0, 1), (1, 0), (-1, 0)) is False
+    assert ccw_strictly_before(_Z, Vec3(0, 1, 0), Vec3(1, 0, 0), Vec3(-1, 0, 0)) is False
+    # About -z the turn runs the other way.
+    assert ccw_strictly_before(-_Z, Vec3(0, 1, 0), Vec3(1, 0, 0), Vec3(-1, 0, 0)) is True
 
 
 def test_cross_antisymmetry_and_orthogonality():
@@ -81,9 +88,18 @@ def test_side_of_origin_plane_scale_invariance():
 
 
 def test_ccw_strictly_before_against_atan2():
+    # Vectors x e1 + y e2 in the plane normal to a random integer axis,
+    # where (e1, e2, axis) is right-handed and e2 is |axis| times as long
+    # as e1, so the float oracle reads the angle of (x, |axis| y).
     rng = random.Random(3)
     checked = 0
     while checked < 1000:
+        axis = Vec3(*(rng.randint(-3, 3) for _ in range(3)))
+        e1 = cross(axis, Vec3(1, 2, 4))
+        if e1.is_zero():
+            continue
+        e2 = cross(axis, e1)
+        stretch = math.sqrt(axis.norm_sq())
         pts = []
         for _ in range(3):
             x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
@@ -96,8 +112,8 @@ def test_ccw_strictly_before_against_atan2():
         s, p, t = pts
 
         def ang_from_start(v):
-            a = math.atan2(float(v[1]), float(v[0])) - math.atan2(
-                float(s[1]), float(s[0])
+            a = math.atan2(float(v[1]) * stretch, float(v[0])) - math.atan2(
+                float(s[1]) * stretch, float(s[0])
             )
             return a % (2 * math.pi)
 
@@ -105,7 +121,8 @@ def test_ccw_strictly_before_against_atan2():
         # Only judge well-separated angles with the float oracle.
         if min(ap, at, abs(ap - at), 2 * math.pi - ap, 2 * math.pi - at) < 1e-6:
             continue
-        assert ccw_strictly_before(s, p, t) == (ap < at)
+        s3, p3, t3 = (e1.scale(x) + e2.scale(y) for x, y in (s, p, t))
+        assert ccw_strictly_before(axis, s3, p3, t3) == (ap < at)
         checked += 1
 
 
