@@ -15,11 +15,13 @@ at their exact pairwise intersections and assembles the interior-
 disjoint pieces in one pass; the result is the same subdivision a sweep
 would produce, independent of input order.  Arcs known to be interior-
 disjoint (the pieces of one input arc, the edges of one overlay operand)
-are never paired; any other pair is tested for intersection only if
-both lie on one great circle, or if they share no endpoint and neither
-has both endpoints strictly on one side of the other's plane; the sides
-come from one table of <normal, endpoint> signs.  `loads` runs the same
-split over a dump's arcs to check them before it assembles them.
+are never paired.  Two arcs on one great circle are cut at the endpoints
+of one strictly inside the other, with no intersection test; two arcs on
+different circles are tested only if they share no endpoint, neither has
+both endpoints strictly on one side of the other's plane, and not both
+have an endpoint on the other's circle; the sides come from one table of
+<normal, endpoint> signs.  `loads` runs the same split over a dump's
+arcs to check them before it assembles them.
 The assembler sorts each vertex ring once, links the boundary cycles
 from the rings, and gives each cycle of a connected component its own
 face; a further component or isolated point is placed by side-of-cycle
@@ -749,15 +751,22 @@ def _split_all(
     tags of the input arcs it belongs to.  Arcs sharing a tag group key
     (tag[0]) are assumed interior-disjoint already and are not paired.
 
-    A pair goes to intersect only if the two arcs lie on one great
-    circle, or if they share no endpoint and neither has both endpoints
-    strictly on one side of the other's plane.  A minor arc is made of
-    positive combinations of its endpoints, so it misses a plane that
-    has both of them strictly on one side; and two arcs on different
-    circles that share an endpoint p meet only at p, which cuts neither.
-    The sides come from a table of <normal, endpoint> on the integer
-    triples, one entry per arc and per distinct endpoint of the other
-    groups' arcs."""
+    Each pair is decided from a table of <normal, endpoint> on the
+    integer triples, one entry per arc and per distinct endpoint of the
+    other groups' arcs, by three rules:
+
+    - Two arcs on one great circle are cut at each endpoint of one that
+      lies strictly inside the other, with no intersect call: an overlap
+      ends, and two arcs touch, only at endpoints of the two arcs.
+    - Two arcs on different circles go to intersect only if they share
+      no endpoint, neither has both endpoints strictly on one side of
+      the other's plane, and not both have an endpoint on the other's
+      circle.  A minor arc is made of positive combinations of its
+      endpoints, so it misses a plane that has both of them strictly on
+      one side; two arcs that share an endpoint p meet only at p, which
+      cuts neither; and when each has an endpoint on the other's circle,
+      those endpoints are antipodal and the arcs do not meet.
+    - An arc with no cut inside it is its own piece."""
     arcs = [a for a, _ in tagged_arcs]
     n = len(arcs)
     index: Dict[DirPoint, int] = {}
@@ -765,7 +774,8 @@ def _split_all(
         (index.setdefault(a.source, len(index)), index.setdefault(a.target, len(index)))
         for a in arcs
     ]
-    coords = [(p.dir.x, p.dir.y, p.dir.z) for p in index]
+    points = list(index)
+    coords = [(p.dir.x, p.dir.y, p.dir.z) for p in points]
     groups: Dict[Any, List[int]] = {}
     for i, (_, tag) in enumerate(tagged_arcs):
         groups.setdefault(tag[0], []).append(i)
@@ -796,20 +806,30 @@ def _split_all(
             for j in later:
                 sj, tj = ends[j]
                 d0, d1 = row[sj], row[tj]
-                if d0 or d1:  # the arcs lie on different great circles
-                    if si == sj or si == tj or ti == sj or ti == tj:
-                        continue
-                    if d0 > 0 and d1 > 0 or d0 < 0 and d1 < 0:
-                        continue
-                    e0, e1 = side[j][si], side[j][ti]
-                    if e0 > 0 and e1 > 0 or e0 < 0 and e1 < 0:
-                        continue
-                r = intersect(arcs[i], arcs[j])
-                if r.overlap is not None:
-                    for p in (r.overlap.source, r.overlap.target):
-                        cuts[i].add(p)
-                        cuts[j].add(p)
-                for p in r.points:
+                if not (d0 or d1):  # the arcs lie on one great circle
+                    for k in (sj, tj):
+                        if k != si and k != ti and strictly_inside_arc(points[k].dir, arcs[i]):
+                            cuts[i].add(points[k])
+                    for k in (si, ti):
+                        if k != sj and k != tj and strictly_inside_arc(points[k].dir, arcs[j]):
+                            cuts[j].add(points[k])
+                    continue
+                if si == sj or si == tj or ti == sj or ti == tj:
+                    continue
+                if d0 > 0 and d1 > 0 or d0 < 0 and d1 < 0:
+                    continue
+                e0, e1 = side[j][si], side[j][ti]
+                if e0 > 0 and e1 > 0 or e0 < 0 and e1 < 0:
+                    continue
+                if (d0 == 0 or d1 == 0) and (e0 == 0 or e1 == 0):
+                    # Each arc has an endpoint on the other's circle.  The
+                    # circles meet only at +-cross(n_i, n_j), and the two
+                    # endpoints are not shared, so they are antipodal.  A
+                    # minor arc holds at most one of two antipodal points,
+                    # so each arc meets the other's circle only at its own
+                    # endpoint, and the arcs do not meet.
+                    continue
+                for p in intersect(arcs[i], arcs[j]).points:
                     cuts[i].add(p)
                     cuts[j].add(p)
     for p, _tag in extra_points:
@@ -821,15 +841,16 @@ def _split_all(
     for i, (a, tag) in enumerate(tagged_arcs):
         # every cut is on the closed arc: intersect's points lie on both arcs
         pts = [p for p in cuts[i] if p != a.source and p != a.target]
-        chain = [a.source] + _order_along(a, pts) + [a.target]
+        chain = [a.source] + _order_along(a, pts) + [a.target] if pts else [a.source, a.target]
         for s, t in zip(chain, chain[1:]):
             key = frozenset((s, t))
             if key in pieces:
                 pieces[key][1].append(tag)
             else:
-                # a piece keeps its input arc's normal: the cross product
-                # of two split points would be wider for the same plane
-                pieces[key] = (_mk_arc(s, t, a.normal), [tag])
+                # an uncut arc is its own piece; a cut piece keeps its input
+                # arc's normal: the cross product of two split points would
+                # be wider for the same plane
+                pieces[key] = (_mk_arc(s, t, a.normal) if pts else a, [tag])
     return list(pieces.values())
 
 

@@ -67,11 +67,6 @@ class Assembly:
         self.names = names
         self.parts = parts
 
-    def validate_meshes(self) -> None:
-        for subs in self.parts:
-            for m in subs:
-                m.validate()
-
 
 # -- spherical regions with piercing flags -------------------------------------
 
@@ -290,23 +285,19 @@ def cleanup_region(region: SphericalRegion) -> None:
     for v in list(arr.vertices):
         if v.is_isolated and v.payload and v.isolated_face.payload:
             arr.remove_isolated_vertex(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(arr.vertices):
-            if v.is_isolated or v.degree != 2:
-                continue
-            if v.point.boundary_class is not BoundaryClass.INTERIOR:
-                continue  # keep parameter-space splits intact
-            h1, h2 = v.out
-            if bool(v.payload) != bool(h1.payload) or bool(h1.payload) != bool(
-                h2.payload
-            ):
-                continue
-            if is_mergeable(h1.twin.arc, h2.arc):
-                arr.merge_edges_at(v)
-                changed = True
-                break
+    # One pass: a merge keeps the outgoing payloads of the merged vertex's
+    # two neighbours and its arc's circle, and only lengthens the arc, so
+    # a vertex that cannot merge now cannot merge after a later merge.
+    for v in list(arr.vertices):
+        if v.is_isolated or v.degree != 2:
+            continue
+        if v.point.boundary_class is not BoundaryClass.INTERIOR:
+            continue  # keep parameter-space splits intact
+        h1, h2 = v.out
+        if bool(v.payload) != bool(h1.payload) or bool(h1.payload) != bool(h2.payload):
+            continue
+        if is_mergeable(h1.twin.arc, h2.arc):
+            arr.merge_edges_at(v)
 
 
 def reflect_region(region: SphericalRegion) -> SphericalRegion:
@@ -566,7 +557,6 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     n = len(assembly.parts)
     if n < 2:
         raise ValueError("an assembly needs at least two parts")
-    assembly.validate_meshes()
     gmaps = [[build(m) for m in subs] for subs in assembly.parts]
     reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts]
     ordered = [(i, j) for i in range(n) for j in range(i + 1, n)]

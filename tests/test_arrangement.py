@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from geomink.gaussian import build, reflect
 from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import minkowski
-from geomink.shapes import random_polytope
+from geomink import arrangement
+from geomink.shapes import box, random_polytope, split_star_assembly
 from geomink.arrangement import (
     LEFT,
     RIGHT,
@@ -542,8 +544,10 @@ def test_assembly_matches_arc_by_arc_insertion(scene):
 @st.composite
 def _arc_pairs(draw):
     """Two arcs, biased to the cases the filter must not skip: a shared
-    endpoint, one great circle, an endpoint inside the other arc, and
-    endpoints at a pole or on the seam."""
+    endpoint, one great circle, an endpoint inside the other arc, one arc
+    inside the other on their circle, and endpoints at a pole or on the
+    seam; and to one it skips: an endpoint antipodal to one of the other
+    arc's endpoints."""
     a = None
     while a is None:
         p, q = draw(_directions), draw(_directions)
@@ -555,29 +559,41 @@ def _arc_pairs(draw):
     on_circle = st.builds(lambda i, j: s.scale(i) + t.scale(j), k, k)
     inside = st.builds(lambda i, j: s.scale(i) + t.scale(j), pos, pos)
     ends = draw(
-        st.sampled_from(["free", "shared", "circle", "touch", "touch_circle"])
+        st.sampled_from(
+            ["free", "shared", "antipode", "circle", "touch", "touch_circle", "nested"]
+        )
     )
     first = {
         "free": _directions,
         "shared": st.sampled_from([s, t]),
+        "antipode": st.sampled_from([-s, -t]),
         "circle": on_circle,
         "touch": inside,
         "touch_circle": inside,
+        "nested": inside,
     }[ends]
-    second = on_circle if ends in ("circle", "touch_circle") else _directions
+    second = {"circle": on_circle, "touch_circle": on_circle, "nested": inside}.get(
+        ends, _directions
+    )
     b_src, b_tgt = draw(first), draw(second)
     assume(not b_src.is_zero() and not b_tgt.is_zero() and not cross(b_src, b_tgt).is_zero())
     b = arc_between(b_src, b_tgt)
     return (a, b) if draw(st.booleans()) else (b, a)
 
 
-def _pieces_cut_at(arc, cuts):
-    """The endpoint pairs of arc cut at the cuts strictly inside it."""
+def _cut_at(arc, cuts):
+    """The (source, target) pairs of arc cut at the cuts strictly inside
+    it, in order along it; every cut lies on the arc's circle."""
     inner = [p for p in cuts if strictly_inside_arc(p.dir, arc)]
     # a point comes first when most others follow it along the arc
     inner = sorted(inner, key=lambda p: -sum(det3(p.dir, q.dir, arc.normal) > 0 for q in inner))
     chain = [arc.source] + inner + [arc.target]
-    return {frozenset(ends) for ends in zip(chain, chain[1:])}
+    return list(zip(chain, chain[1:]))
+
+
+def _pieces_cut_at(arc, cuts):
+    """The endpoint pairs of arc cut at the cuts strictly inside it."""
+    return {frozenset(ends) for ends in _cut_at(arc, cuts)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -592,6 +608,80 @@ def test_pair_filter_keeps_every_pair_that_cuts(pair):
     pieces = _split_all([(a, ("a",)), (b, ("b",))])
     got = [frozenset((x.source, x.target)) for x, _ in pieces]
     assert len(got) == len(want) and set(got) == want
+
+
+def _split_all_reference(tagged, extra_points):
+    """_split_all by brute force: intersect on every pair of arcs of
+    different groups, each arc cut at the points strictly inside it, and
+    one piece per endpoint pair, kept as first met, with the tags of
+    every arc it lies on."""
+    cuts = [set() for _ in tagged]
+    for (i, (a, ta)), (j, (b, tb)) in itertools.combinations(enumerate(tagged), 2):
+        if ta[0] == tb[0]:
+            continue
+        r = intersect(a, b)
+        found = set(r.points)
+        if r.overlap is not None:
+            found |= {r.overlap.source, r.overlap.target}
+        cuts[i] |= found
+        cuts[j] |= found
+    pieces = {}
+    for (a, tag), found in zip(tagged, cuts):
+        found |= {p for p, _ in extra_points if point_on_arc(p, a)}
+        for s, t in _cut_at(a, found):
+            key = frozenset((s, t))
+            if key not in pieces:
+                pieces[key] = (arc_between(s, t, a.normal), [])
+            pieces[key][1].append(tag)
+    return list(pieces.values())
+
+
+_SPLIT_STAR_SUBPARTS = [m for _, subs in split_star_assembly() for m in subs]
+
+
+@st.composite
+def _gaussian_maps(draw):
+    """A Gaussian map with arcs on shared great circles, on the seam and
+    at the poles: a box, a Split Star sub-part or a random polytope,
+    reflected or not."""
+    kind = draw(st.sampled_from(["box", "split_star", "random"]))
+    if kind == "box":
+        lo = draw(st.tuples(*[st.integers(-3, 0)] * 3))
+        hi = draw(st.tuples(*[st.integers(1, 3)] * 3))
+        mesh = box(*lo, *hi)
+    elif kind == "split_star":
+        mesh = draw(st.sampled_from(_SPLIT_STAR_SUBPARTS))
+    else:
+        mesh = random_polytope(draw(st.integers(4, 8)), draw(st.integers(0, 10**6)))
+    g = build(mesh)
+    return reflect(g) if draw(st.booleans()) else g
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gaussian_maps(), _gaussian_maps())
+def test_overlay_split_matches_all_pairs_intersect(g1, g2):
+    calls, one_circle = [], []
+    real_split = arrangement._split_all
+
+    def split_spy(tagged, extra_points=()):
+        out = real_split(tagged, extra_points)
+        calls.append((tagged, extra_points, out))
+        return out
+
+    def intersect_spy(a1, a2):
+        if cross(a1.normal, a2.normal).is_zero():
+            one_circle.append((a1, a2))
+        return intersect(a1, a2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrangement, "_split_all", split_spy)
+        mp.setattr(arrangement, "intersect", intersect_spy)
+        minkowski(g1, g2)
+    (call,) = calls
+    tagged, extra_points, got = call
+    assert got == _split_all_reference(tagged, extra_points)
+    # arcs on one great circle are cut by endpoint containment alone
+    assert one_circle == []
 
 
 # -- side of a cycle ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from geomink.assembly import (
     union_regions,
 )
 from geomink.arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay
-from geomink.gaussian import Mesh, build, primal_mesh, reflect
+from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
 from geomink.kernel import Vec3, dot
 from geomink.minkowski import minkowski
@@ -311,6 +311,22 @@ class TestPartition:
         a = Assembly(["one", "two"], [[cube(1)], [cube(1)]])
         with pytest.raises(ValueError):
             partition(a, FIRST)
+
+    def test_invalid_subpart_raises_its_mesh_error(self):
+        # The first invalid sub-part in part order names the error, as
+        # Mesh.validate words it; the open box after it is never reached.
+        c = cube(1)
+        bent = list(c.vertices)
+        bent[0] = bent[0] + Vec3(0, 0, 1)
+        non_planar = Mesh(bent, c.facets).translated(Vec3(10, 0, 0))
+        open_box = Mesh(c.vertices, c.facets[:-1]).translated(Vec3(20, 0, 0))
+        a = Assembly(
+            ["one", "two", "three"],
+            [[cube(1)], [cube(1).translated(Vec3(0, 10, 0)), non_planar], [open_box]],
+        )
+        with pytest.raises(InvalidMesh) as exc:
+            partition(a, ALL)
+        assert str(exc.value) == "facet 1 is not planar"
 
     def test_pairwise_sum_counts(self):
         from geomink.assembly import pairwise_subpart_sums
