@@ -1041,39 +1041,28 @@ def overlay(
             face_prov[h.face][side] = src.face
             face_prov[h.twin.face][side] = src.twin.face
         edge_prov[h], edge_prov[h.twin] = prov, back
-    # A face no edge of a side touches takes that side's face by a flood
-    # across edges of the other color.
+    # A face no edge of a side touches takes that side's face by one
+    # worklist flood from the faces that have it.  The flood crosses only
+    # edges of the other color (both faces beside an edge of this side
+    # have it already), and crossing one stays inside one source face of
+    # this side, so the answer does not depend on the order.
     for side, arr in (("a", a), ("b", b)):
-        pending = [f for f in out.faces if side not in face_prov[f]]
-        changed = True
-        while changed and pending:
-            changed = False
-            still = []
-            for f in pending:
-                resolved = None
-                for rep in f.ccbs:
-                    for h in rep.cycle():
-                        # Crossing an edge of the other color stays inside
-                        # the same source face of this side.
-                        if side in edge_prov[h]:
-                            continue
-                        nb = h.twin.face
-                        if side in face_prov[nb]:
-                            resolved = face_prov[nb][side]
-                            break
-                    if resolved is not None:
-                        break
-                if resolved is not None:
-                    face_prov[f][side] = resolved
-                    changed = True
-                else:
-                    still.append(f)
-            pending = still
+        work = [f for f in out.faces if side in face_prov[f]]
+        while work:
+            f = work.pop()
+            src = face_prov[f][side]
+            for rep in f.ccbs:
+                for h in rep.cycle():
+                    nb = h.twin.face
+                    if side not in face_prov[nb]:
+                        face_prov[nb][side] = src
+                        work.append(nb)
         # The faces of a sphere map are connected across its edges, so a
-        # face the flood leaves pending meets no path to an edge of this
+        # face the flood does not reach meets no path to an edge of this
         # side: the operand has no edges, and then it has just one face.
-        for f in pending:
-            (face_prov[f][side],) = arr.faces
+        for f in out.faces:
+            if side not in face_prov[f]:
+                (face_prov[f][side],) = arr.faces
 
     # --- provenance of output vertices ------------------------------------
     def vertex_side_prov(v: Vertex, side: str, arr: SphereArrangement):

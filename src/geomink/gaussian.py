@@ -6,18 +6,27 @@ unnormalized normal directions), edges become geodesic arcs, and every
 arrangement face carries the primal vertex it maps back to.  Overlaying
 two such maps yields the map of the Minkowski sum.
 
+`build` reads the arcs off the directed-edge -> facet table that
+`Mesh.validate` builds, one arc per undirected edge, and assembles them
+in the table's order: the assembly does not depend on the order.
+
 Arcs are also split where they cross the identification curve or pass
 through a pole, and those splits are degree-2 vertices that are not
 facets.  The map names its facets once: `GaussianMap.facet_vertices`
 is the one list of facet vertices, `GaussianMap.facet_planes` adds
 their planes, and every reader of the primal facets (the primal mesh,
 facet counts, projections and proximity queries) takes them from these.
+The map also holds, each computed once, the primal mesh
+(`GaussianMap.mesh`) and the centroid of the primal vertices
+(`GaussianMap.centroid`); `GaussianMap.facet_neighbors` reads a facet's
+neighbours off the arrangement, across the splits.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .arrangement import Face, SphereArrangement, Vertex, _assemble
 from .kernel import (
@@ -64,7 +73,7 @@ class Mesh:
         n = self.facet_normal(i)
         return dot(n, self.vertices[self.facets[i][0]])
 
-    def validate(self) -> List[tuple]:
+    def validate(self) -> Tuple[List[tuple], Dict[Tuple[int, int], int]]:
         """Raise InvalidMesh unless this is a closed convex 2-manifold
         with planar, simple, strictly convex, consistently oriented
         facets, and every vertex on a facet.
@@ -74,7 +83,9 @@ class Mesh:
         each facet's normal computed once: scaling all vertices by one
         positive integer changes no sign.  The mesh keeps its input
         coordinates.  Returns the facets' outward normals as those
-        integer triples, positive multiples of facet_normal's."""
+        integer triples, positive multiples of facet_normal's, and the
+        table that maps each directed edge (a, b) of a facet cycle to
+        that facet."""
         if len(self.vertices) < 4:
             raise InvalidMesh("need at least 4 vertices")
         if len(self.facets) < 4:
@@ -150,7 +161,7 @@ class Mesh:
                 raise InvalidMesh(
                     f"facets {fi} and {fj} are coplanar; merge them first"
                 )
-        return normals
+        return normals, seen
 
     def translated(self, t: Vec3) -> "Mesh":
         return Mesh([v + t for v in self.vertices], [list(f) for f in self.facets])
@@ -184,8 +195,7 @@ class GaussianMap:
         """The facets of the primal polytope, in arrangement order: every
         arrangement vertex but the seam and pole splits.  Computed once:
         a map's arrangement is not changed once built."""
-        arr = self.arrangement
-        return [w for w in arr.vertices if not _is_split_artifact(arr, w)]
+        return [w for w in self.arrangement.vertices if not _is_split_artifact(w)]
 
     @cached_property
     def facet_planes(self) -> Dict[Vertex, Tuple[Vec3, Rational]]:
@@ -197,6 +207,32 @@ class GaussianMap:
             w: (w.point.dir, dot(w.point.dir, w.out[0].face.payload))
             for w in self.facet_vertices
         }
+
+    def facet_neighbors(self, w: Vertex) -> List[Vertex]:
+        """The facet vertices adjacent to facet vertex w, one along each
+        arc leaving w, in w's ring order; the walk along an arc hops over
+        its seam and pole splits."""
+        planes = self.facet_planes
+        out = []
+        for h in w.out:
+            e, t = h, h.target
+            while t not in planes:
+                # a seam or pole split has degree 2
+                e = t.out[0] if t.out[0] is not e.twin else t.out[1]
+                t = e.target
+            out.append(t)
+        return out
+
+    @cached_property
+    def mesh(self) -> Mesh:
+        """The primal mesh (primal_mesh), computed once."""
+        return primal_mesh(self)
+
+    @cached_property
+    def centroid(self) -> Vec3:
+        """The mean of the primal vertices, computed once."""
+        pts = self.primal_vertices()
+        return sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
 
     def primal_vertices(self) -> List[Vec3]:
         out = []
@@ -226,74 +262,22 @@ class GaussianMap:
 # -- construction -------------------------------------------------------------
 
 
-class _HEVertex:
-    __slots__ = ("index", "halfedge", "processed")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.halfedge: Optional["_HEEdge"] = None  # one outgoing halfedge
-        self.processed = False
-
-
-class _HEEdge:
-    __slots__ = ("src", "dst", "twin", "nxt", "facet", "processed")
-
-    def __init__(self, src: int, dst: int, facet: int):
-        self.src = src
-        self.dst = dst
-        self.twin: "_HEEdge" = None  # type: ignore
-        self.nxt: "_HEEdge" = None  # type: ignore
-        self.facet = facet
-        self.processed = False
-
-
-def _halfedge_structure(mesh: Mesh):
-    verts = [_HEVertex(i) for i in range(len(mesh.vertices))]
-    edges: Dict[Tuple[int, int], _HEEdge] = {}
-    for fi, cyc in enumerate(mesh.facets):
-        m = len(cyc)
-        ring = [_HEEdge(cyc[k], cyc[(k + 1) % m], fi) for k in range(m)]
-        for k, e in enumerate(ring):
-            e.nxt = ring[(k + 1) % m]
-            edges[(e.src, e.dst)] = e
-            verts[e.src].halfedge = e
-    for (a, b), e in edges.items():
-        e.twin = edges[(b, a)]
-    return verts, edges
-
-
 def build(mesh: Mesh) -> GaussianMap:
     """Construct the decorated Gaussian map of a valid convex mesh."""
-    normals = [classify(exact_vec(*n)) for n in mesh.validate()]
-    verts, _edges = _halfedge_structure(mesh)
+    normals, edge_facet = mesh.validate()
+    normals = [classify(exact_vec(*n)) for n in normals]
 
-    # The dual arc of primal edge e runs from the normal of e's facet to
-    # the normal of the facet across e; the normal cone of e.dst lies on
-    # its left and that of e.src on its right.  The arcs are assembled in
-    # the order a depth-first walk of the mesh meets the edges.
+    # The dual arc of primal edge (a, b) runs from the normal of the facet
+    # of a -> b to the normal of the facet of b -> a; the normal cone of b
+    # lies on its left and that of a on its right.  One arc per undirected
+    # edge, read from the edge table: the assembly takes them in any order.
     pieces: List[GeodesicArc] = []
     sides: List[Tuple[int, int]] = []
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        if v.processed:
-            continue
-        v.processed = True
-        e0 = v.halfedge
-        e = e0
-        while True:
-            if not e.processed:
-                for piece in make_arc(normals[e.facet], normals[e.twin.facet]):
-                    pieces.append(piece)
-                    sides.append((e.dst, e.src))
-                e.processed = True
-                e.twin.processed = True
-            w = verts[e.dst]
-            if not w.processed:
-                stack.append(w)
-            e = e.twin.nxt
-            if e is e0:
-                break
+    for (a, b), fi in edge_facet.items():
+        if a < b:
+            for piece in make_arc(normals[fi], normals[edge_facet[(b, a)]]):
+                pieces.append(piece)
+                sides.append((b, a))
 
     arr, along = _assemble(pieces)
     owner: Dict[Face, int] = {}
@@ -328,7 +312,7 @@ def reflect(g: GaussianMap) -> GaussianMap:
     return build(primal_mesh(g).negated())
 
 
-def _is_split_artifact(arr: SphereArrangement, v) -> bool:
+def _is_split_artifact(v: Vertex) -> bool:
     """A degree-2 vertex created only to split an arc at the parameter-
     space boundary: both incident arcs lie on one great circle."""
     if v.degree != 2:

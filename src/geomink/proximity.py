@@ -6,17 +6,19 @@ lies in M.  The classification walks the Gaussian map of M, facet to
 adjacent facet, toward the facet stabbed by the ray from an interior
 point through s.  The facet where the walk stops is certified by its
 neighbors alone, so a good start saves the work: each answer carries its
-facet as a hint for the next query on the same map.  Facets and their
-planes come from the map's own table, `GaussianMap.facet_planes`.
+facet as a hint for the next query on the same map.  Every table a
+query reads is held by the map: its facets and their planes
+(`GaussianMap.facet_planes`), the facet adjacency across seam and pole
+splits (`facet_neighbors`), and the centroid and primal mesh, each
+computed once (`centroid`, `mesh`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
-from .gaussian import GaussianMap, Mesh, primal_mesh, reflect
+from .gaussian import GaussianMap, reflect
 from .kernel import Rational, Vec3, ZeroVector, cross, dot
 from .minkowski import minkowski
 
@@ -51,41 +53,6 @@ class Witness(NamedTuple):
     hint: object  # facet vertex handle, reusable by queries on the same map
 
 
-class _FacetIndex:
-    """The centroid of a Gaussian map's primal vertices, the facet
-    adjacency across seam and pole splits, and, on demand, the primal
-    mesh, whose facets follow the map's facet table."""
-
-    def __init__(self, g: GaussianMap):
-        self.g = g
-        pts = g.primal_vertices()
-        self.centroid = sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
-
-    @cached_property
-    def mesh(self) -> Mesh:
-        return primal_mesh(self.g)
-
-    def neighbors(self, w):
-        planes = self.g.facet_planes
-        out = []
-        for h in w.out:
-            e, t = h, h.target
-            while t not in planes:
-                # hop over a seam or pole split: it has degree 2
-                e = t.out[0] if t.out[0] is not e.twin else t.out[1]
-                t = e.target
-            out.append(t)
-        return out
-
-
-def _facet_index(g: GaussianMap) -> _FacetIndex:
-    idx = getattr(g, "_facet_index", None)
-    if idx is None:
-        idx = _FacetIndex(g)
-        object.__setattr__(g, "_facet_index", idx)
-    return idx
-
-
 def _exit_parameter(plane, c: Vec3, d: Vec3) -> Optional[Rational]:
     n, b = plane
     den = dot(n, d)
@@ -108,9 +75,8 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
     very map (arrangement vertex ids repeat across maps, so identity is
     checked) and the ray leaves through the hint's plane; otherwise it
     starts at the facet whose normal best matches the ray."""
-    idx = _facet_index(M)
     planes = M.facet_planes
-    c = idx.centroid
+    c = M.centroid
     d = s - c
     if d.is_zero():
         w0 = next(iter(planes))
@@ -129,7 +95,7 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
     improved = True
     while improved:
         improved = False
-        for nb in idx.neighbors(cur):
+        for nb in M.facet_neighbors(cur):
             nt = t_of(nb)
             if nt is not None and nt < cur_t:
                 cur, cur_t = nb, nt
@@ -189,7 +155,7 @@ def separation_sq(M: GaussianMap, s: Vec3) -> Rational:
     when s is inside or on the boundary).  The mesh lists its facets in
     the order of M's facet table, and every quantity below is unchanged
     when a plane (n, b) is scaled by a positive factor."""
-    mesh = _facet_index(M).mesh
+    mesh = M.mesh
     planes = M.facet_planes.values()
     if all(dot(n, s) <= b for n, b in planes):
         return Fraction(0)

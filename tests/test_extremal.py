@@ -78,11 +78,11 @@ class TestWitness:
         plus = 0
         seen = set()
         for h in arr.halfedges:
-            if _is_split_artifact(arr, h.source):
+            if _is_split_artifact(h.source):
                 continue
             pieces = [h]
             e = h
-            while _is_split_artifact(arr, e.target):
+            while _is_split_artifact(e.target):
                 e = e.target.out[0] if e.target.out[0] is not e.twin else e.target.out[1]
                 pieces.append(e)
             key = frozenset((pieces[0].source.id, pieces[-1].target.id))

@@ -10,7 +10,7 @@ from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.kernel import Vec3, dot
 from geomink.minkowski import minkowski
-from geomink.shapes import box, icosahedron, octahedron, random_polytope, tetrahedron
+from geomink.shapes import box, cube, icosahedron, octahedron, random_polytope, tetrahedron
 from geomink.spherical import BoundaryClass
 
 
@@ -235,7 +235,8 @@ def test_build_computes_no_fraction_normals(monkeypatch):
     meshes = [Mesh(_box_vertices(), _BOX_FACETS), random_polytope(12, 5)]
     keys = [[m.facet_normal(i).canonical() for i in range(len(m.facets))] for m in meshes]
     for m, k in zip(meshes, keys):
-        assert [Vec3(*n).canonical() for n in m.validate()] == k
+        normals, _ = m.validate()
+        assert [Vec3(*n).canonical() for n in normals] == k
 
     def refuse(mesh, i):
         raise AssertionError("build called facet_normal")
@@ -379,3 +380,89 @@ def test_facet_table_names_the_primal_facets(case):
         corners = [mesh.vertices[v] for v in mesh.facets[i]]
         assert {h.face.payload.as_tuple() for h in w.out} == {c.as_tuple() for c in corners}
         assert all(dot(n, c) == b for c in corners)
+    _check_facet_neighbors(g)
+
+
+def _relabelled(mesh: Mesh, rng: random.Random) -> Mesh:
+    """The same polytope with its facets permuted, each facet cycle
+    rotated and its vertices relabelled."""
+    label = list(range(len(mesh.vertices)))
+    rng.shuffle(label)
+    vertices = [None] * len(label)
+    for old, new in enumerate(label):
+        vertices[new] = mesh.vertices[old]
+    facets = []
+    for cyc in rng.sample(mesh.facets, len(mesh.facets)):
+        k = rng.randrange(len(cyc))
+        facets.append([label[v] for v in cyc[k:] + cyc[:k]])
+    return Mesh(vertices, facets)
+
+
+def _map_contents(g):
+    """A map up to the order of its vertices, arcs and faces: its vertex
+    points, its directed arcs with their normals, each face's payload with
+    its boundary arcs, and its facet planes."""
+    def arc(h):
+        return (h.source.point.dir.as_tuple(), h.target.point.dir.as_tuple(),
+                h.arc.normal.as_tuple())
+
+    arr = g.arrangement
+    return (
+        sorted(v.point.dir.as_tuple() for v in arr.vertices),
+        sorted(arc(h) for h in arr.halfedges),
+        sorted(
+            (f.payload.as_tuple(), sorted(arc(h) for rep in f.ccbs for h in rep.cycle()))
+            for f in arr.faces
+        ),
+        sorted((n.as_tuple(), b) for n, b in g.facet_planes.values()),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from([cube, octahedron]),
+        st.tuples(st.integers(5, 12), st.integers(0, 10**6)),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_build_is_order_free(shape, rng):
+    # the cube's and octahedron's maps have seam and pole splits
+    mesh = shape() if callable(shape) else random_polytope(*shape)
+    assert _map_contents(build(_relabelled(mesh, rng))) == _map_contents(build(mesh))
+
+
+def test_cube_and_octahedron_maps_touch_the_seam_and_poles():
+    # the octahedron's arcs are split there; the cube's facets map to them
+    g = build(octahedron())
+    assert len(g.facet_vertices) == 8 < len(g.arrangement.vertices)
+    g = build(cube())
+    assert len(g.facet_vertices) == len(g.arrangement.vertices) == 6
+    assert set(g.arrangement.pole_vertices) == {"north", "south"}
+    assert any(
+        w.point.boundary_class is BoundaryClass.ON_IDENTIFICATION for w in g.facet_vertices
+    )
+
+
+def _check_facet_neighbors(g):
+    mesh = g.mesh
+    assert g.mesh is mesh
+    facet_of = {}
+    for fi, cyc in enumerate(mesh.facets):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            facet_of[(a, b)] = fi
+    index = {w: i for i, w in enumerate(g.facet_vertices)}
+    for w, i in index.items():
+        cyc = mesh.facets[i]
+        across = {facet_of[(b, a)] for a, b in zip(cyc, cyc[1:] + cyc[:1])}
+        got = [index[t] for t in g.facet_neighbors(w)]
+        assert len(got) == len(cyc)
+        assert set(got) == across
+
+
+def test_facet_neighbors_share_a_primal_edge():
+    # random maps are checked in test_facet_table_names_the_primal_facets
+    for mesh in (cube(), octahedron(), witness_polytope(default_params(6))):
+        _check_facet_neighbors(build(mesh))
+        _check_facet_neighbors(reflect(build(mesh)))
+
