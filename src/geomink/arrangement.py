@@ -34,6 +34,15 @@ exactly, and no probe arc is cast.  An overlay face takes its source
 faces from the source edges its pieces run along, and a face that no
 edge of one operand touches by a flood across the other operand's
 edges, so `overlay` makes no point-location call either.
+
+An arrangement owns its features, and no feature refers back to it, so
+reference counting frees a dropped arrangement's DCEL at once: its
+finalizer cuts its features' incidence links (a halfedge's twin, next,
+prev and face, a vertex's ring and isolated face, a face's CCBs and
+isolated vertices), and `remove_edge` and `merge_edges_at` cut those of
+the features they discard.  A feature kept after its arrangement is
+dropped still reads its point, arc and payload; its incidences end with
+the arrangement.
 """
 
 from __future__ import annotations
@@ -145,6 +154,21 @@ class Face:
         return f"F{self.id}"
 
 
+def _unlink(
+    halfedges: Iterable[Halfedge], vertices: Iterable[Vertex], faces: Iterable[Face]
+) -> None:
+    """Cut the incidence links of discarded features.  Their points, arcs
+    and payloads stay."""
+    for h in halfedges:
+        h.twin = h.nxt = h.prv = h.face = None
+    for v in vertices:
+        v.out.clear()
+        v.isolated_face = None
+    for f in faces:
+        f.ccbs.clear()
+        f.isolated.clear()
+
+
 class Cell(NamedTuple):
     """Tagged reference to an arrangement feature."""
 
@@ -169,6 +193,12 @@ class SphereArrangement:
         # Topology registry: contraction-point and identification vertices.
         self.pole_vertices: Dict[str, Vertex] = {}
         self.identification_vertices: List[Vertex] = []
+
+    def __del__(self):
+        # The features link one another in cycles, and none links back to
+        # the arrangement; cutting their incidences here lets reference
+        # counting free the DCEL with the arrangement.
+        _unlink(self.halfedges, self.vertices, self.faces)
 
     # -- basic queries ------------------------------------------------------
 
@@ -473,8 +503,8 @@ class SphereArrangement:
             for w in drop.isolated:
                 w.isolated_face = keep
                 keep.isolated[w] = None
-            drop.isolated.clear()
             self.faces.remove(drop)
+        _unlink((h, g), (), () if drop is None else (drop,))
 
         for v in (v1, v2):
             if not v.out:
@@ -530,6 +560,7 @@ class SphereArrangement:
             self.halfedges.remove(e)
         self.halfedges.extend((H, G))
         self._drop_vertex(v)
+        _unlink((p1, p2, q1, q2), (v,), ())
         return H
 
     def set_edge_payload(self, h: Halfedge, value: Any) -> None:
@@ -796,6 +827,24 @@ def _split_all(
                 row[k] = nx * x + ny * y + nz * z
             side[i] = row
 
+    # strictly_inside_arc on the ints: for an arc s -> t with normal n,
+    # det3(s, q, n) = <q, n x s> and det3(q, t, n) = <q, t x n>; the two
+    # triples are made on the arc's first same-circle pair
+    wedges: List[Any] = [None] * n
+
+    def inside(k: int, i: int) -> bool:
+        w = wedges[i]
+        if w is None:
+            (sx, sy, sz), (tx, ty, tz) = coords[ends[i][0]], coords[ends[i][1]]
+            m = arcs[i].normal
+            nx, ny, nz = m.x, m.y, m.z
+            w = wedges[i] = (
+                ny * sz - nz * sy, nz * sx - nx * sz, nx * sy - ny * sx,
+                ty * nz - tz * ny, tz * nx - tx * nz, tx * ny - ty * nx,
+            )
+        x, y, z = coords[k]
+        return w[0] * x + w[1] * y + w[2] * z > 0 and w[3] * x + w[4] * y + w[5] * z > 0
+
     cuts: List[Set[DirPoint]] = [set() for _ in tagged_arcs]
     later = [i for b in blocks for i in b]
     for b in blocks:
@@ -808,10 +857,10 @@ def _split_all(
                 d0, d1 = row[sj], row[tj]
                 if not (d0 or d1):  # the arcs lie on one great circle
                     for k in (sj, tj):
-                        if k != si and k != ti and strictly_inside_arc(points[k].dir, arcs[i]):
+                        if k != si and k != ti and inside(k, i):
                             cuts[i].add(points[k])
                     for k in (si, ti):
-                        if k != sj and k != tj and strictly_inside_arc(points[k].dir, arcs[j]):
+                        if k != sj and k != tj and inside(k, j):
                             cuts[j].add(points[k])
                     continue
                 if si == sj or si == tj or ti == sj or ti == tj:

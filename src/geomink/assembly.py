@@ -389,29 +389,6 @@ def tarjan_scc(n: int, edges: BlockSet) -> List[List[int]]:
     return comps
 
 
-def reachability_components(n: int, edges: BlockSet) -> List[List[int]]:
-    """Brute-force strongly connected components via reachability closure."""
-    reach = [[i == j for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        reach[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                for j in range(n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    comp_of = {}
-    comps = []
-    for i in range(n):
-        if i in comp_of:
-            continue
-        comp = [j for j in range(n) if reach[i][j] and reach[j][i]]
-        for j in comp:
-            comp_of[j] = len(comps)
-        comps.append(comp)
-    return comps
-
-
 def movable_subset(n: int, edges: BlockSet) -> Optional[Tuple[int, ...]]:
     """A proper nonempty subset with no blocking edge into its complement
     (None when the graph is strongly connected): the union of the

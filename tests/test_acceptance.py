@@ -8,13 +8,13 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import reachability_components
 from geomink.arrangement import sweep_build
 from geomink.assembly import (
     FIRST,
     Assembly,
     partition,
     project_polytope,
-    reachability_components,
     tarjan_scc,
 )
 from geomink.cli import main as cli_main

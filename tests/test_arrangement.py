@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from geomink.assembly import build_motion_space, project_polytope, reflect_region, union_regions
 from geomink.gaussian import build, reflect
 from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import minkowski
@@ -682,6 +683,107 @@ def test_overlay_split_matches_all_pairs_intersect(g1, g2):
     assert got == _split_all_reference(tagged, extra_points)
     # arcs on one great circle are cut by endpoint containment alone
     assert one_circle == []
+
+
+# -- the overlay, point by point -------------------------------------------------
+
+
+def _half_space_region(axis, sign):
+    """The open hemisphere on one side of a coordinate plane: the
+    projection of a box with a facet through the origin."""
+    lo, hi = [-1, -1, -1], [1, 1, 1]
+    (lo if sign < 0 else hi)[axis] = 0
+    (lo if sign > 0 else hi)[axis] = 2 * sign
+    return project_polytope(build(box(*lo, *hi)))
+
+
+@st.composite
+def _regions(draw):
+    """Pierced regions: hemispheres, and projections of random polytopes
+    that may hold the origin, touch it or lie apart from it."""
+    halves = draw(st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1, 1])), unique=True,
+                           max_size=5))
+    regions = [_half_space_region(*half) for half in halves]
+    for _ in range(draw(st.integers(0 if regions else 1, 2))):
+        mesh = random_polytope(draw(st.integers(4, 6)), draw(st.integers(0, 10**6)))
+        offset = Vec3(*draw(st.tuples(*[st.integers(-15, 15)] * 3)))
+        regions.append(project_polytope(build(mesh.translated(offset))))
+    return regions
+
+
+@st.composite
+def _overlay_operands(draw):
+    """An overlay operand as the library makes them: a built or reflected
+    Gaussian map; a union accumulator, cleaned, with boolean flags (five
+    hemispheres leave a pole as an isolated vertex); or a motion-space
+    accumulator with frozenset payloads, from the edgeless start on."""
+    kind = draw(st.sampled_from(["gaussian", "union", "motion"]))
+    if kind == "gaussian":
+        return draw(_gaussian_maps()).arrangement
+    if kind == "union":
+        return union_regions(draw(_regions())).arrangement
+    pairs = {}
+    if draw(st.booleans()):
+        r = union_regions(draw(_regions()))
+        pairs = {(0, 1): r, (1, 0): reflect_region(r)}
+    return build_motion_space(2, pairs).arrangement
+
+
+def _labelled(arr):
+    """arr with each payload wrapped with its feature's kind and id, so
+    that a payload names its cell."""
+    for v in arr.vertices:
+        v.payload = ("vertex", v.id, v.payload)
+    for h in arr.edges():
+        arr.set_edge_payload(h, ("edge", h.id, h.payload))
+    for f in arr.faces:
+        f.payload = ("face", f.id, f.payload)
+    return arr
+
+
+def _case_tag(case):
+    return lambda pa, pb: (case, pa, pb)
+
+
+_CASE_TAGGING = OverlayCallbacks(*map(_case_tag, OverlayCallbacks._fields))
+
+
+def _check_pointwise(a, b, directions):
+    """Every output cell's payload is its provenance case's callback on
+    the payloads of the cells that locate finds in a and in b, at each
+    output vertex, inside each output edge and face, and at the given
+    directions."""
+    a, b = _labelled(a), _labelled(b)
+    out = overlay(a, b, _CASE_TAGGING)
+    assert out.validate() == []
+    probes = [(v.point, v) for v in out.vertices]
+    probes += [(h.arc.interior_point(), h) for h in out.edges()]
+    probes += [(out.interior_point(f), f) for f in out.faces]
+    probes += [(classify(d), None) for d in directions]
+    for q, feature in probes:
+        cell = out.locate(q)
+        assert feature is None or cell.ref is feature
+        la, lb = a.locate(q), b.locate(q)
+        case = f"{la.kind}_{lb.kind}"
+        if case == "edge_edge" and cell.kind == "edge":
+            case = "edge_overlap"
+        assert cell.payload == (case, la.payload, lb.payload), (q, cell.kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_overlay_operands(), _overlay_operands(), st.lists(_directions, max_size=8))
+def test_overlay_payloads_match_located_cells(a, b, directions):
+    _check_pointwise(a, b, directions)
+
+
+def test_overlay_of_an_isolated_pole_matches_located_cells():
+    five = [_half_space_region(axis, sign) for axis in (0, 1) for sign in (-1, 1)]
+    union = union_regions(five + [_half_space_region(2, -1)]).arrangement
+    assert [v.point for v in union.vertices if v.is_isolated] == [classify(Vec3(0, 0, 1))]
+    empty = new_arrangement()
+    empty.initial_face().payload = frozenset()
+    _check_pointwise(union, build(box(-1, -2, -3, 3, 2, 1)).arrangement, [Vec3(1, 1, 1)])
+    _check_pointwise(empty, union_regions(five).arrangement, [Vec3(0, 0, -1)])
 
 
 # -- side of a cycle ---------------------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reachability_components
 from geomink import assembly
 from geomink.assembly import (
     ALL,
@@ -16,7 +17,6 @@ from geomink.assembly import (
     pairwise_subpart_sums,
     partition,
     project_polytope,
-    reachability_components,
     reflect_region,
     tarjan_scc,
     union_regions,
