@@ -1061,78 +1061,75 @@ def overlay(
 ) -> SphereArrangement:
     """Overlay two arrangements; every output cell's payload is produced
     by exactly one callback named after its provenance case."""
-    tagged: List[Tuple[GeodesicArc, Any]] = []
-    for side, arr in (("a", a), ("b", b)):
-        for h in arr.edges():
-            tagged.append((h.arc, (side, h)))
-    iso_points: List[Tuple[DirPoint, Any]] = []
-    for side, arr in (("a", a), ("b", b)):
-        for v in arr.vertices:
-            if v.is_isolated:
-                iso_points.append((v.point, (side, v)))
+    operands = (a, b)
+    tagged = [(h.arc, (side, h)) for side, arr in enumerate(operands) for h in arr.edges()]
+    iso_points = [
+        (v.point, (side, v))
+        for side, arr in enumerate(operands) for v in arr.vertices if v.is_isolated
+    ]
 
     pieces = _split_all(tagged, iso_points)
     # Isolated source vertices not on an output feature stay isolated.
     out, along = _assemble([sub for sub, _ in pieces], [p for p, _ in iso_points])
 
     # --- provenance of output edges, and of the faces beside them --------
-    # edge_prov[h][side] is the source halfedge of that side h runs along;
-    # h's face lies in its face, and the twin's face in its twin's face.
-    edge_prov: Dict[Halfedge, Dict[str, Halfedge]] = {}
-    face_prov: Dict[Face, Dict[str, Face]] = {f: {} for f in out.faces}
+    # edge_prov[h] is the pair (a's, b's) of source halfedges h runs along,
+    # None for an operand none of whose edges it runs along; h's face lies
+    # in each one's face, and the twin's face in its twin's face.
+    # face_prov[f] is the pair of source faces f lies in, None until known.
+    edge_prov: Dict[Halfedge, Tuple[Optional[Halfedge], Optional[Halfedge]]] = {}
+    face_prov: Dict[Face, List[Optional[Face]]] = {f: [None, None] for f in out.faces}
     for h, (_, tags) in zip(along, pieces):
-        prov: Dict[str, Halfedge] = {}
-        back: Dict[str, Halfedge] = {}
+        prov: List[Optional[Halfedge]] = [None, None]
         for side, src in tags:
             if dot(src.arc.normal, h.arc.normal) < 0:
                 src = src.twin
-            prov[side], back[side] = src, src.twin
+            prov[side] = src
             face_prov[h.face][side] = src.face
             face_prov[h.twin.face][side] = src.twin.face
-        edge_prov[h], edge_prov[h.twin] = prov, back
+        ea, eb = prov
+        edge_prov[h] = (ea, eb)
+        edge_prov[h.twin] = (None if ea is None else ea.twin, None if eb is None else eb.twin)
     # A face no edge of a side touches takes that side's face by one
     # worklist flood from the faces that have it.  The flood crosses only
     # edges of the other color (both faces beside an edge of this side
     # have it already), and crossing one stays inside one source face of
     # this side, so the answer does not depend on the order.
-    for side, arr in (("a", a), ("b", b)):
-        work = [f for f in out.faces if side in face_prov[f]]
+    for side, arr in enumerate(operands):
+        work = [f for f in out.faces if face_prov[f][side] is not None]
         while work:
             f = work.pop()
             src = face_prov[f][side]
             for rep in f.ccbs:
                 for h in rep.cycle():
                     nb = h.twin.face
-                    if side not in face_prov[nb]:
+                    if face_prov[nb][side] is None:
                         face_prov[nb][side] = src
                         work.append(nb)
         # The faces of a sphere map are connected across its edges, so a
         # face the flood does not reach meets no path to an edge of this
         # side: the operand has no edges, and then it has just one face.
         for f in out.faces:
-            if side not in face_prov[f]:
+            if face_prov[f][side] is None:
                 (face_prov[f][side],) = arr.faces
 
     # --- provenance of output vertices ------------------------------------
-    def vertex_side_prov(v: Vertex, side: str, arr: SphereArrangement):
-        sv = arr.find_vertex(v.point)
+    def vertex_side_prov(v: Vertex, side: int):
+        sv = operands[side].find_vertex(v.point)
         if sv is not None:
             return ("vertex", sv)
         for h in v.out:
-            prov = edge_prov[h]
-            if side in prov:
-                return ("edge", prov[side])
+            src = edge_prov[h][side]
+            if src is not None:
+                return ("edge", src)
         # Interior to a face of that side: inherit from an incident cell.
-        if v.out:
-            f = v.out[0].face
-            return ("face", face_prov[f][side])
-        f = v.isolated_face
+        f = v.out[0].face if v.out else v.isolated_face
         return ("face", face_prov[f][side])
 
     # --- apply the ten callbacks ------------------------------------------
     for v in out.vertices:
-        ka, ra = vertex_side_prov(v, "a", a)
-        kb, rb = vertex_side_prov(v, "b", b)
+        ka, ra = vertex_side_prov(v, 0)
+        kb, rb = vertex_side_prov(v, 1)
         pa = ra.payload
         pb = rb.payload
         if ka == "vertex" and kb == "vertex":
@@ -1151,19 +1148,17 @@ def overlay(
             raise AssertionError("vertex with face/face provenance")
 
     for h in out.edges():
-        prov = edge_prov[h]
-        if "a" in prov and "b" in prov:
-            val = cb.edge_overlap(prov["a"].payload, prov["b"].payload)
-        elif "a" in prov:
-            fb = face_prov[h.face]["b"]
-            val = cb.edge_face(prov["a"].payload, fb.payload)
+        ea, eb = edge_prov[h]
+        if ea is not None and eb is not None:
+            val = cb.edge_overlap(ea.payload, eb.payload)
+        elif ea is not None:
+            val = cb.edge_face(ea.payload, face_prov[h.face][1].payload)
         else:
-            fa = face_prov[h.face]["a"]
-            val = cb.face_edge(fa.payload, prov["b"].payload)
+            val = cb.face_edge(face_prov[h.face][0].payload, eb.payload)
         out.set_edge_payload(h, val)
 
     for f in out.faces:
-        fa, fb = face_prov[f]["a"], face_prov[f]["b"]
+        fa, fb = face_prov[f]
         f.payload = cb.face_face(fa.payload, fb.payload)
     return out
 

@@ -13,7 +13,9 @@ valid motions may sit on single arrangement vertices.
 `partition` runs these stages:
 
 1. the Gaussian map of every sub-part and of its reflection;
-2. the pairwise sums, for part pairs i < j only;
+2. the pairwise sums, for part pairs i < j only, made, projected and
+   dropped one part pair at a time, so no more than one part pair's
+   sums are alive at once (a sum is read only to project it);
 3. one scan of each sum's facet planes, read from the map's own table
    (`GaussianMap.facet_planes`), which both rejects overlapping
    interiors (the origin strictly inside the sum) and picks the
@@ -458,6 +460,24 @@ def pairwise_subpart_sums(
     return sums
 
 
+def _pair_projections(
+    assembly: Assembly,
+    gmaps: List[List[GaussianMap]],
+    reflected: List[List[GaussianMap]],
+    i: int,
+    j: int,
+) -> List[SphericalRegion]:
+    """The projections of part pair (i, j)'s sub-part sums, in (k, l)
+    order; the sums are dropped on return."""
+    regions = []
+    sums = pairwise_subpart_sums(assembly, gmaps, reflected, [(i, j)])
+    for (_, _, k, l), m in sums.items():
+        if all(b > 0 for _, b in m.facet_planes.values()):  # the origin is inside
+            raise ValueError(f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors")
+        regions.append(project_polytope(m))
+    return regions
+
+
 def build_motion_space(
     n_parts: int, q_regions: Dict[Tuple[int, int], SphericalRegion]
 ) -> MotionSpace:
@@ -530,28 +550,20 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     """The full pipeline: sub-part Gaussian maps, reflections, pairwise
     sums, central projections, per-pair unions, motion space, and the
     strong-connectivity scan.  Only the sums for pairs i < j are built:
-    q[j, i] is the antipodal image of q[i, j]."""
+    q[j, i] is the antipodal image of q[i, j].  The sums are made,
+    projected and dropped one part pair at a time, in (i, j, k, l)
+    order, so the first overlapping pair in that order names the
+    error."""
     n = len(assembly.parts)
     if n < 2:
         raise ValueError("an assembly needs at least two parts")
     gmaps = [[build(m) for m in subs] for subs in assembly.parts]
     reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts]
-    ordered = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    sums = pairwise_subpart_sums(assembly, gmaps, reflected, ordered)
-
     q: Dict[Tuple[int, int], SphericalRegion] = {}
-    for i, j in ordered:
-        regions = []
-        for k in range(len(assembly.parts[i])):
-            for l in range(len(assembly.parts[j])):
-                m = sums[(i, j, k, l)]
-                if all(b > 0 for _, b in m.facet_planes.values()):  # the origin is inside
-                    raise ValueError(
-                        f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors"
-                    )
-                regions.append(project_polytope(m))
-        q[(i, j)] = union_regions(regions)
-        q[(j, i)] = reflect_region(q[(i, j)])
+    for i in range(n):
+        for j in range(i + 1, n):
+            q[(i, j)] = union_regions(_pair_projections(assembly, gmaps, reflected, i, j))
+            q[(j, i)] = reflect_region(q[(i, j)])
 
     ms = build_motion_space(n, q)
     return find_partitions(ms, mode)

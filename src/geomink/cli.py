@@ -79,7 +79,10 @@ def cmd_collide(args) -> int:
 
 def cmd_hull(args) -> int:
     pts = fileio.read_points(args.points)
-    mesh = convex_hull_3(pts)
+    try:
+        mesh = convex_hull_3(pts)
+    except DegenerateInput as e:
+        raise DegenerateInput(f"{args.points}: {e}") from None
     if args.output:
         fileio.write_mesh(mesh, args.output)
     print(f"vertices={len(mesh.vertices)} facets={len(mesh.facets)}")

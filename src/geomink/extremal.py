@@ -363,6 +363,7 @@ def _tune_full(m: int, n: int, cap: int = 64):
         got = facet_count(s)
         if got == bound:
             return pm, pn, got, s
+        del s  # a rejected sum is not kept alive through the next attempt
         pm = WitnessParams(pm.facets, pm.alpha_t / 8, pm.beta_t, pm.gamma_t)
         pn = WitnessParams(pn.facets, pn.alpha_t / 8, pn.beta_t, pn.gamma_t)
     raise NonTermination(f"no valid angles found for ({m}, {n})")

@@ -63,6 +63,7 @@ def parse_mesh_tokens(tok_iter, path: str) -> Mesh:
         raise ParseError(path, 0, "empty mesh block") from None
     if head != ["EOFF"]:
         raise ParseError(path, line, f"expected EOFF header, got {' '.join(head)}")
+    header = line
     line, counts = next(tok_iter, (line, None))
     if counts is None or len(counts) != 2:
         raise ParseError(path, line, "expected '<vertices> <facets>' counts line")
@@ -92,7 +93,7 @@ def parse_mesh_tokens(tok_iter, path: str) -> Mesh:
     try:
         mesh.validate()
     except InvalidMesh as e:
-        raise InvalidMesh(f"{path}: {e}") from None
+        raise InvalidMesh(f"{path}:{header}: {e}") from None
     return mesh
 
 

@@ -311,6 +311,18 @@ class TestPartition:
         a = Assembly(["one", "two"], [[cube(1)], [cube(1)]])
         with pytest.raises(ValueError):
             partition(a, FIRST)
+        # Part pairs (0, 2) and (1, 2) both overlap, (0, 2) twice: the
+        # error names the first overlapping sub-part pair in (i, j, k, l)
+        # order, 0.0 and 2.2 (in (i, j, l, k) order it would be 0.1 and 2.1).
+        at_x, at_y = cube(1).translated(Vec3(10, 0, 0)), cube(1).translated(Vec3(0, 10, 0))
+        a = Assembly(
+            ["zero", "one", "two"],
+            [[at_x, cube(1)], [at_y], [at_y, cube(1), at_x]],
+        )
+        for mode in (FIRST, ALL):
+            with pytest.raises(ValueError) as exc:
+                partition(a, mode)
+            assert str(exc.value) == "sub-parts 0.0 and 2.2 have overlapping interiors"
 
     def test_invalid_subpart_raises_its_mesh_error(self):
         # The first invalid sub-part in part order names the error, as

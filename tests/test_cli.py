@@ -4,7 +4,9 @@ import pytest
 
 from geomink.cli import main
 from geomink.fileio import write_mesh, write_scene
-from geomink.shapes import box, octahedron, peg_in_hole_assembly
+from geomink.gaussian import Mesh
+from geomink.kernel import Vec3
+from geomink.shapes import box, cube, octahedron, peg_in_hole_assembly, tetrahedron
 
 
 @pytest.fixture
@@ -105,3 +107,37 @@ def test_trailing_facet_line_exits_2_with_path_and_line(tmp_path, capsys):
     bad.write_text(bad.read_text() + "3 0 1 2\n")
     assert main(["gmap", str(bad)]) == 2
     assert f"{bad}:{where}:" in capsys.readouterr().err
+
+
+def _flipped_tetrahedron() -> Mesh:
+    t = tetrahedron()
+    return Mesh(t.vertices, [f[::-1] for f in t.facets])
+
+
+def test_invalid_mesh_file_exits_2_with_path_and_line(tmp_path, capsys):
+    bad = tmp_path / "flip.eoff"
+    write_mesh(_flipped_tetrahedron(), str(bad))
+    assert main(["gmap", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:1: vertex ")
+
+
+def test_invalid_scene_block_exits_2_with_path_and_line(tmp_path, capsys):
+    # the second part holds a cube and a flipped tetrahedron, whose EOFF
+    # header is on line 36: two part lines, two 16-line cube blocks and
+    # the assembly line come before it
+    scene = tmp_path / "scene.asm"
+    write_scene(
+        ["a", "b"],
+        [[cube(1)], [cube(1).translated(Vec3(10, 0, 0)), _flipped_tetrahedron()]],
+        str(scene),
+    )
+    assert scene.read_text().splitlines()[35] == "EOFF"
+    assert main(["partition", str(scene)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {scene}:36: vertex ")
+
+
+def test_coplanar_points_exit_2_and_name_the_file(tmp_path, capsys):
+    pts = tmp_path / "flat.txt"
+    pts.write_text("0 0 0\n2 0 0\n0 2 0\n2 2 0\n")
+    assert main(["hull", str(pts)]) == 2
+    assert capsys.readouterr().err == f"error: {pts}: points are coplanar\n"

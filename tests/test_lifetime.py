@@ -2,15 +2,21 @@
 
 Each case builds and drops arrangements with the cyclic collector off;
 a collection afterwards, with every unreachable object saved, must find
-no arrangement feature and no arrangement.  The module needs only the
-standard library, so it also runs without pytest:
+no arrangement feature and no arrangement.  The working-set tests check
+that the pipelines drop their intermediate sums as soon as they are
+used: weak references count the sums alive at each call of their
+consumer.  The module needs only the standard library, so it also runs
+without pytest:
 
     PYTHONPATH=src python tests/test_lifetime.py
 """
 
 import gc
+import weakref
 from collections import Counter
+from typing import Tuple
 
+from geomink import assembly, extremal
 from geomink.arrangement import (
     Face, Halfedge, SphereArrangement, Vertex, dumps, loads, new_arrangement, sweep_build,
 )
@@ -22,7 +28,9 @@ from geomink.extremal import verify_bound
 from geomink.gaussian import build, primal_mesh, reflect
 from geomink.kernel import Vec3
 from geomink.minkowski import minkowski
-from geomink.shapes import box, cube, octahedron, peg_in_hole_assembly, random_polytope
+from geomink.shapes import (
+    box, cube, octahedron, peg_in_hole_assembly, random_polytope, split_star_assembly,
+)
 from geomink.spherical import arc_between, make_arc
 
 DCEL_TYPES = (Vertex, Halfedge, Face, SphereArrangement)
@@ -124,6 +132,56 @@ def test_kept_feature_keeps_its_values():
     assert h.twin is None and h.face is None and v.out == []
 
 
+def most_alive(module, maker: str, user: str, run) -> Tuple[int, int]:
+    """The most results of module.<maker> alive at once when module.<user>
+    is entered, while run() runs with the cyclic collector off, and the
+    number of results made."""
+    saved = {name: getattr(module, name) for name in (maker, user)}
+    made = []
+    most = 0
+
+    def make(*args, **kwargs):
+        out = saved[maker](*args, **kwargs)
+        made.append(weakref.ref(out))
+        return out
+
+    def use(*args, **kwargs):
+        nonlocal most
+        most = max(most, sum(r() is not None for r in made))
+        return consume(*args, **kwargs)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        setattr(module, maker, make)
+        consume = getattr(module, user)  # the maker's wrapper when maker is user
+        setattr(module, user, use)
+        run()
+    finally:
+        for name, fn in saved.items():
+            setattr(module, name, fn)
+        if enabled:
+            gc.enable()
+    return most, len(made)
+
+
+def test_partition_holds_one_part_pair_of_sums():
+    # Split Star's 15 part pairs (i < j) have 9 sub-part sums each
+    named = split_star_assembly()
+    a = Assembly([n for n, _ in named], [p for _, p in named])
+    most, made = most_alive(assembly, "minkowski", "project_polytope", lambda: partition(a))
+    assert made == 135
+    assert most <= 9
+
+
+def test_witness_tuner_drops_rejected_sums():
+    # (11, 11) rejects a candidate before it reaches the bound: no earlier
+    # sum may be alive when the next one is made
+    most, made = most_alive(extremal, "minkowski", "minkowski", lambda: verify_bound(11, 11))
+    assert made > 1
+    assert most == 0
+
+
 if __name__ == "__main__":
     import sys
 
@@ -131,4 +189,6 @@ if __name__ == "__main__":
     for name, found in left.items():
         print(f"{name}: {dict(found) or 'none'}")
     test_kept_feature_keeps_its_values()
+    test_partition_holds_one_part_pair_of_sums()
+    test_witness_tuner_drops_rejected_sums()
     sys.exit(1 if any(left.values()) else 0)
