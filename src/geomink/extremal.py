@@ -354,7 +354,7 @@ def _tune_full(m: int, n: int, cap: int = 64):
     for _ in range(cap):
         try:
             mesh_m = witness_polytope(pm)
-            mesh_n = witness_polytope(pn)
+            mesh_n = mesh_m if pn == pm else witness_polytope(pn)
         except ParamsRejected:
             pm = pm.scaled(Fraction(1, 2))
             pn = pn.scaled(Fraction(1, 2))

@@ -9,6 +9,10 @@ two such maps yields the map of the Minkowski sum.
 `build` reads the arcs off the directed-edge -> facet table that
 `Mesh.validate` builds, one arc per undirected edge, and assembles them
 in the table's order: the assembly does not depend on the order.
+`Mesh.validate` certifies convexity in time linear in the mesh size:
+the vertex centroid strictly inside every facet plane, every edge
+strictly convex, and one ray from the centroid that meets one facet
+only (see its docstring); no vertex is tested against every facet.
 
 Arcs are also split where they cross the identification curve or pass
 through a pole, and those splits are degree-2 vertices that are not
@@ -85,81 +89,95 @@ class Mesh:
         coordinates.  Returns the facets' outward normals as those
         integer triples, positive multiples of facet_normal's, and the
         table that maps each directed edge (a, b) of a facet cycle to
-        that facet."""
-        if len(self.vertices) < 4:
-            raise InvalidMesh("need at least 4 vertices")
-        if len(self.facets) < 4:
-            raise InvalidMesh("need at least 4 facets")
-        seen = {}
-        for fi, cyc in enumerate(self.facets):
-            if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-                raise InvalidMesh(f"facet {fi} has a bad vertex cycle")
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if (a, b) in seen:
-                    raise InvalidMesh(f"directed edge {(a, b)} appears twice")
-                seen[(a, b)] = fi
-        for (a, b), fi in seen.items():
-            if (b, a) not in seen:
-                raise InvalidMesh(f"edge {(a, b)} of facet {fi} has no twin")
-        if len(self.vertices) - len(seen) // 2 + len(self.facets) != 2:
-            raise InvalidMesh("Euler characteristic is not 2")
-        used = {a for a, _ in seen}
-        for vi in range(len(self.vertices)):
-            if vi not in used:
-                raise InvalidMesh(f"vertex {vi} is on no facet")
+        that facet.
+
+        After the topology checks (a closed, oriented 2-manifold of Euler
+        characteristic 2, every vertex on a facet) and the per-facet ones
+        (planar, strictly convex and counterclockwise about its normal,
+        winding once; a triangle is all four), convexity is certified in
+        O(V + E + F) instead of testing every vertex against every facet
+        plane.  With o = S / V the vertex centroid:
+
+        (a) o lies strictly below every facet plane <n, x> = b, tested as
+            <n, S> < V b;
+        (b) every edge is strictly convex: the vertex that follows the
+            edge in one of its facets lies strictly below the other's
+            plane (the sign is the same from either side), which also
+            rules out coplanar neighbours;
+        (c) the ray from o through the vertex centroid q of facet 0 meets
+            no other closed facet: with D = V k (q - o) for facet 0's k
+            corners, no other facet has det(V u - S, V v - S, D) >= 0 on
+            every edge u -> v, and only facets with <n, D> > 0 are tested.
+
+        Why these suffice: by (a) central projection from o maps each
+        facet one-to-one, keeping its orientation, onto a convex spherical
+        polygon, so with (b) it makes the surface a branched covering of
+        the sphere; by (c) the direction of q has one preimage, so the
+        covering has degree 1 and is a homeomorphism.  A closed surface
+        that is star-shaped about o and locally convex at every edge
+        bounds a convex body (Tietze-Nakajima); no vertex lies outside or
+        on a facet plane other than its own.  This is the checker of
+        Mehlhorn, Naeher, Seel, Seidel, Schilz, Schirra and Uhrig,
+        "Checking geometric programs or verification of geometric
+        structures", CGTA 12 (1999), also CGAL's is_strongly_convex_3."""
+        seen = _edge_table(self)
         pts = integer_coords(self.vertices)
+        nv = len(pts)
+        sx = sum(p[0] for p in pts)
+        sy = sum(p[1] for p in pts)
+        sz = sum(p[2] for p in pts)
         normals = []
+        offsets = []
         for fi, cyc in enumerate(self.facets):
             corners = [pts[vi] for vi in cyc]
             n = cycle_normal(fi, corners)
-            normals.append(n)
-            b0 = dot3(n, corners[0])
-            if any(dot3(n, c) != b0 for c in corners):
-                raise InvalidMesh(f"facet {fi} is not planar")
             nx, ny, nz = n
-            # Every turn a x b between consecutive edges must be strictly
-            # left about n, so each is less than a half turn.  Then
-            # s = det(e0, b, n) is > 0 when b's direction is a turn in
-            # (0, pi) past e0's, < 0 in (pi, 2 pi) and 0 at 0 or pi, so the
-            # directions come round to e0's once per step from s < 0 to
-            # s >= 0: more than one such step is a facet that winds twice.
-            edges = [
-                (q[0] - p[0], q[1] - p[1], q[2] - p[2])
-                for p, q in zip(corners, corners[1:] + corners[:1])
-            ]
-            cx, cy, cz = cross3(n, edges[0])
-            ax, ay, az = edges[-1]
-            s_a = ax * cx + ay * cy + az * cz
-            rounds = 0
-            for bx, by, bz in edges:
-                if (ay * bz - az * by) * nx + (az * bx - ax * bz) * ny + (
-                    ax * by - ay * bx
-                ) * nz <= 0:
-                    raise InvalidMesh(
-                        f"facet {fi} is not a strictly convex CCW polygon"
-                    )
-                s_b = bx * cx + by * cy + bz * cz
-                rounds += s_a < 0 <= s_b
-                ax, ay, az, s_a = bx, by, bz, s_b
-            if rounds > 1:
-                raise InvalidMesh(f"facet {fi} winds more than once around its plane")
-            for vi, (x, y, z) in enumerate(pts):
-                s = nx * x + ny * y + nz * z - b0
-                if s > 0:
-                    raise InvalidMesh(
-                        f"vertex {vi} lies outside facet {fi}: not convex "
-                        "or facets are misoriented"
-                    )
-                if s == 0 and vi not in cyc:
-                    raise InvalidMesh(
-                        f"vertex {vi} is coplanar with facet {fi} but not on it"
-                    )
-        for (a, b), fi in seen.items():
-            fj = seen[(b, a)]
-            ni, nj = normals[fi], normals[fj]
-            if cross3(ni, nj) == (0, 0, 0) and dot3(ni, nj) > 0:
+            b0 = dot3(n, corners[0])
+            if len(cyc) > 3:  # a triangle passes _check_facet
+                _check_facet(fi, n, b0, corners)
+            if nx * sx + ny * sy + nz * sz >= nv * b0:
+                raise InvalidMesh(_first_outside(fi, n, b0, pts, cyc, seen))
+            normals.append(n)
+            offsets.append(b0)
+        # (b): the edge (u, v) of facet gi, once per undirected edge,
+        # against the plane of the facet fi across it, by the vertex w
+        # that follows the edge in gi
+        for gi, cyc in enumerate(self.facets):
+            for u, v, w in zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]):
+                if v < u:
+                    fi = seen[(v, u)]
+                    nx, ny, nz = normals[fi]
+                    px, py, pz = pts[w]
+                    s = nx * px + ny * py + nz * pz - offsets[fi]
+                    if s >= 0:
+                        raise InvalidMesh(_off_plane(w, fi, gi, s, self.facets[fi]))
+        # (c): the ray o + t D, t >= 0, meets closed facet fi exactly when
+        # D lies in the cone from o over it, det(u - o, v - o, D) >= 0 on
+        # each edge u -> v, here on V u - S = V (u - o)
+        cyc0 = self.facets[0]
+        k = len(cyc0)
+        dx = nv * sum(pts[v][0] for v in cyc0) - k * sx
+        dy = nv * sum(pts[v][1] for v in cyc0) - k * sy
+        dz = nv * sum(pts[v][2] for v in cyc0) - k * sz
+        for fi in range(1, len(normals)):
+            nx, ny, nz = normals[fi]
+            if nx * dx + ny * dy + nz * dz <= 0:
+                continue
+            cyc = self.facets[fi]
+            x, y, z = pts[cyc[-1]]
+            ux, uy, uz = nv * x - sx, nv * y - sy, nv * z - sz
+            for v in cyc:
+                x, y, z = pts[v]
+                vx, vy, vz = nv * x - sx, nv * y - sy, nv * z - sz
+                if (uy * vz - uz * vy) * dx + (uz * vx - ux * vz) * dy + (
+                    ux * vy - uy * vx
+                ) * dz < 0:
+                    break
+                ux, uy, uz = vx, vy, vz
+            else:
                 raise InvalidMesh(
-                    f"facets {fi} and {fj} are coplanar; merge them first"
+                    f"facet {fi} meets the ray from the centroid through facet 0: "
+                    "the facets wrap more than once around the centroid"
                 )
         return normals, seen
 
@@ -180,6 +198,97 @@ def cycle_normal(fi: int, corners: List[tuple]) -> tuple:
         if turn != (0, 0, 0):
             return turn
     raise InvalidMesh(f"facet {fi} is collinear")
+
+
+def _edge_table(mesh: Mesh) -> Dict[Tuple[int, int], int]:
+    """Raise InvalidMesh unless the facet cycles make a closed, oriented
+    2-manifold of Euler characteristic 2 with every vertex on a facet;
+    return the table that maps each directed edge (a, b) of a facet
+    cycle to that facet."""
+    if len(mesh.vertices) < 4:
+        raise InvalidMesh("need at least 4 vertices")
+    if len(mesh.facets) < 4:
+        raise InvalidMesh("need at least 4 facets")
+    seen = {}
+    for fi, cyc in enumerate(mesh.facets):
+        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+            raise InvalidMesh(f"facet {fi} has a bad vertex cycle")
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if (a, b) in seen:
+                raise InvalidMesh(f"directed edge {(a, b)} appears twice")
+            seen[(a, b)] = fi
+    for (a, b), fi in seen.items():
+        if (b, a) not in seen:
+            raise InvalidMesh(f"edge {(a, b)} of facet {fi} has no twin")
+    if len(mesh.vertices) - len(seen) // 2 + len(mesh.facets) != 2:
+        raise InvalidMesh("Euler characteristic is not 2")
+    used = {a for a, _ in seen}
+    for vi in range(len(mesh.vertices)):
+        if vi not in used:
+            raise InvalidMesh(f"vertex {vi} is on no facet")
+    return seen
+
+
+def _check_facet(fi: int, n: tuple, b0: int, corners: List[tuple]) -> None:
+    """Raise InvalidMesh unless the facet with normal n, offset b0 and
+    these corners is planar, strictly convex and counterclockwise about
+    n, and winds once around its plane."""
+    if any(dot3(n, c) != b0 for c in corners):
+        raise InvalidMesh(f"facet {fi} is not planar")
+    nx, ny, nz = n
+    # Every turn a x b between consecutive edges must be strictly
+    # left about n, so each is less than a half turn.  Then
+    # s = det(e0, b, n) is > 0 when b's direction is a turn in
+    # (0, pi) past e0's, < 0 in (pi, 2 pi) and 0 at 0 or pi, so the
+    # directions come round to e0's once per step from s < 0 to
+    # s >= 0: more than one such step is a facet that winds twice.
+    edges = [
+        (q[0] - p[0], q[1] - p[1], q[2] - p[2])
+        for p, q in zip(corners, corners[1:] + corners[:1])
+    ]
+    cx, cy, cz = cross3(n, edges[0])
+    ax, ay, az = edges[-1]
+    s_a = ax * cx + ay * cy + az * cz
+    rounds = 0
+    for bx, by, bz in edges:
+        if (ay * bz - az * by) * nx + (az * bx - ax * bz) * ny + (
+            ax * by - ay * bx
+        ) * nz <= 0:
+            raise InvalidMesh(f"facet {fi} is not a strictly convex CCW polygon")
+        s_b = bx * cx + by * cy + bz * cz
+        rounds += s_a < 0 <= s_b
+        ax, ay, az, s_a = bx, by, bz, s_b
+    if rounds > 1:
+        raise InvalidMesh(f"facet {fi} winds more than once around its plane")
+
+
+def _first_outside(
+    fi: int, n: tuple, b0: int, pts: List[tuple], cyc: List[int], seen: Dict
+) -> str:
+    """The rejection of facet fi, whose plane <n, x> = b0 does not have
+    the vertex centroid strictly below it: the first vertex above the
+    plane; else every vertex is on it, and the first one off the facet,
+    or the facet across the facet's first edge, is named."""
+    for vi, p in enumerate(pts):
+        if dot3(n, p) > b0:
+            return (
+                f"vertex {vi} lies outside facet {fi}: not convex or facets "
+                "are misoriented"
+            )
+    for vi in range(len(pts)):
+        if vi not in cyc:
+            return f"vertex {vi} is coplanar with facet {fi} but not on it"
+    return f"facets {fi} and {seen[(cyc[1], cyc[0])]} are coplanar; merge them first"
+
+
+def _off_plane(w: int, fi: int, gi: int, s: int, facet: List[int]) -> str:
+    """The rejection of vertex w of facet gi, at height s >= 0 over the
+    plane of its neighbour fi across an edge."""
+    if s > 0:
+        return f"vertex {w} lies outside facet {fi}: not convex or facets are misoriented"
+    if w not in facet:
+        return f"vertex {w} is coplanar with facet {fi} but not on it"
+    return f"facets {fi} and {gi} are coplanar; merge them first"
 
 
 class GaussianMap:

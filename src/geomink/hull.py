@@ -1,9 +1,13 @@
 """Exact incremental 3D convex hull, used as the independent oracle for
 Minkowski sums and as a mesh utility.
 
-Internally the hull is kept simplicial; coplanar triangles are merged
-into maximal facets at the end so facet counts compare directly against
-Gaussian-map results.  All predicates are exact signs, taken on the
+Internally the hull is kept simplicial, with one map from each directed
+edge to its live triangle that every insertion updates: the edges of the
+triangles a point sees leave it, those of the new triangles enter it,
+and the horizon is read from it.  Coplanar triangles are merged into
+maximal facets at the end so facet counts compare directly against
+Gaussian-map results, and the output passes Mesh.validate's linear-time
+convexity certificate.  All predicates are exact signs, taken on the
 integer representative of the input (kernel.integer_coords: every point
 scaled by the lcm of all the denominators, which changes no sign); the
 output mesh holds the input points themselves.
@@ -90,25 +94,27 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     order = [i for i in range(len(pts)) if i not in (i0, i1, i2, i3)]
     random.Random(seed).shuffle(order)
 
+    # each directed edge of a live triangle -> that triangle
+    owner: Dict[Tuple[int, int], _Tri] = {e: t for t in tris for e in t.edges()}
     for pi in order:
         p = pts[pi]
-        visible = [t for t in tris if t.alive and dot3(t.normal, p) > t.offset]
+        visible = [t for t in tris if dot3(t.normal, p) > t.offset]
         if not visible:
             continue
         for t in visible:
             t.alive = False
-        neighbor: Dict[Tuple[int, int], _Tri] = {}
-        for t in tris:
-            if t.alive:
-                for e in t.edges():
-                    neighbor[e] = t
-        horizon = []
+        # the horizon: edges of visible triangles whose twins' triangles live
+        horizon = [
+            (a, b) for t in visible for (a, b) in t.edges() if owner[(b, a)].alive
+        ]
         for t in visible:
-            for (a, b) in t.edges():
-                if (b, a) in neighbor:
-                    horizon.append((a, b))
+            for e in t.edges():
+                del owner[e]
         for (a, b) in horizon:
-            tris.append(_Tri(a, b, pi, pts))
+            t = _Tri(a, b, pi, pts)
+            tris.append(t)
+            for e in t.edges():
+                owner[e] = t
         tris = [t for t in tris if t.alive]
 
     # Merge coplanar triangles into maximal facets.

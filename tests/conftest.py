@@ -9,6 +9,8 @@ from typing import List
 from hypothesis import settings
 
 from geomink.assembly import BlockSet
+from geomink.gaussian import Mesh, _edge_table, cycle_normal
+from geomink.kernel import cross3, dot3, integer_coords
 
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("HYPOTHESIS_PROFILE"):
@@ -36,3 +38,26 @@ def reachability_components(n: int, edges: BlockSet) -> List[List[int]]:
             comp_of[j] = len(comps)
         comps.append(comp)
     return comps
+
+
+def convex_by_scan(mesh: Mesh) -> bool:
+    """Brute-force O(V F) convexity of a mesh whose topology and facets
+    pass Mesh.validate's checks: every vertex lies on or below every
+    facet plane, a vertex on a plane is on that facet, and no two
+    neighbouring facets are coplanar."""
+    pts = integer_coords(mesh.vertices)
+    normals = []
+    for fi, cyc in enumerate(mesh.facets):
+        n = cycle_normal(fi, [pts[vi] for vi in cyc])
+        b = dot3(n, pts[cyc[0]])
+        for vi, p in enumerate(pts):
+            s = dot3(n, p) - b
+            if s > 0 or (s == 0 and vi not in cyc):
+                return False
+        normals.append(n)
+    edge_facet = _edge_table(mesh)
+    for (a, b), fi in edge_facet.items():
+        ni, nj = normals[fi], normals[edge_facet[(b, a)]]
+        if cross3(ni, nj) == (0, 0, 0) and dot3(ni, nj) > 0:
+            return False
+    return True

@@ -2,13 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import convex_by_scan
 from geomink.arrangement import SphereArrangement
 from geomink.extremal import default_params, witness_polytope
-from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
-from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
-from geomink.kernel import Vec3, dot
+from geomink.gaussian import (
+    InvalidMesh,
+    Mesh,
+    _check_facet,
+    _edge_table,
+    build,
+    cycle_normal,
+    primal_mesh,
+    reflect,
+)
+from geomink.hull import DegenerateInput, convex_hull_3, meshes_equivalent, pairwise_sums
+from geomink.kernel import Vec3, dot, dot3, integer_coords
 from geomink.minkowski import minkowski
 from geomink.shapes import box, cube, icosahedron, octahedron, random_polytope, tetrahedron
 from geomink.spherical import BoundaryClass
@@ -190,6 +200,21 @@ def _winds_twice():
     return Mesh(v, [star] + sides)
 
 
+def _pentagram_bipyramid():
+    # Two pyramids over a pentagram, glued along its five chords: locally
+    # convex at every edge, with the centroid below every facet plane,
+    # but it covers the sphere of directions twice, so only the ray test
+    # rejects it.
+    pentagon = [(0, 10), (9, 3), (6, -8), (-6, -8), (-9, 3)]
+    v = [Vec3(x, y, 0) for x, y in pentagon] + [Vec3(0, 0, 5), Vec3(0, 0, -5)]
+    star = [0, 2, 4, 1, 3]
+    facets = []
+    for k in range(5):
+        a, b = star[k], star[(k + 1) % 5]
+        facets += [[b, a, 5], [a, b, 6]]
+    return Mesh(v, facets)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -201,13 +226,18 @@ def _winds_twice():
         (_non_planar, "facet 0 is not planar"),
         (_non_convex, "facet 0 is not a strictly convex CCW polygon"),
         (_vertex_outside, "vertex 4 lies outside facet 0: not convex or facets are misoriented"),
-        (_coplanar_not_on_facet, "vertex 2 is coplanar with facet 5 but not on it"),
+        (_coplanar_not_on_facet, "vertex 6 is coplanar with facet 8 but not on it"),
         # An orientable mesh has an even Euler characteristic, so unused
         # vertices pass the Euler check only in pairs, beside facets that
         # wind more than once, as here; the unused-vertex check now
         # rejects this mesh before the coplanar-neighbour check.
         (_coplanar_neighbours, "vertex 7 is on no facet"),
         (_winds_twice, "facet 0 winds more than once around its plane"),
+        (
+            _pentagram_bipyramid,
+            "facet 4 meets the ray from the centroid through facet 0: "
+            "the facets wrap more than once around the centroid",
+        ),
     ],
     ids=lambda x: x.__name__.strip("_") if callable(x) else None,
 )
@@ -216,6 +246,60 @@ def test_validate_rejection_messages(make, message):
     with pytest.raises(InvalidMesh) as exc:
         mesh.validate()
     assert str(exc.value) == message
+
+
+@st.composite
+def _hulls_and_damaged_copies(draw):
+    """The integer hull of 4 to 14 points, as it is or damaged: a facet
+    reversed, a vertex moved, pulled toward the centroid or reflected
+    through it, or two vertices swapped."""
+    coord = st.integers(-4, 4)
+    points = draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=14))
+    try:
+        hull = convex_hull_3(Vec3(*p) for p in points)
+    except DegenerateInput:
+        assume(False)
+    v, facets = list(hull.vertices), [list(f) for f in hull.facets]
+    centroid = sum(v, Vec3(0, 0, 0)).scale(Fraction(1, len(v)))
+    i = draw(st.integers(0, len(v) - 1))
+    damage = draw(st.sampled_from(["none", "reverse", "move", "pull", "reflect", "swap"]))
+    if damage == "reverse":
+        fi = draw(st.integers(0, len(facets) - 1))
+        facets[fi].reverse()
+    elif damage == "move":
+        v[i] = v[i] + Vec3(*draw(st.tuples(coord, coord, coord)))
+    elif damage == "pull":
+        v[i] = v[i] + (centroid - v[i]).scale(draw(st.fractions(0, 1, max_denominator=4)))
+    elif damage == "reflect":
+        v[i] = centroid.scale(2) - v[i]
+    elif damage == "swap":
+        j = draw(st.integers(0, len(v) - 1))
+        v[i], v[j] = v[j], v[i]
+    return Mesh(v, facets)
+
+
+def _topology_and_facets_pass(mesh: Mesh) -> bool:
+    try:
+        _edge_table(mesh)
+        pts = integer_coords(mesh.vertices)
+        for fi, cyc in enumerate(mesh.facets):
+            corners = [pts[vi] for vi in cyc]
+            n = cycle_normal(fi, corners)
+            _check_facet(fi, n, dot3(n, corners[0]), corners)
+    except InvalidMesh:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hulls_and_damaged_copies())
+def test_validate_agrees_with_the_vertex_facet_scan(mesh):
+    try:
+        mesh.validate()
+        accepted = True
+    except InvalidMesh:
+        accepted = False
+    assert accepted == (_topology_and_facets_pass(mesh) and convex_by_scan(mesh))
 
 
 def test_unmodified_fixture_box_is_valid():
