@@ -1056,19 +1056,29 @@ class OverlayCallbacks(NamedTuple):
     face_face: Callable[[Any, Any], Any] = lambda a, b: None
 
 
-def overlay(
-    a: SphereArrangement, b: SphereArrangement, cb: OverlayCallbacks
-) -> SphereArrangement:
-    """Overlay two arrangements; every output cell's payload is produced
-    by exactly one callback named after its provenance case."""
+def _split_operands(
+    a: SphereArrangement, b: SphereArrangement
+) -> Tuple[List[Tuple[GeodesicArc, List[Any]]], List[Tuple[DirPoint, Any]]]:
+    """The split step of overlay: each edge of a and b, tagged (side,
+    halfedge) with side 0 for a and 1 for b, cut by _split_all at the
+    other operand's edges and isolated points.  Returns the pieces and
+    the isolated points, tagged (side, vertex)."""
     operands = (a, b)
     tagged = [(h.arc, (side, h)) for side, arr in enumerate(operands) for h in arr.edges()]
     iso_points = [
         (v.point, (side, v))
         for side, arr in enumerate(operands) for v in arr.vertices if v.is_isolated
     ]
+    return _split_all(tagged, iso_points), iso_points
 
-    pieces = _split_all(tagged, iso_points)
+
+def overlay(
+    a: SphereArrangement, b: SphereArrangement, cb: OverlayCallbacks
+) -> SphereArrangement:
+    """Overlay two arrangements; every output cell's payload is produced
+    by exactly one callback named after its provenance case."""
+    operands = (a, b)
+    pieces, iso_points = _split_operands(a, b)
     # Isolated source vertices not on an output feature stay isolated.
     out, along = _assemble([sub for sub, _ in pieces], [p for p, _ in iso_points])
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .arrangement import Face, SphereArrangement, Vertex, _assemble
 from .kernel import (
@@ -45,7 +45,7 @@ from .kernel import (
     integer_coords,
     turn3,
 )
-from .spherical import BoundaryClass, GeodesicArc, classify, make_arc
+from .spherical import BoundaryClass, DirPoint, GeodesicArc, classify, make_arc
 
 
 class InvalidMesh(ValueError):
@@ -373,7 +373,14 @@ class GaussianMap:
 
 def build(mesh: Mesh) -> GaussianMap:
     """Construct the decorated Gaussian map of a valid convex mesh."""
-    normals, edge_facet = mesh.validate()
+    return _build(mesh, *mesh.validate())
+
+
+def _build(
+    mesh: Mesh, normals: List[tuple], edge_facet: Dict[Tuple[int, int], int]
+) -> GaussianMap:
+    """The map of a mesh from what Mesh.validate returns for it: its
+    facets' outward normals and its directed-edge -> facet table."""
     normals = [classify(exact_vec(*n)) for n in normals]
 
     # The dual arc of primal edge (a, b) runs from the normal of the facet
@@ -417,25 +424,51 @@ def _check_decoration(g: GaussianMap, mesh: Mesh) -> None:
 
 def reflect(g: GaussianMap) -> GaussianMap:
     """The Gaussian map of the reflection of the primal polytope through
-    the origin: directions negated, incidences reversed, payloads negated."""
-    return build(primal_mesh(g).negated())
+    the origin: directions negated, incidences reversed, payloads negated.
+
+    The primal mesh is validated once, and the negation is not: its
+    facet normals are the primal's negated, and its edge table is the
+    primal's with each edge (a, b) turned to (b, a), listed in the order
+    of the negation's facet cycles as Mesh.validate lists it."""
+    mesh = _primal_mesh(g)
+    normals, _ = mesh.validate()
+    neg = mesh.negated()
+    edge_facet = {
+        (a, b): fi
+        for fi, cyc in enumerate(neg.facets)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1])
+    }
+    return _build(neg, [(-x, -y, -z) for x, y, z in normals], edge_facet)
+
+
+def _is_split(p: DirPoint, normals: Sequence[Vec3]) -> bool:
+    """Whether a vertex at p, whose incident arcs have these normals, was
+    made only to split an arc at the parameter-space boundary: it is on
+    the seam or at a pole, and its two arcs lie on one great circle.
+    Every other vertex of a Gaussian map, or of an overlay of two, is a
+    facet."""
+    return (
+        len(normals) == 2
+        and p.boundary_class is not BoundaryClass.INTERIOR
+        and cross(normals[0], normals[1]).is_zero()
+    )
 
 
 def _is_split_artifact(v: Vertex) -> bool:
-    """A degree-2 vertex created only to split an arc at the parameter-
-    space boundary: both incident arcs lie on one great circle."""
-    if v.degree != 2:
-        return False
-    if v.point.boundary_class is BoundaryClass.INTERIOR:
-        return False
-    n1 = v.out[0].arc.normal
-    n2 = v.out[1].arc.normal
-    return cross(n1, n2).is_zero()
+    """_is_split on an arrangement vertex."""
+    return _is_split(v.point, [h.arc.normal for h in v.out])
 
 
 def primal_mesh(g: GaussianMap) -> Mesh:
     """Invert the map: face payloads become vertices, and the facet
     vertices of g.facet_vertices become facets, in its order."""
+    m = _primal_mesh(g)
+    m.validate()
+    return m
+
+
+def _primal_mesh(g: GaussianMap) -> Mesh:
+    """primal_mesh without the validation."""
     arr = g.arrangement
     coords: List[Vec3] = []
     index: Dict[tuple, int] = {}
@@ -456,6 +489,4 @@ def primal_mesh(g: GaussianMap) -> Mesh:
             corner_face = w.out[(i + 1) % k].twin.face
             cycle.append(index[corner_face.payload.ratio_key()])
         facets.append(cycle)
-    m = Mesh(coords, facets)
-    m.validate()
-    return m
+    return Mesh(coords, facets)

@@ -6,14 +6,22 @@ planes; a face of the result is decorated with the sum of the primal
 vertices of the two inducing faces, so the output is again a decorated
 Gaussian map.  The facet counts come from each map's own facet list,
 `GaussianMap.facet_vertices`.
+
+A sum's facet count alone needs none of that assembly:
+`sum_facet_count` counts the facets off the overlay's split step, as
+the endpoints of the split pieces that are not seam or pole splits.
+The worst-case witness tuner (`extremal`) checks the tight bound this
+way.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .arrangement import OverlayCallbacks, overlay
-from .gaussian import GaussianMap
+from .arrangement import OverlayCallbacks, _split_operands, overlay
+from .gaussian import GaussianMap, _is_split
+from .kernel import Vec3
+from .spherical import DirPoint
 
 
 class DegenerateCoincidence(ValueError):
@@ -96,3 +104,19 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
 
 def facet_count(g: GaussianMap) -> int:
     return len(g.facet_vertices)
+
+
+def sum_facet_count(g1: GaussianMap, g2: GaussianMap) -> int:
+    """facet_count(minkowski(g1, g2)), without assembling the sum.
+
+    The overlay's vertices are the endpoints of the pieces its split
+    step makes, plus the operands' isolated points; each vertex's arcs
+    are the pieces that end at it.  The sum's facets are the vertices
+    that _is_split, the rule of GaussianMap.facet_vertices, does not
+    call seam or pole splits."""
+    pieces, iso_points = _split_operands(g1.arrangement, g2.arrangement)
+    normals: Dict[DirPoint, List[Vec3]] = {p: [] for p, _ in iso_points}
+    for arc, _tags in pieces:
+        normals.setdefault(arc.source, []).append(arc.normal)
+        normals.setdefault(arc.target, []).append(arc.normal)
+    return sum(not _is_split(p, ns) for p, ns in normals.items())

@@ -7,7 +7,6 @@ from geomink.extremal import (
     QUARTER_TURN,
     default_params,
     max_complexity,
-    minkowski,
     multi_witness_sum,
     rotate_mesh,
     rotation_about_y,
@@ -17,7 +16,7 @@ from geomink.extremal import (
 )
 from geomink.gaussian import build
 from geomink.kernel import Vec3
-from geomink.minkowski import facet_count, stats
+from geomink.minkowski import facet_count, minkowski, stats
 
 
 class TestMaxComplexity:

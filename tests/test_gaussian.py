@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import convex_by_scan
-from geomink.arrangement import SphereArrangement
+from geomink.arrangement import SphereArrangement, dumps
 from geomink.extremal import default_params, witness_polytope
 from geomink.gaussian import (
     InvalidMesh,
@@ -414,6 +414,30 @@ class TestReflect:
     def test_reflect_centrally_symmetric_is_isomorphic(self):
         o = octahedron()
         assert meshes_equivalent(primal_mesh(reflect(build(o))), o)
+
+    def test_reflect_validates_one_mesh(self, monkeypatch):
+        """reflect validates the primal mesh and derives the negation's
+        normals and edge table from it; the map is the one that build
+        makes of the negated primal mesh, down to the arrangement's order."""
+        validated = []
+        validate = Mesh.validate
+
+        def counted(mesh):
+            validated.append(mesh)
+            return validate(mesh)
+
+        for mesh in (octahedron(), cube(), tetrahedron(), random_polytope(10, 3)):
+            g = build(mesh)
+            want = build(primal_mesh(g).negated())
+            validated.clear()
+            monkeypatch.setattr(Mesh, "validate", counted)
+            got = reflect(g)
+            monkeypatch.setattr(Mesh, "validate", validate)
+            assert len(validated) == 1
+            assert dumps(got.arrangement) == dumps(want.arrangement)
+            assert [f.payload for f in got.arrangement.faces] == [
+                f.payload for f in want.arrangement.faces
+            ]
 
 
 @st.composite

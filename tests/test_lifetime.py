@@ -5,26 +5,29 @@ a collection afterwards, with every unreachable object saved, must find
 no arrangement feature and no arrangement.  The working-set tests check
 that the pipelines drop their intermediate sums as soon as they are
 used: weak references count the sums alive at each call of their
-consumer.  The module needs only the standard library, so it also runs
+consumer; the witness tuner makes no sum at all.  The module needs only the standard library, so it also runs
 without pytest:
 
     PYTHONPATH=src python tests/test_lifetime.py
 """
 
 import gc
+import sys
 import weakref
 from collections import Counter
+from fractions import Fraction
 from typing import Tuple
 
-from geomink import assembly, extremal
+from geomink import assembly
 from geomink.arrangement import (
-    Face, Halfedge, SphereArrangement, Vertex, dumps, loads, new_arrangement, sweep_build,
+    Face, Halfedge, SphereArrangement, Vertex, dumps, loads, new_arrangement, overlay,
+    sweep_build,
 )
 from geomink.assembly import (
     Assembly, build_motion_space, cleanup_region, partition, project_polytope,
     reflect_region, union_regions,
 )
-from geomink.extremal import verify_bound
+from geomink.extremal import WitnessParams, tune_params, verify_bound
 from geomink.gaussian import build, primal_mesh, reflect
 from geomink.kernel import Vec3
 from geomink.minkowski import minkowski
@@ -165,6 +168,25 @@ def most_alive(module, maker: str, user: str, run) -> Tuple[int, int]:
     return most, len(made)
 
 
+def calls_into(functions, run) -> int:
+    """How many calls run() makes into the given functions, through
+    whatever names they are bound to."""
+    codes = {f.__code__ for f in functions}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def test_partition_holds_one_part_pair_of_sums():
     # Split Star's 15 part pairs (i < j) have 9 sub-part sums each
     named = split_star_assembly()
@@ -175,11 +197,19 @@ def test_partition_holds_one_part_pair_of_sums():
 
 
 def test_witness_tuner_drops_rejected_sums():
-    # (11, 11) rejects a candidate before it reaches the bound: no earlier
-    # sum may be alive when the next one is made
-    most, made = most_alive(extremal, "minkowski", "minkowski", lambda: verify_bound(11, 11))
-    assert made > 1
-    assert most == 0
+    # the tuner counts each candidate's facets off the overlay split, so
+    # verify_bound enters no minkowski, not even for the candidates it
+    # rejects
+    made = calls_into((minkowski, overlay), lambda: verify_bound(11, 11))
+    assert made == 0
+    # the angles tune_params finds, as the tuner found them when it still
+    # assembled every candidate sum; (11, 11) starts at alpha_t = 2**-17
+    # and rejects that candidate
+    for m, n, alpha_m, alpha_n in ((4, 4, 32, 32), (5, 7, 32, 512), (11, 11, 2**20, 2**20)):
+        assert tune_params(m, n) == (
+            WitnessParams(m, Fraction(1, alpha_m), Fraction(1, 10 * m), Fraction(1, 16)),
+            WitnessParams(n, Fraction(1, alpha_n), Fraction(1, 10 * n), Fraction(1, 16)),
+        )
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomink.extremal import RationalRotation, rotate_mesh
-from geomink import gaussian
+from geomink.extremal import RationalRotation, rotate_mesh, verify_bound
+from geomink import extremal, gaussian
 from geomink.gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.kernel import Vec3
@@ -15,8 +15,9 @@ from geomink.minkowski import (
     minkowski,
     minkowski_many,
     stats,
+    sum_facet_count,
 )
-from geomink.shapes import box, cube, icosahedron, random_polytope, tetrahedron
+from geomink.shapes import box, cube, icosahedron, octahedron, random_polytope, tetrahedron
 
 
 class TestMinkowski:
@@ -190,3 +191,49 @@ def test_facet_count_computes_no_plane_offset(monkeypatch):
         g = GaussianMap(s.arrangement)
         assert facet_count(g) == n
         assert "facet_planes" not in vars(g)
+
+
+_polytopes = st.builds(random_polytope, st.integers(4, 12), st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polytopes, _polytopes, st.sampled_from(["pair", "reflected", "self", "self reflected"]))
+def test_sum_facet_count_matches_the_assembled_sum(pa, pb, how):
+    """Counting the facets off the overlay split agrees with the facet
+    list of the assembled sum: on random pairs, one side reflected or
+    not; on a polytope and its reflection (every normal antipodal to one
+    of the other's); and on self-sums (every normal coincides)."""
+    g1 = build(pa)
+    g2 = g1 if how.startswith("self") else build(pb)
+    if how.endswith("reflected"):
+        g2 = reflect(g2)
+    assert sum_facet_count(g1, g2) == facet_count(minkowski(g1, g2))
+
+
+def test_sum_facet_count_on_seam_and_pole_normals():
+    """The cube's and octahedron's normals lie at the poles and on the
+    seam, where the maps have their split vertices."""
+    maps = [build(cube()), build(octahedron()), build(cube(3).translated(Vec3(1, 2, 3)))]
+    maps += [reflect(g) for g in maps]
+    for g1 in maps:
+        for g2 in maps:
+            assert sum_facet_count(g1, g2) == facet_count(minkowski(g1, g2))
+
+
+def test_sum_facet_count_on_every_tuner_attempt(monkeypatch):
+    """Every candidate pair of witnesses the tuner tries for m, n in
+    4..8, the rejected ones too."""
+    count = extremal.sum_facet_count
+    attempts = []
+
+    def checked(g1, g2):
+        got = count(g1, g2)
+        assert got == facet_count(minkowski(g1, g2))
+        attempts.append(got)
+        return got
+
+    monkeypatch.setattr(extremal, "sum_facet_count", checked)
+    for m in range(4, 9):
+        for n in range(4, 9):
+            assert verify_bound(m, n).tight
+    assert len(attempts) > 25  # some candidates were rejected
