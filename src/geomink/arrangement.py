@@ -60,7 +60,6 @@ from .spherical import (
     BoundaryClass,
     DirPoint,
     GeodesicArc,
-    _mk_arc,
     arc_between,
     as_point,
     classify,
@@ -446,10 +445,10 @@ class SphereArrangement:
 
     # -- edge removal and edge merging ----------------------------------------
 
-    def remove_edge(self, h: Halfedge, keep_isolated: bool = True) -> None:
+    def remove_edge(self, h: Halfedge) -> None:
         """Delete the edge (h, twin).  Merges the two incident faces when
         they differ; a bridge split leaves both cycles on the same face.
-        Endpoints left bare become isolated vertices (or are deleted)."""
+        Endpoints left bare become isolated vertices."""
         g = h.twin
         f1, f2 = h.face, g.face
 
@@ -508,11 +507,8 @@ class SphereArrangement:
 
         for v in (v1, v2):
             if not v.out:
-                if keep_isolated:
-                    v.isolated_face = keep
-                    keep.isolated[v] = None
-                else:
-                    self._drop_vertex(v)
+                v.isolated_face = keep
+                keep.isolated[v] = None
 
     def merge_edges_at(self, v: Vertex) -> Halfedge:
         """Fuse the two edges at a degree-2 vertex into one (the arcs must
@@ -629,54 +625,48 @@ class SphereArrangement:
         raise RuntimeError("locate found no containing cell")  # pragma: no cover
 
     def interior_point(self, face: Face) -> DirPoint:
-        """An exact rational direction strictly inside the face."""
-        if not face.ccbs:
-            for cand in (
-                Vec3(0, 0, 1), Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 2, 3),
-                Vec3(-1, 3, -2), Vec3(5, -4, 1),
-            ):
-                q = classify(cand)
-                if all(w.point != q for w in face.isolated):
-                    return q
-            raise RuntimeError("no free direction found")  # pragma: no cover
-        rep = None
-        for r in face.ccbs:
-            cyc = r.cycle()
-            for h in cyc:
-                if h.twin.face is not face:
-                    rep = h
-                    break
-            if rep is not None:
-                break
-        if rep is None:
-            rep = face.ccbs[0]
-        m = rep.arc.interior_point()
-        n = rep.arc.normal
-        k = Fraction(1)
-        for _ in range(128):
-            q_dir = m.dir.scale(k) + n
-            if not q_dir.is_zero():
-                q = classify(q_dir)
-                if self._strictly_inside(q, face):
-                    return q
-            k *= 4
-        raise RuntimeError("interior point search failed")  # pragma: no cover
+        """An exact rational direction strictly inside the face, built
+        directly, with no search.
 
-    def _strictly_inside(self, q: DirPoint, face: Face) -> bool:
-        if q in self._vertex_map:
-            return False
+        An edgeless face is the sphere less its isolated points.  The
+        directions (1, k, k^2) are pairwise distinct, so one of the first
+        len + 1 of them is free, and the first free one is the answer.
+
+        Otherwise let m be the midpoint of the arc of the face's first
+        CCB halfedge and n that arc's normal: m is perpendicular to n,
+        and next to m the face lies on n's side.  The quarter circle
+        a*m + b*n (a, b >= 0) from m to n stays inside the face until it
+        meets one of the face's boundary arcs or isolated points, at the
+        hit p = a*m + b*n past m with the least b/a.  The answer is
+        2a*m + b*n, whose b/a is half of p's, or m + n when nothing
+        meets the quarter circle before n."""
+        if not face.ccbs:
+            taken = {w.point for w in face.isolated}
+            free = (classify(Vec3(1, k, k * k)) for k in range(len(taken) + 1))
+            return next(p for p in free if p not in taken)
+        arc = face.ccbs[0].arc
+        m, n = arc.interior_point().dir, arc.normal
+        quarter = arc_between(m, n)
+        hits = [w.point for w in face.isolated if point_on_arc(w.point, quarter)]
         for rep in face.ccbs:
             for h in rep.cycle():
-                if point_on_arc(q, h.arc):
-                    return False
-        return all(self.side_of_cycle(q, rep.cycle()) == LEFT for rep in face.ccbs)
+                met = intersect(quarter, h.arc)
+                ov = met.overlap
+                hits += met.points if ov is None else (ov.source, ov.target)
+        mm, nn = m.norm_sq(), n.norm_sq()
+        coeffs = [(dot(p.dir, m) * nn, dot(p.dir, n) * mm) for p in hits]
+        ahead = [(a, b) for a, b in coeffs if a > 0 and b > 0]
+        if not ahead:
+            return classify(m + n)
+        a, b = min(ahead, key=lambda ab: Fraction(ab[1], ab[0]))
+        return classify(m.scale(2 * a) + n.scale(b))
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, geometry: bool = True) -> List[str]:
-        """Check DCEL integrity, Euler's formula, and (optionally) the
-        geometric consistency of the stored arcs.  Returns the list of
-        violations; empty means the arrangement is sound."""
+    def validate(self) -> List[str]:
+        """Check DCEL integrity, Euler's formula, and the geometric
+        consistency of the stored arcs.  Returns the list of violations;
+        empty means the arrangement is sound."""
         errs: List[str] = []
         live = set(id(h) for h in self.halfedges)
         for h in self.halfedges:
@@ -730,28 +720,27 @@ class SphereArrangement:
         F = len(self.faces)
         if V - E + F != 1 + comps:
             errs.append(f"Euler failure: V={V} E={E} F={F} C={comps}")
-        if geometry:
-            for h in self.halfedges:
-                if h.arc.source != h.source.point or h.arc.target != h.target.point:
-                    errs.append(f"{h}: arc endpoints disagree with vertices")
-                if dot(h.arc.normal, h.source.point.dir) != 0:
-                    errs.append(f"{h}: source not on arc plane")
-            for v in self.vertices:
-                bc = v.point.boundary_class
-                if bc is BoundaryClass.ON_IDENTIFICATION and v not in self.identification_vertices:
-                    errs.append(f"{v}: missing from identification registry")
-                if bc is BoundaryClass.NORTH_POLE and self.pole_vertices.get("north") is not v:
-                    errs.append(f"{v}: missing from pole registry")
-                if bc is BoundaryClass.SOUTH_POLE and self.pole_vertices.get("south") is not v:
-                    errs.append(f"{v}: missing from pole registry")
-                axis = v.point.dir
-                ns = [h.arc.normal for h in v.out]
-                k = len(ns)
-                if k > 2 and not all(
-                    ccw_strictly_before(axis, ns[i], ns[(i + 1) % k], ns[(i + 2) % k])
-                    for i in range(k)
-                ):
-                    errs.append(f"{v}: vertex ring not CCW-sorted")
+        for h in self.halfedges:
+            if h.arc.source != h.source.point or h.arc.target != h.target.point:
+                errs.append(f"{h}: arc endpoints disagree with vertices")
+            if dot(h.arc.normal, h.source.point.dir) != 0:
+                errs.append(f"{h}: source not on arc plane")
+        for v in self.vertices:
+            bc = v.point.boundary_class
+            if bc is BoundaryClass.ON_IDENTIFICATION and v not in self.identification_vertices:
+                errs.append(f"{v}: missing from identification registry")
+            if bc is BoundaryClass.NORTH_POLE and self.pole_vertices.get("north") is not v:
+                errs.append(f"{v}: missing from pole registry")
+            if bc is BoundaryClass.SOUTH_POLE and self.pole_vertices.get("south") is not v:
+                errs.append(f"{v}: missing from pole registry")
+            axis = v.point.dir
+            ns = [h.arc.normal for h in v.out]
+            k = len(ns)
+            if k > 2 and not all(
+                ccw_strictly_before(axis, ns[i], ns[(i + 1) % k], ns[(i + 2) % k])
+                for i in range(k)
+            ):
+                errs.append(f"{v}: vertex ring not CCW-sorted")
         return errs
 
 
@@ -899,7 +888,7 @@ def _split_all(
                 # an uncut arc is its own piece; a cut piece keeps its input
                 # arc's normal: the cross product of two split points would
                 # be wider for the same plane
-                pieces[key] = (_mk_arc(s, t, a.normal) if pts else a, [tag])
+                pieces[key] = (GeodesicArc(s, t, a.normal) if pts else a, [tag])
     return list(pieces.values())
 
 

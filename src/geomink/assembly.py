@@ -23,10 +23,10 @@ valid motions may sit on single arrangement vertices.
    origin is separated from it (a monotone chain on their primitive
    integer triples), the polar cone when the origin is a vertex, the
    open hemisphere when it is inside a facet, and the lune when it is
-   inside an edge.  All but the lune are bounded by one simple cycle,
-   assembled in cycle order; the lune's two great circles are split at
-   their two crossings, and its face is picked by its sides of the two
-   facet planes, with no point location;
+   inside an edge.  Each bounded case is one convex cycle, assembled in
+   cycle order with no point location; the lune's runs through its two
+   corners, where the two facet planes' great circles cross, and the
+   midpoints of its two sides;
 4. the union of each pair's projections, a left fold of overlays that
    removes buried cells after every step;
 5. the antipodal image of each union for the reversed pair;
@@ -54,8 +54,6 @@ from .spherical import (
     full_circle_arcs,
     is_mergeable,
     make_arc,
-    split,
-    strictly_inside_arc,
 )
 
 
@@ -93,7 +91,8 @@ def _whole_sphere_region(flag: bool) -> SphericalRegion:
 
 def _cycle_region(arcs, interior_dir: Vec3) -> SphericalRegion:
     """Region bounded by arcs that form one simple closed cycle, given in
-    cycle order, whose inside holds interior_dir.
+    cycle order, whose inside holds interior_dir: every bounded
+    projection (hemisphere, lune, polar cone, spherical hull) is one.
 
     Each arc is re-made as sweep_build re-makes it and the pieces are
     assembled in cycle order, so the arrangement equals sweep_build's
@@ -110,33 +109,17 @@ def _cycle_region(arcs, interior_dir: Vec3) -> SphericalRegion:
 
 
 def _lune_region(n1: Vec3, n2: Vec3) -> SphericalRegion:
-    """The open lune <n1, d> < 0, <n2, d> < 0, bounded by the great
-    circles of n1 and n2 (not parallel), flagged True.
+    """The open lune <n1, d> < 0, <n2, d> < 0 between the great circles
+    of n1 and n2 (not parallel), flagged True: one convex cycle through
+    its corners +-q, q = cross(n1, n2), and the midpoints of its sides.
 
-    The circles meet only at +-cross(n1, n2), so their quarter arcs,
-    re-made as sweep_build re-makes them and split there, are already
-    the pieces sweep_build assembles.  A piece on the n1 circle runs
-    with n1 on its left, and its interior lies on one side of n2's
-    plane; the lune is right of any piece on the negative side."""
+    The side on n1's circle has its midpoint a = cross(n1, q), and the
+    side on n2's circle b = cross(q, n2): by Lagrange's identity
+    <n2, a> = <n1, b> = <n1, n2>^2 - |n1|^2 |n2|^2 < 0,
+    so both lie on the lune's sides and a + b inside it."""
     q = cross(n1, n2)
-
-    def circle(n: Vec3) -> list:
-        pieces = []
-        for quarter in full_circle_arcs(n):
-            for a in make_arc(quarter.source, quarter.target):
-                cut = next((p for p in (q, -q) if strictly_inside_arc(p, a)), None)
-                pieces.extend([a] if cut is None else split(a, classify(cut)))
-        return pieces
-
-    first = circle(n1)
-    arr, along = _assemble(first + circle(n2))
-    _clear_flags(arr)
-    border = next(
-        h for h in along[: len(first)]
-        if dot(h.source.point.dir, n2) + dot(h.target.point.dir, n2) < 0
-    )
-    border.twin.face.payload = True
-    return SphericalRegion(arr)
+    a, b = cross(n1, q), cross(q, n2)
+    return _cycle_region(_polygon_arcs([q, a, -q, b]), a + b)
 
 
 def _polygon_arcs(points: list) -> list:
@@ -564,6 +547,7 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
         for j in range(i + 1, n):
             q[(i, j)] = union_regions(_pair_projections(assembly, gmaps, reflected, i, j))
             q[(j, i)] = reflect_region(q[(i, j)])
+    del gmaps, reflected  # only the pair regions are read from here on
 
     ms = build_motion_space(n, q)
     return find_partitions(ms, mode)

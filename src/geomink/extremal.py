@@ -353,10 +353,10 @@ def _orient_facets(mesh: Mesh) -> Mesh:
 QUARTER_TURN = rotation_about_y(Fraction(1))
 
 
-def _tune_full(m: int, n: int, cap: int = 64):
+def _tune_full(m: int, n: int):
     pm, pn = default_params(m), default_params(n)
     bound = max_complexity([m, n])
-    for _ in range(cap):
+    for _ in range(64):
         try:
             mesh_m = witness_polytope(pm)
             mesh_n = mesh_m if pn == pm else witness_polytope(pn)
@@ -372,7 +372,7 @@ def _tune_full(m: int, n: int, cap: int = 64):
     raise NonTermination(f"no valid angles found for ({m}, {n})")
 
 
-def tune_params(m: int, n: int, cap: int = 64) -> Tuple[WitnessParams, WitnessParams]:
+def tune_params(m: int, n: int) -> Tuple[WitnessParams, WitnessParams]:
     """Find witness angles for which the two polytopes (the second one
     rotated a quarter turn about Y) reach the exact facet bound.
 
@@ -380,7 +380,7 @@ def tune_params(m: int, n: int, cap: int = 64) -> Tuple[WitnessParams, WitnessPa
     the facet count of the actual sum, counted off the overlay split, is
     the arbiter, and the tilt is shrunk geometrically until every
     worst-case crossing materializes."""
-    pm, pn, _got = _tune_full(m, n, cap)
+    pm, pn, _got = _tune_full(m, n)
     return pm, pn
 
 
@@ -405,12 +405,13 @@ def verify_bound(m: int, n: int) -> BoundReport:
 
 def multi_witness_sum(ms: Sequence[int]) -> Tuple[int, int, GaussianMap]:
     """Sum k witnesses rotated 180(i-1)/k degrees about Y (rational
-    approximations for k > 2); returns (facet count, bound, map)."""
+    approximations for k > 2); returns (facet count, bound, map).  Each
+    distinct facet count is tuned once."""
     k = len(ms)
+    witness = {m: witness_polytope(tune_params(m, m)[0]) for m in set(ms)}
     maps = []
     for idx, m in enumerate(ms):
-        pm, _ = tune_params(m, m)
-        mesh = witness_polytope(pm)
+        mesh = witness[m]
         angle = math.pi * idx / k
         t = Fraction(math.tan(angle / 2)).limit_denominator(10**4)
         mesh = rotate_mesh(mesh, rotation_about_y(t))

@@ -188,37 +188,39 @@ class GeodesicArc(Frozen):
 
     The arc runs counterclockwise from source to target around `normal`
     (so cross(source, target) is a positive multiple of `normal`).
-    Vertical arcs lie on a meridian plane containing the z-axis.  Two
-    arcs are equal when their four fields are.
+    Two arcs are equal when their three fields are.
     """
 
-    __slots__ = ("source", "target", "normal", "is_vertical")
+    __slots__ = ("source", "target", "normal")
     source: DirPoint
     target: DirPoint
     normal: Vec3
-    is_vertical: bool
 
-    def __init__(self, source: DirPoint, target: DirPoint, normal: Vec3, is_vertical: bool):
+    def __init__(self, source: DirPoint, target: DirPoint, normal: Vec3):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "is_vertical", is_vertical)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not GeodesicArc:
             return NotImplemented
-        return (self.source, self.target, self.normal, self.is_vertical) == (
-            other.source, other.target, other.normal, other.is_vertical
+        return (self.source, self.target, self.normal) == (
+            other.source, other.target, other.normal
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.normal, self.is_vertical))
+        return hash((self.source, self.target, self.normal))
 
     def __repr__(self) -> str:
         return f"Arc[{self.source.dir!r} -> {self.target.dir!r}]"
 
+    @property
+    def is_vertical(self) -> bool:
+        """Does the arc lie on a meridian plane, one containing the z-axis?"""
+        return self.normal.z == 0
+
     def reversed(self) -> "GeodesicArc":
-        return GeodesicArc(self.target, self.source, -self.normal, self.is_vertical)
+        return GeodesicArc(self.target, self.source, -self.normal)
 
     def endpoint(self, end: int) -> DirPoint:
         return self.source if end == MIN_END else self.target
@@ -226,10 +228,6 @@ class GeodesicArc(Frozen):
     def interior_point(self) -> DirPoint:
         """Some exact rational point strictly inside the arc."""
         return classify(self.source.dir + self.target.dir)
-
-
-def _mk_arc(s: DirPoint, t: DirPoint, normal: Vec3) -> GeodesicArc:
-    return GeodesicArc(s, t, normal, normal.z == 0)
 
 
 def arc_between(source, target, normal: Optional[Vec3] = None) -> GeodesicArc:
@@ -246,7 +244,7 @@ def arc_between(source, target, normal: Optional[Vec3] = None) -> GeodesicArc:
         normal = c
     elif not parallel_same_direction(c, normal):
         raise DegenerateArc("normal inconsistent with a short source->target arc")
-    return _mk_arc(s, t, normal)
+    return GeodesicArc(s, t, normal)
 
 
 def strictly_inside_arc(q: Vec3, arc: GeodesicArc) -> bool:
@@ -273,7 +271,7 @@ def make_arc(source, target) -> List[GeodesicArc]:
     n = cross(s.dir, t.dir)
     if n.is_zero():
         raise DegenerateArc("equal or antipodal endpoints")
-    whole = _mk_arc(s, t, n)
+    whole = GeodesicArc(s, t, n)
 
     cut: Optional[Vec3] = None
     if n.z == 0:
@@ -291,7 +289,7 @@ def make_arc(source, target) -> List[GeodesicArc]:
     if cut is None:
         return [whole]
     mid = classify(cut)
-    return [_mk_arc(s, mid, n), _mk_arc(mid, t, n)]
+    return [GeodesicArc(s, mid, n), GeodesicArc(mid, t, n)]
 
 
 def full_circle_arcs(normal: Vec3) -> List[GeodesicArc]:
@@ -433,7 +431,7 @@ def intersect(a1: GeodesicArc, a2: GeodesicArc) -> IntersectionResult:
             return IntersectionResult((ends[0],), None)
         # two distinct overlap endpoints, ordered CCW around n1
         p, q = ends if det3(ends[0].dir, ends[1].dir, n1) > 0 else ends[::-1]
-        return IntersectionResult((), _mk_arc(p, q, n1))
+        return IntersectionResult((), GeodesicArc(p, q, n1))
     # q = cross(n1, n2) and -q are where the two circles meet.  A point q
     # of an arc's circle lies on the closed arc (shorter than pi) iff both
     # end orientations are >= 0, and -q iff both are <= 0; they are never
@@ -461,7 +459,7 @@ def split(arc: GeodesicArc, p) -> Tuple[GeodesicArc, GeodesicArc]:
     q = as_point(p)
     if not point_on_arc(q, arc, closed=False) or q == arc.source or q == arc.target:
         raise PointNotInterior(f"{q} is not interior to {arc}")
-    return _mk_arc(arc.source, q, arc.normal), _mk_arc(q, arc.target, arc.normal)
+    return GeodesicArc(arc.source, q, arc.normal), GeodesicArc(q, arc.target, arc.normal)
 
 
 def is_mergeable(a1: GeodesicArc, a2: GeodesicArc) -> bool:
@@ -482,8 +480,8 @@ def merge(a1: GeodesicArc, a2: GeodesicArc) -> GeodesicArc:
         raise NotMergeable(f"cannot merge {a1} and {a2}")
     s2, t2 = _reoriented(a2, a1.normal)
     if a1.target == s2:
-        return _mk_arc(a1.source, t2, a1.normal)
-    return _mk_arc(s2, a1.target, a1.normal)
+        return GeodesicArc(a1.source, t2, a1.normal)
+    return GeodesicArc(s2, a1.target, a1.normal)
 
 
 # -- parameter-space boundary handling --------------------------------------

@@ -130,6 +130,20 @@ class TestLocate:
             q = arr.interior_point(f)
             assert arr.locate(q).ref is f
 
+    def test_interior_point_of_an_edgeless_face_with_taken_directions(self):
+        # isolated points on (1, 0, 0) and (1, 1, 1), the first two of the
+        # directions tried, and on other axis and small directions
+        arr = new_arrangement()
+        face = arr.initial_face()
+        for d in (
+            Vec3(0, 0, 1), Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 2, 3),
+            Vec3(-1, 3, -2), Vec3(5, -4, 1), Vec3(1, 1, 1),
+        ):
+            arr.insert_isolated_vertex(d, face)
+        q = arr.interior_point(face)
+        assert q == classify(Vec3(1, 2, 4))
+        assert arr.locate(q).ref is face
+
     def test_locate_against_sign_pattern_oracle(self):
         import random
         from geomink.kernel import dot, sign
@@ -325,10 +339,15 @@ class TestRemoveAndMerge:
         assert arr.validate() == []
 
     def test_remove_isolated_edge(self):
+        # the bare endpoints stay, as isolated vertices of the one face
         arr = new_arrangement()
         h = arr.insert_disjoint_arc(quadrant())
-        arr.remove_edge(h, keep_isolated=False)
-        assert arr.counts() == (0, 0, 1)
+        ends = [h.source, h.target]
+        arr.remove_edge(h)
+        assert arr.counts() == (2, 0, 1)
+        (face,) = arr.faces
+        assert list(face.isolated) == ends
+        assert all(v.is_isolated and v.isolated_face is face for v in ends)
         assert arr.validate() == []
 
     def test_remove_bridge_keeps_face(self):
@@ -784,6 +803,54 @@ def test_overlay_of_an_isolated_pole_matches_located_cells():
     empty.initial_face().payload = frozenset()
     _check_pointwise(union, build(box(-1, -2, -3, 3, 2, 1)).arrangement, [Vec3(1, 1, 1)])
     _check_pointwise(empty, union_regions(five).arrangement, [Vec3(0, 0, -1)])
+
+
+# -- interior points ---------------------------------------------------------------
+
+
+def _quarter_circle_point(face):
+    """m + n for the midpoint m and normal n of the arc of the face's
+    first CCB halfedge: the first point on the face's side of that arc
+    that interior_point tries."""
+    arc = face.ccbs[0].arc
+    return classify(arc.interior_point().dir + arc.normal)
+
+
+# axis and small directions, then (1, k, k^2) for k = 1, 2, 3
+_CROWDED = [
+    Vec3(0, 0, 1), Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 2, 3), Vec3(-1, 3, -2), Vec3(5, -4, 1),
+    Vec3(1, 1, 1), Vec3(1, 2, 4), Vec3(1, 3, 9),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _scenes(), st.booleans(), _overlay_operands(), _overlay_operands(),
+    st.integers(0, len(_CROWDED)),
+)
+def test_interior_point_is_located_in_its_face(scene, block, a, b, crowded):
+    # sweep_build scenes hold antenna edges, nested and touching cycles
+    # and isolated points; with block, an isolated point sits where the
+    # walk from each face's first arc would first stop; an edgeless
+    # arrangement holds the first `crowded` of _CROWDED
+    pieces, points = scene
+    arr = sweep_build(pieces)
+    for p in dict.fromkeys(points):
+        arr.insert_isolated_vertex(p)
+    if block:
+        for f in list(arr.faces):
+            if f.ccbs:
+                p = _quarter_circle_point(f)
+                if arr.locate(p).kind == "face":
+                    arr.insert_isolated_vertex(p)
+    edgeless = new_arrangement()
+    for d in _CROWDED[:crowded]:
+        edgeless.insert_isolated_vertex(d)
+    for out in (arr, overlay(a, b, _CASE_TAGGING), edgeless):
+        assert out.validate() == []
+        for f in out.faces:
+            q = out.interior_point(f)
+            assert out.locate(q).ref is f, (q, f)
 
 
 # -- side of a cycle ---------------------------------------------------------------

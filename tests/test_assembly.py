@@ -132,6 +132,9 @@ class TestProjection:
         assert not r.pierces(Vec3(1, 0, 1))
         assert not r.pierces(Vec3(0, 0, -1))  # boundary plane grazes
         assert not r.pierces(Vec3(-1, 0, -2))
+        # one cycle through the corners (0, +-1, 0) and the midpoints of
+        # the sides: no edge of the two great circles off the lune
+        assert len(r.arrangement.edges()) == 4 and len(r.arrangement.faces) == 2
 
     def test_origin_at_vertex(self):
         g = build(box(0, 0, 0, 2, 2, 2))
@@ -400,6 +403,28 @@ def _origin_cases(mesh: Mesh):
         "interior": mesh.translated(-centroid),
         "outside": mesh.translated(far),
     }
+
+
+def _needless_edges(region: SphericalRegion):
+    """Edges flagged alike with the faces on both sides: removing one
+    would change no direction's flag."""
+    return [
+        h for h in region.arrangement.edges()
+        if h.payload == h.face.payload == h.twin.face.payload
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(5, 12), st.integers(0, 10**6))
+def test_every_projection_edge_separates_differently_flagged_cells(size, seed):
+    regions = {
+        case: project_polytope(build(mesh))
+        for case, mesh in _origin_cases(random_polytope(size, seed)).items()
+    }
+    off_origin = [r for case, r in regions.items() if case != "interior"]
+    unions = [union_regions(off_origin), union_regions(list(regions.values()))]
+    for region in [*regions.values(), *unions]:
+        assert _needless_edges(region) == []
 
 
 _small = st.integers(-6, 6)
