@@ -1,14 +1,14 @@
 """DCEL arrangements of geodesic arcs on the sphere.
 
 The DCEL is intrinsic to the sphere: vertices at the poles or on the
-identification curve are ordinary vertices (recorded in a topology
-registry), and the circular order of edges around any vertex is the
-exact 3D tangent order.  At a vertex v, the normal of an arc leaving v
-is the arc's tangent there turned a quarter turn about v, so the ring
-order is taken on the arc normals and no tangent is built.  Faces own
-one or more boundary cycles (CCBs) plus isolated vertices, and a user
-payload slot; payloads should be immutable values since face splits
-share them.
+identification curve are ordinary vertices (`pole_vertices` and
+`identification_vertices` read them off the vertex table), and the
+circular order of edges around any vertex is the exact 3D tangent
+order.  At a vertex v, the normal of an arc leaving v is the arc's
+tangent there turned a quarter turn about v, so the ring order is taken
+on the arc normals and no tangent is built.  Faces own one or more
+boundary cycles (CCBs) plus isolated vertices, and a user payload slot;
+payloads should be immutable values since face splits share them.
 
 Aggregate construction (`sweep_build`, `overlay`) splits all input arcs
 at their exact pairwise intersections and assembles the interior-
@@ -57,6 +57,8 @@ from typing import (
 
 from .kernel import Rational, Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, format_rat
 from .spherical import (
+    NORTH,
+    SOUTH,
     BoundaryClass,
     DirPoint,
     GeodesicArc,
@@ -189,9 +191,6 @@ class SphereArrangement:
         f0 = Face(next(self._next_id))
         self.faces.append(f0)
         self._initial_face = f0
-        # Topology registry: contraction-point and identification vertices.
-        self.pole_vertices: Dict[str, Vertex] = {}
-        self.identification_vertices: List[Vertex] = []
 
     def __del__(self):
         # The features link one another in cycles, and none links back to
@@ -215,34 +214,31 @@ class SphereArrangement:
     def initial_face(self) -> Face:
         return self._initial_face
 
-    # -- vertex bookkeeping --------------------------------------------------
+    @property
+    def pole_vertices(self) -> Dict[str, Vertex]:
+        """The vertices at the contraction poles, keyed "north" and "south"."""
+        poles = (("north", self.find_vertex(NORTH)), ("south", self.find_vertex(SOUTH)))
+        return {name: v for name, v in poles if v is not None}
 
-    def _register_boundary_vertex(self, v: Vertex) -> None:
-        bc = v.point.boundary_class
-        if bc is BoundaryClass.NORTH_POLE:
-            self.pole_vertices["north"] = v
-        elif bc is BoundaryClass.SOUTH_POLE:
-            self.pole_vertices["south"] = v
-        elif bc is BoundaryClass.ON_IDENTIFICATION:
-            self.identification_vertices.append(v)
+    @property
+    def identification_vertices(self) -> List[Vertex]:
+        """The vertices on the identification curve, in vertex order."""
+        return [
+            v for v in self.vertices
+            if v.point.boundary_class is BoundaryClass.ON_IDENTIFICATION
+        ]
+
+    # -- vertex bookkeeping --------------------------------------------------
 
     def _new_vertex(self, p: DirPoint) -> Vertex:
         v = Vertex(p, next(self._next_id))
         self.vertices.append(v)
         self._vertex_map[p] = v
-        self._register_boundary_vertex(v)
         return v
 
     def _drop_vertex(self, v: Vertex) -> None:
         self.vertices.remove(v)
         del self._vertex_map[v.point]
-        bc = v.point.boundary_class
-        if bc is BoundaryClass.NORTH_POLE:
-            self.pole_vertices.pop("north", None)
-        elif bc is BoundaryClass.SOUTH_POLE:
-            self.pole_vertices.pop("south", None)
-        elif bc is BoundaryClass.ON_IDENTIFICATION:
-            self.identification_vertices.remove(v)
 
     def insert_isolated_vertex(self, p, face: Optional[Face] = None) -> Vertex:
         q = as_point(p)
@@ -333,8 +329,14 @@ class SphereArrangement:
         face: Optional[Face] = None,
     ) -> Halfedge:
         """Insert an arc whose interior is disjoint from all existing
-        features.  Anchors are checked against the endpoints and resolved
-        automatically when omitted."""
+        features; returns the halfedge along it.  Anchors are checked
+        against the endpoints and resolved automatically when omitted.
+
+        A missing endpoint is made first.  When both are missing, both
+        become isolated vertices of the face (located at the arc's
+        interior point when not given); when one is, it becomes a bare
+        vertex, which _splice_at wires as the tip of an antenna.  The
+        arc is then spliced into the rings of its two endpoints."""
         src, tgt = arc.source, arc.target
         if v1 is not None and v1.point != src:
             raise AnchorMismatch("v1 does not match the arc source")
@@ -351,44 +353,17 @@ class SphereArrangement:
                 if cell.kind != "face":
                     raise ArcNotDisjoint("arc interior touches an existing feature")
                 face = cell.ref
-            w1 = self._new_vertex(src)
-            w2 = self._new_vertex(tgt)
-            h = self._make_pair(arc, w1, w2)
-            g = h.twin
-            h.nxt = g
-            g.nxt = h
-            h.prv = g
-            g.prv = h
-            h.face = g.face = face
-            face.ccbs.append(h)
-            w1.out.append(h)
-            w2.out.append(g)
-            return h
+            v1 = self.insert_isolated_vertex(src, face)
+            v2 = self.insert_isolated_vertex(tgt, face)
+        elif v1 is None:
+            v1 = self._new_vertex(src)
+        elif v2 is None:
+            v2 = self._new_vertex(tgt)
 
-        if v1 is not None and v2 is None:
-            w2 = self._new_vertex(tgt)
-            h = self._make_pair(arc, v1, w2)
-            g = h.twin
-            h.nxt = g
-            g.prv = h
-            w2.out.append(g)
-            f = self._splice_at(v1, h, g)
-            if f is None:
-                raise AnchorMismatch("anchor vertex has no incident face")
-            h.face = g.face = f
-            if v1.degree == 1:
-                f.ccbs.append(h)  # fresh component (vertex was bare)
-            return h
-
-        if v1 is None and v2 is not None:
-            return self.insert_disjoint_arc(arc.reversed(), v2, None, face).twin
-
-        # Both endpoints exist.
         h = self._make_pair(arc, v1, v2)
         g = h.twin
-        was_isolated1, was_isolated2 = v1.is_isolated, v2.is_isolated
-        bare1 = was_isolated1 or not v1.out
-        bare2 = was_isolated2 or not v2.out
+        bare1 = v1.is_isolated or not v1.out
+        bare2 = v2.is_isolated or not v2.out
         f1 = self._splice_at(v1, h, g)
         f2 = self._splice_at(v2, g, h)
         f = f1 if f1 is not None else f2
@@ -511,53 +486,40 @@ class SphereArrangement:
                 keep.isolated[v] = None
 
     def merge_edges_at(self, v: Vertex) -> Halfedge:
-        """Fuse the two edges at a degree-2 vertex into one (the arcs must
-        be mergeable); returns the merged halfedge."""
+        """Fuse the two edges at a degree-2 vertex v, from a to v and from
+        v to b, into one (the arcs must be mergeable); returns the merged
+        halfedge, a -> b.
+
+        The merge happens in place: the halfedge a -> v becomes a -> b and
+        the halfedge b -> v becomes b -> a, keeping their places in the
+        rings of a and b, their payloads and their faces, and the two
+        halfedges leaving v are dropped.  The kept pair moves to the end
+        of the halfedge table with fresh ids, as a newly made pair would."""
         if v.degree != 2 or v.is_isolated:
             raise ValueError("vertex must have exactly two incident edges")
-        h1, h2 = v.out  # v->a and v->b
-        p1 = h1.twin  # a->v
-        p2 = h2  # v->b
+        q2, p2 = v.out  # v->a and v->b
+        p1, q1 = q2.twin, p2.twin  # a->v and b->v
         if not is_mergeable(p1.arc, p2.arc):
             raise ValueError("incident arcs are not mergeable")
-        arc_f = merge(p1.arc, p2.arc)
-        a_v, b_v = p1.source, p2.target
-        H = Halfedge(a_v, arc_f, next(self._next_id))
-        G = Halfedge(b_v, arc_f.reversed(), next(self._next_id))
-        H.twin, G.twin = G, H
-        q1 = h2.twin  # b->v
-        q2 = h1  # v->a
-        # p1.prv is q2 exactly when a has degree one (the walk turns
-        # around there); same for the other three chain neighbors.
-        H.prv = p1.prv if p1.prv is not q2 else G
-        H.nxt = p2.nxt if p2.nxt is not q1 else G
-        G.prv = q1.prv if q1.prv is not p2 else H
-        G.nxt = q2.nxt if q2.nxt is not p1 else H
-        H.prv.nxt = H
-        H.nxt.prv = H
-        G.prv.nxt = G
-        G.nxt.prv = G
-        H.face = p1.face
-        G.face = q1.face
-        H.payload = p1.payload
-        G.payload = q1.payload
-        a_v.out[a_v.out.index(p1)] = H
-        b_v.out[b_v.out.index(q1)] = G
+        p1.arc = merge(p1.arc, p2.arc)
+        q1.arc = p1.arc.reversed()
+        p1.twin, q1.twin = q1, p1
+        # p2.nxt is q1 exactly when b has degree one (the walk turns
+        # around there), and then p1 turns into q1, as it should; the
+        # same holds for q2.nxt and p1 at a.
+        p1.nxt, q1.nxt = p2.nxt, q2.nxt
+        p1.nxt.prv = p1
+        q1.nxt.prv = q1
         for f in {p1.face, q1.face}:
-            f.ccbs = [
-                (H if r in (p1, p2) else (G if r in (q1, q2) else r)) for r in f.ccbs
-            ]
-            dedup = []
-            for r in f.ccbs:
-                if r not in dedup:
-                    dedup.append(r)
-            f.ccbs = dedup
+            reps = [p1 if r is p2 else q1 if r is q2 else r for r in f.ccbs]
+            f.ccbs = list(dict.fromkeys(reps))
         for e in (p1, p2, q1, q2):
             self.halfedges.remove(e)
-        self.halfedges.extend((H, G))
+        p1.id, q1.id = next(self._next_id), next(self._next_id)
+        self.halfedges.extend((p1, q1))
         self._drop_vertex(v)
-        _unlink((p1, p2, q1, q2), (v,), ())
-        return H
+        _unlink((p2, q2), (v,), ())
+        return p1
 
     def set_edge_payload(self, h: Halfedge, value: Any) -> None:
         h.payload = value
@@ -726,13 +688,6 @@ class SphereArrangement:
             if dot(h.arc.normal, h.source.point.dir) != 0:
                 errs.append(f"{h}: source not on arc plane")
         for v in self.vertices:
-            bc = v.point.boundary_class
-            if bc is BoundaryClass.ON_IDENTIFICATION and v not in self.identification_vertices:
-                errs.append(f"{v}: missing from identification registry")
-            if bc is BoundaryClass.NORTH_POLE and self.pole_vertices.get("north") is not v:
-                errs.append(f"{v}: missing from pole registry")
-            if bc is BoundaryClass.SOUTH_POLE and self.pole_vertices.get("south") is not v:
-                errs.append(f"{v}: missing from pole registry")
             axis = v.point.dir
             ns = [h.arc.normal for h in v.out]
             k = len(ns)

@@ -89,17 +89,21 @@ def _whole_sphere_region(flag: bool) -> SphericalRegion:
     return SphericalRegion(arr)
 
 
-def _cycle_region(arcs, interior_dir: Vec3) -> SphericalRegion:
-    """Region bounded by arcs that form one simple closed cycle, given in
+def _cycle_region(corners: list, interior_dir: Vec3) -> SphericalRegion:
+    """Region bounded by the closed polygon through the given corners, in
     cycle order, whose inside holds interior_dir: every bounded
     projection (hemisphere, lune, polar cone, spherical hull) is one.
 
-    Each arc is re-made as sweep_build re-makes it and the pieces are
-    assembled in cycle order, so the arrangement equals sweep_build's
-    without its pairwise intersection tests.  The inside is convex, so
-    it lies on one side of the first piece's great circle, which one
-    sign decides."""
-    pieces = [piece for a in arcs for piece in make_arc(a.source, a.target)]
+    Each side is made once, by make_arc as sweep_build makes its input
+    arcs, and the pieces are assembled in cycle order, so the
+    arrangement equals sweep_build's without its pairwise intersection
+    tests.  The inside is convex, so it lies on one side of the first
+    piece's great circle, which one sign decides."""
+    pieces = [
+        piece
+        for p, q in zip(corners, corners[1:] + corners[:1])
+        for piece in make_arc(p, q)
+    ]
     arr, along = _assemble(pieces)
     _clear_flags(arr)
     first = along[0]
@@ -119,12 +123,7 @@ def _lune_region(n1: Vec3, n2: Vec3) -> SphericalRegion:
     so both lie on the lune's sides and a + b inside it."""
     q = cross(n1, n2)
     a, b = cross(n1, q), cross(q, n2)
-    return _cycle_region(_polygon_arcs([q, a, -q, b]), a + b)
-
-
-def _polygon_arcs(points: list) -> list:
-    """The arcs of the closed polygon through the given points, in order."""
-    return [piece for p, q in zip(points, points[1:] + points[:1]) for piece in make_arc(p, q)]
+    return _cycle_region([q, a, -q, b], a + b)
 
 
 def _clear_flags(arr: SphereArrangement) -> None:
@@ -150,7 +149,7 @@ def project_polytope(g: GaussianMap) -> SphericalRegion:
     if len(tight) == 1:
         # Origin interior to one facet: the open opposite hemisphere.
         n = tight[0]
-        return _cycle_region(full_circle_arcs(n), -n)
+        return _cycle_region([a.source for a in full_circle_arcs(n)], -n)
     if len(tight) == 2:
         return _lune_region(*tight)
     # Origin at a vertex: the polar cone of the incident facet normals.
@@ -174,7 +173,7 @@ def _project_vertex_cone(g: GaussianMap) -> SphericalRegion:
         if dot(c, ring[(i + 2) % k]) > 0:
             c = -c
         corners.append(c)
-    return _cycle_region(_polygon_arcs(corners), sum(corners, ZERO3))
+    return _cycle_region(corners, sum(corners, ZERO3))
 
 
 def _project_separated(g: GaussianMap, planes) -> SphericalRegion:
@@ -187,7 +186,7 @@ def _project_separated(g: GaussianMap, planes) -> SphericalRegion:
     # separator: every vertex has positive inner product with w.
     w = next(-n for n, b in planes if b < 0)
     hull = _gnomonic_hull({classify(v) for v in verts}, w)
-    return _cycle_region(_polygon_arcs(hull), sum(verts, ZERO3))
+    return _cycle_region(hull, sum(verts, ZERO3))
 
 
 def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:

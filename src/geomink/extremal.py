@@ -142,10 +142,11 @@ def default_params(i: int) -> WitnessParams:
     )
 
 
-def _circle_point(angle_rad: float, max_den: int = 200) -> Tuple[Fraction, Fraction]:
+def _circle_point(angle_rad: float) -> Tuple[Fraction, Fraction]:
     """A rational point on the unit circle near the requested azimuth;
-    small denominators keep all downstream arithmetic light."""
-    t = Fraction(math.tan(angle_rad / 2)).limit_denominator(max_den)
+    small denominators (the half-angle tangent's at most 200) keep all
+    downstream arithmetic light."""
+    t = Fraction(math.tan(angle_rad / 2)).limit_denominator(200)
     den = 1 + t * t
     return (1 - t * t) / den, 2 * t / den
 

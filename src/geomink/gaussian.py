@@ -344,15 +344,9 @@ class GaussianMap:
         return sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
 
     def primal_vertices(self) -> List[Vec3]:
-        out = []
-        seen = set()
-        for f in self.arrangement.faces:
-            v = f.payload
-            key = v.ratio_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(v)
-        return out
+        """The primal vertices, one per face: a face is the normal cone
+        of its payload vertex."""
+        return [f.payload for f in self.arrangement.faces]
 
     def support(self, d: Vec3) -> Tuple[Rational, Vec3]:
         """Support value max <d, v> over primal vertices and one maximizer."""
@@ -468,25 +462,14 @@ def primal_mesh(g: GaussianMap) -> Mesh:
 
 
 def _primal_mesh(g: GaussianMap) -> Mesh:
-    """primal_mesh without the validation."""
-    arr = g.arrangement
-    coords: List[Vec3] = []
-    index: Dict[tuple, int] = {}
-    for f in arr.faces:
-        v = f.payload
-        if v is None:
-            raise InvalidGaussianMap("undecorated face")
-        key = v.ratio_key()
-        if key not in index:
-            index[key] = len(coords)
-            coords.append(v)
-
-    facets: List[List[int]] = []
-    for w in g.facet_vertices:
-        k = w.degree
-        cycle = []
-        for i in range(k):
-            corner_face = w.out[(i + 1) % k].twin.face
-            cycle.append(index[corner_face.payload.ratio_key()])
-        facets.append(cycle)
+    """primal_mesh without the validation: vertex i is the payload of
+    face i, and a facet's corners are the faces around its vertex."""
+    coords = g.primal_vertices()
+    if any(v is None for v in coords):
+        raise InvalidGaussianMap("undecorated face")
+    index = {f: i for i, f in enumerate(g.arrangement.faces)}
+    facets = [
+        [index[w.out[(i + 1) % w.degree].twin.face] for i in range(w.degree)]
+        for w in g.facet_vertices
+    ]
     return Mesh(coords, facets)

@@ -475,6 +475,29 @@ def test_merge_at_degree_two_inside_triangle_chain():
     assert arr.validate() == []
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["dangling-chain", "triangle"])
+def test_merge_turns_the_halfedges_into_the_vertex_into_the_merged_pair(closed):
+    # a -> v becomes a -> b and b -> v becomes its twin; the two
+    # halfedges leaving v are the ones dropped
+    arr = new_arrangement()
+    a, m, b, c = Vec3(1, 0, 0), Vec3(2, 1, 0), Vec3(1, 1, 0), Vec3(1, 1, 2)
+    arr.insert_disjoint_arc(arc_between(a, m))
+    arr.insert_disjoint_arc(arc_between(m, b))
+    if closed:
+        arr.insert_disjoint_arc(arc_between(b, c))
+        arr.insert_disjoint_arc(arc_between(c, a))
+    v = arr.find_vertex(classify(m))
+    (a_v,) = [h.twin for h in v.out if h.target.point == classify(a)]
+    (b_v,) = [h.twin for h in v.out if h.target.point == classify(b)]
+    count = len(arr.halfedges)
+    h = arr.merge_edges_at(v)
+    assert h is a_v
+    assert h.twin is b_v
+    assert (h.source.point, h.target.point) == (classify(a), classify(b))
+    assert len(arr.halfedges) == count - 2
+    assert arr.validate() == []
+
+
 # -- one-pass assembly and the pair filter --------------------------------------
 
 # Small integer directions, with the poles and points of the seam (the

@@ -540,6 +540,25 @@ def test_build_is_order_free(shape, rng):
     assert _map_contents(build(_relabelled(mesh, rng))) == _map_contents(build(mesh))
 
 
+_meshes = st.one_of(
+    st.sampled_from([cube(), octahedron(), tetrahedron(), icosahedron()]),
+    st.builds(random_polytope, st.integers(4, 10), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_meshes, _meshes, st.booleans())
+def test_face_payloads_are_pairwise_distinct(m1, m2, reflect_second):
+    # a face is the normal cone of one primal vertex, so the primal
+    # vertices and the primal mesh take one vertex per face
+    g1, g2 = build(m1), build(m2)
+    summand = reflect(g2) if reflect_second else g2
+    for g in (g1, reflect(g1), minkowski(g1, summand)):
+        keys = [f.payload.ratio_key() for f in g.arrangement.faces]
+        assert len(set(keys)) == len(keys)
+        assert len(primal_mesh(g).vertices) == len(keys)
+
+
 def test_cube_and_octahedron_maps_touch_the_seam_and_poles():
     # the octahedron's arcs are split there; the cube's facets map to them
     g = build(octahedron())
