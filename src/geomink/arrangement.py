@@ -263,9 +263,13 @@ class SphereArrangement:
 
     # -- angular order around a vertex ---------------------------------------
 
-    def _insert_position(self, v: Vertex, n: Vec3) -> int:
-        """Index i such that an arc leaving v with normal n fits CCW-between
-        v.out[i] and v.out[i+1] (v.out is not empty)."""
+    def _insert_position(self, v: Vertex, n: Vec3) -> Tuple[int, Optional[Face]]:
+        """Where an arc leaving v with normal n fits in v's ring: the index
+        i of the CCW gap (v.out[i], v.out[i+1]) that admits it, and the
+        face in that gap.  A vertex with an empty ring takes it at 0, in
+        its isolated face."""
+        if not v.out:
+            return 0, v.isolated_face
         axis = v.point.dir
         normals = [h.arc.normal for h in v.out]
         for m in normals:
@@ -274,12 +278,10 @@ class SphereArrangement:
                     f"new arc overlaps an existing edge at vertex {v}"
                 )
         k = len(normals)
-        if k == 1:
-            return 0
         for i in range(k):
             # n strictly inside the CCW gap (out[i], out[i+1])?
-            if ccw_strictly_before(axis, normals[i], n, normals[(i + 1) % k]):
-                return i
+            if k == 1 or ccw_strictly_before(axis, normals[i], n, normals[(i + 1) % k]):
+                return i, v.out[(i + 1) % k].twin.face
         raise AssertionError("no angular gap admits the new edge")
 
     # -- edge insertion -------------------------------------------------------
@@ -292,24 +294,17 @@ class SphereArrangement:
         self.halfedges.extend((h, g))
         return h
 
-    def _splice_at(self, v: Vertex, h_out: Halfedge, g_in: Halfedge) -> Optional[Face]:
-        """Wire the new outgoing h_out / incoming g_in at vertex v.
-
-        Returns the face of the surrounding gap (None when v was bare)."""
-        if v.is_isolated:
-            f = v.isolated_face
-            del f.isolated[v]
-            v.isolated_face = None
-            g_in.nxt = h_out
-            h_out.prv = g_in
-            v.out.append(h_out)
-            return f
+    def _splice_at(self, v: Vertex, h_out: Halfedge, g_in: Halfedge, pos: int) -> None:
+        """Wire the new outgoing h_out / incoming g_in at vertex v, into the
+        gap at pos that _insert_position found."""
         if not v.out:
+            if v.is_isolated:
+                del v.isolated_face.isolated[v]
+                v.isolated_face = None
             g_in.nxt = h_out
             h_out.prv = g_in
             v.out.append(h_out)
-            return None
-        pos = self._insert_position(v, h_out.arc.normal)
+            return
         # The face corner spanning the CCW gap (out[pos], out[pos+1]) turns
         # from the incoming twin(out[pos+1]) to the outgoing out[pos].
         t_in = v.out[(pos + 1) % len(v.out)].twin
@@ -319,7 +314,6 @@ class SphereArrangement:
         g_in.nxt = b
         b.prv = g_in
         v.out.insert(pos + 1, h_out)
-        return t_in.face
 
     def insert_disjoint_arc(
         self,
@@ -332,11 +326,14 @@ class SphereArrangement:
         features; returns the halfedge along it.  Anchors are checked
         against the endpoints and resolved automatically when omitted.
 
-        A missing endpoint is made first.  When both are missing, both
-        become isolated vertices of the face (located at the arc's
-        interior point when not given); when one is, it becomes a bare
-        vertex, which _splice_at wires as the tip of an antenna.  The
-        arc is then spliced into the rings of its two endpoints."""
+        The arc's place in the ring of each existing endpoint, and the
+        face it runs through, are found before anything changes, so an
+        arc that is not disjoint raises ArcNotDisjoint and leaves the
+        arrangement as it was.  When both endpoints are missing, the face
+        is the given one, or the one located at the arc's interior point.
+        A missing endpoint is then made as a bare vertex, the tip of an
+        antenna, and the arc is spliced into the rings of its two
+        endpoints."""
         src, tgt = arc.source, arc.target
         if v1 is not None and v1.point != src:
             raise AnchorMismatch("v1 does not match the arc source")
@@ -347,30 +344,29 @@ class SphereArrangement:
         if v2 is None:
             v2 = self.find_vertex(tgt)
 
-        if v1 is None and v2 is None:
+        pos1, f1 = (0, None) if v1 is None else self._insert_position(v1, arc.normal)
+        pos2, f2 = (0, None) if v2 is None else self._insert_position(v2, -arc.normal)
+        if f1 is not None and f2 is not None and f1 is not f2:
+            raise ArcNotDisjoint("arc endpoints see different faces")
+        f = f1 if f1 is not None else f2
+        if f is None:
             if face is None:
                 cell = self.locate(arc.interior_point())
                 if cell.kind != "face":
                     raise ArcNotDisjoint("arc interior touches an existing feature")
                 face = cell.ref
-            v1 = self.insert_isolated_vertex(src, face)
-            v2 = self.insert_isolated_vertex(tgt, face)
-        elif v1 is None:
+            f = face
+        bare1 = v1 is None or not v1.out
+        bare2 = v2 is None or not v2.out
+        if v1 is None:
             v1 = self._new_vertex(src)
-        elif v2 is None:
+        if v2 is None:
             v2 = self._new_vertex(tgt)
 
         h = self._make_pair(arc, v1, v2)
         g = h.twin
-        bare1 = v1.is_isolated or not v1.out
-        bare2 = v2.is_isolated or not v2.out
-        f1 = self._splice_at(v1, h, g)
-        f2 = self._splice_at(v2, g, h)
-        f = f1 if f1 is not None else f2
-        if f is None:
-            raise AnchorMismatch("cannot determine the containing face")
-        if f1 is not None and f2 is not None and f1 is not f2:
-            raise ArcNotDisjoint("arc endpoints see different faces")
+        self._splice_at(v1, h, g, pos1)
+        self._splice_at(v2, g, h, pos2)
 
         if bare1 and bare2:
             h.face = g.face = f
@@ -717,14 +713,15 @@ def _order_along(arc: GeodesicArc, pts: List[DirPoint]) -> List[DirPoint]:
     return sorted(pts, key=functools.cmp_to_key(cmp))
 
 
-def _split_all(
-    tagged_arcs: List[Tuple[GeodesicArc, Any]],
+def _cut_sets(
+    tagged_arcs: Sequence[Tuple[GeodesicArc, Any]],
     extra_points: Sequence[Tuple[DirPoint, Any]] = (),
-) -> List[Tuple[GeodesicArc, List[Any]]]:
-    """Split arcs at all pairwise intersections (and at the given extra
-    points).  Returns interior-disjoint sub-arcs, each with the list of
-    tags of the input arcs it belongs to.  Arcs sharing a tag group key
-    (tag[0]) are assumed interior-disjoint already and are not paired.
+) -> List[Set[DirPoint]]:
+    """For each arc, the points where the other arcs and the extra points
+    cut it: every pairwise intersection, and every extra point strictly
+    inside it.  A cut lies on the closed arc and may be one of its
+    endpoints.  Arcs sharing a tag group key (tag[0]) are assumed
+    interior-disjoint already and are not paired.
 
     Each pair is decided from a table of <normal, endpoint> on the
     integer triples, one entry per arc and per distinct endpoint of the
@@ -740,8 +737,7 @@ def _split_all(
       endpoints, so it misses a plane that has both of them strictly on
       one side; two arcs that share an endpoint p meet only at p, which
       cuts neither; and when each has an endpoint on the other's circle,
-      those endpoints are antipodal and the arcs do not meet.
-    - An arc with no cut inside it is its own piece."""
+      those endpoints are antipodal and the arcs do not meet."""
     arcs = [a for a, _ in tagged_arcs]
     n = len(arcs)
     index: Dict[DirPoint, int] = {}
@@ -826,14 +822,23 @@ def _split_all(
                     cuts[i].add(p)
                     cuts[j].add(p)
     for p, _tag in extra_points:
-        for i, (a, _t) in enumerate(tagged_arcs):
+        for i, a in enumerate(arcs):
             if point_on_arc(p, a, closed=False):
                 cuts[i].add(p)
+    return cuts
 
+
+def _split_all(
+    tagged_arcs: List[Tuple[GeodesicArc, Any]],
+    extra_points: Sequence[Tuple[DirPoint, Any]] = (),
+) -> List[Tuple[GeodesicArc, List[Any]]]:
+    """Split arcs at their _cut_sets: all pairwise intersections and the
+    given extra points.  Returns interior-disjoint sub-arcs, each with the
+    list of tags of the input arcs it belongs to; an arc with no cut
+    inside it is its own piece."""
     pieces: Dict[frozenset, Tuple[GeodesicArc, List[Any]]] = {}
-    for i, (a, tag) in enumerate(tagged_arcs):
-        # every cut is on the closed arc: intersect's points lie on both arcs
-        pts = [p for p in cuts[i] if p != a.source and p != a.target]
+    for (a, tag), cut in zip(tagged_arcs, _cut_sets(tagged_arcs, extra_points)):
+        pts = [p for p in cut if p != a.source and p != a.target]
         chain = [a.source] + _order_along(a, pts) + [a.target] if pts else [a.source, a.target]
         for s, t in zip(chain, chain[1:]):
             key = frozenset((s, t))
@@ -1000,20 +1005,19 @@ class OverlayCallbacks(NamedTuple):
     face_face: Callable[[Any, Any], Any] = lambda a, b: None
 
 
-def _split_operands(
+def _operand_features(
     a: SphereArrangement, b: SphereArrangement
-) -> Tuple[List[Tuple[GeodesicArc, List[Any]]], List[Tuple[DirPoint, Any]]]:
-    """The split step of overlay: each edge of a and b, tagged (side,
-    halfedge) with side 0 for a and 1 for b, cut by _split_all at the
-    other operand's edges and isolated points.  Returns the pieces and
-    the isolated points, tagged (side, vertex)."""
+) -> Tuple[List[Tuple[GeodesicArc, Any]], List[Tuple[DirPoint, Any]]]:
+    """What the split step of overlay cuts: each edge of a and b, tagged
+    (side, halfedge) with side 0 for a and 1 for b, and the isolated
+    points, tagged (side, vertex)."""
     operands = (a, b)
     tagged = [(h.arc, (side, h)) for side, arr in enumerate(operands) for h in arr.edges()]
     iso_points = [
         (v.point, (side, v))
         for side, arr in enumerate(operands) for v in arr.vertices if v.is_isolated
     ]
-    return _split_all(tagged, iso_points), iso_points
+    return tagged, iso_points
 
 
 def overlay(
@@ -1022,7 +1026,8 @@ def overlay(
     """Overlay two arrangements; every output cell's payload is produced
     by exactly one callback named after its provenance case."""
     operands = (a, b)
-    pieces, iso_points = _split_operands(a, b)
+    tagged, iso_points = _operand_features(a, b)
+    pieces = _split_all(tagged, iso_points)
     # Isolated source vertices not on an output feature stay isolated.
     out, along = _assemble([sub for sub, _ in pieces], [p for p, _ in iso_points])
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .arrangement import Face, SphereArrangement, Vertex, _assemble
 from .kernel import (
@@ -45,7 +45,7 @@ from .kernel import (
     integer_coords,
     turn3,
 )
-from .spherical import BoundaryClass, DirPoint, GeodesicArc, classify, make_arc
+from .spherical import BoundaryClass, GeodesicArc, classify, make_arc
 
 
 class InvalidMesh(ValueError):
@@ -435,22 +435,16 @@ def reflect(g: GaussianMap) -> GaussianMap:
     return _build(neg, [(-x, -y, -z) for x, y, z in normals], edge_facet)
 
 
-def _is_split(p: DirPoint, normals: Sequence[Vec3]) -> bool:
-    """Whether a vertex at p, whose incident arcs have these normals, was
-    made only to split an arc at the parameter-space boundary: it is on
-    the seam or at a pole, and its two arcs lie on one great circle.
-    Every other vertex of a Gaussian map, or of an overlay of two, is a
-    facet."""
-    return (
-        len(normals) == 2
-        and p.boundary_class is not BoundaryClass.INTERIOR
-        and cross(normals[0], normals[1]).is_zero()
-    )
-
-
 def _is_split_artifact(v: Vertex) -> bool:
-    """_is_split on an arrangement vertex."""
-    return _is_split(v.point, [h.arc.normal for h in v.out])
+    """Whether v was made only to split an arc at the parameter-space
+    boundary: it is on the seam or at a pole, and its two arcs lie on one
+    great circle.  Every other vertex of a Gaussian map, or of an overlay
+    of two, is a facet."""
+    return (
+        len(v.out) == 2
+        and v.point.boundary_class is not BoundaryClass.INTERIOR
+        and cross(v.out[0].arc.normal, v.out[1].arc.normal).is_zero()
+    )
 
 
 def primal_mesh(g: GaussianMap) -> Mesh:

@@ -7,21 +7,21 @@ vertices of the two inducing faces, so the output is again a decorated
 Gaussian map.  The facet counts come from each map's own facet list,
 `GaussianMap.facet_vertices`.
 
-A sum's facet count alone needs none of that assembly:
-`sum_facet_count` counts the facets off the overlay's split step, as
-the endpoints of the split pieces that are not seam or pole splits.
+A sum's facet count alone needs none of that assembly, nor the split
+pieces: `sum_facet_count` counts the overlay's vertices off the split
+step's cut points, less the seam and pole points that only split an arc.
 The worst-case witness tuner (`extremal`) checks the tight bound this
 way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Set, Tuple
 
-from .arrangement import OverlayCallbacks, _split_operands, overlay
-from .gaussian import GaussianMap, _is_split
-from .kernel import Vec3
-from .spherical import DirPoint
+from .arrangement import OverlayCallbacks, _cut_sets, _operand_features, overlay
+from .gaussian import GaussianMap
+from .kernel import scale_key
+from .spherical import BoundaryClass, DirPoint
 
 
 class DegenerateCoincidence(ValueError):
@@ -107,16 +107,34 @@ def facet_count(g: GaussianMap) -> int:
 
 
 def sum_facet_count(g1: GaussianMap, g2: GaussianMap) -> int:
-    """facet_count(minkowski(g1, g2)), without assembling the sum.
+    """facet_count(minkowski(g1, g2)), without splitting or assembling.
 
-    The overlay's vertices are the endpoints of the pieces its split
-    step makes, plus the operands' isolated points; each vertex's arcs
-    are the pieces that end at it.  The sum's facets are the vertices
-    that _is_split, the rule of GaussianMap.facet_vertices, does not
-    call seam or pole splits."""
-    pieces, iso_points = _split_operands(g1.arrangement, g2.arrangement)
-    normals: Dict[DirPoint, List[Vec3]] = {p: [] for p, _ in iso_points}
-    for arc, _tags in pieces:
-        normals.setdefault(arc.source, []).append(arc.normal)
-        normals.setdefault(arc.target, []).append(arc.normal)
-    return sum(not _is_split(p, ns) for p, ns in normals.items())
+    The overlay's vertices are the operands' arc endpoints, the points
+    where _cut_sets cuts their arcs, and their isolated points.  A vertex
+    is a facet unless GaussianMap.facet_vertices would call it a seam or
+    pole split (_is_split_artifact): an arc through a non-interior point p
+    leaves p along +n (unless p is its target) and -n (unless p is its
+    source), and two split pieces at p coincide exactly when they leave p
+    the same way, so p is a split when exactly two opposite directions
+    leave it."""
+    tagged, iso_points = _operand_features(g1.arrangement, g2.arrangement)
+    vertices = {p for p, _ in iso_points}
+    leaving: Dict[DirPoint, Set[Tuple[int, int, int]]] = {}
+    for (arc, _tag), cut in zip(tagged, _cut_sets(tagged, iso_points)):
+        s, t = arc.source, arc.target
+        vertices.update((s, t), cut)
+        ends = [p for p in (s, t, *cut) if p.boundary_class is not BoundaryClass.INTERIOR]
+        if ends:
+            fwd = scale_key(arc.normal.x, arc.normal.y, arc.normal.z)
+            back = (-fwd[0], -fwd[1], -fwd[2])
+            for p in ends:
+                dirs = leaving.setdefault(p, set())
+                if p != t:
+                    dirs.add(fwd)
+                if p != s:
+                    dirs.add(back)
+    splits = sum(
+        len(dirs) == 2 and {(-x, -y, -z) for x, y, z in dirs} == dirs
+        for dirs in leaving.values()
+    )
+    return len(vertices) - splits

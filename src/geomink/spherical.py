@@ -9,8 +9,10 @@ circle is a pair of endpoints plus a normal of the oriented plane through
 the origin containing them.  Normals are not reduced: an arc's normal is
 the cross product of the endpoints it was made from, and the pieces of a
 split arc keep it.  Triple products go through ``kernel.det3``, which
-builds no vector, and ``intersect`` tests its candidates +-cross(n1, n2)
-unreduced, reducing one to its point (``classify``) only on a hit.
+builds no vector.  ``intersect`` decides whether two arcs cross from the
+signs of four dot products, each of one arc's normal with an endpoint of
+the other; only on a hit does it form cross(n1, n2) and reduce it to its
+point (``classify``).
 
 The sphere is parameterized by azimuth u in [-pi, pi] and latitude v in
 [-pi/2, pi/2]; the u = +-pi meridian half (y = 0, x < 0) is the
@@ -29,7 +31,6 @@ from .kernel import (
     LARGER,
     SMALLER,
     Frozen,
-    Rational,
     Sign,
     Vec3,
     ZeroVector,
@@ -276,13 +277,13 @@ def make_arc(source, target) -> List[GeodesicArc]:
     cut: Optional[Vec3] = None
     if n.z == 0:
         # Vertical circle: passes through both poles; split at one if interior.
-        for pole in (Vec3(0, 0, 1), Vec3(0, 0, -1)):
+        for pole in (NORTH.dir, SOUTH.dir):
             if strictly_inside_arc(pole, whole):
                 cut = pole
                 break
     if cut is None and not (n.x == 0 and n.z == 0):
         # Crossing of the great circle with the y=0 plane on the x<0 side.
-        for cand in (Vec3(-n.z, 0, n.x), Vec3(n.z, 0, -n.x)):
+        for cand in (exact_vec(-n.z, 0, n.x), exact_vec(n.z, 0, -n.x)):
             if cand.x < 0 and strictly_inside_arc(cand, whole):
                 cut = cand
                 break
@@ -401,25 +402,16 @@ def _reoriented(a2: GeodesicArc, n: Vec3) -> Tuple[DirPoint, DirPoint]:
 _NO_INTERSECTION = IntersectionResult((), None)
 
 
-def _end_orientations(arc: GeodesicArc, x, y, z) -> Tuple[Rational, Rational]:
-    """det3(source, q, normal) and det3(q, target, normal) for q = (x, y, z)."""
-    s, t, n = arc.source.dir, arc.target.dir, arc.normal
-    return (
-        (s.y * z - s.z * y) * n.x + (s.z * x - s.x * z) * n.y + (s.x * y - s.y * x) * n.z,
-        (y * t.z - z * t.y) * n.x + (z * t.x - x * t.z) * n.y + (x * t.y - y * t.x) * n.z,
-    )
-
-
 def intersect(a1: GeodesicArc, a2: GeodesicArc) -> IntersectionResult:
     """All intersections of two arcs: transversal points or the overlap
     sub-arc of coplanar arcs (a single-point overlap is reported as a
-    point).  A transversal candidate is tested unreduced and reduced to
-    its point (classify) only on a hit."""
+    point).  A transversal hit is decided by four dot products of a
+    normal with an endpoint; the crossing point is formed only on a hit."""
     n1, n2 = a1.normal, a2.normal
-    x = n1.y * n2.z - n1.z * n2.y
-    y = n1.z * n2.x - n1.x * n2.z
-    z = n1.x * n2.y - n1.y * n2.x
-    if x == 0 and y == 0 and z == 0:
+    s1, t1, s2, t2 = a1.source.dir, a1.target.dir, a2.source.dir, a2.target.dir
+    c = n1.x * s2.x + n1.y * s2.y + n1.z * s2.z
+    d = n1.x * t2.x + n1.y * t2.y + n1.z * t2.z
+    if c == 0 and d == 0:  # both ends of a2 on a1's circle: one circle
         s2, t2 = _reoriented(a2, n1)
         ends = [p for p in (a1.source, a1.target) if _on_circle_arc(p, s2, t2, n1)]
         ends += [
@@ -434,19 +426,25 @@ def intersect(a1: GeodesicArc, a2: GeodesicArc) -> IntersectionResult:
         return IntersectionResult((), GeodesicArc(p, q, n1))
     # q = cross(n1, n2) and -q are where the two circles meet.  A point q
     # of an arc's circle lies on the closed arc (shorter than pi) iff both
-    # end orientations are >= 0, and -q iff both are <= 0; they are never
-    # both zero, so at most one of +-q is on a1.
-    d, e = _end_orientations(a1, x, y, z)
-    if d >= 0 and e >= 0:
+    # end orientations det3(s, q, n) and det3(q, t, n) are >= 0, and -q iff
+    # both are <= 0.  By Lagrange's identity, since <n1, s1> = <n1, t1> = 0,
+    # a1's are |n1|^2 <n2, s1> and -|n1|^2 <n2, t1>, and a2's are
+    # -|n2|^2 <n1, s2> and |n2|^2 <n1, t2>.  An arc's two are never both
+    # zero, so at most one of +-q is on it.
+    if c <= 0 and d >= 0:
         k = 1
-    elif d <= 0 and e <= 0:
+    elif c >= 0 and d <= 0:
         k = -1
     else:
         return _NO_INTERSECTION
-    d, e = _end_orientations(a2, x, y, z)
-    if k * d >= 0 and k * e >= 0:
-        return IntersectionResult((classify(exact_vec(k * x, k * y, k * z)),), None)
-    return _NO_INTERSECTION
+    e = k * (n2.x * s1.x + n2.y * s1.y + n2.z * s1.z)
+    f = k * (n2.x * t1.x + n2.y * t1.y + n2.z * t1.z)
+    if e < 0 or f > 0:
+        return _NO_INTERSECTION
+    x = n1.y * n2.z - n1.z * n2.y
+    y = n1.z * n2.x - n1.x * n2.z
+    z = n1.x * n2.y - n1.y * n2.x
+    return IntersectionResult((classify(exact_vec(k * x, k * y, k * z)),), None)
 
 
 def _on_circle_arc(q: DirPoint, s: DirPoint, t: DirPoint, n: Vec3) -> bool:

@@ -91,6 +91,29 @@ class TestBasics:
         with pytest.raises(ArcNotDisjoint):
             arr.insert_disjoint_arc(arc_between(Vec3(1, 0, 0), Vec3(1, 1, 0)))
 
+    @pytest.mark.parametrize("case", ["overlap at the source", "overlap at the target",
+                                      "ends in two faces"])
+    def test_rejected_insert_changes_nothing(self, case):
+        """The arc is placed at both ends before anything changes, so an
+        arc that is not disjoint leaves no vertex, edge or link behind."""
+        arr = new_arrangement()
+        if case == "ends in two faces":
+            for a in full_circle_arcs(Vec3(0, 0, 1)):
+                arr.insert_disjoint_arc(a)
+            arr.insert_isolated_vertex(Vec3(1, 1, 1))
+            arr.insert_isolated_vertex(Vec3(1, 1, -1))
+            bad = arc_between(Vec3(1, 1, 1), Vec3(1, 1, -1))
+        else:
+            arr.insert_disjoint_arc(quadrant())
+            bad = (arc_between(Vec3(1, 0, 0), Vec3(1, 1, 0)) if case.endswith("source")
+                   else arc_between(Vec3(1, 1, 0), Vec3(0, 1, 0)))
+        counts, dump = arr.counts(), dumps(arr)
+        with pytest.raises(ArcNotDisjoint):
+            arr.insert_disjoint_arc(bad)
+        assert arr.counts() == counts
+        assert arr.validate() == []
+        assert dumps(arr) == dump
+
     def test_isolated_vertices(self):
         arr = new_arrangement()
         v = arr.insert_isolated_vertex(Vec3(1, 2, 3))

@@ -1,14 +1,18 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geomink.extremal import RationalRotation, rotate_mesh, verify_bound
-from geomink import extremal, gaussian
+from geomink.extremal import (
+    QUARTER_TURN, RationalRotation, rotate_mesh, tune_params, verify_bound, witness_polytope,
+)
+from geomink import arrangement, extremal, gaussian
 from geomink.gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
-from geomink.kernel import Vec3
+from geomink.arrangement import OverlayCallbacks, overlay, sweep_build
+from geomink.kernel import Vec3, cross
 from geomink.minkowski import (
     DegenerateCoincidence,
     facet_count,
@@ -18,6 +22,7 @@ from geomink.minkowski import (
     sum_facet_count,
 )
 from geomink.shapes import box, cube, icosahedron, octahedron, random_polytope, tetrahedron
+from geomink.spherical import arc_between
 
 
 class TestMinkowski:
@@ -237,3 +242,62 @@ def test_sum_facet_count_on_every_tuner_attempt(monkeypatch):
         for n in range(4, 9):
             assert verify_bound(m, n).tight
     assert len(attempts) > 25  # some candidates were rejected
+
+
+def test_sum_facet_count_orders_no_cut_point(monkeypatch):
+    """The count reads the cut points alone: it never orders them along
+    an arc, so it builds no split piece."""
+    pairs = [
+        (build(random_polytope(9, 3)), reflect(build(random_polytope(8, 4)))),
+        (build(cube()), build(octahedron())),
+    ]
+    want = [facet_count(minkowski(g1, g2)) for g1, g2 in pairs]
+
+    def no_order(arc, pts):
+        raise AssertionError("sum_facet_count ordered cut points along an arc")
+
+    monkeypatch.setattr(arrangement, "_order_along", no_order)
+    assert [sum_facet_count(g1, g2) for g1, g2 in pairs] == want
+
+
+# small directions, many of them on the seam's plane y = 0 or at a pole
+_directions = st.builds(
+    Vec3, st.integers(-2, 2), st.sampled_from([0, 0, -1, 1, 2]), st.integers(-2, 2)
+).filter(lambda d: not d.is_zero())
+
+
+@st.composite
+def _arc_arrangements(draw):
+    pairs = draw(st.lists(st.tuples(_directions, _directions), min_size=1, max_size=5))
+    return sweep_build([arc_between(p, q) for p, q in pairs if not cross(p, q).is_zero()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arc_arrangements(), _arc_arrangements())
+def test_sum_facet_count_matches_the_overlay_of_any_arcs(a, b):
+    """The count follows the facet rule of the assembled overlay on any
+    two arrangements, also at what no polytope's map has: antenna tips
+    and corners of two arcs on the seam and at the poles."""
+    want = len(GaussianMap(overlay(a, b, OverlayCallbacks())).facet_vertices)
+    assert sum_facet_count(GaussianMap(a), GaussianMap(b)) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_meshes(m, n):
+    pm, pn = tune_params(m, n)
+    return witness_polytope(pm), rotate_mesh(witness_polytope(pn), QUARTER_TURN)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(4, 8),
+    st.integers(4, 8),
+    st.tuples(st.integers(1, 8), *[st.integers(-2, 2)] * 3),
+)
+def test_sum_facet_count_on_turned_witnesses(m, n, q):
+    """The tuned witness pairs near their tight bound, the second turned
+    further by a small integer-quaternion rotation (the identity among
+    them), where cut points crowd the seam and the poles."""
+    mesh_m, mesh_n = _witness_meshes(m, n)
+    g1, g2 = build(mesh_m), build(rotate_mesh(mesh_n, _quaternion_rotation(*q)))
+    assert sum_facet_count(g1, g2) == facet_count(minkowski(g1, g2))
