@@ -188,9 +188,7 @@ class SphereArrangement:
         self.halfedges: List[Halfedge] = []
         self.faces: List[Face] = []
         self._vertex_map: Dict[DirPoint, Vertex] = {}
-        f0 = Face(next(self._next_id))
-        self.faces.append(f0)
-        self._initial_face = f0
+        self.faces.append(Face(next(self._next_id)))
 
     def __del__(self):
         # The features link one another in cycles, and none links back to
@@ -210,9 +208,6 @@ class SphereArrangement:
 
     def find_vertex(self, p) -> Optional[Vertex]:
         return self._vertex_map.get(as_point(p))
-
-    def initial_face(self) -> Face:
-        return self._initial_face
 
     @property
     def pole_vertices(self) -> Dict[str, Vertex]:
@@ -904,9 +899,9 @@ def _assemble(
     The result has the same vertices, vertex rings and cells as
     inserting the arcs in order with insert_disjoint_arc, then the
     points with insert_isolated_vertex.  Faces are listed in the order
-    they are found, the initial face first, and each CCB is represented
-    by the first halfedge of its cycle.  The input is trusted: nothing
-    checks that the arcs are interior-disjoint."""
+    they are found, the empty arrangement's one face first, and each CCB
+    is represented by the first halfedge of its cycle.  The input is
+    trusted: nothing checks that the arcs are interior-disjoint."""
     arr = SphereArrangement()
     vmap = arr._vertex_map
     root: Dict[Vertex, Vertex] = {}  # union-find over the vertices
@@ -950,7 +945,7 @@ def _assemble(
             components.setdefault(find(h.source), []).append(len(cycles))
             cycles.append(cyc)
 
-    region: Dict[Face, List[int]] = {arr.initial_face(): []}
+    region: Dict[Face, List[int]] = {arr.faces[0]: []}
 
     def face_of(q: DirPoint) -> Face:
         *tested, last = region

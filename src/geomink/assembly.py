@@ -29,8 +29,11 @@ valid motions may sit on single arrangement vertices.
    midpoints of its two sides;
 4. the union of each pair's projections, a left fold of overlays that
    removes buried cells after every step;
-5. the antipodal image of each union for the reversed pair;
-6. the motion space, the overlay of all pairs' unions, each cell
+5. the half motion space, a left fold of the i < j unions whose cells
+   carry their sets of pairs (i, j), and its one antipodal image, which
+   holds the reversed pairs' regions: a direction d is blocked for
+   (j, i) iff -d is for (i, j);
+6. the motion space, the overlay of the half with its image, each cell
    carrying its blocking graph;
 7. the scan of its vertices, then edges, then faces.  In FIRST mode the
    answer is the first solution in the arrangement's cell order; which
@@ -85,7 +88,7 @@ class SphericalRegion(NamedTuple):
 
 def _whole_sphere_region(flag: bool) -> SphericalRegion:
     arr = new_arrangement()
-    arr.initial_face().payload = flag
+    arr.faces[0].payload = flag
     return SphericalRegion(arr)
 
 
@@ -235,11 +238,7 @@ def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:
 
 def _or_callbacks() -> OverlayCallbacks:
     orf = lambda a, b: bool(a) or bool(b)
-    return OverlayCallbacks(
-        vertex_vertex=orf, vertex_edge=orf, edge_vertex=orf,
-        vertex_face=orf, face_vertex=orf, edge_edge=orf,
-        edge_overlap=orf, edge_face=orf, face_edge=orf, face_face=orf,
-    )
+    return OverlayCallbacks(*[orf] * 10)
 
 
 def union_regions(regions: Sequence[SphericalRegion]) -> SphericalRegion:
@@ -464,26 +463,23 @@ def build_motion_space(
     n_parts: int, q_regions: Dict[Tuple[int, int], SphericalRegion]
 ) -> MotionSpace:
     """Overlay all pairwise piercing regions into one arrangement whose
-    cells carry the directional blocking graph."""
+    cells carry the directional blocking graph.
 
-    def merge_cb(pair) -> OverlayCallbacks:
-        edge = frozenset((pair,))
-        empty = frozenset()
-
-        def f(a, b):
-            return (a or empty) | (edge if b else empty)
-
-        return OverlayCallbacks(
-            vertex_vertex=f, vertex_edge=f, edge_vertex=f, vertex_face=f,
-            face_vertex=f, edge_edge=f, edge_overlap=f, edge_face=f,
-            face_edge=f, face_face=f,
-        )
-
-    acc = new_arrangement()
-    acc.initial_face().payload = frozenset()
+    q_regions holds the regions of the pairs i < j only: the region of
+    (j, i) is the antipodal image of the region of (i, j).  The i < j
+    regions are folded into one half arrangement, whose cells carry sets
+    of pairs (i, j); the half is reflected once, and overlaid with its
+    image, whose pairs read as (j, i)."""
+    if any(i >= j for i, j in q_regions):
+        raise ValueError("q_regions takes the pairs i < j only")
+    half = new_arrangement()
+    half.faces[0].payload = frozenset()
     for pair in sorted(q_regions):
-        acc = overlay(acc, q_regions[pair].arrangement, merge_cb(pair))
-    return MotionSpace(acc, n_parts)
+        f = lambda a, b, pair=pair: a | {pair} if b else a
+        half = overlay(half, q_regions[pair].arrangement, OverlayCallbacks(*[f] * 10))
+    image = reflect_region(SphericalRegion(half)).arrangement
+    f = lambda a, b: a | frozenset((j, i) for i, j in b)
+    return MotionSpace(overlay(half, image, OverlayCallbacks(*[f] * 10)), n_parts)
 
 
 def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
@@ -531,11 +527,11 @@ def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
 def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     """The full pipeline: sub-part Gaussian maps, reflections, pairwise
     sums, central projections, per-pair unions, motion space, and the
-    strong-connectivity scan.  Only the sums for pairs i < j are built:
-    q[j, i] is the antipodal image of q[i, j].  The sums are made,
-    projected and dropped one part pair at a time, in (i, j, k, l)
-    order, so the first overlapping pair in that order names the
-    error."""
+    strong-connectivity scan.  Only the sums and unions for pairs i < j
+    are built: build_motion_space takes the reversed pairs from one
+    antipodal image.  The sums are made, projected and dropped one part
+    pair at a time, in (i, j, k, l) order, so the first overlapping pair
+    in that order names the error."""
     n = len(assembly.parts)
     if n < 2:
         raise ValueError("an assembly needs at least two parts")
@@ -545,7 +541,6 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     for i in range(n):
         for j in range(i + 1, n):
             q[(i, j)] = union_regions(_pair_projections(assembly, gmaps, reflected, i, j))
-            q[(j, i)] = reflect_region(q[(i, j)])
     del gmaps, reflected  # only the pair regions are read from here on
 
     ms = build_motion_space(n, q)

@@ -216,10 +216,6 @@ class Vec3(Frozen):
             self.z.as_integer_ratio(),
         )
 
-    def canonical(self) -> tuple:
-        """Scale-invariant key of the direction (see scale_key)."""
-        return scale_key(self.x, self.y, self.z)
-
     def __repr__(self) -> str:
         return f"({format_rat(self.x)}, {format_rat(self.y)}, {format_rat(self.z)})"
 

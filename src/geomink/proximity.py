@@ -112,10 +112,10 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
     return Witness(cls, n, b, cur)
 
 
-def _dot_score(n: Vec3, d: Vec3):
-    # scale-free ordering of <n/|n|, d>: compare sign and squared ratio
+def _dot_score(n: Vec3, d: Vec3) -> Fraction:
+    # scale-free ordering of <n/|n|, d>: its square, signed
     v = dot(n, d)
-    return (1 if v > 0 else (-1 if v < 0 else 0), v * v / n.norm_sq() * (1 if v > 0 else -1))
+    return Fraction(v * abs(v), n.norm_sq())
 
 
 def collide(

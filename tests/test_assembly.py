@@ -24,7 +24,7 @@ from geomink.assembly import (
 from geomink.arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
-from geomink.kernel import Vec3, dot
+from geomink.kernel import Vec3, dot, scale_key
 from geomink.minkowski import minkowski
 from geomink.shapes import (
     box,
@@ -49,7 +49,7 @@ def mesh_planes(mesh: Mesh):
     they are integer planes."""
     planes = []
     for i, cyc in enumerate(mesh.facets):
-        n = Vec3(*mesh.facet_normal(i).canonical())
+        n = Vec3(*scale_key(*mesh.facet_normal(i).as_tuple()))
         planes.append((n, dot(n, mesh.vertices[cyc[0]])))
     return planes
 
@@ -377,6 +377,85 @@ class TestPartition:
                 assert not any(_payloads(xor)), (i, j)
 
 
+def _pair_unions(scene):
+    """The union region of every part pair i < j, as partition makes them."""
+    a = Assembly([n for n, _ in scene], [p for _, p in scene])
+    n = len(a.parts)
+    q = {}
+    for (i, j, _k, _l), m in pairwise_subpart_sums(
+        a, ordered_pairs=[(i, j) for i in range(n) for j in range(i + 1, n)]
+    ).items():
+        q.setdefault((i, j), []).append(project_polytope(m))
+    return n, {pair: union_regions(regions) for pair, regions in q.items()}
+
+
+def _folded_motion_space(q):
+    """The reference motion space: one left fold over every ordered pair,
+    each reversed pair's region reflected on its own."""
+    regions = dict(q)
+    regions.update({(j, i): reflect_region(r) for (i, j), r in q.items()})
+    acc = new_arrangement()
+    acc.faces[0].payload = frozenset()
+    for pair in sorted(regions):
+        f = lambda a, b, pair=pair: a | {pair} if b else a
+        acc = overlay(acc, regions[pair].arrangement, OverlayCallbacks(*[f] * 10))
+    return acc
+
+
+def _cells(arr):
+    """Each vertex's point and payload, each edge's endpoints and payload,
+    and the multiset of face payloads: the arrangement up to feature order."""
+    vertices = sorted((v.point.dir.as_tuple(), sorted(v.payload)) for v in arr.vertices)
+    edges = sorted(
+        (sorted((h.source.point.dir.as_tuple(), h.target.point.dir.as_tuple())), sorted(h.payload))
+        for h in arr.edges()
+    )
+    return vertices, edges, sorted(sorted(f.payload) for f in arr.faces)
+
+
+@pytest.mark.parametrize(
+    "scene", [peg_in_hole_assembly, hollow_box_assembly, split_star_assembly]
+)
+def test_motion_space_equals_the_fold_over_ordered_pairs(scene):
+    n, q = _pair_unions(scene())
+    ms = assembly.build_motion_space(n, q).arrangement
+    ref = _folded_motion_space(q)
+    assert ms.validate() == []
+    xor = overlay(ms, ref, OverlayCallbacks(*[lambda a, b: a ^ b] * 10))
+    assert not any(_payloads(xor))
+    assert _cells(ms) == _cells(ref)
+
+
+def test_motion_space_reflects_once_and_overlays_once_per_pair(monkeypatch):
+    calls = {"overlay": 0, "reflect_region": 0}
+    for name in calls:
+        real = getattr(assembly, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(assembly, name, counted)
+    n, q = _pair_unions(split_star_assembly())
+    calls.update(overlay=0, reflect_region=0)
+    assembly.build_motion_space(n, q)
+    assert calls == {"overlay": len(q) + 1, "reflect_region": 1}
+    assert len(q) == 15
+
+    calls.update(overlay=0, reflect_region=0)
+    scene = peg_in_hole_assembly()
+    partition(Assembly([n for n, _ in scene], [p for _, p in scene]), ALL)
+    assert calls["reflect_region"] == 1
+
+
+def test_motion_space_rejects_a_reversed_pair():
+    r = project_polytope(build(cube(1).translated(Vec3(5, 0, 0))))
+    with pytest.raises(ValueError):
+        assembly.build_motion_space(2, {(1, 0): r})
+    with pytest.raises(ValueError):
+        assembly.build_motion_space(2, {(0, 1): r, (1, 0): reflect_region(r)})
+
+
 def _xor_callbacks() -> OverlayCallbacks:
     xor = lambda a, b: bool(a) != bool(b)
     return OverlayCallbacks(*([xor] * 10))
@@ -602,7 +681,7 @@ def _overlay_refusing_point_location(monkeypatch):
 def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
     region = project_polytope(build(random_polytope(9, 12).translated(Vec3(-3, 8, 5))))
     isolated = new_arrangement()
-    face = isolated.initial_face()
+    face = isolated.faces[0]
     face.payload = "F"
     for d in (Vec3(0, 0, 1), Vec3(-1, 0, 0), Vec3(1, 2, 3)):  # pole, seam, inside
         isolated.insert_isolated_vertex(d, face).payload = "V"
@@ -611,7 +690,7 @@ def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
 
     # an empty accumulator, as build_motion_space starts its fold
     acc = new_arrangement()
-    acc.initial_face().payload = frozenset()
+    acc.faces[0].payload = frozenset()
     out = overlay_(acc, region.arrangement, tag)
     assert {f.payload for f in out.faces} == {(frozenset(), True), (frozenset(), False)}
 

@@ -18,7 +18,7 @@ from geomink.gaussian import (
     reflect,
 )
 from geomink.hull import DegenerateInput, convex_hull_3, meshes_equivalent, pairwise_sums
-from geomink.kernel import Vec3, dot, dot3, integer_coords
+from geomink.kernel import Vec3, dot, dot3, integer_coords, scale_key
 from geomink.minkowski import minkowski
 from geomink.shapes import box, cube, icosahedron, octahedron, random_polytope, tetrahedron
 from geomink.spherical import BoundaryClass
@@ -317,10 +317,10 @@ def test_validate_computes_no_fraction_normals(monkeypatch):
 
 def test_build_computes_no_fraction_normals(monkeypatch):
     meshes = [Mesh(_box_vertices(), _BOX_FACETS), random_polytope(12, 5)]
-    keys = [[m.facet_normal(i).canonical() for i in range(len(m.facets))] for m in meshes]
+    keys = [[scale_key(*m.facet_normal(i).as_tuple()) for i in range(len(m.facets))] for m in meshes]
     for m, k in zip(meshes, keys):
         normals, _ = m.validate()
-        assert [Vec3(*n).canonical() for n in normals] == k
+        assert [scale_key(*n) for n in normals] == k
 
     def refuse(mesh, i):
         raise AssertionError("build called facet_normal")
@@ -484,7 +484,7 @@ def test_facet_table_names_the_primal_facets(case):
     # the i-th key is the mesh's i-th facet: its normal, its corners, its plane
     for i, (w, (n, b)) in enumerate(table.items()):
         assert n == w.point.dir
-        assert n.canonical() == mesh.facet_normal(i).canonical()
+        assert scale_key(*n.as_tuple()) == scale_key(*mesh.facet_normal(i).as_tuple())
         corners = [mesh.vertices[v] for v in mesh.facets[i]]
         assert {h.face.payload.as_tuple() for h in w.out} == {c.as_tuple() for c in corners}
         assert all(dot(n, c) == b for c in corners)

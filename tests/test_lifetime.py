@@ -25,7 +25,7 @@ from geomink.arrangement import (
 )
 from geomink.assembly import (
     Assembly, build_motion_space, cleanup_region, partition, project_polytope,
-    reflect_region, union_regions,
+    union_regions,
 )
 from geomink.extremal import WitnessParams, tune_params, verify_bound
 from geomink.gaussian import build, primal_mesh, reflect
@@ -84,7 +84,7 @@ def _union_and_cleanup():
 def _reflect_region_and_motion_space():
     q = union_regions([project_polytope(build(box(1, -1, -1, 3, 1, 1))),
                        project_polytope(build(box(-1, 2, -1, 1, 4, 1)))])
-    build_motion_space(2, {(0, 1): q, (1, 0): reflect_region(q)})
+    build_motion_space(2, {(0, 1): q})
 
 
 def _sweep_build_and_loads():

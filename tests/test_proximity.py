@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from geomink.gaussian import build
-from geomink.kernel import Vec3, dot
+from geomink.kernel import Vec3, dot, scale_key
 from geomink.minkowski import minkowski
 from geomink.proximity import (
     INSIDE,
@@ -31,7 +31,7 @@ class TestClassifyPoint:
         assert classify_point(M, Vec3(0, 0, 0)).classification == INSIDE
         w = classify_point(M, Vec3(1, 0, 0))
         assert w.classification == ON_BOUNDARY
-        assert w.facet_normal.canonical() == Vec3(1, 0, 0).canonical()
+        assert scale_key(*w.facet_normal.as_tuple()) == (1, 0, 0)
         assert classify_point(M, Vec3(2, 0, 0)).classification == OUTSIDE
 
     def test_agrees_with_brute_force(self):
@@ -196,3 +196,13 @@ def test_simulation_trace():
         "frame 2 on_boundary",
         "frame 3 outside",
     ]
+
+
+def test_dot_score_is_one_exact_key():
+    # <n/|n|, d> squared, with its sign: a Fraction also for int vectors
+    from geomink.proximity import _dot_score
+
+    key = _dot_score(Vec3(3, 0, 4), Vec3(2, 1, 0))
+    assert type(key) is Fraction and key == Fraction(36, 25)
+    assert _dot_score(Vec3(-3, 0, 4), Vec3(2, 1, 0)) == Fraction(-36, 25)
+    assert _dot_score(Vec3(0, 1, 0), Vec3(1, 0, 0)) == 0
