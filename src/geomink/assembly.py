@@ -19,10 +19,10 @@ valid motions may sit on single arrangement vertices.
 3. one scan of each sum's facet planes, read from the map's own table
    (`GaussianMap.facet_planes`), which both rejects overlapping
    interiors (the origin strictly inside the sum) and picks the
-   projection's case: the spherical hull of the sum's vertices when the
-   origin is separated from it (a monotone chain on their primitive
-   integer triples), the polar cone when the origin is a vertex, the
-   open hemisphere when it is inside a facet, and the lune when it is
+   projection's case: the spherical hull of the directions of the sum's
+   nonzero vertices when the origin is outside it or at a vertex (a
+   monotone chain on their primitive integer triples), the open
+   hemisphere when the origin is inside a facet, and the lune when it is
    inside an edge.  Each bounded case is one convex cycle, assembled in
    cycle order with no point location; the lune's runs through its two
    corners, where the two facet planes' great circles cross, and the
@@ -86,16 +86,16 @@ class SphericalRegion(NamedTuple):
         return bool(cell.ref.payload)
 
 
-def _whole_sphere_region(flag: bool) -> SphericalRegion:
+def _whole_sphere_region() -> SphericalRegion:
     arr = new_arrangement()
-    arr.faces[0].payload = flag
+    arr.faces[0].payload = True
     return SphericalRegion(arr)
 
 
 def _cycle_region(corners: list, interior_dir: Vec3) -> SphericalRegion:
     """Region bounded by the closed polygon through the given corners, in
     cycle order, whose inside holds interior_dir: every bounded
-    projection (hemisphere, lune, polar cone, spherical hull) is one.
+    projection (spherical hull, hemisphere, lune) is one.
 
     Each side is made once, by make_arc as sweep_build makes its input
     arcs, and the pieces are assembled in cycle order, so the
@@ -142,54 +142,30 @@ def project_polytope(g: GaussianMap) -> SphericalRegion:
     """Central projection of the primal polytope onto the direction
     sphere, with interior cells flagged True (grazing rays do not pierce
     the interior).  Four cases by the position of the origin, read from
-    the offsets of g's facet planes."""
+    the offsets of g's facet planes.
+
+    With the origin outside, or at a vertex, the projection is a pointed
+    cone: the spherical hull of the directions of the nonzero primal
+    vertices (a vertex at the origin adds nothing to the cone).  Its
+    separator is w = -sum n over the planes <n, x> = b with b <= 0:
+    every vertex v has <n, v> <= b, so <w, v> >= -sum b, which is
+    positive when some b < 0; at a vertex every such b is 0, and
+    <w, v> = 0 only where v lies on every tight plane, at the origin.
+    The sum of the hull's corners lies inside the cone."""
     planes = g.facet_planes.values()
-    if any(b < 0 for _, b in planes):
-        return _project_separated(g, planes)
     tight = [n for n, b in planes if b == 0]
+    if len(tight) >= 3 or any(b < 0 for _, b in planes):
+        w = -sum((n for n, b in planes if b <= 0), ZERO3)
+        dirs = {classify(v) for v in g.primal_vertices() if not v.is_zero()}
+        hull = _gnomonic_hull(dirs, w)
+        return _cycle_region(hull, sum((p.dir for p in hull), ZERO3))
     if not tight:
-        return _whole_sphere_region(True)  # origin strictly inside
+        return _whole_sphere_region()  # origin strictly inside
     if len(tight) == 1:
         # Origin interior to one facet: the open opposite hemisphere.
         n = tight[0]
         return _cycle_region([a.source for a in full_circle_arcs(n)], -n)
-    if len(tight) == 2:
-        return _lune_region(*tight)
-    # Origin at a vertex: the polar cone of the incident facet normals.
-    return _project_vertex_cone(g)
-
-
-def _project_vertex_cone(g: GaussianMap) -> SphericalRegion:
-    """Directions entering the solid through a vertex at the origin: the
-    spherical polygon cut out by the incident facet halfspaces."""
-    # Order the normals by walking the dual face of the origin vertex.
-    origin_face = next(f for f in g.arrangement.faces if f.payload.is_zero())
-    ring = [
-        h.source.point.dir
-        for h in origin_face.ccbs[0].cycle()
-        if h.source in g.facet_planes
-    ]
-    k = len(ring)
-    corners: List[Vec3] = []
-    for i in range(k):
-        c = cross(ring[i], ring[(i + 1) % k])
-        if dot(c, ring[(i + 2) % k]) > 0:
-            c = -c
-        corners.append(c)
-    return _cycle_region(corners, sum(corners, ZERO3))
-
-
-def _project_separated(g: GaussianMap, planes) -> SphericalRegion:
-    """Origin separated from the polytope: the projection is the
-    spherical hull of the projected vertices, the cycle the silhouette
-    edges trace out (redundant collinear projections drop out of the
-    hull automatically)."""
-    verts = g.primal_vertices()
-    # A facet plane the origin strictly violates supplies an exact
-    # separator: every vertex has positive inner product with w.
-    w = next(-n for n, b in planes if b < 0)
-    hull = _gnomonic_hull({classify(v) for v in verts}, w)
-    return _cycle_region(hull, sum(verts, ZERO3))
+    return _lune_region(*tight)  # origin interior to an edge
 
 
 def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:
@@ -501,22 +477,19 @@ def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
     for v in arr.vertices:
         if consider("vertex", v.payload, v.point.dir) and mode == FIRST:
             return PartitionResult(False, solutions)
-    every_face_bounded = all(f.ccbs for f in arr.faces)
-    if not solutions and arr.vertices and every_face_bounded and mode == FIRST:
+    if arr.halfedges and not solutions:
         # each edge/face graph contains an incident vertex graph,
         # so all of them are strongly connected as well
         return PartitionResult(True, solutions)
-    edge_solution = False
+    found = len(solutions)
     for h in arr.edges():
         d = h.arc.interior_point().dir
-        if consider("edge", h.payload, d):
-            edge_solution = True
-            if mode == FIRST:
-                return PartitionResult(False, solutions)
-    # A face graph contains any incident edge graph, so with every face
-    # bounded and no edge solutions the face scan cannot add solutions.
-    skip_faces = bool(arr.halfedges) and every_face_bounded and not edge_solution
-    if not skip_faces:
+        if consider("edge", h.payload, d) and mode == FIRST:
+            return PartitionResult(False, solutions)
+    # With an edge on the sphere every face has a boundary, and a face
+    # graph contains any incident edge graph: with no edge solution the
+    # face scan cannot add solutions.
+    if not arr.halfedges or len(solutions) > found:
         for f in arr.faces:
             d = arr.interior_point(f).dir
             if consider("face", f.payload, d) and mode == FIRST:

@@ -30,7 +30,11 @@ def _parse_vec(text: str) -> Vec3:
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected x,y,z with rational components")
-    return Vec3(*(rat(p) for p in parts))
+    try:
+        return Vec3(*(rat(p) for p in parts))
+    except ZeroDivisionError as e:
+        # argparse turns only ValueError and TypeError into a usage error
+        raise argparse.ArgumentTypeError(f"bad rational in {text!r}: {e}") from None
 
 
 def cmd_gmap(args) -> int:

@@ -366,15 +366,10 @@ class GaussianMap:
 
 
 def build(mesh: Mesh) -> GaussianMap:
-    """Construct the decorated Gaussian map of a valid convex mesh."""
-    return _build(mesh, *mesh.validate())
-
-
-def _build(
-    mesh: Mesh, normals: List[tuple], edge_facet: Dict[Tuple[int, int], int]
-) -> GaussianMap:
-    """The map of a mesh from what Mesh.validate returns for it: its
-    facets' outward normals and its directed-edge -> facet table."""
+    """Construct the decorated Gaussian map of a valid convex mesh, from
+    what Mesh.validate returns for it: its facets' outward normals and
+    its directed-edge -> facet table."""
+    normals, edge_facet = mesh.validate()
     normals = [classify(exact_vec(*n)) for n in normals]
 
     # The dual arc of primal edge (a, b) runs from the normal of the facet
@@ -419,20 +414,9 @@ def _check_decoration(g: GaussianMap, mesh: Mesh) -> None:
 def reflect(g: GaussianMap) -> GaussianMap:
     """The Gaussian map of the reflection of the primal polytope through
     the origin: directions negated, incidences reversed, payloads negated.
-
-    The primal mesh is validated once, and the negation is not: its
-    facet normals are the primal's negated, and its edge table is the
-    primal's with each edge (a, b) turned to (b, a), listed in the order
-    of the negation's facet cycles as Mesh.validate lists it."""
-    mesh = _primal_mesh(g)
-    normals, _ = mesh.validate()
-    neg = mesh.negated()
-    edge_facet = {
-        (a, b): fi
-        for fi, cyc in enumerate(neg.facets)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1])
-    }
-    return _build(neg, [(-x, -y, -z) for x, y, z in normals], edge_facet)
+    It is built from the negated primal mesh, which is the one mesh
+    validated."""
+    return build(_primal_mesh(g).negated())
 
 
 def _is_split_artifact(v: Vertex) -> bool:

@@ -124,14 +124,13 @@ def collide(
     u: Vec3,
     w: Vec3,
     cache: Optional[GaussianMap] = None,
-    hint=None,
 ) -> Tuple[bool, Witness, GaussianMap]:
     """Do P translated by u and Q translated by w intersect (closed-set
     convention: grazing contact counts, reported distinctly through the
     witness)?  Returns (collides, witness, M) so M can be reused."""
     M = cache if cache is not None else minkowski(P, reflect(Q))
     s = w - u
-    wit = classify_point(M, s, hint)
+    wit = classify_point(M, s)
     return wit.classification in (INSIDE, ON_BOUNDARY), wit, M
 
 

@@ -307,8 +307,9 @@ class TestPartition:
     def test_hollow_box_interlocked(self):
         names_parts = hollow_box_assembly()
         a = Assembly([n for n, _ in names_parts], [p for _, p in names_parts])
-        res = partition(a, FIRST)
-        assert res.interlocked
+        for mode in (FIRST, ALL):
+            res = partition(a, mode)
+            assert res.interlocked and not res.solutions
 
     def test_overlapping_interiors_rejected(self):
         a = Assembly(["one", "two"], [[cube(1)], [cube(1)]])

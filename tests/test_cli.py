@@ -86,6 +86,16 @@ def test_bad_mesh_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("u, w", [("1/0,0,0", "0,0,0"), ("0,0,0", "0,1/0,0")])
+def test_zero_denominator_in_a_vector_exits_2(tmp_path, capsys, u, w):
+    a = tmp_path / "a.eoff"
+    write_mesh(cube(1), str(a))
+    with pytest.raises(SystemExit) as exc:
+        main(["collide", str(a), str(a), "--u", u, "--w", w])
+    assert exc.value.code == 2
+    assert "/0,0" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2_and_names_path(tmp_path, capsys):
     missing = str(tmp_path / "missing.eoff")
     assert main(["gmap", missing]) == 2

@@ -416,9 +416,8 @@ class TestReflect:
         assert meshes_equivalent(primal_mesh(reflect(build(o))), o)
 
     def test_reflect_validates_one_mesh(self, monkeypatch):
-        """reflect validates the primal mesh and derives the negation's
-        normals and edge table from it; the map is the one that build
-        makes of the negated primal mesh, down to the arrangement's order."""
+        """reflect validates one mesh, the negated primal mesh; the map is
+        the one that build makes of it, down to the arrangement's order."""
         validated = []
         validate = Mesh.validate
 
