@@ -698,11 +698,10 @@ def new_arrangement() -> SphereArrangement:
 
 
 def _order_along(arc: GeodesicArc, pts: List[DirPoint]) -> List[DirPoint]:
+    """Distinct points strictly inside arc, from its source to its target."""
     n = arc.normal
 
     def cmp(a: DirPoint, b: DirPoint) -> int:
-        if a == b:
-            return 0
         return -1 if det3(a.dir, b.dir, n) > 0 else 1
 
     return sorted(pts, key=functools.cmp_to_key(cmp))
@@ -1130,9 +1129,7 @@ def dumps(arr: SphereArrangement) -> str:
         lines.append(
             f"v {format_rat(d.x)} {format_rat(d.y)} {format_rat(d.z)}{iso}"
         )
-    eid = {}
-    for i, h in enumerate(arr.edges()):
-        eid[min(h.id, h.twin.id)] = i
+    for h in arr.edges():
         n = h.arc.normal
         lines.append(
             f"e {vid[h.source]} {vid[h.target]} "

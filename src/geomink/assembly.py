@@ -12,21 +12,21 @@ valid motions may sit on single arrangement vertices.
 
 `partition` runs these stages:
 
-1. the Gaussian map of every sub-part and of its reflection;
+1. the Gaussian map of every sub-part, and of the reflection of every
+   sub-part but the last part's, which no pair i < j reflects;
 2. the pairwise sums, for part pairs i < j only, made, projected and
    dropped one part pair at a time, so no more than one part pair's
    sums are alive at once (a sum is read only to project it);
-3. one scan of each sum's facet planes, read from the map's own table
-   (`GaussianMap.facet_planes`), which both rejects overlapping
-   interiors (the origin strictly inside the sum) and picks the
-   projection's case: the spherical hull of the directions of the sum's
-   nonzero vertices when the origin is outside it or at a vertex (a
-   monotone chain on their primitive integer triples), the open
-   hemisphere when the origin is inside a facet, and the lune when it is
-   inside an edge.  Each bounded case is one convex cycle, assembled in
-   cycle order with no point location; the lune's runs through its two
-   corners, where the two facet planes' great circles cross, and the
-   midpoints of its two sides;
+3. the projection of each sum, its case picked by the offsets of the
+   sum's facet planes (`GaussianMap.facet_planes`): the spherical hull
+   of the directions of its nonzero vertices when the origin is outside
+   it or at a vertex (a monotone chain on their primitive integer
+   triples), the open hemisphere when the origin is inside a facet, the
+   lune when inside an edge, and the whole sphere, the one case with no
+   edge, when inside the sum: that is the overlap verdict.  Each bounded
+   case is one convex cycle, assembled in cycle order with no point
+   location; the lune's runs through its two corners, where the two
+   facet planes' great circles cross, and the midpoints of its two sides;
 4. the union of each pair's projections, a left fold of overlays that
    removes buried cells after every step;
 5. the half motion space, a left fold of the i < j unions whose cells
@@ -35,16 +35,16 @@ valid motions may sit on single arrangement vertices.
    (j, i) iff -d is for (i, j);
 6. the motion space, the overlay of the half with its image, each cell
    carrying its blocking graph;
-7. the scan of its vertices, then edges, then faces.  In FIRST mode the
-   answer is the first solution in the arrangement's cell order; which
-   solution that is is not part of the contract, only that it is one of
-   the solutions ALL mode returns.
+7. the scan of its vertices, then edges, then faces, which ends at the
+   verdict.  In FIRST mode the answer is the first solution in the
+   arrangement's cell order; which solution that is is not part of the
+   contract, only that it is one of the solutions ALL mode returns.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .arrangement import OverlayCallbacks, SphereArrangement, _assemble, new_arrangement, overlay
 from .gaussian import GaussianMap, Mesh, build
@@ -295,43 +295,37 @@ BlockSet = frozenset  # of ordered part-index pairs (i, j): i hits j
 
 
 def tarjan_scc(n: int, edges: BlockSet) -> List[List[int]]:
-    """Strongly connected components of the blocking graph, iteratively."""
+    """Strongly connected components of the blocking graph, in Tarjan's
+    order: an iterative DFS that keeps each open vertex's successor
+    iterator."""
     adj: List[List[int]] = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)
-    index = [None] * n
+    index: Dict[int, int] = {}  # in visiting order
     low = [0] * n
     on_stack = [False] * n
     stack: List[int] = []
     comps: List[List[int]] = []
-    counter = [0]
+    work: List[Tuple[int, Iterator[int]]] = []
+
+    def open_vertex(v: int) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(adj[v])))
 
     for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
+        if root not in index:
+            open_vertex(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] is None:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index:
+                    open_vertex(w)
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work[-1] = (v, pi)
-            if pi >= len(adj[v]):
+            else:
                 work.pop()
                 if work:
                     u = work[-1][0]
@@ -417,24 +411,6 @@ def pairwise_subpart_sums(
     return sums
 
 
-def _pair_projections(
-    assembly: Assembly,
-    gmaps: List[List[GaussianMap]],
-    reflected: List[List[GaussianMap]],
-    i: int,
-    j: int,
-) -> List[SphericalRegion]:
-    """The projections of part pair (i, j)'s sub-part sums, in (k, l)
-    order; the sums are dropped on return."""
-    regions = []
-    sums = pairwise_subpart_sums(assembly, gmaps, reflected, [(i, j)])
-    for (_, _, k, l), m in sums.items():
-        if all(b > 0 for _, b in m.facet_planes.values()):  # the origin is inside
-            raise ValueError(f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors")
-        regions.append(project_polytope(m))
-    return regions
-
-
 def build_motion_space(
     n_parts: int, q_regions: Dict[Tuple[int, int], SphericalRegion]
 ) -> MotionSpace:
@@ -459,10 +435,16 @@ def build_motion_space(
 
 
 def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
-    """Scan vertices, then edges, then faces of the motion space for
-    cells whose blocking graph is not strongly connected.  A blocking
-    graph gets sparser on lower-dimensional cells, so if every vertex
-    graph is strongly connected the assembly is interlocked."""
+    """Scan the motion space's cells for blocking graphs that are not
+    strongly connected, with one exit per verdict.
+
+    The vertices come first; FIRST mode returns at the first solution.
+    With no edge, the sphere is one face, which is scanned last.  Else a
+    blocking graph gets sparser on lower-dimensional cells: each edge
+    graph contains the graph of an incident vertex, and each face graph
+    that of an incident edge.  So with no vertex solution the assembly
+    is interlocked, and ALL mode scans the faces only when an edge was
+    a solution."""
     arr = ms.arrangement
     n = ms.n_parts
     solutions: List[PartitionSolution] = []
@@ -477,24 +459,19 @@ def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
     for v in arr.vertices:
         if consider("vertex", v.payload, v.point.dir) and mode == FIRST:
             return PartitionResult(False, solutions)
-    if arr.halfedges and not solutions:
-        # each edge/face graph contains an incident vertex graph,
-        # so all of them are strongly connected as well
+    if not arr.halfedges:
+        sphere = arr.faces[0]
+        consider("face", sphere.payload, arr.interior_point(sphere).dir)
+        return PartitionResult(not solutions, solutions)
+    if not solutions:
         return PartitionResult(True, solutions)
     found = len(solutions)
     for h in arr.edges():
-        d = h.arc.interior_point().dir
-        if consider("edge", h.payload, d) and mode == FIRST:
-            return PartitionResult(False, solutions)
-    # With an edge on the sphere every face has a boundary, and a face
-    # graph contains any incident edge graph: with no edge solution the
-    # face scan cannot add solutions.
-    if not arr.halfedges or len(solutions) > found:
+        consider("edge", h.payload, h.arc.interior_point().dir)
+    if len(solutions) > found:
         for f in arr.faces:
-            d = arr.interior_point(f).dir
-            if consider("face", f.payload, d) and mode == FIRST:
-                return PartitionResult(False, solutions)
-    return PartitionResult(not solutions, solutions)
+            consider("face", f.payload, arr.interior_point(f).dir)
+    return PartitionResult(False, solutions)
 
 
 def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
@@ -502,18 +479,26 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     sums, central projections, per-pair unions, motion space, and the
     strong-connectivity scan.  Only the sums and unions for pairs i < j
     are built: build_motion_space takes the reversed pairs from one
-    antipodal image.  The sums are made, projected and dropped one part
-    pair at a time, in (i, j, k, l) order, so the first overlapping pair
-    in that order names the error."""
+    antipodal image.  Every map is built first, in part order, so the
+    first invalid sub-part raises its own mesh error; the sums are made,
+    projected and dropped one part pair at a time, in (i, j, k, l)
+    order, so the first overlapping pair in that order names the error."""
     n = len(assembly.parts)
     if n < 2:
         raise ValueError("an assembly needs at least two parts")
     gmaps = [[build(m) for m in subs] for subs in assembly.parts]
-    reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts]
+    # a pair i < j never reflects the last part
+    reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts[:-1]]
     q: Dict[Tuple[int, int], SphericalRegion] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            q[(i, j)] = union_regions(_pair_projections(assembly, gmaps, reflected, i, j))
+            sums = pairwise_subpart_sums(assembly, gmaps, reflected, [(i, j)])
+            regions = []
+            for (_, _, k, l) in list(sums):
+                regions.append(project_polytope(sums.pop((i, j, k, l))))
+                if not regions[-1].arrangement.halfedges:  # the whole sphere
+                    raise ValueError(f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors")
+            q[(i, j)] = union_regions(regions)
     del gmaps, reflected  # only the pair regions are read from here on
 
     ms = build_motion_space(n, q)

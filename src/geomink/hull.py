@@ -123,33 +123,25 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
         groups.setdefault(scale_key(*t.normal, t.offset), []).append(t)
 
     facets: List[List[int]] = []
-    used: set = set()
     for group in groups.values():
-        edge_count: Dict[Tuple[int, int], int] = {}
-        for t in group:
-            for (a, b) in t.edges():
-                edge_count[(a, b)] = edge_count.get((a, b), 0) + 1
-        boundary = {a: b for (a, b), cnt in edge_count.items() if cnt == 1 and (b, a) not in edge_count}
+        # each directed edge lies on one live triangle, so the group's
+        # boundary edges are those whose reverse is not in the group
+        edges = dict.fromkeys(e for t in group for e in t.edges())
+        boundary = {a: b for (a, b) in edges if (b, a) not in edges}
         start = next(iter(boundary))
         cycle = [start]
         cur = boundary[start]
         while cur != start:
             cycle.append(cur)
             cur = boundary[cur]
-        # Prune collinear boundary vertices (non-extreme points).
-        changed = True
-        while changed and len(cycle) > 3:
-            changed = False
-            for k in range(len(cycle)):
-                a = pts[cycle[k - 1]]
-                b = pts[cycle[k]]
-                c = pts[cycle[(k + 1) % len(cycle)]]
-                if turn3(a, b, c) == (0, 0, 0):
-                    del cycle[k]
-                    changed = True
-                    break
-        facets.append(cycle)
-        used.update(cycle)
+        # Drop the collinear boundary vertices (non-extreme points): a
+        # deletion leaves its neighbours on the same lines, so one pass
+        # over the walked cycle finds them all.
+        facets.append([
+            b
+            for a, b, c in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1])
+            if turn3(pts[a], pts[b], pts[c]) != (0, 0, 0)
+        ])
 
     remap = {}
     verts = []

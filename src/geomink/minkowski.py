@@ -83,7 +83,7 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
             raise DegenerateCoincidence(
                 f"coincident overlay features at {v.point}: {tag[0]}"
             )
-    V_out, HE_out, F_out = g_out.counts()
+    V_out, HE_out, _ = g_out.counts()
     v_in = sum(g.counts()[0] for g in inputs)
     e_in = [g.counts()[1] // 2 for g in inputs]
     v_x = V_out - v_in

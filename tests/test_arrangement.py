@@ -124,6 +124,34 @@ class TestBasics:
         arr.remove_isolated_vertex(v)
         assert arr.counts() == (0, 0, 1)
 
+    def test_arc_from_an_isolated_vertex_takes_it_into_the_ring(self):
+        arr = new_arrangement()
+        v = arr.insert_isolated_vertex(Vec3(1, 0, 0))
+        h = arr.insert_disjoint_arc(quadrant())
+        assert h.source is v and not v.is_isolated and v.out == [h]
+        assert not arr.faces[0].isolated
+        assert arr.counts() == (2, 2, 1)
+        assert arr.validate() == []
+        assert arr.locate(Vec3(1, 0, 0)) == ("vertex", v)
+        assert arr.locate(Vec3(1, 1, 0)).kind == "edge"
+        assert arr.locate(Vec3(0, 0, 1)) == ("face", arr.faces[0])
+
+    def test_face_split_hands_an_isolated_vertex_to_the_new_face(self):
+        arr = new_arrangement()
+        inner = arr.insert_isolated_vertex(Vec3(1, 1, 1))
+        outer = arr.insert_isolated_vertex(Vec3(-1, -1, -1))
+        a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
+        for s, t in ((a, b), (b, c), (c, a)):
+            arr.insert_disjoint_arc(arc_between(s, t))
+        assert arr.counts() == (5, 6, 2)
+        assert arr.validate() == []
+        # one of the two isolated vertices is on the new face's side
+        assert [len(f.isolated) for f in arr.faces] == [1, 1]
+        for w, beside in ((inner, Vec3(2, 1, 1)), (outer, Vec3(-2, -1, -1))):
+            assert arr.locate(w.point) == ("vertex", w)
+            assert arr.locate(beside) == ("face", w.isolated_face)
+        assert inner.isolated_face is not outer.isolated_face
+
 
 class TestLocate:
     def test_locate_edge_and_vertex(self):

@@ -10,9 +10,11 @@ from geomink.assembly import (
     ALL,
     Assembly,
     FIRST,
+    MotionSpace,
     SphericalRegion,
     _or_callbacks,
     cleanup_region,
+    find_partitions,
     movable_subset,
     pairwise_subpart_sums,
     partition,
@@ -21,7 +23,13 @@ from geomink.assembly import (
     tarjan_scc,
     union_regions,
 )
-from geomink.arrangement import OverlayCallbacks, SphereArrangement, new_arrangement, overlay
+from geomink.arrangement import (
+    OverlayCallbacks,
+    SphereArrangement,
+    new_arrangement,
+    overlay,
+    sweep_build,
+)
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
 from geomink.kernel import Vec3, dot, scale_key
@@ -35,7 +43,7 @@ from geomink.shapes import (
     split_star_assembly,
     tetrahedron,
 )
-from geomink.spherical import classify
+from geomink.spherical import classify, full_circle_arcs
 
 
 def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
@@ -344,6 +352,20 @@ class TestPartition:
             partition(a, ALL)
         assert str(exc.value) == "facet 1 is not planar"
 
+    def test_no_gaussian_map_is_built_unread(self, monkeypatch):
+        # every sub-part's map, and the reflections of every part but the
+        # last: a pair i < j never reflects part n - 1
+        calls = []
+        real = assembly.build
+        monkeypatch.setattr(assembly, "build", lambda m: calls.append(m) or real(m))
+        for scene, builds in ((split_star_assembly, 33), (hollow_box_assembly, 8)):
+            named = scene()
+            a = Assembly([n for n, _ in named], [p for _, p in named])
+            calls.clear()
+            partition(a, ALL)
+            subparts = sum(map(len, a.parts))
+            assert len(calls) == builds == 2 * subparts - len(a.parts[-1])
+
     def test_pairwise_sum_counts(self):
         from geomink.assembly import pairwise_subpart_sums
 
@@ -447,6 +469,27 @@ def test_motion_space_reflects_once_and_overlays_once_per_pair(monkeypatch):
     scene = peg_in_hole_assembly()
     partition(Assembly([n for n, _ in scene], [p for _, p in scene]), ALL)
     assert calls["reflect_region"] == 1
+
+
+def test_interlocked_exit_scans_only_the_vertices(monkeypatch):
+    # Two great circles: 6 vertices, 8 edges, 4 faces.  Every cell's
+    # graph is the 2-cycle 0 <-> 1, so no vertex is a solution, and the
+    # edges and faces, whose graphs contain a vertex graph, are not read.
+    arr = overlay(
+        sweep_build(full_circle_arcs(Vec3(0, 0, 1))),
+        sweep_build(full_circle_arcs(Vec3(1, 0, 0))),
+        OverlayCallbacks(),
+    )
+    assert arr.counts() == (6, 16, 4)
+    for cell in arr.vertices + arr.halfedges + arr.faces:
+        cell.payload = frozenset({(0, 1), (1, 0)})
+    calls = []
+    real = assembly.movable_subset
+    monkeypatch.setattr(assembly, "movable_subset", lambda *a: calls.append(a) or real(*a))
+    for mode in (FIRST, ALL):
+        calls.clear()
+        assert find_partitions(MotionSpace(arr, 2), mode) == (True, [])
+        assert len(calls) == len(arr.vertices)
 
 
 def test_motion_space_rejects_a_reversed_pair():

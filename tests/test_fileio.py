@@ -122,3 +122,39 @@ def test_scene_with_an_undeclared_part_is_rejected():
     with pytest.raises(ParseError) as exc:
         parse_scene(text + "part c 1\n", "two.asm")
     assert f"two.asm:{where}:" in str(exc.value)
+
+
+TETRA_VERTICES = "EOFF\n4 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, message",
+    [
+        (parse_mesh, "", 0, "empty mesh block"),
+        (parse_mesh, "# a comment\nOFF\n", 2, "expected EOFF header, got OFF"),
+        (parse_mesh, "EOFF\n4\n", 2, "expected '<vertices> <facets>' counts line"),
+        (parse_mesh, "EOFF\n", 1, "expected '<vertices> <facets>' counts line"),
+        (parse_mesh, "EOFF\n4 4\n0 0 0\n1 0\n", 4, "expected three rationals"),
+        (parse_mesh, TETRA_VERTICES + "3 0 2 1\n", 7, "missing facet line"),
+        (parse_mesh, TETRA_VERTICES + "3 0 x 1\n", 7, "bad facet line"),
+        (parse_mesh, TETRA_VERTICES + "4 0 2 1\n", 7, "facet lists 3 indices, header says 4"),
+        (parse_mesh, TETRA_VERTICES + "3 0 2 4\n", 7, "facet index out of range"),
+        (parse_scene, "", 0, "expected 'assembly <count>' header"),
+        (parse_scene, "scene 1\n", 1, "expected 'assembly <count>' header"),
+        (parse_scene, "assembly 1\npart a\n", 2, "expected 'part <name> <subparts>'"),
+        (parse_scene, "assembly 1\nparts a 1\n", 2, "expected 'part <name> <subparts>'"),
+    ],
+)
+def test_parse_errors_name_their_line(parse, text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text, "in.txt")
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"in.txt:{line}: {message}")
+
+
+def test_bad_point_line_names_its_line(tmp_path):
+    p = tmp_path / "pts.txt"
+    p.write_text("0 0 0\n1 0 0\n0 1\n")
+    with pytest.raises(ParseError) as exc:
+        read_points(str(p))
+    assert str(exc.value) == f"{p}:3: expected three rationals per point"
