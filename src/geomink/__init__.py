@@ -6,7 +6,6 @@ by infinite translations."""
 from .arrangement import (
     OverlayCallbacks,
     SphereArrangement,
-    new_arrangement,
     overlay,
     sweep_build,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "meshes_equivalent",
     "minkowski",
     "minkowski_many",
-    "new_arrangement",
     "overlay",
     "pairwise_sums",
     "partition",

@@ -35,14 +35,18 @@ faces from the source edges its pieces run along, and a face that no
 edge of one operand touches by a flood across the other operand's
 edges, so `overlay` makes no point-location call either.
 
+A built arrangement changes only by insertion (`insert_disjoint_arc`,
+`insert_isolated_vertex`); nothing is removed from it in place, so a
+construction that drops or fuses cells assembles a new arrangement
+from what survives.
+
 An arrangement owns its features, and no feature refers back to it, so
 reference counting frees a dropped arrangement's DCEL at once: its
 finalizer cuts its features' incidence links (a halfedge's twin, next,
 prev and face, a vertex's ring and isolated face, a face's CCBs and
-isolated vertices), and `remove_edge` and `merge_edges_at` cut those of
-the features they discard.  A feature kept after its arrangement is
-dropped still reads its point, arc and payload; its incidences end with
-the arrangement.
+isolated vertices).  A feature kept after its arrangement is dropped
+still reads its point, arc and payload; its incidences end with the
+arrangement.
 """
 
 from __future__ import annotations
@@ -66,9 +70,7 @@ from .spherical import (
     as_point,
     classify,
     intersect,
-    is_mergeable,
     make_arc,
-    merge,
     point_on_arc,
     strictly_inside_arc,
 )
@@ -155,21 +157,6 @@ class Face:
         return f"F{self.id}"
 
 
-def _unlink(
-    halfedges: Iterable[Halfedge], vertices: Iterable[Vertex], faces: Iterable[Face]
-) -> None:
-    """Cut the incidence links of discarded features.  Their points, arcs
-    and payloads stay."""
-    for h in halfedges:
-        h.twin = h.nxt = h.prv = h.face = None
-    for v in vertices:
-        v.out.clear()
-        v.isolated_face = None
-    for f in faces:
-        f.ccbs.clear()
-        f.isolated.clear()
-
-
 class Cell(NamedTuple):
     """Tagged reference to an arrangement feature."""
 
@@ -193,8 +180,16 @@ class SphereArrangement:
     def __del__(self):
         # The features link one another in cycles, and none links back to
         # the arrangement; cutting their incidences here lets reference
-        # counting free the DCEL with the arrangement.
-        _unlink(self.halfedges, self.vertices, self.faces)
+        # counting free the DCEL with the arrangement.  Points, arcs and
+        # payloads stay.
+        for h in self.halfedges:
+            h.twin = h.nxt = h.prv = h.face = None
+        for v in self.vertices:
+            v.out.clear()
+            v.isolated_face = None
+        for f in self.faces:
+            f.ccbs.clear()
+            f.isolated.clear()
 
     # -- basic queries ------------------------------------------------------
 
@@ -231,10 +226,6 @@ class SphereArrangement:
         self._vertex_map[p] = v
         return v
 
-    def _drop_vertex(self, v: Vertex) -> None:
-        self.vertices.remove(v)
-        del self._vertex_map[v.point]
-
     def insert_isolated_vertex(self, p, face: Optional[Face] = None) -> Vertex:
         q = as_point(p)
         if q in self._vertex_map:
@@ -248,13 +239,6 @@ class SphereArrangement:
         v.isolated_face = face
         face.isolated[v] = None
         return v
-
-    def remove_isolated_vertex(self, v: Vertex) -> None:
-        if not v.is_isolated:
-            raise ValueError("vertex is not isolated")
-        del v.isolated_face.isolated[v]
-        v.isolated_face = None
-        self._drop_vertex(v)
 
     # -- angular order around a vertex ---------------------------------------
 
@@ -408,109 +392,6 @@ class SphereArrangement:
             f_new.isolated[w] = None
             w.isolated_face = f_new
         return h
-
-    # -- edge removal and edge merging ----------------------------------------
-
-    def remove_edge(self, h: Halfedge) -> None:
-        """Delete the edge (h, twin).  Merges the two incident faces when
-        they differ; a bridge split leaves both cycles on the same face.
-        Endpoints left bare become isolated vertices."""
-        g = h.twin
-        f1, f2 = h.face, g.face
-
-        # Survivor wiring: bypass h at its source and target.
-        a1 = h.prv  # arrives at h.source
-        b1 = g.nxt  # leaves h.source
-        a2 = g.prv  # arrives at h.target
-        b2 = h.nxt  # leaves h.target
-        v1, v2 = h.source, h.target
-        v1.out.remove(h)
-        v2.out.remove(g)
-
-        survivors = []
-        if a1 is not g:  # source keeps other edges
-            a1.nxt = b1
-            b1.prv = a1
-            survivors.append(b1)
-        if a2 is not h:  # target keeps other edges
-            a2.nxt = b2
-            b2.prv = a2
-            survivors.append(b2)
-
-        keep = f1
-        drop = f2 if f2 is not f1 else None
-
-        self.halfedges.remove(h)
-        self.halfedges.remove(g)
-
-        cycles: List[List[Halfedge]] = []
-        seen: Set[Halfedge] = set()
-        for s in survivors:
-            if s in seen:
-                continue
-            cyc = s.cycle()
-            seen.update(cyc)
-            cycles.append(cyc)
-        for cyc in cycles:
-            for e in cyc:
-                e.face = keep
-
-        # Rebuild the kept face's CCB list.
-        reps = [r for r in f1.ccbs if r not in (h, g) and r not in seen]
-        if drop is not None:
-            reps.extend(r for r in drop.ccbs if r not in (h, g) and r not in seen)
-            for rep in reps:
-                for e in rep.cycle():
-                    e.face = keep
-        reps.extend(cyc[0] for cyc in cycles)
-        keep.ccbs = reps
-        if drop is not None:
-            for w in drop.isolated:
-                w.isolated_face = keep
-                keep.isolated[w] = None
-            self.faces.remove(drop)
-        _unlink((h, g), (), () if drop is None else (drop,))
-
-        for v in (v1, v2):
-            if not v.out:
-                v.isolated_face = keep
-                keep.isolated[v] = None
-
-    def merge_edges_at(self, v: Vertex) -> Halfedge:
-        """Fuse the two edges at a degree-2 vertex v, from a to v and from
-        v to b, into one (the arcs must be mergeable); returns the merged
-        halfedge, a -> b.
-
-        The merge happens in place: the halfedge a -> v becomes a -> b and
-        the halfedge b -> v becomes b -> a, keeping their places in the
-        rings of a and b, their payloads and their faces, and the two
-        halfedges leaving v are dropped.  The kept pair moves to the end
-        of the halfedge table with fresh ids, as a newly made pair would."""
-        if v.degree != 2 or v.is_isolated:
-            raise ValueError("vertex must have exactly two incident edges")
-        q2, p2 = v.out  # v->a and v->b
-        p1, q1 = q2.twin, p2.twin  # a->v and b->v
-        if not is_mergeable(p1.arc, p2.arc):
-            raise ValueError("incident arcs are not mergeable")
-        p1.arc = merge(p1.arc, p2.arc)
-        q1.arc = p1.arc.reversed()
-        p1.twin, q1.twin = q1, p1
-        # p2.nxt is q1 exactly when b has degree one (the walk turns
-        # around there), and then p1 turns into q1, as it should; the
-        # same holds for q2.nxt and p1 at a.
-        p1.nxt, q1.nxt = p2.nxt, q2.nxt
-        p1.nxt.prv = p1
-        q1.nxt.prv = q1
-        for f in {p1.face, q1.face}:
-            reps = [p1 if r is p2 else q1 if r is q2 else r for r in f.ccbs]
-            f.ccbs = list(dict.fromkeys(reps))
-        for e in (p1, p2, q1, q2):
-            self.halfedges.remove(e)
-        p1.id, q1.id = next(self._next_id), next(self._next_id)
-        self.halfedges.extend((p1, q1))
-        self._drop_vertex(v)
-        _unlink((p2, q2), (v,), ())
-        return p1
 
     def set_edge_payload(self, h: Halfedge, value: Any) -> None:
         h.payload = value
@@ -688,10 +569,6 @@ class SphereArrangement:
             ):
                 errs.append(f"{v}: vertex ring not CCW-sorted")
         return errs
-
-
-def new_arrangement() -> SphereArrangement:
-    return SphereArrangement()
 
 
 # -- aggregate construction ---------------------------------------------------

@@ -28,7 +28,9 @@ valid motions may sit on single arrangement vertices.
    location; the lune's runs through its two corners, where the two
    facet planes' great circles cross, and the midpoints of its two sides;
 4. the union of each pair's projections, a left fold of overlays that
-   removes buried cells after every step;
+   re-assembles the surviving arcs and points after every step
+   (`cleanup_region`), buried cells dropped and collinear degree-2
+   vertices fused;
 5. the half motion space, a left fold of the i < j unions whose cells
    carry their sets of pairs (i, j), and its one antipodal image, which
    holds the reversed pairs' regions: a direction d is blocked for
@@ -46,17 +48,19 @@ from __future__ import annotations
 import functools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .arrangement import OverlayCallbacks, SphereArrangement, _assemble, new_arrangement, overlay
+from .arrangement import Halfedge, OverlayCallbacks, SphereArrangement, _assemble, overlay
 from .gaussian import GaussianMap, Mesh, build
 from .kernel import ZERO3, Vec3, cross, det3, dot
 from .minkowski import minkowski
 from .spherical import (
     BoundaryClass,
     DirPoint,
+    GeodesicArc,
     classify,
     full_circle_arcs,
     is_mergeable,
     make_arc,
+    merge,
 )
 
 
@@ -87,7 +91,7 @@ class SphericalRegion(NamedTuple):
 
 
 def _whole_sphere_region() -> SphericalRegion:
-    arr = new_arrangement()
+    arr = SphereArrangement()
     arr.faces[0].payload = True
     return SphericalRegion(arr)
 
@@ -223,40 +227,80 @@ def union_regions(regions: Sequence[SphericalRegion]) -> SphericalRegion:
     holes in it survive."""
     if not regions:
         raise ValueError("need at least one region")
+    if len(regions) == 1:
+        return cleanup_region(regions[0])
     out = regions[0]
     for r in regions[1:]:
-        out = SphericalRegion(overlay(out.arrangement, r.arrangement, _or_callbacks()))
         # Cleaning at every step keeps the fold's accumulator down to the
         # current union's boundary, so no buried edge is split again.
-        cleanup_region(out)
-    if len(regions) == 1:
-        cleanup_region(out)
+        out = cleanup_region(
+            SphericalRegion(overlay(out.arrangement, r.arrangement, _or_callbacks()))
+        )
     return out
 
 
-def cleanup_region(region: SphericalRegion) -> None:
-    """Remove True-flagged cells buried in the interior of the pierced
-    set and fuse collinear degree-2 boundary vertices."""
+def cleanup_region(region: SphericalRegion) -> SphericalRegion:
+    """The region without the True cells buried in the interior of the
+    pierced set, and with collinear degree-2 boundary vertices fused,
+    assembled anew from the arcs and points that survive.
+
+    An edge is buried when it and both its faces are True, an isolated
+    point when it and its face are True, and a vertex whose edges are all
+    buried is such a point.  The fusion is one pass over the vertices in
+    table order: a vertex off the parameter-space boundary with two kept
+    edges, v -> a and v -> b in ring order, whose flags agree with its
+    own, is fused when the arcs a -> v and v -> b make one.  Then a -> v
+    runs on to b, keeps its normal and moves to the end of the edge
+    table, as a newly made edge would.  A fused arc keeps its flags and
+    its circle, and only lengthens, so a vertex that cannot fuse now
+    cannot fuse after a later fusion.
+
+    The survivors are assembled in table order, which the next overlay
+    splits in, and every cell takes the flag of the cell it comes from;
+    with no arc left, the sphere is True iff every face was."""
     arr = region.arrangement
-    for h in list(arr.edges()):
-        if h.payload and h.face.payload and h.twin.face.payload:
-            arr.remove_edge(h)
-    for v in list(arr.vertices):
-        if v.is_isolated and v.payload and v.isolated_face.payload:
-            arr.remove_isolated_vertex(v)
-    # One pass: a merge keeps the outgoing payloads of the merged vertex's
-    # two neighbours and its arc's circle, and only lengthens the arc, so
-    # a vertex that cannot merge now cannot merge after a later merge.
-    for v in list(arr.vertices):
-        if v.is_isolated or v.degree != 2:
+    # each kept edge by the halfedge that leads it in the table, and the
+    # current arc and twin of each kept halfedge, which a fusion re-points
+    order: Dict[Halfedge, None] = {}
+    arc: Dict[Halfedge, GeodesicArc] = {}
+    twin: Dict[Halfedge, Halfedge] = {}
+    for h in arr.edges():
+        if not (h.payload and h.face.payload and h.twin.face.payload):
+            order[h] = None
+            for e in (h, h.twin):
+                arc[e], twin[e] = e.arc, e.twin
+    points = []
+    for v in arr.vertices:
+        kept = [h for h in v.out if h in arc]
+        if not kept:
+            face = v.isolated_face if v.is_isolated else v.out[0].face
+            if not (v.payload and face.payload):
+                points.append(v.point)
             continue
-        if v.point.boundary_class is not BoundaryClass.INTERIOR:
-            continue  # keep parameter-space splits intact
-        h1, h2 = v.out
-        if bool(v.payload) != bool(h1.payload) or bool(h1.payload) != bool(h2.payload):
-            continue
-        if is_mergeable(h1.twin.arc, h2.arc):
-            arr.merge_edges_at(v)
+        if len(kept) != 2 or v.point.boundary_class is not BoundaryClass.INTERIOR:
+            continue  # parameter-space splits stay intact
+        q2, p2 = kept  # v -> a and v -> b
+        p1, q1 = twin[q2], twin[p2]  # a -> v and b -> v
+        if bool(v.payload) == bool(q2.payload) == bool(p2.payload) and is_mergeable(
+            arc[p1], arc[p2]
+        ):
+            arc[p1] = merge(arc[p1], arc[p2])
+            arc[q1] = arc[p1].reversed()
+            twin[p1], twin[q1] = q1, p1
+            for e in (p1, q1, p2, q2):
+                order.pop(e, None)
+            order[p1] = None
+
+    out, along = _assemble([arc[h] for h in order], points)
+    if not along:
+        out.faces[0].payload = all(f.payload for f in arr.faces)
+    for g, h in zip(along, order):
+        out.set_edge_payload(g, h.payload)
+        g.face.payload = h.face.payload
+        g.twin.face.payload = twin[h].face.payload
+    for v in out.vertices:
+        v.payload = arr.find_vertex(v.point).payload
+    return SphericalRegion(out)
 
 
 def reflect_region(region: SphericalRegion) -> SphericalRegion:
@@ -424,7 +468,7 @@ def build_motion_space(
     image, whose pairs read as (j, i)."""
     if any(i >= j for i, j in q_regions):
         raise ValueError("q_regions takes the pairs i < j only")
-    half = new_arrangement()
+    half = SphereArrangement()
     half.faces[0].payload = frozenset()
     for pair in sorted(q_regions):
         f = lambda a, b, pair=pair: a | {pair} if b else a

@@ -455,7 +455,7 @@ def _on_circle_arc(q: DirPoint, s: DirPoint, t: DirPoint, n: Vec3) -> bool:
 def split(arc: GeodesicArc, p) -> Tuple[GeodesicArc, GeodesicArc]:
     """Split at an interior point; both halves keep the arc's normal."""
     q = as_point(p)
-    if not point_on_arc(q, arc, closed=False) or q == arc.source or q == arc.target:
+    if not point_on_arc(q, arc, closed=False):
         raise PointNotInterior(f"{q} is not interior to {arc}")
     return GeodesicArc(arc.source, q, arc.normal), GeodesicArc(q, arc.target, arc.normal)
 

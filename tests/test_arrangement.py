@@ -18,11 +18,11 @@ from geomink.arrangement import (
     ArcNotDisjoint,
     AnchorMismatch,
     OverlayCallbacks,
+    SphereArrangement,
     _assemble,
     _split_all,
     dumps,
     loads,
-    new_arrangement,
     overlay,
     sweep_build,
 )
@@ -43,7 +43,7 @@ def quadrant():
 
 class TestBasics:
     def test_new_arrangement(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         assert arr.counts() == (0, 0, 1)
         cell = arr.locate(Vec3(0, 0, 1))
         assert cell.kind == "face"
@@ -51,13 +51,13 @@ class TestBasics:
         assert arr.validate() == []
 
     def test_single_arc_insertion(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         arr.insert_disjoint_arc(quadrant())
         assert arr.counts() == (2, 2, 1)
         assert arr.validate() == []
 
     def test_triangle_splits_face(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
         arr.insert_disjoint_arc(arc_between(a, b))
         assert len(arr.faces) == 1
@@ -69,7 +69,7 @@ class TestBasics:
         assert arr.validate() == []
 
     def test_identification_crossing_input(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         pieces = make_arc(Vec3(-1, -1, 0), Vec3(-1, 1, 0))
         assert len(pieces) == 2
         for p in pieces:
@@ -79,14 +79,14 @@ class TestBasics:
         assert arr.validate() == []
 
     def test_anchor_mismatch(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         h = arr.insert_disjoint_arc(quadrant())
         other = arc_between(Vec3(0, 0, 1), Vec3(1, 1, 1))
         with pytest.raises(AnchorMismatch):
             arr.insert_disjoint_arc(other, v1=h.source)
 
     def test_overlapping_insert_detected(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         arr.insert_disjoint_arc(quadrant())
         with pytest.raises(ArcNotDisjoint):
             arr.insert_disjoint_arc(arc_between(Vec3(1, 0, 0), Vec3(1, 1, 0)))
@@ -96,7 +96,7 @@ class TestBasics:
     def test_rejected_insert_changes_nothing(self, case):
         """The arc is placed at both ends before anything changes, so an
         arc that is not disjoint leaves no vertex, edge or link behind."""
-        arr = new_arrangement()
+        arr = SphereArrangement()
         if case == "ends in two faces":
             for a in full_circle_arcs(Vec3(0, 0, 1)):
                 arr.insert_disjoint_arc(a)
@@ -115,17 +115,15 @@ class TestBasics:
         assert dumps(arr) == dump
 
     def test_isolated_vertices(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         v = arr.insert_isolated_vertex(Vec3(1, 2, 3))
         assert arr.counts() == (1, 0, 1)
         assert arr.validate() == []
         cell = arr.locate(Vec3(2, 4, 6))
         assert cell.kind == "vertex" and cell.ref is v
-        arr.remove_isolated_vertex(v)
-        assert arr.counts() == (0, 0, 1)
 
     def test_arc_from_an_isolated_vertex_takes_it_into_the_ring(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         v = arr.insert_isolated_vertex(Vec3(1, 0, 0))
         h = arr.insert_disjoint_arc(quadrant())
         assert h.source is v and not v.is_isolated and v.out == [h]
@@ -137,7 +135,7 @@ class TestBasics:
         assert arr.locate(Vec3(0, 0, 1)) == ("face", arr.faces[0])
 
     def test_face_split_hands_an_isolated_vertex_to_the_new_face(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         inner = arr.insert_isolated_vertex(Vec3(1, 1, 1))
         outer = arr.insert_isolated_vertex(Vec3(-1, -1, -1))
         a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
@@ -155,14 +153,14 @@ class TestBasics:
 
 class TestLocate:
     def test_locate_edge_and_vertex(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         h = arr.insert_disjoint_arc(quadrant())
         assert arr.locate(Vec3(1, 1, 0)).kind == "edge"
         assert arr.locate(Vec3(1, 0, 0)).kind == "vertex"
         assert arr.locate(Vec3(0, 0, 1)).kind == "face"
 
     def test_locate_in_triangle(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
         for s, t in ((a, b), (b, c), (c, a)):
             arr.insert_disjoint_arc(arc_between(s, t))
@@ -173,7 +171,7 @@ class TestLocate:
         assert arr.locate(Vec3(1, 1, Fraction(1, 100))).ref is inner
 
     def test_interior_point_roundtrip(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
         for s, t in ((a, b), (b, c), (c, a)):
             arr.insert_disjoint_arc(arc_between(s, t))
@@ -184,7 +182,7 @@ class TestLocate:
     def test_interior_point_of_an_edgeless_face_with_taken_directions(self):
         # isolated points on (1, 0, 0) and (1, 1, 1), the first two of the
         # directions tried, and on other axis and small directions
-        arr = new_arrangement()
+        arr = SphereArrangement()
         face = arr.faces[0]
         for d in (
             Vec3(0, 0, 1), Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(1, 2, 3),
@@ -273,7 +271,7 @@ class TestOverlay:
         a1 = arc_between(Vec3(1, -1, 0), Vec3(1, 1, 0))
         a2 = arc_between(Vec3(1, 0, -1), Vec3(1, 0, 1))
         x = sweep_build([a1, a2])
-        e = new_arrangement()
+        e = SphereArrangement()
         out = overlay(x, e, OverlayCallbacks())
         assert out.counts() == x.counts()
         assert out.validate() == []
@@ -376,61 +374,9 @@ def test_overlay_commutes_with_swapped_callbacks(pair):
         assert pa[0] == "a" and pb[0] == "b"
 
 
-class TestRemoveAndMerge:
-    def test_remove_edge_merges_faces(self):
-        arr = new_arrangement()
-        a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
-        h_ab = arr.insert_disjoint_arc(arc_between(a, b))
-        arr.insert_disjoint_arc(arc_between(b, c))
-        arr.insert_disjoint_arc(arc_between(c, a))
-        assert len(arr.faces) == 2
-        arr.remove_edge(h_ab)
-        assert len(arr.faces) == 1
-        assert arr.counts() == (3, 4, 1)
-        assert arr.validate() == []
-
-    def test_remove_isolated_edge(self):
-        # the bare endpoints stay, as isolated vertices of the one face
-        arr = new_arrangement()
-        h = arr.insert_disjoint_arc(quadrant())
-        ends = [h.source, h.target]
-        arr.remove_edge(h)
-        assert arr.counts() == (2, 0, 1)
-        (face,) = arr.faces
-        assert list(face.isolated) == ends
-        assert all(v.is_isolated and v.isolated_face is face for v in ends)
-        assert arr.validate() == []
-
-    def test_remove_bridge_keeps_face(self):
-        arr = new_arrangement()
-        # two triangles joined by a bridge
-        t1 = [Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1)]
-        t2 = [Vec3(-1, 0, 0), Vec3(-1, -1, 0), Vec3(0, -1, 2)]
-        for tri in (t1, t2):
-            for i in range(3):
-                arr.insert_disjoint_arc(arc_between(tri[i], tri[(i + 1) % 3]))
-        bridge = arr.insert_disjoint_arc(arc_between(Vec3(1, 0, 1), Vec3(0, -1, 2)))
-        assert arr.validate() == []
-        nfaces = len(arr.faces)
-        arr.remove_edge(bridge)
-        assert len(arr.faces) == nfaces
-        assert arr.validate() == []
-
-    def test_merge_degree_two_vertex(self):
-        arr = new_arrangement()
-        mid = Vec3(1, 1, 0)
-        arr.insert_disjoint_arc(arc_between(Vec3(1, 0, 0), mid))
-        arr.insert_disjoint_arc(arc_between(mid, Vec3(0, 1, 0)))
-        assert arr.counts() == (3, 4, 1)
-        v = arr.find_vertex(classify(mid))
-        arr.merge_edges_at(v)
-        assert arr.counts() == (2, 2, 1)
-        assert arr.validate() == []
-
-
 class TestValidate:
     def test_corrupted_twin_reported(self):
-        arr = new_arrangement()
+        arr = SphereArrangement()
         h = arr.insert_disjoint_arc(quadrant())
         h.twin = h
         assert any("twin" in e for e in arr.validate())
@@ -497,56 +443,6 @@ def test_loads_rejects_malformed_dumps(vertices, edges):
     text = _dump_text(vertices, edges)
     with pytest.raises(ArcNotDisjoint):
         loads(text)
-
-
-def test_merge_at_degree_two_with_bare_far_endpoints():
-    # a dangling two-edge chain: merging the middle vertex must rewire
-    # the degree-one turns at both tips
-    arr = new_arrangement()
-    mid = Vec3(1, 1, 0)
-    arr.insert_disjoint_arc(arc_between(Vec3(1, 0, 0), mid))
-    arr.insert_disjoint_arc(arc_between(mid, Vec3(0, 1, 0)))
-    v = arr.find_vertex(classify(mid))
-    H = arr.merge_edges_at(v)
-    assert arr.validate() == []
-    assert set(H.cycle()) == {H, H.twin}
-
-
-def test_merge_at_degree_two_inside_triangle_chain():
-    # merge a collinear vertex on one side of a closed region
-    arr = new_arrangement()
-    a, m, b, c = Vec3(1, 0, 0), Vec3(2, 1, 0), Vec3(1, 1, 0), Vec3(1, 1, 2)
-    arr.insert_disjoint_arc(arc_between(a, m))
-    arr.insert_disjoint_arc(arc_between(m, b))
-    arr.insert_disjoint_arc(arc_between(b, c))
-    arr.insert_disjoint_arc(arc_between(c, a))
-    assert len(arr.faces) == 2
-    arr.merge_edges_at(arr.find_vertex(classify(m)))
-    assert arr.counts() == (3, 6, 2)
-    assert arr.validate() == []
-
-
-@pytest.mark.parametrize("closed", [False, True], ids=["dangling-chain", "triangle"])
-def test_merge_turns_the_halfedges_into_the_vertex_into_the_merged_pair(closed):
-    # a -> v becomes a -> b and b -> v becomes its twin; the two
-    # halfedges leaving v are the ones dropped
-    arr = new_arrangement()
-    a, m, b, c = Vec3(1, 0, 0), Vec3(2, 1, 0), Vec3(1, 1, 0), Vec3(1, 1, 2)
-    arr.insert_disjoint_arc(arc_between(a, m))
-    arr.insert_disjoint_arc(arc_between(m, b))
-    if closed:
-        arr.insert_disjoint_arc(arc_between(b, c))
-        arr.insert_disjoint_arc(arc_between(c, a))
-    v = arr.find_vertex(classify(m))
-    (a_v,) = [h.twin for h in v.out if h.target.point == classify(a)]
-    (b_v,) = [h.twin for h in v.out if h.target.point == classify(b)]
-    count = len(arr.halfedges)
-    h = arr.merge_edges_at(v)
-    assert h is a_v
-    assert h.twin is b_v
-    assert (h.source.point, h.target.point) == (classify(a), classify(b))
-    assert len(arr.halfedges) == count - 2
-    assert arr.validate() == []
 
 
 # -- one-pass assembly and the pair filter --------------------------------------
@@ -620,7 +516,7 @@ def _faces(arr):
 @given(_scenes())
 def test_assembly_matches_arc_by_arc_insertion(scene):
     pieces, points = scene
-    ref = new_arrangement()
+    ref = SphereArrangement()
     for a in pieces:
         ref.insert_disjoint_arc(a)
     for p in points:
@@ -872,7 +768,7 @@ def test_overlay_of_an_isolated_pole_matches_located_cells():
     five = [_half_space_region(axis, sign) for axis in (0, 1) for sign in (-1, 1)]
     union = union_regions(five + [_half_space_region(2, -1)]).arrangement
     assert [v.point for v in union.vertices if v.is_isolated] == [classify(Vec3(0, 0, 1))]
-    empty = new_arrangement()
+    empty = SphereArrangement()
     empty.faces[0].payload = frozenset()
     _check_pointwise(union, build(box(-1, -2, -3, 3, 2, 1)).arrangement, [Vec3(1, 1, 1)])
     _check_pointwise(empty, union_regions(five).arrangement, [Vec3(0, 0, -1)])
@@ -916,7 +812,7 @@ def test_interior_point_is_located_in_its_face(scene, block, a, b, crowded):
                 p = _quarter_circle_point(f)
                 if arr.locate(p).kind == "face":
                     arr.insert_isolated_vertex(p)
-    edgeless = new_arrangement()
+    edgeless = SphereArrangement()
     for d in _CROWDED[:crowded]:
         edgeless.insert_isolated_vertex(d)
     for out in (arr, overlay(a, b, _CASE_TAGGING), edgeless):

@@ -26,7 +26,6 @@ from geomink.assembly import (
 from geomink.arrangement import (
     OverlayCallbacks,
     SphereArrangement,
-    new_arrangement,
     overlay,
     sweep_build,
 )
@@ -43,7 +42,7 @@ from geomink.shapes import (
     split_star_assembly,
     tetrahedron,
 )
-from geomink.spherical import classify, full_circle_arcs
+from geomink.spherical import BoundaryClass, classify, full_circle_arcs, is_mergeable
 
 
 def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
@@ -417,7 +416,7 @@ def _folded_motion_space(q):
     each reversed pair's region reflected on its own."""
     regions = dict(q)
     regions.update({(j, i): reflect_region(r) for (i, j), r in q.items()})
-    acc = new_arrangement()
+    acc = SphereArrangement()
     acc.faces[0].payload = frozenset()
     for pair in sorted(regions):
         f = lambda a, b, pair=pair: a | {pair} if b else a
@@ -631,9 +630,7 @@ def _or_union_cleaned_once(regions):
     acc = regions[0].arrangement
     for r in regions[1:]:
         acc = overlay(acc, r.arrangement, _or_callbacks())
-    out = SphericalRegion(acc)
-    cleanup_region(out)
-    return out
+    return cleanup_region(SphericalRegion(acc))
 
 
 @st.composite
@@ -664,6 +661,52 @@ def test_union_cleaned_per_step_matches_union_cleaned_once(regions):
     xor = overlay(u.arrangement, ref.arrangement, _xor_callbacks())
     assert not any(_payloads(xor))
     assert u.arrangement.validate() == []
+
+
+def _fusable(v) -> bool:
+    """A vertex off the parameter-space boundary with two edges that
+    make one arc, flagged alike with them."""
+    if v.is_isolated or v.degree != 2 or v.point.boundary_class is not BoundaryClass.INTERIOR:
+        return False
+    h1, h2 = v.out
+    return v.payload == h1.payload == h2.payload and is_mergeable(h1.twin.arc, h2.arc)
+
+
+def _check_cleaned(raw, clean):
+    """clean reads raw's flag at every vertex of raw, inside every edge
+    and inside every face, and keeps no buried edge, no buried isolated
+    point and no vertex it could fuse."""
+    for d, flag in cell_directions(raw):
+        assert clean.locate(classify(d)).payload == flag, d
+    assert clean.validate() == []
+    assert _needless_edges(SphericalRegion(clean)) == []
+    assert [v for v in clean.vertices if v.is_isolated and v.payload and v.isolated_face.payload] == []
+    assert [v for v in clean.vertices if _fusable(v)] == []
+
+
+@settings(max_examples=10, deadline=None)
+@given(_projection_lists())
+def test_cleanup_keeps_every_flag_and_no_buried_or_fusable_cell(regions):
+    raw = regions[0].arrangement
+    for r in regions[1:]:
+        raw = overlay(raw, r.arrangement, _or_callbacks())
+    _check_cleaned(raw, cleanup_region(SphericalRegion(raw)).arrangement)
+
+
+def test_cleanup_keeps_a_lune_side_vertex_and_a_hole_and_drops_a_buried_point():
+    # the lune x > 0, y > 0 between the poles: its sides are half circles,
+    # so each keeps its midpoint vertex, which no arc can fuse over
+    raw = project_polytope(build(box(0, 0, -1, 2, 2, 1))).arrangement
+    for d, flag in ((Vec3(1, 1, 1), False), (Vec3(2, 1, -1), True), (Vec3(-1, -1, 1), True)):
+        raw.insert_isolated_vertex(d).payload = flag
+    clean = cleanup_region(SphericalRegion(raw)).arrangement
+    _check_cleaned(raw, clean)
+    interior = {v.point for v in clean.vertices if v.point.boundary_class is BoundaryClass.INTERIOR}
+    # the two side midpoints, the False hole in the lune and the True
+    # point outside it; the True point inside the lune is buried
+    assert interior == {classify(Vec3(*d)) for d in ((1, 0, 0), (0, 1, 0), (1, 1, 1), (-1, -1, 1))}
+    assert clean.counts() == (6, 8, 2)
+    assert clean.find_vertex(Vec3(2, 1, -1)) is None
 
 
 @settings(max_examples=10, deadline=None)
@@ -724,7 +767,7 @@ def _overlay_refusing_point_location(monkeypatch):
 
 def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
     region = project_polytope(build(random_polytope(9, 12).translated(Vec3(-3, 8, 5))))
-    isolated = new_arrangement()
+    isolated = SphereArrangement()
     face = isolated.faces[0]
     face.payload = "F"
     for d in (Vec3(0, 0, 1), Vec3(-1, 0, 0), Vec3(1, 2, 3)):  # pole, seam, inside
@@ -733,7 +776,7 @@ def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
     tag = OverlayCallbacks(*([lambda a, b: (a, b)] * 10))
 
     # an empty accumulator, as build_motion_space starts its fold
-    acc = new_arrangement()
+    acc = SphereArrangement()
     acc.faces[0].payload = frozenset()
     out = overlay_(acc, region.arrangement, tag)
     assert {f.payload for f in out.faces} == {(frozenset(), True), (frozenset(), False)}

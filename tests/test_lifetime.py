@@ -20,7 +20,7 @@ from typing import Tuple
 
 from geomink import assembly
 from geomink.arrangement import (
-    Face, Halfedge, SphereArrangement, Vertex, dumps, loads, new_arrangement, overlay,
+    Face, Halfedge, SphereArrangement, Vertex, dumps, loads, overlay,
     sweep_build,
 )
 from geomink.assembly import (
@@ -94,7 +94,7 @@ def _sweep_build_and_loads():
 
 
 def _insert_with_face_split():
-    arr = new_arrangement()
+    arr = SphereArrangement()
     a, b, c = Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1)
     for p, q in ((a, b), (b, c), (c, a)):
         for piece in make_arc(p, q):
