@@ -12,6 +12,11 @@ The bound is checked by counting the facets of each candidate sum off
 the overlay split (`minkowski.sum_facet_count`): `tune_params` and
 `verify_bound` assemble no sum.  `multi_witness_sum` returns its sum, so
 it builds it.
+
+The vertices carry large denominators, so the exact work stays on small
+values: facets are oriented on the integer representative of the vertex
+set, a rotation takes one rational dot per coordinate, and the tuning
+loop validates each candidate mesh once, in `build`.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .gaussian import GaussianMap, Mesh, build
-from .kernel import Rational, Vec3, cross, dot
+from .gaussian import GaussianMap, InvalidMesh, Mesh, build
+from .kernel import Rational, Vec3, dot, dot3, exact_vec, integer_coords, turn3
 from .minkowski import facet_count, minkowski_many, sum_facet_count
 
 
@@ -57,12 +62,10 @@ class RationalRotation(NamedTuple):
     rows: Tuple[Tuple[Rational, ...], ...]
 
     def apply(self, v: Vec3) -> Vec3:
-        r = self.rows
-        return Vec3(
-            r[0][0] * v.x + r[0][1] * v.y + r[0][2] * v.z,
-            r[1][0] * v.x + r[1][1] * v.y + r[1][2] * v.z,
-            r[2][0] * v.x + r[2][1] * v.y + r[2][2] * v.z,
-        )
+        """The rotated vector: each coordinate one dot of a row with v,
+        which on Fraction coordinates builds one Fraction."""
+        a, b, c = (exact_vec(*row) for row in self.rows)
+        return exact_vec(dot(a, v), dot(b, v), dot(c, v))
 
     def is_orthogonal(self) -> bool:
         r = self.rows
@@ -226,7 +229,29 @@ def _pivot_chain(
 
 def witness_polytope(params: WitnessParams) -> Mesh:
     """A convex polytope with exactly `facets` facets, 3i-6 edges and
-    2i-4 vertices whose Gaussian map matches the worst-case layout."""
+    2i-4 vertices whose Gaussian map matches the worst-case layout.
+    Raises ParamsRejected when the angles give no such polytope."""
+    mesh = _witness_mesh(params)
+    try:
+        mesh.validate()
+    except InvalidMesh as e:
+        raise ParamsRejected(f"witness mesh invalid: {e}") from e
+    return _counted(mesh, params.facets)
+
+
+def _counted(mesh: Mesh, i: int) -> Mesh:
+    """The mesh, unless it does not have i facets, 3i-6 edges and 2i-4
+    vertices."""
+    if len(mesh.facets) != i or mesh.edge_count() != 3 * i - 6 or len(
+        mesh.vertices
+    ) != 2 * i - 4:
+        raise ParamsRejected("witness mesh has wrong feature counts")
+    return mesh
+
+
+def _witness_mesh(params: WitnessParams) -> Mesh:
+    """The witness polytope's vertices and oriented facet cycles, not yet
+    validated."""
     i = params.facets
     if i < 4:
         raise InvalidFacetCount("need at least 4 facets")
@@ -304,16 +329,7 @@ def witness_polytope(params: WitnessParams) -> Mesh:
     facets.append([2 * i - 5, 0, 1])  # right triangle
     facets.append([j3 - 1, j3, j3 + 1])  # left triangle
 
-    mesh = _orient_facets(Mesh(verts, facets))
-    try:
-        mesh.validate()
-    except Exception as e:
-        raise ParamsRejected(f"witness mesh invalid: {e}") from e
-    if len(mesh.facets) != i or mesh.edge_count() != 3 * i - 6 or len(
-        mesh.vertices
-    ) != 2 * i - 4:
-        raise ParamsRejected("witness mesh has wrong feature counts")
-    return mesh
+    return _orient_facets(Mesh(verts, facets))
 
 
 def _witness_p4(params: WitnessParams) -> Mesh:
@@ -327,25 +343,25 @@ def _witness_p4(params: WitnessParams) -> Mesh:
     v1 = Vec3(-1, 0, -h)
     v2 = Vec3(-s_b, -c_b, 0)
     v3 = Vec3(s_b, -c_b, -h)
-    mesh = _orient_facets(
+    return _orient_facets(
         Mesh([v0, v1, v2, v3], [[0, 1, 2], [0, 2, 3], [3, 1, 0], [3, 2, 1]])
     )
-    mesh.validate()
-    return mesh
 
 
 def _orient_facets(mesh: Mesh) -> Mesh:
     """Flip facet cycles so every outward normal points away from the
-    vertex centroid."""
-    centroid = Vec3(0, 0, 0)
-    for v in mesh.vertices:
-        centroid = centroid + v
-    centroid = centroid.scale(Fraction(1, len(mesh.vertices)))
+    vertex centroid S / V.  The turn n at a facet's first corner a is
+    taken on the integer representative of the vertices
+    (kernel.integer_coords), and the cycle flips when <n, S> > V <n, a>:
+    scaling every point by one positive integer changes no sign."""
+    pts = integer_coords(mesh.vertices)
+    nv = len(pts)
+    total = tuple(sum(p[k] for p in pts) for k in range(3))
     fixed = []
     for cyc in mesh.facets:
-        a, b, c = (mesh.vertices[cyc[k]] for k in (0, 1, 2))
-        n = cross(b - a, c - b)
-        if dot(n, centroid) > dot(n, a):
+        a, b, c = (pts[cyc[k]] for k in (0, 1, 2))
+        n = turn3(a, b, c)
+        if dot3(n, total) > nv * dot3(n, a):
             cyc = list(reversed(cyc))
         fixed.append(cyc)
     return Mesh(mesh.vertices, fixed)
@@ -354,18 +370,29 @@ def _orient_facets(mesh: Mesh) -> Mesh:
 QUARTER_TURN = rotation_about_y(Fraction(1))
 
 
+def _witness_maps(pm: WitnessParams, pn: WitnessParams):
+    """The Gaussian maps of the two witnesses, the second turned a
+    quarter turn about Y.  build validates each mesh, once: a rejected
+    mesh rejects the params, as witness_polytope would."""
+    mesh_m = _counted(_witness_mesh(pm), pm.facets)
+    mesh_n = mesh_m if pn == pm else _counted(_witness_mesh(pn), pn.facets)
+    try:
+        return build(mesh_m), build(rotate_mesh(mesh_n, QUARTER_TURN))
+    except InvalidMesh as e:
+        raise ParamsRejected(f"witness mesh invalid: {e}") from e
+
+
 def _tune_full(m: int, n: int):
     pm, pn = default_params(m), default_params(n)
     bound = max_complexity([m, n])
     for _ in range(64):
         try:
-            mesh_m = witness_polytope(pm)
-            mesh_n = mesh_m if pn == pm else witness_polytope(pn)
+            g_m, g_n = _witness_maps(pm, pn)
         except ParamsRejected:
             pm = pm.scaled(Fraction(1, 2))
             pn = pn.scaled(Fraction(1, 2))
             continue
-        got = sum_facet_count(build(mesh_m), build(rotate_mesh(mesh_n, QUARTER_TURN)))
+        got = sum_facet_count(g_m, g_n)
         if got == bound:
             return pm, pn, got
         pm = WitnessParams(pm.facets, pm.alpha_t / 8, pm.beta_t, pm.gamma_t)

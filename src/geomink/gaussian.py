@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Dict, List, Tuple
 
 from .arrangement import Face, SphereArrangement, Vertex, _assemble
@@ -84,12 +85,13 @@ class Mesh:
 
         Every predicate runs on the common-denominator integer
         representative of the vertex set (kernel.integer_coords), with
-        each facet's normal computed once: scaling all vertices by one
-        positive integer changes no sign.  The mesh keeps its input
-        coordinates.  Returns the facets' outward normals as those
-        integer triples, positive multiples of facet_normal's, and the
-        table that maps each directed edge (a, b) of a facet cycle to
-        that facet.
+        each facet's normal computed once and divided by the gcd of its
+        components: scaling all vertices by one positive integer, or a
+        normal by a positive factor, changes no sign.  The mesh keeps its
+        input coordinates.  Returns the facets' outward normals as
+        primitive integer triples, positive multiples of facet_normal's,
+        and the table that maps each directed edge (a, b) of a facet
+        cycle to that facet.
 
         After the topology checks (a closed, oriented 2-manifold of Euler
         characteristic 2, every vertex on a facet) and the per-facet ones
@@ -130,8 +132,10 @@ class Mesh:
         offsets = []
         for fi, cyc in enumerate(self.facets):
             corners = [pts[vi] for vi in cyc]
-            n = cycle_normal(fi, corners)
-            nx, ny, nz = n
+            nx, ny, nz = n = cycle_normal(fi, corners)
+            g = gcd(nx, ny, nz)
+            if g > 1:
+                nx, ny, nz = n = (nx // g, ny // g, nz // g)
             b0 = dot3(n, corners[0])
             if len(cyc) > 3:  # a triangle passes _check_facet
                 _check_facet(fi, n, b0, corners)

@@ -25,8 +25,12 @@ first of ``cross``, ``norm_sq``'s vector.  One type test is all the int
 path pays; any other mix of coordinates takes the operator expression.
 Both paths give the same value and type: an int exactly when every
 coordinate involved is an int, a Fraction otherwise (``Fraction(0)`` and
-``Fraction(n, 1)`` included).  ``det3`` has no rational path: its
-operands are always primitive integer directions or arc normals.
+``Fraction(n, 1)`` included).  The ``Vec3`` constructor stores a vector
+whose three coordinates are all integral as three ints, so it takes the
+int paths; a vector with a fractional coordinate keeps its Fractions,
+and ``exact_vec`` keeps the types it is given.  ``det3`` has no rational
+path: its operands are always primitive integer directions or arc
+normals.
 """
 
 from __future__ import annotations
@@ -166,9 +170,14 @@ class Vec3(Frozen):
     z: Rational
 
     def __init__(self, x: RationalLike, y: RationalLike, z: RationalLike):
-        object.__setattr__(self, "x", rat(x))
-        object.__setattr__(self, "y", rat(y))
-        object.__setattr__(self, "z", rat(z))
+        x, y, z = rat(x), rat(y), rat(z)
+        if x.denominator == 1 and y.denominator == 1 and z.denominator == 1:
+            # an all-integral vector is stored as ints, so it takes the
+            # int paths of dot and cross
+            x, y, z = x.numerator, y.numerator, z.numerator
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Vec3:

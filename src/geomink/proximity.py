@@ -16,7 +16,7 @@ computed once (`centroid`, `mesh`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianMap, reflect
 from .kernel import Rational, Vec3, ZeroVector, cross, dot
@@ -135,10 +135,12 @@ def collide(
 
 
 def trace(
-    P: GaussianMap, Q: GaussianMap, placements
+    P: GaussianMap, Q: GaussianMap, placements: Iterable[PlacementQuery]
 ) -> List[str]:
     """Simulation trace: one classification record per frame, reusing the
-    Minkowski sum and the witness hint across frames."""
+    Minkowski sum and the witness hint across frames.  Each frame is a
+    PlacementQuery, whose query point s is the difference of the two
+    bodies' translations."""
     M = minkowski(P, reflect(Q))
     lines = []
     hint = None

@@ -31,7 +31,7 @@ from geomink.arrangement import (
 )
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
-from geomink.kernel import Vec3, dot, scale_key
+from geomink.kernel import Vec3, cross, dot, scale_key
 from geomink.minkowski import minkowski
 from geomink.shapes import (
     box,
@@ -633,12 +633,63 @@ def _or_union_cleaned_once(regions):
     return cleanup_region(SphericalRegion(acc))
 
 
+def _spans_a_plane(pts) -> bool:
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    return any((x1 - x0) * (y - y0) != (y1 - y0) * (x - x0) for x, y in pts[2:])
+
+
+@st.composite
+def _prism(draw, d: Vec3, e1: Vec3, e2: Vec3) -> Mesh:
+    """A prism along d over a random polygon in the plane of e1 and e2."""
+    corners = draw(
+        st.lists(st.tuples(_small, _small), min_size=3, max_size=6, unique=True).filter(
+            _spans_a_plane
+        )
+    )
+    base = [e1.scale(x) + e2.scale(y) for x, y in corners]
+    top = d.scale(draw(st.integers(1, 3)))
+    return convex_hull_3(base + [p + top for p in base])
+
+
+@st.composite
+def _sliding_walls(draw):
+    """Projections that share one sliding-contact direction d, as
+    peg-in-hole's walls do: one sum of two prisms along d, placed with
+    the origin inside each of its walls (the facets parallel to d) and
+    inside a few of its edges along d.  The pierced sides of the walls
+    surround d, so the union is everything but the isolated points d
+    and -d."""
+    d = Vec3(*draw(st.tuples(_small, _small, _small).filter(any)))
+    e1 = cross(d, Vec3(1, 0, 0))
+    if e1.is_zero():
+        e1 = cross(d, Vec3(0, 1, 0))
+    e2 = cross(d, e1)
+    a = build(draw(_prism(d, e1, e2)))
+    b = build(draw(_prism(d, e1, e2)))
+    mesh = primal_mesh(minkowski(a, reflect(b)))
+    vs = mesh.vertices
+    walls = [
+        sum((vs[k] for k in cyc), Vec3(0, 0, 0)).scale(Fraction(1, len(cyc)))
+        for i, cyc in enumerate(mesh.facets)
+        if dot(mesh.facet_normal(i), d) == 0
+    ]
+    edges = [
+        (vs[u] + vs[v]).scale(Fraction(1, 2))
+        for cyc in mesh.facets
+        for u, v in zip(cyc, cyc[1:] + cyc[:1])
+        if u < v and cross(vs[v] - vs[u], d).is_zero()
+    ]
+    contacts = walls + draw(st.lists(st.sampled_from(edges), max_size=3, unique=True))
+    return [project_polytope(build(mesh.translated(-p))) for p in contacts]
+
+
 @st.composite
 def _projection_lists(draw):
-    """2 to 9 projections of random sums, each placed apart from the
-    origin or touching it at a vertex, inside an edge or inside a facet."""
-    regions = []
-    for _ in range(draw(st.integers(2, 9))):
+    """Projections of random sums, each placed apart from the origin or
+    touching it at a vertex, inside an edge or inside a facet: 2 to 9 of
+    them, or 0 to 2 after sliding walls (_sliding_walls)."""
+    regions = draw(_sliding_walls()) if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 2) if regions else st.integers(2, 9))):
         a = build(random_polytope(draw(st.integers(5, 7)), draw(st.integers(0, 10**6)), 6))
         b = build(random_polytope(draw(st.integers(5, 7)), draw(st.integers(0, 10**6)), 6))
         mesh = primal_mesh(minkowski(a, reflect(b)))

@@ -12,7 +12,10 @@ sorted, `Vec3` as exact strings), so face order, halfedge ids and
 - each scene's pair unions and its motion space;
 - `build` and `reflect` of the stock solids and of 20 seeded random
   polytopes;
-- the primal meshes of 20 seeded Minkowski sums.
+- the primal meshes of 20 seeded Minkowski sums;
+- `tune_params` and `verify_bound` for m, n in 4..8, and each tuned
+  m x m witness mesh and its quarter turn, vertices and facet cycles in
+  their order.
 
 A changed digest means a changed output; if the change is meant, the
 value is recomputed with `digests()` below and the reason recorded.
@@ -33,6 +36,7 @@ from geomink.assembly import (
     project_polytope,
     union_regions,
 )
+from geomink.extremal import QUARTER_TURN, rotate_mesh, tune_params, verify_bound, witness_polytope
 from geomink.gaussian import build, primal_mesh, reflect
 from geomink.kernel import Vec3, format_rat, scale_key
 from geomink.minkowski import minkowski
@@ -79,6 +83,7 @@ EXPECTED = {
     "gaussian/box": "791bf7102913cb10b7adc7bc7e7d16e7d445ea49e17b8368da81e8078a016c5c",
     "gaussian/random": "c23bd7fcb83d97c9dfa87956301429f2d521b3ee2e586a6dc512354fbdc7fbb8",
     "sums/random": "f9b9731d0f5511cb4102d7204748a84854ff7882c59d90878426a70282848f14",
+    "tuner": "cd8fcb197a871201c1a3cab94917045474189b0e04705c49530ad6f6b25c1136",
 }
 
 
@@ -215,6 +220,28 @@ def random_sum_form() -> str:
     return "\n".join(forms)
 
 
+def mesh_literal(mesh) -> str:
+    """The vertices in order, then the facet cycles as index lists."""
+    return "\n".join([" ".join(repr(v) for v in mesh.vertices), *(str(f) for f in mesh.facets)])
+
+
+def tuner_form() -> str:
+    """The tuned parameters and the bound report of every m x n witness
+    pair, every scalar written with format_rat, then each tuned m x m
+    witness and its quarter turn."""
+    lines = []
+    tuned = {}
+    for m in range(4, 9):
+        for n in range(4, 9):
+            tuned[(m, n)] = tune_params(m, n)
+            lines.append(f"tune {m} {n} {_value(tuned[(m, n)])} bound {_value(verify_bound(m, n))}")
+    for m in range(4, 9):
+        mesh = witness_polytope(tuned[(m, m)][0])
+        lines.append(f"witness {m}\n{mesh_literal(mesh)}")
+        lines.append(f"quarter turn\n{mesh_literal(rotate_mesh(mesh, QUARTER_TURN))}")
+    return "\n".join(lines)
+
+
 def digests() -> dict:
     """Every digest by name, as EXPECTED holds them."""
     out = {}
@@ -227,6 +254,7 @@ def digests() -> dict:
         out[f"gaussian/{name}"] = _sha(gaussian_form(solid()))
     out["gaussian/random"] = _sha(random_gaussian_form())
     out["sums/random"] = _sha(random_sum_form())
+    out["tuner"] = _sha(tuner_form())
     return out
 
 
@@ -256,6 +284,10 @@ def test_random_gaussian_map_digest():
 
 def test_random_sum_mesh_digest():
     assert _sha(random_sum_form()) == EXPECTED["sums/random"]
+
+
+def test_tuner_digest():
+    assert _sha(tuner_form()) == EXPECTED["tuner"]
 
 
 def test_canonical_forms_do_not_see_order():

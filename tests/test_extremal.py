@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geomink.extremal import (
     InvalidFacetCount,
     QUARTER_TURN,
+    _orient_facets,
     default_params,
     max_complexity,
     multi_witness_sum,
@@ -14,9 +16,16 @@ from geomink.extremal import (
     verify_bound,
     witness_polytope,
 )
-from geomink.gaussian import build
-from geomink.kernel import Vec3
+from geomink.gaussian import Mesh, build
+from geomink.kernel import Vec3, cross, dot
 from geomink.minkowski import facet_count, minkowski, stats
+from geomink.shapes import random_polytope
+
+_rationals = st.one_of(
+    st.integers(-50, 50),
+    st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**80)),
+)
 
 
 class TestMaxComplexity:
@@ -49,6 +58,49 @@ class TestRotation:
             R = rotation_about_y(t)
             assert R.is_orthogonal()
             assert R.det() == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _rationals, _rationals, _rationals)
+def test_rotation_apply_equals_the_operator_expression(t, x, y, z):
+    """apply gives the value and the type of the nine-product expression."""
+    rot = rotation_about_y(t)
+    v = Vec3(x, y, z)
+    r = rot.rows
+    want = [r[i][0] * v.x + r[i][1] * v.y + r[i][2] * v.z for i in range(3)]
+    got = rot.apply(v).as_tuple()
+    assert [type(c) for c in got] == [type(c) for c in want]
+    assert list(got) == want
+
+
+def _fraction_orientation(mesh: Mesh) -> Mesh:
+    """Reference: each cycle flipped when its turn at the first corner
+    points toward the Fraction vertex centroid."""
+    centroid = sum(mesh.vertices, Vec3(0, 0, 0)).scale(Fraction(1, len(mesh.vertices)))
+    fixed = []
+    for cyc in mesh.facets:
+        a, b, c = (mesh.vertices[cyc[k]] for k in (0, 1, 2))
+        n = cross(b - a, c - b)
+        fixed.append(list(reversed(cyc)) if dot(n, centroid) > dot(n, a) else list(cyc))
+    return Mesh(mesh.vertices, fixed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(5, 12),
+    st.integers(0, 10**6),
+    st.builds(Fraction, st.integers(1, 2**40), st.integers(1, 2**120)),
+    st.lists(st.booleans(), min_size=20, max_size=20),
+)
+def test_orient_facets_matches_the_fraction_orientation(size, seed, k, flips):
+    hull = random_polytope(size, seed)
+    vertices = [v.scale(k) for v in hull.vertices]
+    scrambled = Mesh(
+        vertices, [f[::-1] if flip else list(f) for f, flip in zip(hull.facets, flips)]
+    )
+    oriented = _orient_facets(scrambled)
+    oriented.validate()
+    assert oriented.facets == _fraction_orientation(scrambled).facets == hull.facets
 
 
 class TestWitness:

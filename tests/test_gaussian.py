@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,15 @@ from geomink.gaussian import (
     reflect,
 )
 from geomink.hull import DegenerateInput, convex_hull_3, meshes_equivalent, pairwise_sums
-from geomink.kernel import Vec3, dot, dot3, integer_coords, scale_key
+from geomink.kernel import (
+    Vec3,
+    dot,
+    dot3,
+    exact_vec,
+    integer_coords,
+    parallel_same_direction,
+    scale_key,
+)
 from geomink.minkowski import minkowski
 from geomink.shapes import box, cube, icosahedron, octahedron, random_polytope, tetrahedron
 from geomink.spherical import BoundaryClass
@@ -329,6 +338,25 @@ def test_build_computes_no_fraction_normals(monkeypatch):
     for m, k in zip(meshes, keys):
         arr = build(m).arrangement
         assert all(arr.find_vertex(Vec3(*key)) is not None for key in k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(5, 12),
+    st.integers(0, 10**6),
+    st.integers(1, 2**40),
+    st.integers(2**60, 2**160),
+)
+def test_validate_returns_primitive_normals(size, seed, num, den):
+    """On vertices with large denominators the normals validate returns
+    are primitive integer triples, positive multiples of facet_normal's."""
+    k = Fraction(num, den)
+    mesh = random_polytope(size, seed)
+    mesh = Mesh([v.scale(k) for v in mesh.vertices], mesh.facets)
+    normals, _ = mesh.validate()
+    for i, n in enumerate(normals):
+        assert gcd(*n) == 1
+        assert parallel_same_direction(mesh.facet_normal(i), exact_vec(*n))
 
 
 class TestDecoration:

@@ -20,6 +20,7 @@ from geomink.kernel import (
     dot,
     dot_sign,
     dot3,
+    exact_vec,
     format_rat,
     integer_coords,
     rat,
@@ -166,7 +167,12 @@ _coords = st.one_of(
     st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**64)),
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
 )
-_vecs = st.builds(Vec3, _coords, _coords, _coords)
+# Vec3 stores an all-integral vector as ints; exact_vec keeps the
+# Fraction(n, 1)s, as the results of rational arithmetic do
+_vecs = st.one_of(
+    st.builds(Vec3, _coords, _coords, _coords),
+    st.builds(exact_vec, _coords, _coords, _coords),
+)
 
 
 def _same(got, want):
@@ -203,6 +209,19 @@ def test_vectors_are_immutable_values():
         del v.y
     assert v.as_tuple() == (1, 2, Fraction(3, 4))
     assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_an_all_integral_vector_holds_ints():
+    v = Vec3(Fraction(2), Fraction(4), 6)
+    assert [type(c) for c in v.as_tuple()] == [int, int, int]
+    assert [type(c) for c in Vec3("6/3", Fraction(-8, 2), 0).as_tuple()] == [int, int, int]
+    w = Vec3(Fraction(1, 2), Fraction(4), 6)
+    assert [type(c) for c in w.as_tuple()] == [Fraction, Fraction, int]
+    # equal, and hashed alike, to the same values held as Fractions
+    kept = exact_vec(Fraction(2), Fraction(4), Fraction(6))
+    assert v == kept == Vec3(2, 4, 6) and hash(v) == hash(kept) == hash(Vec3(2, 4, 6))
+    assert w == exact_vec(Fraction(1, 2), 4, Fraction(6)) and len({w, Vec3("1/2", 4, "12/2")}) == 1
+    assert v.ratio_key() == kept.ratio_key()
 
 
 def test_importing_the_package_loads_no_dataclasses():
