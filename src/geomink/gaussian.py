@@ -21,17 +21,18 @@ is the one list of facet vertices, `GaussianMap.facet_planes` adds
 their planes, and every reader of the primal facets (the primal mesh,
 facet counts, projections and proximity queries) takes them from these.
 The map also holds, each computed once, the primal mesh
-(`GaussianMap.mesh`) and the centroid of the primal vertices
-(`GaussianMap.centroid`); `GaussianMap.facet_neighbors` reads a facet's
-neighbours off the arrangement, across the splits.
+(`GaussianMap.mesh`), the centroid of the primal vertices
+(`GaussianMap.centroid`) and the facet planes as ints over one common
+denominator (`GaussianMap.integer_planes`); `GaussianMap.facet_neighbors`
+reads a facet's neighbours off the arrangement, across the splits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
-from typing import Dict, List, Tuple
+from math import gcd, lcm
+from typing import Dict, List, NamedTuple, Tuple
 
 from .arrangement import Face, SphereArrangement, Vertex, _assemble
 from .kernel import (
@@ -44,6 +45,7 @@ from .kernel import (
     dot3,
     exact_vec,
     integer_coords,
+    integer_point,
     turn3,
 )
 from .spherical import BoundaryClass, GeodesicArc, classify, make_arc
@@ -295,6 +297,23 @@ def _off_plane(w: int, fi: int, gi: int, s: int, facet: List[int]) -> str:
     return f"facets {fi} and {gi} are coplanar; merge them first"
 
 
+class IntegerPlanes(NamedTuple):
+    """The facet planes and the centroid as ints, so that side tests and
+    comparisons of ratios cross-multiply ints.
+
+    With D > 0 the lcm of the facet offsets' denominators and the
+    centroid c = C / dc, C an int triple and dc > 0, `rows` maps each
+    facet vertex w, in the order of facet_planes, to (nx, ny, nz, B, K):
+    the primitive normal n of its plane <n, x> = b, B = b D, and the
+    centroid slack K = B dc - D <n, C> = D dc (b - <n, c>), which is
+    positive: the centroid is strictly inside every facet plane."""
+
+    denominator: int
+    centroid: Tuple[int, int, int]
+    centroid_denominator: int
+    rows: Dict[Vertex, Tuple[int, int, int, int, int]]
+
+
 class GaussianMap:
     def __init__(self, arrangement: SphereArrangement):
         self.arrangement = arrangement
@@ -346,6 +365,20 @@ class GaussianMap:
         """The mean of the primal vertices, computed once."""
         pts = self.primal_vertices()
         return sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
+
+    @cached_property
+    def integer_planes(self) -> IntegerPlanes:
+        """facet_planes and centroid as ints (IntegerPlanes), computed
+        once."""
+        planes = self.facet_planes
+        den = lcm(*(b.denominator for _, b in planes.values()))
+        cx, cy, cz, dc = integer_point(self.centroid)
+        rows = {}
+        for w, (n, b) in planes.items():
+            nx, ny, nz = n.x, n.y, n.z
+            big_b = b.numerator * (den // b.denominator)
+            rows[w] = (nx, ny, nz, big_b, big_b * dc - den * (nx * cx + ny * cy + nz * cz))
+        return IntegerPlanes(den, (cx, cy, cz), dc, rows)
 
     def primal_vertices(self) -> List[Vec3]:
         """The primal vertices, one per face: a face is the normal cone

@@ -12,7 +12,8 @@ of them, ``dot(cross(u, v), w)``, goes through ``det3``, which builds
 no vector.
 Predicates on a whole point set, such as a mesh's, run on one integer
 representative of the set (``integer_coords``) with the triple helpers
-``cross3``, ``dot3`` and ``turn3``.
+``cross3``, ``dot3`` and ``turn3``; ``integer_point`` puts one vector
+over its own denominator.
 
 ``dot``, ``cross`` and ``Vec3.norm_sq`` have a rational path for
 Fraction coordinates.  The operator expression on Fractions normalises
@@ -109,6 +110,15 @@ def integer_coords(points: Iterable["Vec3"]) -> List[Tuple[int, int, int]]:
     coords = [(p.x, p.y, p.z) for p in points]
     m = lcm(*(c.denominator for t in coords for c in t))
     return [tuple(c.numerator * (m // c.denominator) for c in t) for t in coords]
+
+
+def integer_point(v: "Vec3") -> Tuple[int, int, int, int]:
+    """(x, y, z, m) with v = (x, y, z) / m: ints, m > 0 the lcm of v's
+    denominators (1 for an all-int vector)."""
+    x, y, z = v.x, v.y, v.z
+    p, q, r = x.denominator, y.denominator, z.denominator
+    m = lcm(p, q, r)
+    return x.numerator * (m // p), y.numerator * (m // q), z.numerator * (m // r), m
 
 
 def cross3(u: tuple, v: tuple) -> tuple:

@@ -11,6 +11,16 @@ query reads is held by the map: its facets and their planes
 (`GaussianMap.facet_planes`), the facet adjacency across seam and pole
 splits (`facet_neighbors`), and the centroid and primal mesh, each
 computed once (`centroid`, `mesh`).
+
+The walk runs on ints alone.  The map's integer plane table
+(`GaussianMap.integer_planes`) holds every facet plane over one common
+denominator D, the centroid as an int triple over its own denominator,
+and each facet's centroid slack.  Once s is put over its denominator,
+one int dot product per facet visited gives a positive multiple of
+<n, s - c>; exit parameters and alignment scores are compared by
+cross-multiplying, and the final side test is one more dot product.
+Only the witness reads the Fraction planes of `facet_planes`.  The
+penetration and separation queries still work on those.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .gaussian import GaussianMap, reflect
-from .kernel import Rational, Vec3, ZeroVector, cross, dot
+from .kernel import Rational, Vec3, ZeroVector, cross, dot, integer_point
 from .minkowski import minkowski
 
 INSIDE = "inside"
@@ -74,48 +84,66 @@ def classify_point(M: GaussianMap, s: Vec3, hint=None) -> Witness:
     The walk starts at the hint when the hint is a facet vertex of this
     very map (arrangement vertex ids repeat across maps, so identity is
     checked) and the ray leaves through the hint's plane; otherwise it
-    starts at the facet whose normal best matches the ray."""
-    planes = M.facet_planes
-    c = M.centroid
-    d = s - c
-    if d.is_zero():
-        w0 = next(iter(planes))
-        n, b = planes[w0]
-        return Witness(INSIDE, n, b, w0)
+    starts at the facet whose normal best matches the ray.
 
-    def t_of(w):
-        return _exit_parameter(planes[w], c, d)
+    Every decision is on ints (GaussianMap.integer_planes): with
+    s = S / ds, the vector d = S dc - C ds is s - c times ds dc > 0, and
+    facet w's exit parameter (b - <n, c>) / <n, s - c> is K / <n, d>
+    times the one positive factor ds / D."""
+    den, (cx, cy, cz), dc, rows = M.integer_planes
+    sx, sy, sz, ds = integer_point(s)
+    dx, dy, dz = sx * dc - cx * ds, sy * dc - cy * ds, sz * dc - cz * ds
+    if dx == 0 and dy == 0 and dz == 0:
+        w0 = next(iter(rows))
+        return Witness(INSIDE, *M.facet_planes[w0], w0)
 
-    cur_t = t_of(hint) if hint in planes else None
-    if cur_t is None:
-        cur = max(planes, key=lambda w: _dot_score(w.point.dir, d))
-        cur_t = t_of(cur)
-    else:
+    row = rows.get(hint)
+    e = 0
+    if row is not None:
+        nx, ny, nz, _, k = row
+        e = nx * dx + ny * dy + nz * dz
+    if e > 0:
         cur = hint
+    else:
+        cur, k, e = _start_facet(rows, dx, dy, dz)
+    # the exit parameter of (k, e), e = <n, d> > 0, is k / e
     improved = True
     while improved:
         improved = False
         for nb in M.facet_neighbors(cur):
-            nt = t_of(nb)
-            if nt is not None and nt < cur_t:
-                cur, cur_t = nb, nt
+            nx, ny, nz, _, nk = rows[nb]
+            ne = nx * dx + ny * dy + nz * dz
+            if ne > 0 and nk * e < k * ne:
+                cur, k, e = nb, nk, ne
                 improved = True
                 break
-    n, b = planes[cur]
-    side = dot(n, s) - b
+    nx, ny, nz, big_b, _ = rows[cur]
+    # <n, s> - b, times D ds > 0
+    side = den * (nx * sx + ny * sy + nz * sz) - big_b * ds
     if side < 0:
         cls = INSIDE
     elif side == 0:
         cls = ON_BOUNDARY
     else:
         cls = OUTSIDE
-    return Witness(cls, n, b, cur)
+    return Witness(cls, *M.facet_planes[cur], cur)
 
 
-def _dot_score(n: Vec3, d: Vec3) -> Fraction:
-    # scale-free ordering of <n/|n|, d>: its square, signed
-    v = dot(n, d)
-    return Fraction(v * abs(v), n.norm_sq())
+def _start_facet(rows, dx: int, dy: int, dz: int) -> Tuple[object, int, int]:
+    """The facet whose normal n best matches d: the first, in table
+    order, with the largest <n, d> |<n, d>| / |n|^2, the signed square
+    of <n / |n|, d>, compared by cross-multiplying.  The largest is
+    positive, since d points out through some facet, so only facets
+    with <n, d> > 0 compete.  Returns it with its slack K and <n, d>."""
+    best = None
+    for w, (nx, ny, nz, _, k) in rows.items():
+        e = nx * dx + ny * dy + nz * dz
+        if e <= 0:
+            continue
+        num, norm_sq = e * e, nx * nx + ny * ny + nz * nz
+        if best is None or num * best_norm_sq > best_num * norm_sq:
+            best, best_k, best_e, best_num, best_norm_sq = w, k, e, num, norm_sq
+    return best, best_k, best_e
 
 
 def collide(

@@ -15,13 +15,21 @@ sorted, `Vec3` as exact strings), so face order, halfedge ids and
 - the primal meshes of 20 seeded Minkowski sums;
 - `tune_params` and `verify_bound` for m, n in 4..8, and each tuned
   m x m witness mesh and its quarter turn, vertices and facet cycles in
-  their order.
+  their order;
+- the proximity queries on 6 seeded sums and on cube (+) -cube and
+  cube (+) -octahedron: each query point's `classify_point` witness,
+  with and without the hint carried from the previous query,
+  `separation_sq` where it is OUTSIDE and `directional_penetration`
+  where it is INSIDE;
+- `convex_hull_3` of the 25 sum-oracle point sets, of integer points near
+  a sphere and of the {0,1,2}^3 grid, vertices and facets in their order.
 
 A changed digest means a changed output; if the change is meant, the
 value is recomputed with `digests()` below and the reason recorded.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,8 +46,16 @@ from geomink.assembly import (
 )
 from geomink.extremal import QUARTER_TURN, rotate_mesh, tune_params, verify_bound, witness_polytope
 from geomink.gaussian import build, primal_mesh, reflect
+from geomink.hull import convex_hull_3, pairwise_sums
 from geomink.kernel import Vec3, format_rat, scale_key
 from geomink.minkowski import minkowski
+from geomink.proximity import (
+    INSIDE,
+    OUTSIDE,
+    classify_point,
+    directional_penetration,
+    separation_sq,
+)
 from geomink.shapes import (
     box,
     cube,
@@ -84,6 +100,8 @@ EXPECTED = {
     "gaussian/random": "c23bd7fcb83d97c9dfa87956301429f2d521b3ee2e586a6dc512354fbdc7fbb8",
     "sums/random": "f9b9731d0f5511cb4102d7204748a84854ff7882c59d90878426a70282848f14",
     "tuner": "cd8fcb197a871201c1a3cab94917045474189b0e04705c49530ad6f6b25c1136",
+    "proximity": "0dc6eaa187da32ae73e0e98d5ff1cd84f30edadb6175258f412c9a14fb517b37",
+    "hulls": "9ddebaf7b4cc0cee2e12a53f8925f7f1d1298665982dbb43bfdb69e1763f2349",
 }
 
 
@@ -242,6 +260,107 @@ def tuner_form() -> str:
     return "\n".join(lines)
 
 
+def _query_points(mesh, rng: random.Random):
+    """Points on the mesh's vertices, on its edges and on its facets, the
+    same points moved toward and away from the vertex centroid, and points
+    of mixed small denominators around it."""
+    vs = mesh.vertices
+    c = sum(vs, Vec3(0, 0, 0)).scale(Fraction(1, len(vs)))
+    on = [vs[i] for i in range(0, len(vs), 3)]
+    for cyc in mesh.facets[::2]:
+        a, b = vs[cyc[0]], vs[cyc[1]]
+        on.append(a + (b - a).scale(Fraction(rng.randint(1, 6), 7)))
+        weights = [rng.randint(1, 5) for _ in cyc]
+        total = Fraction(1, sum(weights))
+        on.append(sum((vs[i].scale(w * total) for w, i in zip(weights, cyc)), Vec3(0, 0, 0)))
+    points = [c]
+    for p in on:
+        points.append(p)
+        points.append(c + (p - c).scale(Fraction(rng.randint(1, 9), rng.randint(10, 13))))
+        points.append(c + (p - c).scale(Fraction(rng.randint(14, 19), rng.randint(10, 13))))
+    for _ in range(10):
+        points.append(c + Vec3(*(Fraction(rng.randint(-60, 60), rng.randint(1, 9)) for _ in "xyz")))
+    return points
+
+
+def proximity_form() -> str:
+    """For every query point in order: its witness without a hint and with
+    the hint carried from the previous point (classification, the plane's
+    scale_key, the hint's index in facet_vertices); then the squared
+    separation of every fourth OUTSIDE point, or the penetration (alpha
+    and exit point) of an INSIDE point along two directions."""
+    lines = []
+    directions = [Vec3(-2, 3, 1), Vec3(Fraction(1, 3), -1, Fraction(-5, 2))]
+    sums = [
+        minkowski(
+            build(random_polytope(7 + seed % 3, 9300 + seed)),
+            reflect(build(random_polytope(7 + (seed + 1) % 3, 9400 + seed))),
+        )
+        for seed in range(6)
+    ]
+    # symmetric sums, whose rays through vertices and edges tie facets
+    # in their exit parameters, and the cube's also in their alignment
+    sums += [minkowski(build(cube()), reflect(build(m))) for m in (cube(), octahedron())]
+    for seed, M in enumerate(sums):
+        index = {w: i for i, w in enumerate(M.facet_vertices)}
+        lines.append(f"sum {seed}")
+        hint = None
+        outside = 0
+        for s in _query_points(M.mesh, random.Random(seed)):
+            for wit in (classify_point(M, s), classify_point(M, s, hint)):
+                plane = scale_key(*wit.facet_normal.as_tuple(), wit.facet_offset)
+                lines.append(f"{s!r} {wit.classification} {plane} {index[wit.hint]}")
+            hint = wit.hint
+            if wit.classification == OUTSIDE:
+                if outside % 4 == 0:
+                    lines.append(f"separation {format_rat(separation_sq(M, s))}")
+                outside += 1
+            elif wit.classification == INSIDE:
+                for r in directions:
+                    alpha, exit_point = directional_penetration(M, s, r)
+                    lines.append(f"penetration {r!r} {format_rat(alpha)} {exit_point!r}")
+    return "\n".join(lines)
+
+
+def near_sphere_points(n: int, seed: int, R: int = 10**6):
+    """n integer points p with 0.98 R^2 < |p|^2 < R^2, drawn uniformly
+    from the cube [-R, R]^3."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        p = Vec3(rng.randint(-R, R), rng.randint(-R, R), rng.randint(-R, R))
+        if 49 * R * R < 50 * p.norm_sq() < 50 * R * R:
+            points.append(p)
+    return points
+
+
+def hull_inputs():
+    """The 25 pairwise-sum point sets of the sum-oracle benchmark at seed
+    1, near-sphere points at 160 and 320 points with seeds 1 and 2, and
+    the {0,1,2}^3 grid."""
+    rng = random.Random(1)
+    for i in range(25):
+        m1 = random_polytope(9 + i % 4, rng.randrange(1 << 30))
+        m2 = random_polytope(8 + i % 5, rng.randrange(1 << 30))
+        yield f"sum-oracle {i}", pairwise_sums(m1, m2)
+    for n in (160, 320):
+        for seed in (1, 2):
+            yield f"near-sphere {n} {seed}", near_sphere_points(n, seed)
+    yield "grid", [Vec3(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+
+
+def hull_form() -> str:
+    """Each hull's vertices in output order, by ratio_key, then its facet
+    index lists in output order."""
+    lines = []
+    for name, points in hull_inputs():
+        mesh = convex_hull_3(points)
+        lines.append(f"hull {name}")
+        lines.append(" ".join(str(v.ratio_key()) for v in mesh.vertices))
+        lines.extend(str(f) for f in mesh.facets)
+    return "\n".join(lines)
+
+
 def digests() -> dict:
     """Every digest by name, as EXPECTED holds them."""
     out = {}
@@ -255,6 +374,8 @@ def digests() -> dict:
     out["gaussian/random"] = _sha(random_gaussian_form())
     out["sums/random"] = _sha(random_sum_form())
     out["tuner"] = _sha(tuner_form())
+    out["proximity"] = _sha(proximity_form())
+    out["hulls"] = _sha(hull_form())
     return out
 
 
@@ -288,6 +409,14 @@ def test_random_sum_mesh_digest():
 
 def test_tuner_digest():
     assert _sha(tuner_form()) == EXPECTED["tuner"]
+
+
+def test_proximity_digest():
+    assert _sha(proximity_form()) == EXPECTED["proximity"]
+
+
+def test_hull_digest():
+    assert _sha(hull_form()) == EXPECTED["hulls"]
 
 
 def test_canonical_forms_do_not_see_order():

@@ -515,6 +515,15 @@ def test_facet_table_names_the_primal_facets(case):
         corners = [mesh.vertices[v] for v in mesh.facets[i]]
         assert {h.face.payload.as_tuple() for h in w.out} == {c.as_tuple() for c in corners}
         assert all(dot(n, c) == b for c in corners)
+    # the integer plane table: the same planes over one denominator, and
+    # the centroid slack of each, which is positive
+    den, centroid, dc, rows = g.integer_planes
+    assert list(rows) == list(table)
+    assert Vec3(*centroid).scale(Fraction(1, dc)) == g.centroid
+    for w, (n, b) in table.items():
+        nx, ny, nz, big_b, slack = rows[w]
+        assert Vec3(nx, ny, nz) == n and Fraction(big_b, den) == b
+        assert Fraction(slack, den * dc) == b - dot(n, g.centroid) > 0
     _check_facet_neighbors(g)
 
 

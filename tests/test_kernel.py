@@ -23,6 +23,7 @@ from geomink.kernel import (
     exact_vec,
     format_rat,
     integer_coords,
+    integer_point,
     rat,
     side_of_origin_plane,
     turn3,
@@ -142,6 +143,13 @@ def test_integer_coords_scales_by_the_common_denominator():
     got = integer_coords(ints)
     assert got == [(1, -2, 3), (0, 5, 2)]
     assert all(type(c) is int for t in got for c in t)
+
+
+def test_integer_point_puts_a_vector_over_the_lcm_of_its_denominators():
+    assert integer_point(Vec3(Fraction(1, 2), 0, Fraction(-2, 3))) == (3, 0, -4, 6)
+    assert integer_point(Vec3(Fraction(5, 4), Fraction(1, 6), 7)) == (15, 2, 84, 12)
+    got = integer_point(Vec3(1, -2, Fraction(8, 4)))
+    assert got == (1, -2, 2, 1) and all(type(c) is int for c in got)
 
 
 def test_integer_coords_keep_orientation_signs():

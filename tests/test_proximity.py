@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geomink.gaussian import build
+from geomink.gaussian import GaussianMap, build, primal_mesh, reflect
 from geomink.kernel import Vec3, dot, scale_key
 from geomink.minkowski import minkowski
 from geomink.proximity import (
@@ -198,11 +199,110 @@ def test_simulation_trace():
     ]
 
 
-def test_dot_score_is_one_exact_key():
-    # <n/|n|, d> squared, with its sign: a Fraction also for int vectors
-    from geomink.proximity import _dot_score
+def _seeded_sum(seed):
+    return minkowski(
+        build(random_polytope(6 + seed % 4, seed)),
+        reflect(build(random_polytope(6 + seed % 3, seed + 1))),
+    )
 
-    key = _dot_score(Vec3(3, 0, 4), Vec3(2, 1, 0))
-    assert type(key) is Fraction and key == Fraction(36, 25)
-    assert _dot_score(Vec3(-3, 0, 4), Vec3(2, 1, 0)) == Fraction(-36, 25)
-    assert _dot_score(Vec3(0, 1, 0), Vec3(1, 0, 0)) == 0
+
+def _fractions(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=12)
+
+
+@st.composite
+def _query_point(draw, mesh):
+    """A primal vertex, a point on an edge or inside a facet, that point
+    moved along the ray from the vertex centroid, or a point near it,
+    all with mixed-denominator Fraction coordinates."""
+    vs = mesh.vertices
+    c = sum(vs, Vec3(0, 0, 0)).scale(Fraction(1, len(vs)))
+    cyc = draw(st.sampled_from(mesh.facets))
+    kind = draw(st.sampled_from(["vertex", "edge", "facet", "near"]))
+    if kind == "vertex":
+        p = vs[cyc[0]]
+    elif kind == "edge":
+        a, b = vs[cyc[0]], vs[cyc[1]]
+        p = a + (b - a).scale(draw(_fractions(0, 1)))
+    elif kind == "facet":
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(cyc), max_size=len(cyc)))
+        total = Fraction(1, sum(weights))
+        p = sum((vs[i].scale(w * total) for w, i in zip(weights, cyc)), Vec3(0, 0, 0))
+    else:
+        p = c + Vec3(*(draw(_fractions(-30, 30)) for _ in "xyz"))
+    if draw(st.booleans()):
+        p = c + (p - c).scale(draw(_fractions(0, 2)))
+    return p
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+def test_walk_matches_halfspaces_and_least_exit_parameter(seed, other_seed, data):
+    """From no hint, the map's own previous hint and a hint of another
+    map, the walk classifies as the facet halfspaces do, and its facet
+    is one where the ray from the centroid leaves the polytope."""
+    M = _seeded_sum(seed)
+    # arrangement vertex ids repeat across maps, so another map's hints
+    # look like ids of this one and must be ignored
+    other = _seeded_sum(other_seed)
+    mesh = primal_mesh(M)
+    planes = [(mesh.facet_normal(i), mesh.facet_offset(i)) for i in range(len(mesh.facets))]
+    c = sum(mesh.vertices, Vec3(0, 0, 0)).scale(Fraction(1, len(mesh.vertices)))
+
+    def exit_parameter(n, b, d):
+        return (b - dot(n, c)) / dot(n, d)
+
+    own = foreign = None
+    for _ in range(12):
+        s = data.draw(_query_point(mesh))
+        sides = [dot(n, s) - b for n, b in planes]
+        if all(x < 0 for x in sides):
+            want = INSIDE
+        elif all(x <= 0 for x in sides):
+            want = ON_BOUNDARY
+        else:
+            want = OUTSIDE
+        d = s - c
+        least = None
+        if not d.is_zero():
+            least = min(exit_parameter(n, b, d) for n, b in planes if dot(n, d) > 0)
+        witnesses = [classify_point(M, s, h) for h in (None, own, foreign)]
+        for wit in witnesses:
+            assert wit.classification == want
+            assert M.facet_planes[wit.hint] == (wit.facet_normal, wit.facet_offset)
+            if least is not None:
+                assert dot(wit.facet_normal, d) > 0
+                assert exit_parameter(wit.facet_normal, wit.facet_offset, d) == least
+        own = witnesses[1].hint
+        foreign = classify_point(other, s, foreign).hint
+
+
+def test_hintless_start_is_the_first_best_aligned_facet(monkeypatch):
+    """With no hint the walk starts at the facet that maximizes
+    <n, d> |<n, d>| / |n|^2, the first one in facet order on a tie."""
+    # with no neighbours to move to, the walk stops where it starts
+    monkeypatch.setattr(GaussianMap, "facet_neighbors", lambda self, w: [])
+    rng = random.Random(5)
+    ties = 0
+    for M in (sum_cube(), _seeded_sum(11), _seeded_sum(12)):
+        planes = M.facet_planes
+        c = M.centroid
+        points = [Vec3(x, y, z) for x in (-1, 0, 1, 2) for y in (-1, 0, 2) for z in (0, 1)]
+        points += [
+            Vec3(*(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in "xyz"))
+            for _ in range(40)
+        ]
+        for s in points:
+            d = s - c
+            if d.is_zero():
+                continue
+
+            def key(w):
+                n = planes[w][0]
+                v = dot(n, d)
+                return Fraction(v * abs(v), n.norm_sq())
+
+            best = max(planes, key=key)
+            assert classify_point(M, s).hint is best
+            ties += sum(key(w) == key(best) for w in planes) > 1
+    assert ties > 0
