@@ -14,22 +14,32 @@ valid motions may sit on single arrangement vertices.
 
 1. the Gaussian map of every sub-part, and of the reflection of every
    sub-part but the last part's, which no pair i < j reflects;
-2. the pairwise sums, for part pairs i < j only, made, projected and
-   dropped one part pair at a time, so no more than one part pair's
-   sums are alive at once (a sum is read only to project it);
-3. the projection of each sum, its case picked by the offsets of the
-   sum's facet planes (`GaussianMap.facet_planes`): the spherical hull
-   of the directions of its nonzero vertices when the origin is outside
-   it or at a vertex (a monotone chain on their primitive integer
-   triples), the open hemisphere when the origin is inside a facet, the
-   lune when inside an edge, and the whole sphere, the one case with no
-   edge, when inside the sum: that is the overlap verdict.  Each bounded
-   case is one convex cycle, assembled in cycle order with no point
-   location; the lune's runs through its two corners, where the two
-   facet planes' great circles cross, and the midpoints of its two sides;
-4. the union of each pair's projections, a left fold of overlays that
-   re-assembles the surviving arcs and points after every step
-   (`cleanup_region`), buried cells dropped and collinear degree-2
+2. the pairwise sums, for part pairs i < j only, in (i, j, k, l) order,
+   each made only when it can enlarge its part pair's blocked region:
+   the sum of sub-parts k of part i and l of part j is skipped when a
+   projection kept for the pair holds their whole difference body, which
+   the two sub-parts' vertices decide against the kept projection's
+   walls (see 3).  A made sum is read once, for its projection, and
+   dropped, so no more than one sum is alive at once;
+3. the projection of each made sum as a closed cone, its case picked by
+   the offsets of the sum's facet planes (`GaussianMap.facet_planes`):
+   the spherical hull of the directions of its nonzero vertices when the
+   origin is outside it or at a vertex (a monotone chain on their
+   primitive integer triples), the hemisphere when the origin is inside
+   a facet, the lune when inside an edge, and the whole sphere, the one
+   case with no edge, when inside the sum: that is the overlap verdict.
+   Each bounded case is one convex cycle, described by two sets of int
+   triples: its generators (corners and interior direction) and its
+   walls (inward side normals); the lune's cycle runs through its two
+   corners, where the two facet planes' great circles cross, and the
+   midpoints of its two sides.  A made projection drops the kept ones
+   whose generators lie inside its walls and is kept (a kept one cannot
+   hold it, or its sum would have been skipped), so each pair keeps its
+   maximal projections;
+4. the union of each pair's kept projections, in (k, l) order: each
+   assembled in cycle order with no point location, then a left fold of
+   overlays that re-assembles the surviving arcs and points after every
+   step (`cleanup_region`), buried cells dropped and collinear degree-2
    vertices fused;
 5. the half motion space, a left fold of the i < j unions whose cells
    carry their sets of pairs (i, j), and its one antipodal image, which
@@ -50,7 +60,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from .arrangement import Halfedge, OverlayCallbacks, SphereArrangement, _assemble, overlay
 from .gaussian import GaussianMap, Mesh, build
-from .kernel import ZERO3, Vec3, cross, det3, dot
+from .kernel import ZERO3, Vec3, cross, cross3, det3, dot, dot3
 from .minkowski import minkowski
 from .spherical import (
     BoundaryClass,
@@ -96,16 +106,56 @@ def _whole_sphere_region() -> SphericalRegion:
     return SphericalRegion(arr)
 
 
-def _cycle_region(corners: list, interior_dir: Vec3) -> SphericalRegion:
-    """Region bounded by the closed polygon through the given corners, in
-    cycle order, whose inside holds interior_dir: every bounded
-    projection (spherical hull, hemisphere, lune) is one.
+class _Cone(NamedTuple):
+    """The closure of a bounded projection, a convex cycle (a pointed
+    cone, a lune or a hemisphere), as a polyhedral cone in two ways: the
+    cone over its generators, the cycle's corners and its interior
+    direction, and the intersection of the half-spaces <m, x> >= 0 of
+    its walls, the inward normals cross(p, q) of its sides p -> q (equal
+    walls kept once).  Generators and walls are int triples."""
+
+    corners: List[DirPoint]  # in cycle order
+    inside: Vec3
+    generators: Tuple[tuple, ...]
+    walls: Tuple[tuple, ...]
+
+    def holds(self, other: "_Cone") -> bool:
+        """Does this cone hold every generator of other, and so other's
+        closed cone and its open region?"""
+        return all(dot3(m, g) >= 0 for m in self.walls for g in other.generators)
+
+    def holds_difference(self, vs: List[tuple], us: List[tuple]) -> bool:
+        """Does this cone hold v - u for every v in vs and u in us, and
+        so the whole difference body conv(vs) (+) -conv(us)?"""
+        return all(
+            min(dot3(m, v) for v in vs) >= max(dot3(m, u) for u in us) for m in self.walls
+        )
+
+
+def _cone(corners: List[DirPoint], inside: Vec3) -> _Cone:
+    """The cone of the convex cycle through corners whose inside holds
+    the direction inside, which no side's great circle passes through:
+    it fixes the sign of every wall."""
+    dirs = [p.dir.as_tuple() for p in corners]
+    t = inside.as_tuple()
+    walls = {}
+    for p, q in zip(dirs, dirs[1:] + dirs[:1]):
+        m = cross3(p, q)
+        walls[m if dot3(m, t) > 0 else (-m[0], -m[1], -m[2])] = None
+    return _Cone(corners, inside, (*dirs, t), tuple(walls))
+
+
+def _cycle_region(cone: _Cone) -> SphericalRegion:
+    """The open region of a bounded projection, flagged True: the region
+    bounded by the closed polygon through its corners, in cycle order,
+    whose inside holds its interior direction.
 
     Each side is made once, by make_arc as sweep_build makes its input
     arcs, and the pieces are assembled in cycle order, so the
     arrangement equals sweep_build's without its pairwise intersection
     tests.  The inside is convex, so it lies on one side of the first
     piece's great circle, which one sign decides."""
+    corners = cone.corners
     pieces = [
         piece
         for p, q in zip(corners, corners[1:] + corners[:1])
@@ -114,15 +164,15 @@ def _cycle_region(corners: list, interior_dir: Vec3) -> SphericalRegion:
     arr, along = _assemble(pieces)
     _clear_flags(arr)
     first = along[0]
-    inside = first if dot(first.arc.normal, interior_dir) > 0 else first.twin
+    inside = first if dot(first.arc.normal, cone.inside) > 0 else first.twin
     inside.face.payload = True
     return SphericalRegion(arr)
 
 
-def _lune_region(n1: Vec3, n2: Vec3) -> SphericalRegion:
+def _lune_cone(n1: Vec3, n2: Vec3) -> _Cone:
     """The open lune <n1, d> < 0, <n2, d> < 0 between the great circles
-    of n1 and n2 (not parallel), flagged True: one convex cycle through
-    its corners +-q, q = cross(n1, n2), and the midpoints of its sides.
+    of n1 and n2 (not parallel): one convex cycle through its corners
+    +-q, q = cross(n1, n2), and the midpoints of its sides.
 
     The side on n1's circle has its midpoint a = cross(n1, q), and the
     side on n2's circle b = cross(q, n2): by Lagrange's identity
@@ -130,7 +180,7 @@ def _lune_region(n1: Vec3, n2: Vec3) -> SphericalRegion:
     so both lie on the lune's sides and a + b inside it."""
     q = cross(n1, n2)
     a, b = cross(n1, q), cross(q, n2)
-    return _cycle_region([q, a, -q, b], a + b)
+    return _cone([classify(c) for c in (q, a, -q, b)], a + b)
 
 
 def _clear_flags(arr: SphereArrangement) -> None:
@@ -142,11 +192,11 @@ def _clear_flags(arr: SphereArrangement) -> None:
         h.payload = False
 
 
-def project_polytope(g: GaussianMap) -> SphericalRegion:
-    """Central projection of the primal polytope onto the direction
-    sphere, with interior cells flagged True (grazing rays do not pierce
-    the interior).  Four cases by the position of the origin, read from
-    the offsets of g's facet planes.
+def _projection_cone(g: GaussianMap) -> Optional[_Cone]:
+    """The closed cone of the central projection of the primal polytope
+    onto the direction sphere, or None when the projection is the whole
+    sphere (the origin inside the polytope).  Four cases by the position
+    of the origin, read from the offsets of g's facet planes.
 
     With the origin outside, or at a vertex, the projection is a pointed
     cone: the spherical hull of the directions of the nonzero primal
@@ -155,21 +205,31 @@ def project_polytope(g: GaussianMap) -> SphericalRegion:
     every vertex v has <n, v> <= b, so <w, v> >= -sum b, which is
     positive when some b < 0; at a vertex every such b is 0, and
     <w, v> = 0 only where v lies on every tight plane, at the origin.
-    The sum of the hull's corners lies inside the cone."""
+    The sum of the hull's corners lies inside the cone.  With the origin
+    inside a facet it is the closed opposite hemisphere, inside an edge
+    the lune of its two facets."""
     planes = g.facet_planes.values()
     tight = [n for n, b in planes if b == 0]
     if len(tight) >= 3 or any(b < 0 for _, b in planes):
         w = -sum((n for n, b in planes if b <= 0), ZERO3)
         dirs = {classify(v) for v in g.primal_vertices() if not v.is_zero()}
         hull = _gnomonic_hull(dirs, w)
-        return _cycle_region(hull, sum((p.dir for p in hull), ZERO3))
+        return _cone(hull, sum((p.dir for p in hull), ZERO3))
     if not tight:
-        return _whole_sphere_region()  # origin strictly inside
+        return None  # origin strictly inside
     if len(tight) == 1:
-        # Origin interior to one facet: the open opposite hemisphere.
         n = tight[0]
-        return _cycle_region([a.source for a in full_circle_arcs(n)], -n)
-    return _lune_region(*tight)  # origin interior to an edge
+        return _cone([a.source for a in full_circle_arcs(n)], -n)
+    return _lune_cone(*tight)  # origin interior to an edge
+
+
+def project_polytope(g: GaussianMap) -> SphericalRegion:
+    """Central projection of the primal polytope onto the direction
+    sphere, with interior cells flagged True (grazing rays do not pierce
+    the interior): the open region of its _projection_cone, or the whole
+    sphere."""
+    cone = _projection_cone(g)
+    return _whole_sphere_region() if cone is None else _cycle_region(cone)
 
 
 def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:
@@ -524,26 +584,45 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     strong-connectivity scan.  Only the sums and unions for pairs i < j
     are built: build_motion_space takes the reversed pairs from one
     antipodal image.  Every map is built first, in part order, so the
-    first invalid sub-part raises its own mesh error; the sums are made,
-    projected and dropped one part pair at a time, in (i, j, k, l)
-    order, so the first overlapping pair in that order names the error."""
+    first invalid sub-part raises its own mesh error.
+
+    The sub-part pairs (k, l) of a part pair are walked in (k, l) order,
+    keeping only the maximal projections.  A sum is made only when no
+    kept projection's closed cone holds the sub-parts' whole difference
+    body.  A body in that cone projects into the kept projection's open
+    region, so it adds nothing, and its interior misses the origin, so
+    the two sub-parts' interiors do not overlap.  The test is exact: a
+    cone holds the body iff it holds the body's closed projection, so no
+    kept projection holds a made one.  Each made sum is projected and
+    dropped, its projection is kept, and the kept ones it holds go.
+    Every skipped or dropped projection lies inside a kept one, so each
+    pair's pierced set is the union of the projections of all its
+    sub-part pairs.  An overlapping sub-part pair is never skipped, so
+    the first one in (i, j, k, l) order names the error."""
     n = len(assembly.parts)
     if n < 2:
         raise ValueError("an assembly needs at least two parts")
     gmaps = [[build(m) for m in subs] for subs in assembly.parts]
     # a pair i < j never reflects the last part
     reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts[:-1]]
+    # each sub-part's vertices, read by the containment test before a sum
+    vertices = [[[v.as_tuple() for v in g.primal_vertices()] for g in maps] for maps in gmaps]
     q: Dict[Tuple[int, int], SphericalRegion] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            sums = pairwise_subpart_sums(assembly, gmaps, reflected, [(i, j)])
-            regions = []
-            for (_, _, k, l) in list(sums):
-                regions.append(project_polytope(sums.pop((i, j, k, l))))
-                if not regions[-1].arrangement.halfedges:  # the whole sphere
-                    raise ValueError(f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors")
-            q[(i, j)] = union_regions(regions)
-    del gmaps, reflected  # only the pair regions are read from here on
+            kept: List[_Cone] = []  # the maximal projections so far, in (k, l) order
+            for k, gk in enumerate(reflected[i]):
+                for l, gl in enumerate(gmaps[j]):
+                    us, vs = vertices[i][k], vertices[j][l]
+                    if any(c.holds_difference(vs, us) for c in kept):
+                        continue
+                    cone = _projection_cone(minkowski(gl, gk))
+                    if cone is None:  # the whole sphere
+                        raise ValueError(f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors")
+                    # no kept cone holds the new one: it would hold the body
+                    kept = [c for c in kept if not cone.holds(c)] + [cone]
+            q[(i, j)] = union_regions([_cycle_region(c) for c in kept])
+    del gmaps, reflected, vertices  # only the pair regions are read from here on
 
     ms = build_motion_space(n, q)
     return find_partitions(ms, mode)

@@ -8,9 +8,11 @@ from typing import List
 
 from hypothesis import settings
 
+from geomink.arrangement import OverlayCallbacks, overlay
 from geomink.assembly import BlockSet
 from geomink.gaussian import Mesh, _edge_table, cycle_normal
 from geomink.kernel import cross3, dot3, integer_coords
+from geomink.spherical import classify
 
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("HYPOTHESIS_PROFILE"):
@@ -61,3 +63,44 @@ def convex_by_scan(mesh: Mesh) -> bool:
         if cross3(ni, nj) == (0, 0, 0) and dot3(ni, nj) > 0:
             return False
     return True
+
+
+def labelled(arr):
+    """arr with each payload wrapped with its feature's kind and id, so
+    that a payload names its cell."""
+    for v in arr.vertices:
+        v.payload = ("vertex", v.id, v.payload)
+    for h in arr.edges():
+        arr.set_edge_payload(h, ("edge", h.id, h.payload))
+    for f in arr.faces:
+        f.payload = ("face", f.id, f.payload)
+    return arr
+
+
+def case_tag(case):
+    return lambda pa, pb: (case, pa, pb)
+
+
+CASE_TAGGING = OverlayCallbacks(*map(case_tag, OverlayCallbacks._fields))
+
+
+def check_pointwise(a, b, directions):
+    """Every output cell's payload is its provenance case's callback on
+    the payloads of the cells that locate finds in a and in b, at each
+    output vertex, inside each output edge and face, and at the given
+    directions."""
+    a, b = labelled(a), labelled(b)
+    out = overlay(a, b, CASE_TAGGING)
+    assert out.validate() == []
+    probes = [(v.point, v) for v in out.vertices]
+    probes += [(h.arc.interior_point(), h) for h in out.edges()]
+    probes += [(out.interior_point(f), f) for f in out.faces]
+    probes += [(classify(d), None) for d in directions]
+    for q, feature in probes:
+        cell = out.locate(q)
+        assert feature is None or cell.ref is feature
+        la, lb = a.locate(q), b.locate(q)
+        case = f"{la.kind}_{lb.kind}"
+        if case == "edge_edge" and cell.kind == "edge":
+            case = "edge_overlap"
+        assert cell.payload == (case, la.payload, lb.payload), (q, cell.kind)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import CASE_TAGGING, check_pointwise
 from geomink.assembly import build_motion_space, project_polytope, union_regions
 from geomink.gaussian import build, reflect
 from geomink.kernel import Vec3, cross, det3, dot, scale_key
@@ -717,51 +718,10 @@ def _overlay_operands(draw):
     return build_motion_space(2, pairs).arrangement
 
 
-def _labelled(arr):
-    """arr with each payload wrapped with its feature's kind and id, so
-    that a payload names its cell."""
-    for v in arr.vertices:
-        v.payload = ("vertex", v.id, v.payload)
-    for h in arr.edges():
-        arr.set_edge_payload(h, ("edge", h.id, h.payload))
-    for f in arr.faces:
-        f.payload = ("face", f.id, f.payload)
-    return arr
-
-
-def _case_tag(case):
-    return lambda pa, pb: (case, pa, pb)
-
-
-_CASE_TAGGING = OverlayCallbacks(*map(_case_tag, OverlayCallbacks._fields))
-
-
-def _check_pointwise(a, b, directions):
-    """Every output cell's payload is its provenance case's callback on
-    the payloads of the cells that locate finds in a and in b, at each
-    output vertex, inside each output edge and face, and at the given
-    directions."""
-    a, b = _labelled(a), _labelled(b)
-    out = overlay(a, b, _CASE_TAGGING)
-    assert out.validate() == []
-    probes = [(v.point, v) for v in out.vertices]
-    probes += [(h.arc.interior_point(), h) for h in out.edges()]
-    probes += [(out.interior_point(f), f) for f in out.faces]
-    probes += [(classify(d), None) for d in directions]
-    for q, feature in probes:
-        cell = out.locate(q)
-        assert feature is None or cell.ref is feature
-        la, lb = a.locate(q), b.locate(q)
-        case = f"{la.kind}_{lb.kind}"
-        if case == "edge_edge" and cell.kind == "edge":
-            case = "edge_overlap"
-        assert cell.payload == (case, la.payload, lb.payload), (q, cell.kind)
-
-
 @settings(max_examples=100, deadline=None)
 @given(_overlay_operands(), _overlay_operands(), st.lists(_directions, max_size=8))
 def test_overlay_payloads_match_located_cells(a, b, directions):
-    _check_pointwise(a, b, directions)
+    check_pointwise(a, b, directions)
 
 
 def test_overlay_of_an_isolated_pole_matches_located_cells():
@@ -770,8 +730,8 @@ def test_overlay_of_an_isolated_pole_matches_located_cells():
     assert [v.point for v in union.vertices if v.is_isolated] == [classify(Vec3(0, 0, 1))]
     empty = SphereArrangement()
     empty.faces[0].payload = frozenset()
-    _check_pointwise(union, build(box(-1, -2, -3, 3, 2, 1)).arrangement, [Vec3(1, 1, 1)])
-    _check_pointwise(empty, union_regions(five).arrangement, [Vec3(0, 0, -1)])
+    check_pointwise(union, build(box(-1, -2, -3, 3, 2, 1)).arrangement, [Vec3(1, 1, 1)])
+    check_pointwise(empty, union_regions(five).arrangement, [Vec3(0, 0, -1)])
 
 
 # -- interior points ---------------------------------------------------------------
@@ -815,7 +775,7 @@ def test_interior_point_is_located_in_its_face(scene, block, a, b, crowded):
     edgeless = SphereArrangement()
     for d in _CROWDED[:crowded]:
         edgeless.insert_isolated_vertex(d)
-    for out in (arr, overlay(a, b, _CASE_TAGGING), edgeless):
+    for out in (arr, overlay(a, b, CASE_TAGGING), edgeless):
         assert out.validate() == []
         for f in out.faces:
             q = out.interior_point(f)

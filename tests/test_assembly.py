@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import reachability_components
+from conftest import check_pointwise, reachability_components
 from geomink import assembly
 from geomink.assembly import (
     ALL,
@@ -400,7 +400,8 @@ class TestPartition:
 
 
 def _pair_unions(scene):
-    """The union region of every part pair i < j, as partition makes them."""
+    """The union region of every part pair i < j, of the projections of
+    all its sub-part sums."""
     a = Assembly([n for n, _ in scene], [p for _, p in scene])
     n = len(a.parts)
     q = {}
@@ -843,3 +844,233 @@ def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
     scene = peg_in_hole_assembly()
     res = partition(Assembly([n for n, _ in scene], [p for _, p in scene]), ALL)
     assert not res.interlocked
+
+
+# -- the sums partition makes, and the projections it keeps ---------------------
+
+
+def _cone_of(mesh: Mesh):
+    return assembly._projection_cone(build(mesh))
+
+
+def test_cone_holds_a_nested_cone_and_a_hemisphere_holds_a_lune():
+    small_box, lune_box = box(3, -1, -1, 4, 1, 1), box(0, -1, -2, 2, 1, 0)
+    big = _cone_of(box(2, -2, -2, 4, 2, 2))  # corners (1, +-1, +-1)
+    small = _cone_of(small_box)  # corners (3, +-1, +-1)
+    assert big.holds(small) and not small.holds(big)
+    hemisphere = _cone_of(box(-1, -1, -2, 1, 1, 0))  # z < 0
+    lune = _cone_of(lune_box)  # x > 0, z < 0
+    assert hemisphere.walls == ((0, 0, -1),) and len(lune.walls) == 2
+    assert hemisphere.holds(lune) and not lune.holds(hemisphere)
+    assert not hemisphere.holds(big) and not big.holds(lune)
+    # every direction that pierces the held solid pierces the holder's region
+    for outer, mesh in ((big, small_box), (hemisphere, lune_box)):
+        region = assembly._cycle_region(outer)
+        for d in mesh.vertices + [Vec3(7, 1, -3), Vec3(1, 0, -1), Vec3(0, 0, 1)]:
+            if ray_pierces_interior(mesh, d):
+                assert region.pierces(d), d
+
+
+def test_cone_corner_on_a_hemisphere_circle_is_held():
+    hemisphere = _cone_of(box(0, -1, -1, 2, 1, 1))  # x > 0
+    touching = _cone_of(box(0, 1, 1, 2, 3, 3))  # corners on the circle x = 0
+    assert any(g[0] == 0 for g in touching.generators)
+    assert hemisphere.holds(touching) and not touching.holds(hemisphere)
+    beyond = _cone_of(box(-1, 1, 1, 2, 3, 3))  # one unit past the circle
+    assert not hemisphere.holds(beyond)
+
+
+def test_cones_with_corners_on_the_seam_and_at_a_pole():
+    # the pole (0, 0, 1) is a corner of both cones, (-1, 0, 1) on the seam
+    # a corner of the outer one
+    outer_mesh = convex_hull_3([Vec3(0, 0, 3), Vec3(-3, 0, 3), Vec3(0, 3, 3), Vec3(-1, 1, 6)])
+    inner_mesh = convex_hull_3([Vec3(0, 0, 3), Vec3(-1, 0, 6), Vec3(0, 1, 6), Vec3(-1, 1, 10)])
+    outer, inner = _cone_of(outer_mesh), _cone_of(inner_mesh)
+    assert {p.boundary_class for p in outer.corners} >= {
+        BoundaryClass.NORTH_POLE, BoundaryClass.ON_IDENTIFICATION
+    }
+    assert classify(Vec3(0, 0, 1)) in inner.corners
+    assert outer.holds(inner) and not inner.holds(outer)
+    regions = [project_polytope(build(m)) for m in (outer_mesh, inner_mesh)]
+    xor = overlay(union_regions(regions).arrangement, regions[0].arrangement, _xor_callbacks())
+    assert not any(_payloads(xor))
+
+
+def _made_sums(monkeypatch):
+    """The summands (part j's sub-part l, part i's reflected sub-part k)
+    of every sum made through assembly.minkowski, in order."""
+    made = []
+    real = assembly.minkowski
+    monkeypatch.setattr(assembly, "minkowski", lambda a, b: made.append((a, b)) or real(a, b))
+    return made
+
+
+def test_equal_projections_keep_the_first(monkeypatch):
+    # both sub-parts of part 1 touch the cube's facet x = 1: their
+    # projections are the one hemisphere x > 0, and only the first sum
+    # is made
+    wide, deep = box(1, -1, -1, 3, 1, 1), box(1, -2, -2, 4, 2, 2)
+    first = assembly._projection_cone(minkowski(build(wide), build(cube(1).negated())))
+    second = assembly._projection_cone(minkowski(build(deep), build(cube(1).negated())))
+    assert first == second and first.holds(second) and second.holds(first)
+    made = _made_sums(monkeypatch)
+    kept = []
+    real = assembly._cycle_region
+    monkeypatch.setattr(assembly, "_cycle_region", lambda c: kept.append(c) or real(c))
+    a = Assembly(["cube", "slabs"], [[cube(1)], [wide, deep]])
+    res = partition(a, ALL)
+    assert [g.primal_vertices() for g, _ in made] == [build(wide).primal_vertices()]
+    assert kept == [first]
+    assert {s.subset for s in res.solutions} == {(0,), (1,)}
+
+
+def test_difference_body_on_a_wall_is_skipped_and_one_unit_past_it_is_summed(monkeypatch):
+    # 1.0 touches the cube's facet x = 1, so the pair keeps the
+    # hemisphere x > 0.  1.1's difference body with the cube reaches
+    # x = 0, the hemisphere's wall, and its sum is skipped; 1.2's reaches
+    # x = -1 and is made.
+    contact = box(1, -1, -1, 3, 1, 1)
+    on_wall = box(1, 2, -1, 3, 4, 1)
+    past_wall = box(0, 2, -1, 2, 4, 1)
+    a = Assembly(["cube", "rest"], [[cube(1)], [contact, on_wall, past_wall]])
+    made = _made_sums(monkeypatch)
+    res = partition(a, ALL)
+    assert [g.primal_vertices() for g, _ in made] == [
+        build(m).primal_vertices() for m in (contact, past_wall)
+    ]
+    _, ref = _reference_partition(a)
+    assert not res.interlocked and {s.subset for s in res.solutions} == {
+        s.subset for s in ref.solutions
+    }
+
+
+def test_overlap_after_a_hemisphere_names_the_overlapping_pair():
+    # 0.0 and 1.0 touch at a facet (a hemisphere, kept first); 0.0 and
+    # 1.1 lie inside it and are skipped; 0.1 and 1.1 overlap
+    a = Assembly(
+        ["zero", "one"],
+        [
+            [cube(1), cube(1).translated(Vec3(10, 0, 0))],
+            [box(1, -1, -1, 3, 1, 1), cube(1).translated(Vec3(11, 0, 0))],
+        ],
+    )
+    for mode in (FIRST, ALL):
+        with pytest.raises(ValueError) as exc:
+            partition(a, mode)
+        assert str(exc.value) == "sub-parts 0.1 and 1.1 have overlapping interiors"
+
+
+def _reference_partition(a: Assembly):
+    """partition(a, ALL) from the public pieces: every i < j sum
+    projected, each pair's projections united in (k, l) order, the motion
+    space and its scan.  Returns the pair unions and the result."""
+    _, unions = _pair_unions([(n, p) for n, p in zip(a.names, a.parts)])
+    return unions, find_partitions(assembly.build_motion_space(len(a.parts), unions), ALL)
+
+
+_CELL_SIDES = [(0, 2), (0, 2), (0, 1), (1, 2)]  # the whole cell side weighs double
+
+
+@st.composite
+def _cell_solid(draw, cell):
+    """A box or a tetrahedron in the 2-unit cell at 2 * cell: a box spans
+    the whole cell or one half of it along each axis; a tetrahedron is a
+    corner of the cell and its three neighbours along the cell's edges."""
+    c = [2 * x for x in cell]
+    if draw(st.booleans()):
+        sides = [draw(st.sampled_from(_CELL_SIDES)) for _ in range(3)]
+        return box(*(c[k] + sides[k][0] for k in range(3)), *(c[k] + sides[k][1] for k in range(3)))
+    corner = [c[k] + 2 * draw(st.integers(0, 1)) for k in range(3)]
+    toward = [1 if corner[k] == c[k] else -1 for k in range(3)]
+    points = [Vec3(*corner)]
+    for k in range(3):
+        p = list(corner)
+        p[k] += 2 * toward[k]
+        points.append(Vec3(*p))
+    return convex_hull_3(points)
+
+
+@st.composite
+def _touching_assemblies(draw):
+    """2 or 3 parts of 1 or 2 sub-parts each, every sub-part a box or a
+    tetrahedron in its own cell of a 2 x 2 x 2 grid: sub-parts in
+    neighbouring cells touch at a facet, an edge or a vertex, or are
+    apart, and no two overlap."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    coords = st.integers(0, 1)
+    cells = iter(
+        draw(
+            st.lists(
+                st.tuples(coords, coords, coords),
+                min_size=sum(sizes),
+                max_size=sum(sizes),
+                unique=True,
+            )
+        )
+    )
+    parts = [[draw(_cell_solid(next(cells))) for _ in range(s)] for s in sizes]
+    return Assembly([f"p{i}" for i in range(len(parts))], parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_touching_assemblies(), st.lists(st.tuples(_small, _small, _small), max_size=6))
+def test_partition_matches_the_reference_from_every_sum(a, dirs):
+    events = []  # ("made" | "kept", cone), and None after each pair's union
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        real_cone, real_cycle = assembly._projection_cone, assembly._cycle_region
+
+        def made(g):
+            events.append(("made", real_cone(g)))
+            return events[-1][1]
+
+        mp.setattr(assembly, "_projection_cone", made)
+        mp.setattr(assembly, "_cycle_region", lambda c: events.append(("kept", c)) or real_cycle(c))
+        real_union = assembly.union_regions
+        mp.setattr(assembly, "union_regions", lambda rs: events.append(None) or real_union(rs))
+        real_ms = assembly.build_motion_space
+
+        def motion_space(n, q):
+            captured.append((q, real_ms(n, q)))
+            return captured[-1][1]
+
+        mp.setattr(assembly, "build_motion_space", motion_space)
+        res = partition(a, ALL)
+    ((q, ms),) = captured
+    ref_q, ref = _reference_partition(a)
+
+    # the verdict and the movable subsets are the reference's
+    assert res.interlocked == ref.interlocked
+    assert {s.subset for s in res.solutions} == {s.subset for s in ref.solutions}
+    # each pair keeps maximal projections that hold every one it made
+    pair = []
+    for event in events:
+        if event is not None:
+            pair.append(event)
+            continue
+        made = [cone for tag, cone in pair if tag == "made"]
+        kept = [cone for tag, cone in pair if tag == "kept"]
+        assert kept and all(any(k.holds(c) for k in kept) for c in made)
+        assert not any(x.holds(y) for x in kept for y in kept if x is not y)
+        pair = []
+    # every ALL direction is a free motion
+    diffs = _difference_planes(a)
+    for sol in res.solutions:
+        for i in sol.subset:
+            for j in set(range(len(a.parts))) - set(sol.subset):
+                for planes in diffs[(i, j)]:
+                    assert not ray_meets_planes(planes, sol.direction), (sol, i, j)
+    # each pair union and the motion space equal the reference's at every
+    # point: an xor overlay flags no cell, and the overlay is checked
+    # against point location in both operands
+    probes = [Vec3(*d) for d in dirs if any(d)]
+    assert q.keys() == ref_q.keys()
+    for key in q:
+        xor = overlay(q[key].arrangement, ref_q[key].arrangement, _xor_callbacks())
+        assert not any(_payloads(xor)), key
+    ref_ms = assembly.build_motion_space(len(a.parts), ref_q).arrangement
+    xor = overlay(ms.arrangement, ref_ms, OverlayCallbacks(*[lambda x, y: x ^ y] * 10))
+    assert not any(_payloads(xor))
+    for key in q:
+        check_pointwise(q[key].arrangement, ref_q[key].arrangement, probes)
+    check_pointwise(ms.arrangement, ref_ms, probes)

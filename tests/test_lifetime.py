@@ -188,12 +188,14 @@ def calls_into(functions, run) -> int:
 
 
 def test_partition_holds_one_part_pair_of_sums():
-    # Split Star's 15 part pairs (i < j) have 9 sub-part sums each
+    # Split Star's 15 part pairs (i < j) have 9 sub-part pairs each; a
+    # sum is made only when no kept projection of its part pair holds
+    # the pair's difference body, and dropped once its cone is read
     named = split_star_assembly()
     a = Assembly([n for n, _ in named], [p for _, p in named])
-    most, made = most_alive(assembly, "minkowski", "project_polytope", lambda: partition(a))
-    assert made == 135
-    assert most <= 9
+    most, made = most_alive(assembly, "minkowski", "_projection_cone", lambda: partition(a))
+    assert made == 33
+    assert most <= 1
 
 
 def test_witness_tuner_drops_rejected_sums():
