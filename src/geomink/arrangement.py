@@ -59,7 +59,9 @@ from typing import (
     Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
-from .kernel import Rational, Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, format_rat
+from .kernel import (
+    Rational, Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, exact_vec, format_rat,
+)
 from .spherical import (
     NORTH,
     SOUTH,
@@ -90,6 +92,10 @@ class InvalidArc(ValueError):
 
 LEFT = "left"
 RIGHT = "right"
+
+_set_source, _set_target, _set_normal = (
+    GeodesicArc.source.__set__, GeodesicArc.target.__set__, GeodesicArc.normal.__set__
+)
 
 
 class Vertex:
@@ -266,8 +272,14 @@ class SphereArrangement:
     # -- edge insertion -------------------------------------------------------
 
     def _make_pair(self, arc: GeodesicArc, v1: Vertex, v2: Vertex) -> Halfedge:
+        """The twins along arc, v1 to v2, and back: arc.reversed(), set slot by slot."""
+        n = arc.normal
+        back = object.__new__(GeodesicArc)
+        _set_source(back, arc.target)
+        _set_target(back, arc.source)
+        _set_normal(back, exact_vec(-n.x, -n.y, -n.z))
         h = Halfedge(v1, arc, next(self._next_id))
-        g = Halfedge(v2, arc.reversed(), next(self._next_id))
+        g = Halfedge(v2, back, next(self._next_id))
         h.twin = g
         g.twin = h
         self.halfedges.extend((h, g))
@@ -737,22 +749,25 @@ def sweep_build(arcs: Iterable[GeodesicArc]) -> SphereArrangement:
 
 
 def _ring_sorted(v: Vertex) -> List[Halfedge]:
-    """v's outgoing halfedges in CCW order of their normals, starting at
-    the first one."""
+    """v's outgoing halfedges in CCW order of their normals from the first:
+    by turn class (ccw_class), then by the sign of det3, each inserted
+    walking back from the end; codirectional neighbours raise."""
     axis, start = v.point.dir, v.out[0].arc.normal
-    turn = {h: ccw_class(axis, start, h.arc.normal) for h in v.out[1:]}
-    if 0 in turn.values():
-        raise ArcNotDisjoint(f"two arcs overlap at vertex {v}")
-
-    def cmp(g: Halfedge, h: Halfedge) -> int:
-        if turn[g] != turn[h]:
-            return turn[g] - turn[h]
-        d = det3(g.arc.normal, h.arc.normal, axis)
-        if d == 0:  # same turn class and parallel normals: codirectional
-            raise ArcNotDisjoint(f"two arcs overlap at vertex {v}")
-        return -1 if d > 0 else 1
-
-    return v.out[:1] + sorted(v.out[1:], key=functools.cmp_to_key(cmp))
+    ring = [(0, v.out[0])]
+    for h in v.out[1:]:
+        n = h.arc.normal
+        k = ccw_class(axis, start, n)
+        i = len(ring)
+        while True:
+            kp, p = ring[i - 1]
+            d = 1 if kp < k else -1 if kp > k else det3(p.arc.normal, n, axis)
+            if d > 0:
+                break
+            if d == 0:  # same turn class and parallel: codirectional
+                raise ArcNotDisjoint(f"two arcs overlap at vertex {v}")
+            i -= 1
+        ring.insert(i, (k, h))
+    return [h for _, h in ring]
 
 
 def _assemble(
@@ -763,14 +778,14 @@ def _assemble(
     points off every arc (a point that is already a vertex is skipped).
     Returns it with, for each arc, the halfedge directed along it.
 
-    Vertices and twin pairs are made in arc order, each pair led by the
-    halfedge along its arc.  Each vertex ring is sorted once, the
-    next/prev links follow from the rings, and each boundary cycle of a
-    connected component bounds its own face.  Every further component,
-    and every point, lies in the face whose cycles all have it on their
-    left (side_of_cycle); the face keeps one of the newcomer's cycles
-    and hands each of its old cycles inside one of the newcomer's other
-    cycles to the new face there.
+    Vertices and twin pairs (_make_pair) are made in arc order, each pair
+    led by the halfedge along its arc.  Each ring is sorted once
+    (_ring_sorted), the next/prev links follow from the rings, and each
+    boundary cycle of a connected component bounds its own face.  Every
+    further component, and every point, lies in the face whose cycles
+    all have it on their left (side_of_cycle); the face keeps one of the
+    newcomer's cycles and hands each of its old cycles inside one of the
+    newcomer's other cycles to the new face there.
 
     The result has the same vertices, vertex rings and cells as
     inserting the arcs in order with insert_disjoint_arc, then the
@@ -783,20 +798,14 @@ def _assemble(
     root: Dict[Vertex, Vertex] = {}  # union-find over the vertices
 
     def find(v: Vertex) -> Vertex:
-        while root[v] is not v:
+        while root.setdefault(v, v) is not v:
             root[v] = v = root[root[v]]
-        return v
-
-    def vertex(p: DirPoint) -> Vertex:
-        v = vmap.get(p)
-        if v is None:
-            v = arr._new_vertex(p)
-            root[v] = v
         return v
 
     along: List[Halfedge] = []
     for a in arcs:
-        v1, v2 = vertex(a.source), vertex(a.target)
+        v1 = vmap.get(a.source) or arr._new_vertex(a.source)
+        v2 = vmap.get(a.target) or arr._new_vertex(a.target)
         root[find(v1)] = find(v2)
         h = arr._make_pair(a, v1, v2)
         v1.out.append(h)

@@ -87,13 +87,14 @@ class Mesh:
 
         Every predicate runs on the common-denominator integer
         representative of the vertex set (kernel.integer_coords), with
-        each facet's normal computed once and divided by the gcd of its
-        components: scaling all vertices by one positive integer, or a
-        normal by a positive factor, changes no sign.  The mesh keeps its
-        input coordinates.  Returns the facets' outward normals as
-        primitive integer triples, positive multiples of facet_normal's,
-        and the table that maps each directed edge (a, b) of a facet
-        cycle to that facet.
+        each facet's normal computed once, as the turn at its first corner
+        (cycle_normal's if that corner is collinear), and divided by the
+        gcd of its components: scaling all vertices by one positive
+        integer, or a normal by a positive factor, changes no sign.  The
+        mesh keeps its input coordinates.  Returns the facets' outward
+        normals as primitive integer triples, positive multiples of
+        facet_normal's, and the table that maps each directed edge (a, b)
+        of a facet cycle to that facet.
 
         After the topology checks (a closed, oriented 2-manifold of Euler
         characteristic 2, every vertex on a facet) and the per-facet ones
@@ -127,20 +128,21 @@ class Mesh:
         seen = _edge_table(self)
         pts = integer_coords(self.vertices)
         nv = len(pts)
-        sx = sum(p[0] for p in pts)
-        sy = sum(p[1] for p in pts)
-        sz = sum(p[2] for p in pts)
+        sx, sy, sz = map(sum, zip(*pts))
         normals = []
         offsets = []
         for fi, cyc in enumerate(self.facets):
-            corners = [pts[vi] for vi in cyc]
-            nx, ny, nz = n = cycle_normal(fi, corners)
+            # the turn at the first corner, unless it is collinear
+            ax, ay, az = a = pts[cyc[0]]
+            nx, ny, nz = n = turn3(a, pts[cyc[1]], pts[cyc[2]])
+            if not (nx or ny or nz):
+                nx, ny, nz = n = cycle_normal(fi, [pts[vi] for vi in cyc])
             g = gcd(nx, ny, nz)
             if g > 1:
                 nx, ny, nz = n = (nx // g, ny // g, nz // g)
-            b0 = dot3(n, corners[0])
+            b0 = nx * ax + ny * ay + nz * az
             if len(cyc) > 3:  # a triangle passes _check_facet
-                _check_facet(fi, n, b0, corners)
+                _check_facet(fi, n, b0, [pts[vi] for vi in cyc])
             if nx * sx + ny * sy + nz * sz >= nv * b0:
                 raise InvalidMesh(_first_outside(fi, n, b0, pts, cyc, seen))
             normals.append(n)
@@ -149,7 +151,8 @@ class Mesh:
         # against the plane of the facet fi across it, by the vertex w
         # that follows the edge in gi
         for gi, cyc in enumerate(self.facets):
-            for u, v, w in zip(cyc, cyc[1:] + cyc[:1], cyc[2:] + cyc[:2]):
+            u, v = cyc[0], cyc[1]
+            for w in (*cyc[2:], u, v):
                 if v < u:
                     fi = seen[(v, u)]
                     nx, ny, nz = normals[fi]
@@ -157,14 +160,14 @@ class Mesh:
                     s = nx * px + ny * py + nz * pz - offsets[fi]
                     if s >= 0:
                         raise InvalidMesh(_off_plane(w, fi, gi, s, self.facets[fi]))
+                u, v = v, w
         # (c): the ray o + t D, t >= 0, meets closed facet fi exactly when
         # D lies in the cone from o over it, det(u - o, v - o, D) >= 0 on
         # each edge u -> v, here on V u - S = V (u - o)
         cyc0 = self.facets[0]
         k = len(cyc0)
-        dx = nv * sum(pts[v][0] for v in cyc0) - k * sx
-        dy = nv * sum(pts[v][1] for v in cyc0) - k * sy
-        dz = nv * sum(pts[v][2] for v in cyc0) - k * sz
+        qx, qy, qz = map(sum, zip(*(pts[v] for v in cyc0)))
+        dx, dy, dz = nv * qx - k * sx, nv * qy - k * sy, nv * qz - k * sz
         for fi in range(1, len(normals)):
             nx, ny, nz = normals[fi]
             if nx * dx + ny * dy + nz * dz <= 0:
@@ -219,10 +222,12 @@ def _edge_table(mesh: Mesh) -> Dict[Tuple[int, int], int]:
     for fi, cyc in enumerate(mesh.facets):
         if len(cyc) < 3 or len(set(cyc)) != len(cyc):
             raise InvalidMesh(f"facet {fi} has a bad vertex cycle")
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        a = cyc[0]
+        for b in (*cyc[1:], a):
             if (a, b) in seen:
                 raise InvalidMesh(f"directed edge {(a, b)} appears twice")
             seen[(a, b)] = fi
+            a = b
     for (a, b), fi in seen.items():
         if (b, a) not in seen:
             raise InvalidMesh(f"edge {(a, b)} of facet {fi} has no twin")

@@ -9,17 +9,22 @@ maximal facets at the end so facet counts compare directly against
 Gaussian-map results, and the output passes Mesh.validate's linear-time
 convexity certificate.  All predicates are exact signs, taken on the
 integer representative of the input (kernel.integer_coords: every point
-scaled by the lcm of all the denominators, which changes no sign); the
-output mesh holds the input points themselves.
+scaled by the lcm of all the denominators, which changes no sign), on
+which equal points are also found; each triangle keeps its plane as four
+ints, read inline by every visibility test.  The output mesh holds the
+input points themselves.  pairwise_sums adds ints too (see there).
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .gaussian import Mesh, cycle_normal
-from .kernel import Vec3, dot3, integer_coords, scale_key, turn3
+from .kernel import (
+    Rational, Vec3, dot3, exact_vec, integer_coords, integer_representative, scale_key, turn3,
+)
 
 
 class DegenerateInput(ValueError):
@@ -31,12 +36,14 @@ def _orient(a: tuple, b: tuple, c: tuple, d: tuple) -> int:
 
 
 class _Tri:
-    __slots__ = ("a", "b", "c", "normal", "offset", "alive")
+    """Triangle a, b, c and its plane <(nx, ny, nz), x> = off, as four ints."""
+
+    __slots__ = ("a", "b", "c", "nx", "ny", "nz", "off", "alive")
 
     def __init__(self, a: int, b: int, c: int, pts: List[tuple]):
         self.a, self.b, self.c = a, b, c
-        self.normal = turn3(pts[a], pts[b], pts[c])
-        self.offset = dot3(self.normal, pts[a])
+        self.nx, self.ny, self.nz = n = turn3(pts[a], pts[b], pts[c])
+        self.off = dot3(n, pts[a])
         self.alive = True
 
     def edges(self) -> List[Tuple[int, int]]:
@@ -46,16 +53,15 @@ class _Tri:
 def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     """Exact convex hull; output vertices are exactly the extreme points
     and coplanar facets are merged into maximal planar facets."""
-    inputs: List[Vec3] = []
-    seen = set()
-    for p in points:
-        k = p.ratio_key()
-        if k not in seen:
-            seen.add(k)
-            inputs.append(p)
-    if len(inputs) < 4:
+    given = list(points)
+    # equal points have equal integer triples: keep each one's first index
+    first: Dict[tuple, int] = {}
+    for i, t in enumerate(integer_coords(given)):
+        first.setdefault(t, i)
+    if len(first) < 4:
         raise DegenerateInput("need at least 4 distinct points")
-    pts = integer_coords(inputs)
+    inputs = [given[i] for i in first.values()]
+    pts = list(first)
 
     # Seed simplex: four affinely independent points.
     i0 = 0
@@ -97,8 +103,8 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     # each directed edge of a live triangle -> that triangle
     owner: Dict[Tuple[int, int], _Tri] = {e: t for t in tris for e in t.edges()}
     for pi in order:
-        p = pts[pi]
-        visible = [t for t in tris if dot3(t.normal, p) > t.offset]
+        px, py, pz = pts[pi]
+        visible = [t for t in tris if t.nx * px + t.ny * py + t.nz * pz > t.off]
         if not visible:
             continue
         for t in visible:
@@ -120,7 +126,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     # Merge coplanar triangles into maximal facets.
     groups: Dict[tuple, List[_Tri]] = {}
     for t in tris:
-        groups.setdefault(scale_key(*t.normal, t.offset), []).append(t)
+        groups.setdefault(scale_key(t.nx, t.ny, t.nz, t.off), []).append(t)
 
     facets: List[List[int]] = []
     for group in groups.values():
@@ -156,8 +162,17 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
 
 
 def pairwise_sums(m1: Mesh, m2: Mesh) -> List[Vec3]:
-    """All vertex sums {v + w}."""
-    return [v + w for v in m1.vertices for w in m2.vertices]
+    """[v + w for v in m1.vertices for w in m2.vertices], added as ints
+    over one common denominator d (kernel.integer_representative): a
+    coordinate s / d is the int s // d, or one Fraction(s, d)."""
+    k = len(m1.vertices)
+    pts, d = integer_representative([*m1.vertices, *m2.vertices])
+    return [exact_vec(_over(ax + bx, d), _over(ay + by, d), _over(az + bz, d))
+            for ax, ay, az in pts[:k] for bx, by, bz in pts[k:]]
+
+
+def _over(s: int, d: int) -> Rational:
+    return s // d if s % d == 0 else Fraction(s, d)
 
 
 def meshes_equivalent(a: Mesh, b: Mesh) -> bool:

@@ -11,9 +11,9 @@ products on them are plain integer arithmetic; every triple product
 of them, ``dot(cross(u, v), w)``, goes through ``det3``, which builds
 no vector.
 Predicates on a whole point set, such as a mesh's, run on one integer
-representative of the set (``integer_coords``) with the triple helpers
-``cross3``, ``dot3`` and ``turn3``; ``integer_point`` puts one vector
-over its own denominator.
+representative of the set (``integer_coords``; ``integer_representative``
+adds its denominator) with the triple helpers ``cross3``, ``dot3`` and
+``turn3``; ``integer_point`` puts one vector over its own denominator.
 
 ``dot``, ``cross`` and ``Vec3.norm_sq`` have a rational path for
 Fraction coordinates.  The operator expression on Fractions normalises
@@ -107,9 +107,19 @@ def integer_coords(points: Iterable["Vec3"]) -> List[Tuple[int, int, int]]:
     triples; all-int points come back as they are.  One positive scaling
     of every point changes no orientation, side, planarity or coplanarity
     sign, so exact predicates on a point set can run on these ints."""
+    return integer_representative(points)[0]
+
+
+def integer_representative(points: Iterable["Vec3"]) -> Tuple[List[tuple], int]:
+    """(integer_coords(points), m), m the lcm of all the denominators (1
+    for all-int points): point i is triple i over m."""
     coords = [(p.x, p.y, p.z) for p in points]
-    m = lcm(*(c.denominator for t in coords for c in t))
-    return [tuple(c.numerator * (m // c.denominator) for c in t) for t in coords]
+    if all(type(x) is int and type(y) is int and type(z) is int for x, y, z in coords):
+        return coords, 1
+    ratios = [c.as_integer_ratio() for t in coords for c in t]
+    m = lcm(*(d for _, d in ratios))
+    scaled = iter([n * (m // d) for n, d in ratios])
+    return list(zip(scaled, scaled, scaled)), m
 
 
 def integer_point(v: "Vec3") -> Tuple[int, int, int, int]:

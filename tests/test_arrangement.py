@@ -532,6 +532,45 @@ def test_assembly_matches_arc_by_arc_insertion(scene):
     assert _faces(arr) == _faces(ref)
 
 
+# A centre c and two tangent directions e1, e2 at it (both orthogonal to
+# c, with cross(e1, e2) a positive multiple of c): an interior point, the
+# north pole and a point on the seam.
+_RING_CENTRES = {
+    "interior": (Vec3(1, 2, 2), Vec3(2, -1, 0), Vec3(2, 4, -5)),
+    "pole": (Vec3(0, 0, 1), Vec3(1, 0, 0), Vec3(0, 1, 0)),
+    "seam": (Vec3(-1, 0, 0), Vec3(0, -1, 0), Vec3(0, 0, 1)),
+}
+
+# Tangent directions (a, b) ~ a e1 + b e2 of the arcs leaving the centre.
+_RING_SPREADS = [
+    [(4, 1), (3, 2), (1, 3)],  # within a quarter turn
+    [(1, 0), (-1, 2), (-1, -2)],  # about a third of a turn apart
+    [(1, 0), (0, 1), (-1, 0)],  # one arc opposite another
+    [(2, 1), (-1, 2), (-3, -1), (1, -3), (3, -1)],  # all round
+    [(3, 1), (2, 3), (0, 1), (-2, 3), (-3, 1)],  # within a half turn
+]
+
+
+@pytest.mark.parametrize("place", sorted(_RING_CENTRES))
+@pytest.mark.parametrize("spread", range(len(_RING_SPREADS)))
+def test_ring_order_matches_insertion_for_every_arc_order(place, spread):
+    """The ring of a vertex of degree 3 or 5, at an interior point, a
+    pole and the seam, with its arcs in one turn class from the first
+    arc or split across classes: in every order of the arcs, _assemble's
+    rings are insert_disjoint_arc's."""
+    c, e1, e2 = _RING_CENTRES[place]
+    targets = [c.scale(4) + e1.scale(a) + e2.scale(b) for a, b in _RING_SPREADS[spread]]
+    for order in itertools.permutations(targets):
+        pieces = [piece for t in order for piece in make_arc(c, t)]
+        ref = SphereArrangement()
+        for a in pieces:
+            ref.insert_disjoint_arc(a)
+        arr, _ = _assemble(pieces)
+        assert arr.validate() == []
+        assert ref.find_vertex(c).degree == len(targets)
+        assert _rings(arr) == _rings(ref)
+
+
 @st.composite
 def _arc_pairs(draw):
     """Two arcs, biased to the cases the filter must not skip: a shared

@@ -22,7 +22,10 @@ sorted, `Vec3` as exact strings), so face order, halfedge ids and
   `separation_sq` where it is OUTSIDE and `directional_penetration`
   where it is INSIDE;
 - `convex_hull_3` of the 25 sum-oracle point sets, of integer points near
-  a sphere and of the {0,1,2}^3 grid, vertices and facets in their order.
+  a sphere and of the {0,1,2}^3 grid, vertices and facets in their order;
+- `project_polytope` of the stock solids and of 4 seeded sums, each
+  translated so that the origin lies at a vertex, inside an edge and
+  inside a facet.
 
 A changed digest means a changed output; if the change is meant, the
 value is recomputed with `digests()` below and the reason recorded.
@@ -102,6 +105,7 @@ EXPECTED = {
     "tuner": "cd8fcb197a871201c1a3cab94917045474189b0e04705c49530ad6f6b25c1136",
     "proximity": "0dc6eaa187da32ae73e0e98d5ff1cd84f30edadb6175258f412c9a14fb517b37",
     "hulls": "9ddebaf7b4cc0cee2e12a53f8925f7f1d1298665982dbb43bfdb69e1763f2349",
+    "projections": "c8520ae9421d5730c08a77aa5ba303c9c913d156a325ba8cf78429c4a41d88b9",
 }
 
 
@@ -361,6 +365,34 @@ def hull_form() -> str:
     return "\n".join(lines)
 
 
+def origin_case_meshes():
+    """The stock solids and 4 seeded sums, each translated so that the
+    origin lies at a vertex, inside an edge and inside a facet: at the
+    first vertex of a facet, the midpoint of its first edge and the mean
+    of its corners, for the first facet and the last."""
+    meshes = [(name, solid()) for name, solid in sorted(SOLIDS.items())]
+    for seed in range(4):
+        g1 = build(random_polytope(7 + seed % 3, 9500 + seed))
+        g2 = build(random_polytope(6 + (seed + 1) % 3, 9600 + seed))
+        meshes.append((f"sum {seed}", primal_mesh(minkowski(g1, g2))))
+    for name, mesh in meshes:
+        for fi in (0, len(mesh.facets) - 1):
+            corners = [mesh.vertices[i] for i in mesh.facets[fi]]
+            a, b = corners[0], corners[1]
+            midpoint = (a + b).scale(Fraction(1, 2))
+            mean = sum(corners, Vec3(0, 0, 0)).scale(Fraction(1, len(corners)))
+            for case, o in (("vertex", a), ("edge", midpoint), ("facet", mean)):
+                yield f"{name} facet {fi} {case}", mesh.translated(-o)
+
+
+def projection_form() -> str:
+    """Each origin-case projection as its region's canonical form."""
+    return "\n".join(
+        f"projection {name}\n{arrangement_form(project_polytope(build(mesh)).arrangement)}"
+        for name, mesh in origin_case_meshes()
+    )
+
+
 def digests() -> dict:
     """Every digest by name, as EXPECTED holds them."""
     out = {}
@@ -376,6 +408,7 @@ def digests() -> dict:
     out["tuner"] = _sha(tuner_form())
     out["proximity"] = _sha(proximity_form())
     out["hulls"] = _sha(hull_form())
+    out["projections"] = _sha(projection_form())
     return out
 
 
@@ -417,6 +450,10 @@ def test_proximity_digest():
 
 def test_hull_digest():
     assert _sha(hull_form()) == EXPECTED["hulls"]
+
+
+def test_origin_case_projection_digest():
+    assert _sha(projection_form()) == EXPECTED["projections"]
 
 
 def test_canonical_forms_do_not_see_order():

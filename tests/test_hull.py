@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from geomink.gaussian import InvalidMesh, Mesh
 from geomink.hull import DegenerateInput, convex_hull_3, meshes_equivalent, pairwise_sums
-from geomink.kernel import Vec3, dot
+from geomink.kernel import Vec3, dot, scale_key
 from geomink.shapes import cube, octahedron, random_polytope, tetrahedron
 
 
@@ -155,3 +155,36 @@ def test_hull_and_validate_commute_with_scaling_and_translation(raw, k, shift, d
     mesh = Mesh(verts, facets)
     moved = Mesh([move(v) for v in verts], facets)
     assert _validate_outcome(moved) == _validate_outcome(mesh)
+
+
+_seeds = st.integers(min_value=0, max_value=(1 << 30) - 1)
+_int_shifts = st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=11), _seeds, _int_shifts,
+       st.integers(min_value=4, max_value=11), _seeds, _int_shifts)
+def test_integer_paths_match_the_rational_operators(n1, s1, t1, n2, s2, t2):
+    """On random_polytopes with denominators 1 to 4, each moved by an
+    integral translation: pairwise_sums equals the Vec3 sums element by
+    element, an int exactly where a coordinate is integral; and on them,
+    their sums' hull and that hull's inputs, Mesh.validate returns each
+    facet's normal as the primitive positive multiple of facet_normal and
+    the table of each directed edge, in facet-cycle order, to its facet."""
+    m1 = random_polytope(n1, s1).translated(Vec3(*t1))
+    m2 = random_polytope(n2, s2).translated(Vec3(*t2))
+    sums = pairwise_sums(m1, m2)
+    assert sums == [v + w for v in m1.vertices for w in m2.vertices]
+    assert all((type(c) is int) == (c.denominator == 1) for v in sums for c in v.as_tuple())
+    for m in (m1, m2, convex_hull_3(sums)):
+        normals, table = m.validate()
+        assert len(normals) == len(m.facets)
+        for i, n in enumerate(normals):
+            assert all(type(c) is int for c in n)
+            assert tuple(n) == scale_key(*m.facet_normal(i).as_tuple())
+        edges = [
+            ((a, b), fi)
+            for fi, cyc in enumerate(m.facets)
+            for a, b in zip(cyc, cyc[1:] + cyc[:1])
+        ]
+        assert list(table.items()) == edges

@@ -118,19 +118,28 @@ def test_a_float_coordinate_raises():
         Vec3(1, 2, 3).scale(0.5)
 
 
-EXACT_MODULES = ["kernel", "spherical", "arrangement", "gaussian", "minkowski", "proximity", "assembly"]
+EXACT_MODULES = [
+    "kernel", "spherical", "arrangement", "gaussian", "minkowski", "proximity", "assembly", "hull",
+]
+
+# The one statement that may use `random` in a module that imports it:
+# the hull's seeded insertion order, which changes no exact sign.
+SEEDED_RANDOM = {"hull": "random.Random(seed).shuffle(order)"}
 
 
 @pytest.mark.parametrize("name", EXACT_MODULES)
 def test_exact_modules_use_no_random_and_no_float(name):
     """Static guard: the modules that make geometric decisions import no
-    `random`, take nothing from `math` but gcd and lcm, and call no
-    `float`."""
+    `random` (but for the statement in SEEDED_RANDOM), take nothing from
+    `math` but gcd and lcm, and call no `float`."""
     path = Path(geomink.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     bad = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            bad += [a.name for a in node.names if a.name.split(".")[0] in ("random", "math")]
+            banned = ("math",) if name in SEEDED_RANDOM else ("random", "math")
+            bad += [a.name for a in node.names if a.name.split(".")[0] in banned]
         elif isinstance(node, ast.ImportFrom):
             if node.module == "random":
                 bad.append("from random")
@@ -138,4 +147,10 @@ def test_exact_modules_use_no_random_and_no_float(name):
                 bad += [a.name for a in node.names if a.name not in ("gcd", "lcm")]
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
             bad.append(f"float() at line {node.lineno}")
+        elif isinstance(node, ast.Name) and node.id == "random":
+            stmt = node
+            while not isinstance(stmt, ast.stmt):
+                stmt = parent[stmt]
+            if ast.unparse(stmt) != SEEDED_RANDOM.get(name):
+                bad.append(f"random at line {node.lineno}")
     assert bad == [], f"{path.name}: {bad}"
