@@ -1,9 +1,8 @@
 """DCEL arrangements of geodesic arcs on the sphere.
 
 The DCEL is intrinsic to the sphere: vertices at the poles or on the
-identification curve are ordinary vertices (`pole_vertices` and
-`identification_vertices` read them off the vertex table), and the
-circular order of edges around any vertex is the exact 3D tangent
+identification curve are ordinary vertices, told apart only by their
+point's `boundary_class`, and the circular order of edges around any vertex is the exact 3D tangent
 order.  At a vertex v, the normal of an arc leaving v is the arc's
 tangent there turned a quarter turn about v, so the ring order is taken
 on the arc normals and no tangent is built.  Faces own one or more
@@ -63,8 +62,6 @@ from .kernel import (
     Rational, Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, exact_vec, format_rat,
 )
 from .spherical import (
-    NORTH,
-    SOUTH,
     BoundaryClass,
     DirPoint,
     GeodesicArc,
@@ -209,20 +206,6 @@ class SphereArrangement:
 
     def find_vertex(self, p) -> Optional[Vertex]:
         return self._vertex_map.get(as_point(p))
-
-    @property
-    def pole_vertices(self) -> Dict[str, Vertex]:
-        """The vertices at the contraction poles, keyed "north" and "south"."""
-        poles = (("north", self.find_vertex(NORTH)), ("south", self.find_vertex(SOUTH)))
-        return {name: v for name, v in poles if v is not None}
-
-    @property
-    def identification_vertices(self) -> List[Vertex]:
-        """The vertices on the identification curve, in vertex order."""
-        return [
-            v for v in self.vertices
-            if v.point.boundary_class is BoundaryClass.ON_IDENTIFICATION
-        ]
 
     # -- vertex bookkeeping --------------------------------------------------
 

@@ -48,15 +48,18 @@ valid motions may sit on single arrangement vertices.
 6. the motion space, the overlay of the half with its image, each cell
    carrying its blocking graph;
 7. the scan of its vertices, then edges, then faces, which ends at the
-   verdict.  In FIRST mode the answer is the first solution in the
-   arrangement's cell order; which solution that is is not part of the
-   contract, only that it is one of the solutions ALL mode returns.
+   verdict: a cell is a solution when its blocking graph is not strongly
+   connected, read off a Warshall closure of per-part reach bitmasks
+   (`movable_subset`).  In FIRST mode the answer is the first solution
+   in the arrangement's cell order; which solution that is is not part
+   of the contract, only that it is one of the solutions ALL mode
+   returns.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .arrangement import Halfedge, OverlayCallbacks, SphereArrangement, _assemble, overlay
 from .gaussian import GaussianMap, Mesh, build
@@ -86,24 +89,10 @@ class Assembly:
 
 
 # -- spherical regions with piercing flags -------------------------------------
-
-
-class SphericalRegion(NamedTuple):
-    """An arrangement whose every cell carries a boolean flag: True when
-    every ray from the origin in a direction of the cell pierces the
-    interior of the associated solid."""
-
-    arrangement: SphereArrangement
-
-    def pierces(self, d: Vec3) -> bool:
-        cell = self.arrangement.locate(classify(d))
-        return bool(cell.ref.payload)
-
-
-def _whole_sphere_region() -> SphericalRegion:
-    arr = SphereArrangement()
-    arr.faces[0].payload = True
-    return SphericalRegion(arr)
+#
+# A region is a SphereArrangement whose every cell carries a boolean flag:
+# True when every ray from the origin in a direction of the cell pierces
+# the interior of the associated solid.
 
 
 class _Cone(NamedTuple):
@@ -145,7 +134,7 @@ def _cone(corners: List[DirPoint], inside: Vec3) -> _Cone:
     return _Cone(corners, inside, (*dirs, t), tuple(walls))
 
 
-def _cycle_region(cone: _Cone) -> SphericalRegion:
+def _cycle_region(cone: _Cone) -> SphereArrangement:
     """The open region of a bounded projection, flagged True: the region
     bounded by the closed polygon through its corners, in cycle order,
     whose inside holds its interior direction.
@@ -166,7 +155,7 @@ def _cycle_region(cone: _Cone) -> SphericalRegion:
     first = along[0]
     inside = first if dot(first.arc.normal, cone.inside) > 0 else first.twin
     inside.face.payload = True
-    return SphericalRegion(arr)
+    return arr
 
 
 def _lune_cone(n1: Vec3, n2: Vec3) -> _Cone:
@@ -223,13 +212,17 @@ def _projection_cone(g: GaussianMap) -> Optional[_Cone]:
     return _lune_cone(*tight)  # origin interior to an edge
 
 
-def project_polytope(g: GaussianMap) -> SphericalRegion:
+def project_polytope(g: GaussianMap) -> SphereArrangement:
     """Central projection of the primal polytope onto the direction
     sphere, with interior cells flagged True (grazing rays do not pierce
     the interior): the open region of its _projection_cone, or the whole
     sphere."""
     cone = _projection_cone(g)
-    return _whole_sphere_region() if cone is None else _cycle_region(cone)
+    if cone is not None:
+        return _cycle_region(cone)
+    arr = SphereArrangement()
+    arr.faces[0].payload = True
+    return arr
 
 
 def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:
@@ -281,7 +274,7 @@ def _or_callbacks() -> OverlayCallbacks:
     return OverlayCallbacks(*[orf] * 10)
 
 
-def union_regions(regions: Sequence[SphericalRegion]) -> SphericalRegion:
+def union_regions(regions: Sequence[SphereArrangement]) -> SphereArrangement:
     """Non-regularized union: flags are or-combined under overlay, then
     cells interior to the pierced set are removed while lower-dimensional
     holes in it survive."""
@@ -293,13 +286,11 @@ def union_regions(regions: Sequence[SphericalRegion]) -> SphericalRegion:
     for r in regions[1:]:
         # Cleaning at every step keeps the fold's accumulator down to the
         # current union's boundary, so no buried edge is split again.
-        out = cleanup_region(
-            SphericalRegion(overlay(out.arrangement, r.arrangement, _or_callbacks()))
-        )
+        out = cleanup_region(overlay(out, r, _or_callbacks()))
     return out
 
 
-def cleanup_region(region: SphericalRegion) -> SphericalRegion:
+def cleanup_region(arr: SphereArrangement) -> SphereArrangement:
     """The region without the True cells buried in the interior of the
     pierced set, and with collinear degree-2 boundary vertices fused,
     assembled anew from the arcs and points that survive.
@@ -318,7 +309,6 @@ def cleanup_region(region: SphericalRegion) -> SphericalRegion:
     The survivors are assembled in table order, which the next overlay
     splits in, and every cell takes the flag of the cell it comes from;
     with no arc left, the sphere is True iff every face was."""
-    arr = region.arrangement
     # each kept edge by the halfedge that leads it in the table, and the
     # current arc and twin of each kept halfedge, which a fusion re-points
     order: Dict[Halfedge, None] = {}
@@ -360,10 +350,10 @@ def cleanup_region(region: SphericalRegion) -> SphericalRegion:
         g.twin.face.payload = twin[h].face.payload
     for v in out.vertices:
         v.payload = arr.find_vertex(v.point).payload
-    return SphericalRegion(out)
+    return out
 
 
-def reflect_region(region: SphericalRegion) -> SphericalRegion:
+def reflect_region(src: SphereArrangement) -> SphereArrangement:
     """The antipodal image of a region; a direction pierces the original
     solid iff its negation pierces the reflected solid.
 
@@ -371,7 +361,6 @@ def reflect_region(region: SphericalRegion) -> SphericalRegion:
     assembled as they are, and every cell takes the flag of its source
     cell.  The antipodal map reverses orientation: the face left of an
     image arc is the image of the face right of its source arc."""
-    src = region.arrangement
     pieces, sources = [], []
     for h in src.edges():
         for k, piece in enumerate(make_arc(-h.arc.source.dir, -h.arc.target.dir)):
@@ -390,85 +379,38 @@ def reflect_region(region: SphericalRegion) -> SphericalRegion:
         sv = src.find_vertex(-v.point.dir)
         if sv is not None:
             v.payload = sv.payload
-    return SphericalRegion(out)
+    return out
 
 
 # -- blocking graphs and the motion space ----------------------------------------
 
-BlockSet = frozenset  # of ordered part-index pairs (i, j): i hits j
+def movable_subset(n: int, edges: frozenset) -> Optional[Tuple[int, ...]]:
+    """A proper nonempty subset of the parts with no blocking edge (i, j),
+    i hits j, into its complement (None when the graph is strongly
+    connected): the union of the condensation sinks, or the sink holding
+    part 0 if everything is a sink.
 
-
-def tarjan_scc(n: int, edges: BlockSet) -> List[List[int]]:
-    """Strongly connected components of the blocking graph, in Tarjan's
-    order: an iterative DFS that keeps each open vertex's successor
-    iterator."""
-    adj: List[List[int]] = [[] for _ in range(n)]
+    reach[i] is the bitmask of the parts that i reaches, closed by
+    Warshall's algorithm.  Part i lies in a sink component exactly when
+    every part it reaches reaches it back, that is, reaches the same
+    parts as i."""
+    reach = [1 << i for i in range(n)]
     for i, j in edges:
-        adj[i].append(j)
-    index: Dict[int, int] = {}  # in visiting order
-    low = [0] * n
-    on_stack = [False] * n
-    stack: List[int] = []
-    comps: List[List[int]] = []
-    work: List[Tuple[int, Iterator[int]]] = []
-
-    def open_vertex(v: int) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(adj[v])))
-
-    for root in range(n):
-        if root not in index:
-            open_vertex(root)
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if w not in index:
-                    open_vertex(w)
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
-def movable_subset(n: int, edges: BlockSet) -> Optional[Tuple[int, ...]]:
-    """A proper nonempty subset with no blocking edge into its complement
-    (None when the graph is strongly connected): the union of the
-    condensation sinks, or the sink holding part 0 if everything is a
-    sink."""
-    comps = tarjan_scc(n, edges)
-    if len(comps) <= 1:
+        reach[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    full = (1 << n) - 1
+    if all(r == full for r in reach):
         return None
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    out_deg = [0] * len(comps)
-    for i, j in edges:
-        if comp_of[i] != comp_of[j]:
-            out_deg[comp_of[i]] += 1
-    sinks = [ci for ci in range(len(comps)) if out_deg[ci] == 0]
-    union: List[int] = []
-    for ci in sinks:
-        union.extend(comps[ci])
-    if len(union) < n:
-        return tuple(sorted(union))
-    return tuple(sorted(comps[comp_of[0]]))
+    sinks = [
+        i for i in range(n)
+        if all(reach[j] == reach[i] for j in range(n) if reach[i] >> j & 1)
+    ]
+    if len(sinks) < n:
+        return tuple(sinks)
+    return tuple(j for j in range(n) if reach[0] >> j & 1)  # every part a sink
 
 
 class MotionSpace(NamedTuple):
@@ -516,7 +458,7 @@ def pairwise_subpart_sums(
 
 
 def build_motion_space(
-    n_parts: int, q_regions: Dict[Tuple[int, int], SphericalRegion]
+    n_parts: int, q_regions: Dict[Tuple[int, int], SphereArrangement]
 ) -> MotionSpace:
     """Overlay all pairwise piercing regions into one arrangement whose
     cells carry the directional blocking graph.
@@ -532,8 +474,8 @@ def build_motion_space(
     half.faces[0].payload = frozenset()
     for pair in sorted(q_regions):
         f = lambda a, b, pair=pair: a | {pair} if b else a
-        half = overlay(half, q_regions[pair].arrangement, OverlayCallbacks(*[f] * 10))
-    image = reflect_region(SphericalRegion(half)).arrangement
+        half = overlay(half, q_regions[pair], OverlayCallbacks(*[f] * 10))
+    image = reflect_region(half)
     f = lambda a, b: a | frozenset((j, i) for i, j in b)
     return MotionSpace(overlay(half, image, OverlayCallbacks(*[f] * 10)), n_parts)
 
@@ -607,7 +549,7 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts[:-1]]
     # each sub-part's vertices, read by the containment test before a sum
     vertices = [[[v.as_tuple() for v in g.primal_vertices()] for g in maps] for maps in gmaps]
-    q: Dict[Tuple[int, int], SphericalRegion] = {}
+    q: Dict[Tuple[int, int], SphereArrangement] = {}
     for i in range(n):
         for j in range(i + 1, n):
             kept: List[_Cone] = []  # the maximal projections so far, in (k, l) order

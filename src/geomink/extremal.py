@@ -67,24 +67,6 @@ class RationalRotation(NamedTuple):
         a, b, c = (exact_vec(*row) for row in self.rows)
         return exact_vec(dot(a, v), dot(b, v), dot(c, v))
 
-    def is_orthogonal(self) -> bool:
-        r = self.rows
-        for i in range(3):
-            for j in range(3):
-                want = Fraction(1) if i == j else Fraction(0)
-                got = sum(r[i][k] * r[j][k] for k in range(3))
-                if got != want:
-                    return False
-        return True
-
-    def det(self) -> Rational:
-        r = self.rows
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
 
 def rotation_about_y(t: Rational) -> RationalRotation:
     """Rotation about the Y axis with cos = (1-t^2)/(1+t^2) and

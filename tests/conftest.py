@@ -9,7 +9,6 @@ from typing import List
 from hypothesis import settings
 
 from geomink.arrangement import OverlayCallbacks, overlay
-from geomink.assembly import BlockSet
 from geomink.gaussian import Mesh, _edge_table, cycle_normal
 from geomink.kernel import cross3, dot3, integer_coords
 from geomink.spherical import classify
@@ -19,7 +18,7 @@ if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
-def reachability_components(n: int, edges: BlockSet) -> List[List[int]]:
+def reachability_components(n: int, edges: frozenset) -> List[List[int]]:
     """Brute-force strongly connected components via reachability closure."""
     reach = [[i == j for j in range(n)] for i in range(n)]
     for i, j in edges:
@@ -40,6 +39,25 @@ def reachability_components(n: int, edges: BlockSet) -> List[List[int]]:
             comp_of[j] = len(comps)
         comps.append(comp)
     return comps
+
+
+def movable_by_reachability(n: int, edges: frozenset):
+    """movable_subset's answer from the brute-force components: None for
+    one component, else the union of the sinks, or part 0's component
+    when every component is a sink."""
+    comps = reachability_components(n, edges)
+    if len(comps) == 1:
+        return None
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    leaving = {comp_of[i] for i, j in edges if comp_of[i] != comp_of[j]}
+    sinks = [v for v in range(n) if comp_of[v] not in leaving]
+    return tuple(sinks) if len(sinks) < n else tuple(comps[comp_of[0]])
+
+
+def pierces(region, d) -> bool:
+    """Does every ray along d pierce the solid of the flagged region?
+    The flag of the cell that holds d."""
+    return bool(region.locate(classify(d)).payload)
 
 
 def convex_by_scan(mesh: Mesh) -> bool:

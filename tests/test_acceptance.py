@@ -8,14 +8,14 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import reachability_components
+from conftest import movable_by_reachability, pierces
 from geomink.arrangement import sweep_build
 from geomink.assembly import (
     FIRST,
     Assembly,
     partition,
+    movable_subset,
     project_polytope,
-    tarjan_scc,
 )
 from geomink.cli import main as cli_main
 from geomink.extremal import verify_bound
@@ -184,7 +184,7 @@ def test_criterion_07_projection_lemma():
             d = Vec3(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
             if d.is_zero():
                 continue
-            if region.pierces(d) != _ray_pierces_interior(mesh, d):
+            if pierces(region, d) != _ray_pierces_interior(mesh, d):
                 ok = False
                 break
             probes += 1
@@ -281,7 +281,7 @@ def test_criterion_10_structural_invariants():
     ok = ok and g.arrangement.validate() == []
     s = minkowski(g, build(tetrahedron()))
     ok = ok and s.arrangement.validate() == []
-    # Tarjan agrees with reachability closure on every graph with n <= 8
+    # movable_subset agrees with the reachability rule on graphs with n <= 8
     for n in range(2, 9):
         for _ in range(40):
             edges = frozenset(
@@ -290,7 +290,5 @@ def test_criterion_10_structural_invariants():
                 for j in range(n)
                 if i != j and rng.random() < 0.35
             )
-            a = sorted(map(sorted, tarjan_scc(n, edges)))
-            b = sorted(map(sorted, reachability_components(n, edges)))
-            ok = ok and a == b
-    _report(10, "DCEL validation, sweep permutation-independence, Tarjan", ok, time.time() - t0, 30)
+            ok = ok and movable_subset(n, edges) == movable_by_reachability(n, edges)
+    _report(10, "DCEL validation, sweep permutation-independence, movable subsets", ok, time.time() - t0, 30)

@@ -28,6 +28,7 @@ from geomink.arrangement import (
     sweep_build,
 )
 from geomink.spherical import (
+    BoundaryClass,
     arc_between,
     classify,
     full_circle_arcs,
@@ -76,7 +77,8 @@ class TestBasics:
         for p in pieces:
             arr.insert_disjoint_arc(p)
         assert arr.counts() == (3, 4, 1)
-        assert len(arr.identification_vertices) == 1
+        classes = [v.point.boundary_class for v in arr.vertices]
+        assert classes.count(BoundaryClass.ON_IDENTIFICATION) == 1
         assert arr.validate() == []
 
     def test_anchor_mismatch(self):
@@ -750,7 +752,7 @@ def _overlay_operands(draw):
     if kind == "gaussian":
         return draw(_gaussian_maps()).arrangement
     if kind == "union":
-        return union_regions(draw(_regions())).arrangement
+        return union_regions(draw(_regions()))
     pairs = {}
     if draw(st.booleans()):
         pairs = {(0, 1): union_regions(draw(_regions()))}
@@ -765,12 +767,12 @@ def test_overlay_payloads_match_located_cells(a, b, directions):
 
 def test_overlay_of_an_isolated_pole_matches_located_cells():
     five = [_half_space_region(axis, sign) for axis in (0, 1) for sign in (-1, 1)]
-    union = union_regions(five + [_half_space_region(2, -1)]).arrangement
+    union = union_regions(five + [_half_space_region(2, -1)])
     assert [v.point for v in union.vertices if v.is_isolated] == [classify(Vec3(0, 0, 1))]
     empty = SphereArrangement()
     empty.faces[0].payload = frozenset()
     check_pointwise(union, build(box(-1, -2, -3, 3, 2, 1)).arrangement, [Vec3(1, 1, 1)])
-    check_pointwise(empty, union_regions(five).arrangement, [Vec3(0, 0, -1)])
+    check_pointwise(empty, union_regions(five), [Vec3(0, 0, -1)])
 
 
 # -- interior points ---------------------------------------------------------------

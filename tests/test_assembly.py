@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_pointwise, reachability_components
+from conftest import check_pointwise, movable_by_reachability, pierces
 from geomink import assembly
 from geomink.assembly import (
     ALL,
     Assembly,
     FIRST,
     MotionSpace,
-    SphericalRegion,
     _or_callbacks,
     cleanup_region,
     find_partitions,
@@ -20,7 +19,6 @@ from geomink.assembly import (
     partition,
     project_polytope,
     reflect_region,
-    tarjan_scc,
     union_regions,
 )
 from geomink.arrangement import (
@@ -79,25 +77,23 @@ def ray_meets_planes(planes, d: Vec3) -> bool:
     return hi is not None and lo < hi
 
 
-class TestTarjan:
-    def test_simple_cycle_and_chain(self):
-        assert len(tarjan_scc(3, frozenset({(0, 1), (1, 2), (2, 0)}))) == 1
-        comps = tarjan_scc(3, frozenset({(0, 1), (1, 2)}))
-        assert sorted(map(sorted, comps)) == [[0], [1], [2]]
+@st.composite
+def _digraphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return n, frozenset(draw(st.sets(st.sampled_from(pairs))))
 
-    def test_against_reachability_closure(self):
-        rng = random.Random(11)
-        for n in range(2, 9):
-            for _ in range(30):
-                edges = frozenset(
-                    (i, j)
-                    for i in range(n)
-                    for j in range(n)
-                    if i != j and rng.random() < 0.3
-                )
-                a = sorted(map(sorted, tarjan_scc(n, edges)))
-                b = sorted(map(sorted, reachability_components(n, edges)))
-                assert a == b
+
+class TestMovableSubset:
+    @settings(max_examples=300, deadline=None)
+    @given(_digraphs())
+    def test_matches_the_reachability_rule(self, graph):
+        n, edges = graph
+        subset = movable_subset(n, edges)
+        assert subset == movable_by_reachability(n, edges)
+        if subset is not None:
+            assert 0 < len(subset) < n
+            assert not any(i in subset and j not in subset for i, j in edges)
 
     def test_movable_subset_rules(self):
         # chain 0 -> 1: sink {1}
@@ -120,35 +116,35 @@ class TestProjection:
     def test_origin_inside(self):
         g = build(cube(1))
         r = project_polytope(g)
-        assert r.pierces(Vec3(1, 2, 3)) and r.pierces(Vec3(-1, 0, 0))
+        assert pierces(r, Vec3(1, 2, 3)) and pierces(r, Vec3(-1, 0, 0))
 
     def test_origin_on_facet(self):
         # cube lying in z <= 0 with its top facet through the origin
         g = build(box(-1, -1, -2, 1, 1, 0))
         r = project_polytope(g)
-        assert r.pierces(Vec3(0, 0, -1))
-        assert r.pierces(Vec3(Fraction(1, 2), 0, -3))
-        assert not r.pierces(Vec3(0, 0, 1))
-        assert not r.pierces(Vec3(1, 0, 0))  # equator grazes, open interior
-        assert not r.pierces(Vec3(1, 1, 0))
+        assert pierces(r, Vec3(0, 0, -1))
+        assert pierces(r, Vec3(Fraction(1, 2), 0, -3))
+        assert not pierces(r, Vec3(0, 0, 1))
+        assert not pierces(r, Vec3(1, 0, 0))  # equator grazes, open interior
+        assert not pierces(r, Vec3(1, 1, 0))
 
     def test_origin_on_edge(self):
         g = build(box(0, -1, -2, 2, 1, 0))  # origin interior to an edge
         r = project_polytope(g)
-        assert r.pierces(Vec3(1, 0, -1))
-        assert not r.pierces(Vec3(1, 0, 1))
-        assert not r.pierces(Vec3(0, 0, -1))  # boundary plane grazes
-        assert not r.pierces(Vec3(-1, 0, -2))
+        assert pierces(r, Vec3(1, 0, -1))
+        assert not pierces(r, Vec3(1, 0, 1))
+        assert not pierces(r, Vec3(0, 0, -1))  # boundary plane grazes
+        assert not pierces(r, Vec3(-1, 0, -2))
         # one cycle through the corners (0, +-1, 0) and the midpoints of
         # the sides: no edge of the two great circles off the lune
-        assert len(r.arrangement.edges()) == 4 and len(r.arrangement.faces) == 2
+        assert len(r.edges()) == 4 and len(r.faces) == 2
 
     def test_origin_at_vertex(self):
         g = build(box(0, 0, 0, 2, 2, 2))
         r = project_polytope(g)
-        assert r.pierces(Vec3(1, 1, 1))
-        assert not r.pierces(Vec3(1, 1, 0))  # on the cone boundary
-        assert not r.pierces(Vec3(-1, 1, 1))
+        assert pierces(r, Vec3(1, 1, 1))
+        assert not pierces(r, Vec3(1, 1, 0))  # on the cone boundary
+        assert not pierces(r, Vec3(-1, 1, 1))
 
     def test_separated_matches_brute_rays(self):
         rng = random.Random(5)
@@ -160,7 +156,7 @@ class TestProjection:
             d = Vec3(rng.randint(-8, 8), rng.randint(-8, 8), rng.randint(-8, 8))
             if d.is_zero():
                 continue
-            assert r.pierces(d) == ray_pierces_interior(mesh, d), f"d={d}"
+            assert pierces(r, d) == ray_pierces_interior(mesh, d), f"d={d}"
             probes += 1
 
     def test_projection_lemma_various_cases(self):
@@ -177,7 +173,7 @@ class TestProjection:
                 d = Vec3(rng.randint(-7, 7), rng.randint(-7, 7), rng.randint(-7, 7))
                 if d.is_zero():
                     continue
-                assert r.pierces(d) == ray_pierces_interior(mesh, d)
+                assert pierces(r, d) == ray_pierces_interior(mesh, d)
 
 
 class TestUnion:
@@ -186,15 +182,15 @@ class TestUnion:
         b = project_polytope(build(box(-2, -2, 0, 2, 2, 3)))
         u = union_regions([a, b])
         # the equator itself pierces neither solid's interior
-        assert not u.pierces(Vec3(1, 0, 0))
-        assert u.pierces(Vec3(0, 0, 1)) and u.pierces(Vec3(0, 0, -1))
+        assert not pierces(u, Vec3(1, 0, 0))
+        assert pierces(u, Vec3(0, 0, 1)) and pierces(u, Vec3(0, 0, -1))
 
     def test_idempotence(self):
         mesh = tetrahedron().translated(Vec3(8, 0, 0))
         r1 = project_polytope(build(mesh))
         solo = union_regions([project_polytope(build(mesh))])
         u = union_regions([r1, project_polytope(build(mesh))])
-        assert u.arrangement.counts() == solo.arrangement.counts()
+        assert u.counts() == solo.counts()
 
     def test_peg_in_hole_complement_is_single_vertex(self):
         parts = dict(peg_in_hole_assembly())
@@ -208,8 +204,7 @@ class TestUnion:
         regions = [
             project_polytope(minkowski(build(w), neg_peg)) for w in walls
         ]
-        u = union_regions(regions)
-        arr = u.arrangement
+        arr = union_regions(regions)
         # complement of the union: a single isolated non-pierced vertex
         false_vertices = [v for v in arr.vertices if not v.payload]
         assert len(false_vertices) == 1
@@ -227,16 +222,16 @@ class TestUnion:
             d = Vec3(rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(-6, 6))
             if d.is_zero():
                 continue
-            assert r.pierces(d) == rr.pierces(-d)
+            assert pierces(r, d) == pierces(rr, -d)
         # every vertex, edge and face, both ways, including seam and pole
         # splits, isolated vertices and a region without edges
         for r in sample_regions():
             rr = reflect_region(r)
-            assert rr.arrangement.validate() == []
-            for d, flag in cell_directions(rr.arrangement):
-                assert r.pierces(-d) == flag, f"d={d}"
-            for d, flag in cell_directions(r.arrangement):
-                assert rr.pierces(-d) == flag, f"d={d}"
+            assert rr.validate() == []
+            for d, flag in cell_directions(rr):
+                assert pierces(r, -d) == flag, f"d={d}"
+            for d, flag in cell_directions(r):
+                assert pierces(rr, -d) == flag, f"d={d}"
 
     def test_reflect_region_uses_no_point_location(self, monkeypatch):
         regions = sample_regions()
@@ -393,9 +388,7 @@ class TestPartition:
                 q.setdefault((i, j), []).append(project_polytope(m))
             q = {pair: union_regions(regions) for pair, regions in q.items()}
             for (i, j), region in q.items():
-                xor = overlay(
-                    reflect_region(region).arrangement, q[(j, i)].arrangement, _xor_callbacks()
-                )
+                xor = overlay(reflect_region(region), q[(j, i)], _xor_callbacks())
                 assert not any(_payloads(xor)), (i, j)
 
 
@@ -421,7 +414,7 @@ def _folded_motion_space(q):
     acc.faces[0].payload = frozenset()
     for pair in sorted(regions):
         f = lambda a, b, pair=pair: a | {pair} if b else a
-        acc = overlay(acc, regions[pair].arrangement, OverlayCallbacks(*[f] * 10))
+        acc = overlay(acc, regions[pair], OverlayCallbacks(*[f] * 10))
     return acc
 
 
@@ -528,11 +521,11 @@ def _origin_cases(mesh: Mesh):
     }
 
 
-def _needless_edges(region: SphericalRegion):
+def _needless_edges(region):
     """Edges flagged alike with the faces on both sides: removing one
     would change no direction's flag."""
     return [
-        h for h in region.arrangement.edges()
+        h for h in region.edges()
         if h.payload == h.face.payload == h.twin.face.payload
     ]
 
@@ -567,7 +560,7 @@ def test_projection_matches_ray_oracle_for_every_origin_position(size, seed, dir
         for d in probes:
             if d.is_zero():
                 continue
-            assert region.pierces(d) == ray_pierces_interior(mesh, d), (case, d)
+            assert pierces(region, d) == ray_pierces_interior(mesh, d), (case, d)
 
 
 @st.composite
@@ -628,10 +621,10 @@ def test_partition_solutions_are_free_motions(a):
 
 def _or_union_cleaned_once(regions):
     """Reference union: every overlay first, then one cleanup."""
-    acc = regions[0].arrangement
+    acc = regions[0]
     for r in regions[1:]:
-        acc = overlay(acc, r.arrangement, _or_callbacks())
-    return cleanup_region(SphericalRegion(acc))
+        acc = overlay(acc, r, _or_callbacks())
+    return cleanup_region(acc)
 
 
 def _spans_a_plane(pts) -> bool:
@@ -710,9 +703,9 @@ def _projection_lists(draw):
 def test_union_cleaned_per_step_matches_union_cleaned_once(regions):
     u = union_regions(regions)
     ref = _or_union_cleaned_once(regions)
-    xor = overlay(u.arrangement, ref.arrangement, _xor_callbacks())
+    xor = overlay(u, ref, _xor_callbacks())
     assert not any(_payloads(xor))
-    assert u.arrangement.validate() == []
+    assert u.validate() == []
 
 
 def _fusable(v) -> bool:
@@ -731,7 +724,7 @@ def _check_cleaned(raw, clean):
     for d, flag in cell_directions(raw):
         assert clean.locate(classify(d)).payload == flag, d
     assert clean.validate() == []
-    assert _needless_edges(SphericalRegion(clean)) == []
+    assert _needless_edges(clean) == []
     assert [v for v in clean.vertices if v.is_isolated and v.payload and v.isolated_face.payload] == []
     assert [v for v in clean.vertices if _fusable(v)] == []
 
@@ -739,19 +732,19 @@ def _check_cleaned(raw, clean):
 @settings(max_examples=10, deadline=None)
 @given(_projection_lists())
 def test_cleanup_keeps_every_flag_and_no_buried_or_fusable_cell(regions):
-    raw = regions[0].arrangement
+    raw = regions[0]
     for r in regions[1:]:
-        raw = overlay(raw, r.arrangement, _or_callbacks())
-    _check_cleaned(raw, cleanup_region(SphericalRegion(raw)).arrangement)
+        raw = overlay(raw, r, _or_callbacks())
+    _check_cleaned(raw, cleanup_region(raw))
 
 
 def test_cleanup_keeps_a_lune_side_vertex_and_a_hole_and_drops_a_buried_point():
     # the lune x > 0, y > 0 between the poles: its sides are half circles,
     # so each keeps its midpoint vertex, which no arc can fuse over
-    raw = project_polytope(build(box(0, 0, -1, 2, 2, 1))).arrangement
+    raw = project_polytope(build(box(0, 0, -1, 2, 2, 1)))
     for d, flag in ((Vec3(1, 1, 1), False), (Vec3(2, 1, -1), True), (Vec3(-1, -1, 1), True)):
         raw.insert_isolated_vertex(d).payload = flag
-    clean = cleanup_region(SphericalRegion(raw)).arrangement
+    clean = cleanup_region(raw)
     _check_cleaned(raw, clean)
     interior = {v.point for v in clean.vertices if v.point.boundary_class is BoundaryClass.INTERIOR}
     # the two side midpoints, the False hole in the lune and the True
@@ -830,11 +823,11 @@ def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
     # an empty accumulator, as build_motion_space starts its fold
     acc = SphereArrangement()
     acc.faces[0].payload = frozenset()
-    out = overlay_(acc, region.arrangement, tag)
+    out = overlay_(acc, region, tag)
     assert {f.payload for f in out.faces} == {(frozenset(), True), (frozenset(), False)}
 
     # an operand with isolated vertices and no edges, on either side
-    for a, b in ((region.arrangement, isolated), (isolated, region.arrangement)):
+    for a, b in ((region, isolated), (isolated, region)):
         out = overlay_(a, b, tag)
         assert out.validate() == []
         assert all("F" in f.payload for f in out.faces)
@@ -868,7 +861,7 @@ def test_cone_holds_a_nested_cone_and_a_hemisphere_holds_a_lune():
         region = assembly._cycle_region(outer)
         for d in mesh.vertices + [Vec3(7, 1, -3), Vec3(1, 0, -1), Vec3(0, 0, 1)]:
             if ray_pierces_interior(mesh, d):
-                assert region.pierces(d), d
+                assert pierces(region, d), d
 
 
 def test_cone_corner_on_a_hemisphere_circle_is_held():
@@ -892,7 +885,7 @@ def test_cones_with_corners_on_the_seam_and_at_a_pole():
     assert classify(Vec3(0, 0, 1)) in inner.corners
     assert outer.holds(inner) and not inner.holds(outer)
     regions = [project_polytope(build(m)) for m in (outer_mesh, inner_mesh)]
-    xor = overlay(union_regions(regions).arrangement, regions[0].arrangement, _xor_callbacks())
+    xor = overlay(union_regions(regions), regions[0], _xor_callbacks())
     assert not any(_payloads(xor))
 
 
@@ -1066,11 +1059,11 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
     probes = [Vec3(*d) for d in dirs if any(d)]
     assert q.keys() == ref_q.keys()
     for key in q:
-        xor = overlay(q[key].arrangement, ref_q[key].arrangement, _xor_callbacks())
+        xor = overlay(q[key], ref_q[key], _xor_callbacks())
         assert not any(_payloads(xor)), key
     ref_ms = assembly.build_motion_space(len(a.parts), ref_q).arrangement
     xor = overlay(ms.arrangement, ref_ms, OverlayCallbacks(*[lambda x, y: x ^ y] * 10))
     assert not any(_payloads(xor))
     for key in q:
-        check_pointwise(q[key].arrangement, ref_q[key].arrangement, probes)
+        check_pointwise(q[key], ref_q[key], probes)
     check_pointwise(ms.arrangement, ref_ms, probes)

@@ -216,7 +216,7 @@ def unions_and_motion_space_forms(scene):
             sums = pairwise_subpart_sums(a, gmaps, reflected, [(i, j)])
             q[(i, j)] = union_regions([project_polytope(g) for g in sums.values()])
     unions = "\n".join(
-        f"pair {pair}\n{arrangement_form(r.arrangement)}" for pair, r in sorted(q.items())
+        f"pair {pair}\n{arrangement_form(r)}" for pair, r in sorted(q.items())
     )
     return unions, arrangement_form(build_motion_space(n, q).arrangement)
 
@@ -388,7 +388,7 @@ def origin_case_meshes():
 def projection_form() -> str:
     """Each origin-case projection as its region's canonical form."""
     return "\n".join(
-        f"projection {name}\n{arrangement_form(project_polytope(build(mesh)).arrangement)}"
+        f"projection {name}\n{arrangement_form(project_polytope(build(mesh)))}"
         for name, mesh in origin_case_meshes()
     )
 

@@ -17,9 +17,10 @@ from geomink.extremal import (
     witness_polytope,
 )
 from geomink.gaussian import Mesh, build
-from geomink.kernel import Vec3, cross, dot
+from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import facet_count, minkowski, stats
 from geomink.shapes import random_polytope
+from geomink.spherical import NORTH
 
 _rationals = st.one_of(
     st.integers(-50, 50),
@@ -55,9 +56,9 @@ class TestRotation:
 
     def test_orthogonality_exact(self):
         for t in (Fraction(0), Fraction(1), Fraction(577, 1000), Fraction(-3, 7)):
-            R = rotation_about_y(t)
-            assert R.is_orthogonal()
-            assert R.det() == 1
+            rows = [Vec3(*row) for row in rotation_about_y(t).rows]
+            assert [[dot(a, b) for b in rows] for a in rows] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+            assert det3(*rows) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -123,7 +124,7 @@ class TestWitness:
         g = build(m)
         arr = g.arrangement
         # the flat top facet maps exactly to the north pole
-        assert arr.pole_vertices.get("north") is not None
+        assert arr.find_vertex(NORTH) is not None
         # exactly one primal edge maps to an arc with its whole interior
         # in y > 0 (pieces are fused across parameterization splits)
         plus = 0

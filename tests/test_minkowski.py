@@ -12,7 +12,7 @@ from geomink import arrangement, extremal, gaussian
 from geomink.gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
 from geomink.arrangement import OverlayCallbacks, overlay, sweep_build
-from geomink.kernel import Vec3, cross
+from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import (
     DegenerateCoincidence,
     facet_count,
@@ -155,8 +155,9 @@ _FAMILIES = ["independent", "same rotation", "scaled copy"]
 
 def test_quaternion_rotations_are_rotations():
     for q in ((1, 0, 0, 0), (1, 1, 0, 0), (2, -1, 3, 1), (0, 1, 1, 1)):
-        r = _quaternion_rotation(*q)
-        assert r.is_orthogonal() and r.det() == 1
+        rows = [Vec3(*row) for row in _quaternion_rotation(*q).rows]
+        assert [[dot(a, b) for b in rows] for a in rows] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert det3(*rows) == 1
 
 
 @settings(max_examples=25, deadline=None)

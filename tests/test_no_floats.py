@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import pierces
 import geomink
 from geomink.assembly import ALL, Assembly, partition, project_polytope
 from geomink.gaussian import build, reflect
@@ -64,8 +65,7 @@ def test_proximity_answers_are_exact():
     assert seen == {"inside", "on_boundary", "outside"}
 
 
-def _region_is_exact(region) -> bool:
-    arr = region.arrangement
+def _region_is_exact(arr) -> bool:
     return all(is_exact_vec(v.point.dir) for v in arr.vertices) and all(
         is_exact_vec(h.arc.normal) for h in arr.halfedges
     )
@@ -87,9 +87,9 @@ def test_projections_are_exact_in_every_origin_case():
     for mesh, hit, miss in cases:
         region = project_polytope(build(mesh))
         assert _region_is_exact(region)
-        assert region.pierces(hit)
+        assert pierces(region, hit)
         if miss is not None:
-            assert not region.pierces(miss)
+            assert not pierces(region, miss)
 
 
 def test_separated_projection_is_an_exact_hull():
@@ -99,7 +99,7 @@ def test_separated_projection_is_an_exact_hull():
     pts = [(9, 0, 9), (6, -4, 8), (9, -1, 9), (10, -2, 5), (7, -2, 8)]
     region = project_polytope(build(convex_hull_3([Vec3(*p) for p in pts])))
     assert _region_is_exact(region)
-    assert len(region.arrangement.vertices) == 3
+    assert len(region.vertices) == 3
 
 
 def test_partition_directions_are_exact():
