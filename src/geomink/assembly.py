@@ -41,18 +41,19 @@ valid motions may sit on single arrangement vertices.
    overlays that re-assembles the surviving arcs and points after every
    step (`cleanup_region`), buried cells dropped and collinear degree-2
    vertices fused;
-5. the half motion space, a left fold of the i < j unions whose cells
-   carry their sets of pairs (i, j), and its one antipodal image, which
-   holds the reversed pairs' regions: a direction d is blocked for
-   (j, i) iff -d is for (i, j);
-6. the motion space, the overlay of the half with its image, each cell
-   carrying its blocking graph;
-7. the scan of its vertices, then edges, then faces, which ends at the
-   verdict: a cell is a solution when its blocking graph is not strongly
-   connected, read off a Warshall closure of per-part reach bitmasks
-   (`movable_subset`).  In FIRST mode the answer is the first solution
-   in the arrangement's cell order; which solution that is is not part
-   of the contract, only that it is one of the solutions ALL mode
+5. the motion space's edges and vertices, with no arrangement built:
+   one cut of the unions' boundary arcs, then one of those pieces
+   against their antipodal images, which bound the reversed pairs'
+   regions: d is blocked for (j, i) iff -d is for (i, j);
+6. each cell's blocking set, read off the kept cones' int walls at one
+   point p of it: (i, j) blocks p iff <m, p> > 0 for every wall m of
+   some cone kept for (i, j), and (j, i) iff <m, p> < 0 for every one;
+7. the scan of the vertices, then the edges, then the faces, which ends
+   at the verdict: a cell is a solution when its blocking graph is not
+   strongly connected, read off a Warshall closure of per-part reach
+   bitmasks (`movable_subset`).  In FIRST mode the answer is the first
+   vertex solution in the cut's order; which solution that is is not
+   part of the contract, only that it is one of the solutions ALL mode
    returns.
 """
 
@@ -62,6 +63,7 @@ import functools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .arrangement import Halfedge, OverlayCallbacks, SphereArrangement, _assemble, overlay
+from .arrangement import _split_all
 from .gaussian import GaussianMap, Mesh, build
 from .kernel import ZERO3, Vec3, cross, cross3, det3, dot, dot3
 from .minkowski import minkowski
@@ -74,6 +76,7 @@ from .spherical import (
     is_mergeable,
     make_arc,
     merge,
+    primitive_point,
 )
 
 
@@ -480,53 +483,108 @@ def build_motion_space(
     return MotionSpace(overlay(half, image, OverlayCallbacks(*[f] * 10)), n_parts)
 
 
-def find_partitions(ms: MotionSpace, mode: str = FIRST) -> PartitionResult:
-    """Scan the motion space's cells for blocking graphs that are not
-    strongly connected, with one exit per verdict.
+def _motion_space_cells(unions: Sequence[SphereArrangement]):
+    """The motion space's edges, its vertices (each once, in order) and
+    its points, from the unions of the pairs i < j, in two cuts.  The
+    first splits the unions' boundary arcs, a union's own arcs unpaired,
+    at each other and at the unions' isolated points.  The second splits
+    those pieces and their antipodal images, make_arc(-s, -t) each, at
+    each other and at the points and their antipodes.  Its pieces are the
+    edges; their endpoints, then the points, are the vertices."""
+    tagged = [(h.arc, (k,)) for k, r in enumerate(unions) for h in r.edges()]
+    points = [v.point for r in unions for v in r.vertices if v.is_isolated]
+    half = [a for a, _ in _split_all(tagged, [(p, None) for p in points])]
+    antipode = lambda p: primitive_point(-p.dir.x, -p.dir.y, -p.dir.z)
+    points += [antipode(p) for p in points]
+    images = [(b, (1,)) for a in half for b in make_arc(antipode(a.source), antipode(a.target))]
+    cut = _split_all([(a, (0,)) for a in half] + images, [(p, None) for p in points])
+    edges = [a for a, _ in cut]
+    vertices = dict.fromkeys([p for a in edges for p in (a.source, a.target)] + points)
+    return edges, list(vertices), points
+
+
+def _blocking_pairs(cones: Dict[Tuple[int, int], List[_Cone]]):
+    """The blocking set of a direction p: (i, j) when p lies inside a cone
+    kept for (i, j), <m, p> > 0 for its every wall m, and (j, i) when -p
+    does.  Each distinct wall's sign at p is taken once, into bitmasks of
+    the positive and the negative walls; a cone is the mask of its walls,
+    and testing it is one &."""
+    bit: Dict[tuple, int] = {}
+    masks = [
+        (pair, sum(1 << bit.setdefault(m, len(bit)) for m in c.walls))
+        for pair, kept in cones.items() for c in kept
+    ]
+    walls, bits = list(bit), [1 << k for k in bit.values()]
+
+    def blocking(p: DirPoint) -> Set[Tuple[int, int]]:
+        x, y, z = p.dir.x, p.dir.y, p.dir.z
+        sides = [a * x + b * y + c * z for a, b, c in walls]
+        pos = sum([b for s, b in zip(sides, bits) if s > 0])
+        neg = sum([b for s, b in zip(sides, bits) if s < 0])
+        pairs = set()
+        for (i, j), m in masks:
+            if pos & m == m:
+                pairs.add((i, j))
+            if neg & m == m:
+                pairs.add((j, i))
+        return pairs
+
+    return blocking
+
+
+def find_partitions(n_parts: int, cones: dict, unions: dict, mode: str = FIRST) -> PartitionResult:
+    """Scan the motion space of the pairs i < j, from each pair's kept
+    cones and union, for blocking graphs that are not strongly connected,
+    with one exit per verdict: the cells of _motion_space_cells, each
+    graph from _blocking_pairs at one point of its cell.
 
     The vertices come first; FIRST mode returns at the first solution.
-    With no edge, the sphere is one face, which is scanned last.  Else a
-    blocking graph gets sparser on lower-dimensional cells: each edge
-    graph contains the graph of an incident vertex, and each face graph
-    that of an incident edge.  So with no vertex solution the assembly
-    is interlocked, and ALL mode scans the faces only when an edge was
-    a solution."""
-    arr = ms.arrangement
-    n = ms.n_parts
+    As a blocking set is open, an edge's graph contains each of its
+    endpoints' graphs and a face's that of a cell on its boundary, and a
+    graph that holds a strongly connected one is strongly connected.  So
+    with a vertex and no vertex solution the assembly is interlocked, ALL
+    mode tests only the edges whose endpoints are both solutions, and it
+    assembles the faces to test them only when an edge is one, or when
+    there is no edge: then the sphere less the points is one face."""
+    edges, vertices, points = _motion_space_cells(list(unions.values()))
+    blocking = _blocking_pairs(cones)
     solutions: List[PartitionSolution] = []
 
-    def consider(kind, payload, direction) -> bool:
-        subset = movable_subset(n, payload or frozenset())
-        if subset is None:
-            return False
-        solutions.append(PartitionSolution(kind, direction, subset))
-        return True
+    def consider(kind: str, p: DirPoint) -> bool:
+        subset = movable_subset(n_parts, blocking(p))
+        if subset is not None:
+            solutions.append(PartitionSolution(kind, p.dir, subset))
+        return subset is not None
 
-    for v in arr.vertices:
-        if consider("vertex", v.payload, v.point.dir) and mode == FIRST:
-            return PartitionResult(False, solutions)
-    if not arr.halfedges:
-        sphere = arr.faces[0]
-        consider("face", sphere.payload, arr.interior_point(sphere).dir)
-        return PartitionResult(not solutions, solutions)
-    if not solutions:
+    solved = set()
+    for v in vertices:
+        if consider("vertex", v):
+            if mode == FIRST:
+                return PartitionResult(False, solutions)
+            solved.add(v)
+    if vertices and not solutions:
         return PartitionResult(True, solutions)
     found = len(solutions)
-    for h in arr.edges():
-        consider("edge", h.payload, h.arc.interior_point().dir)
-    if len(solutions) > found:
-        for f in arr.faces:
-            consider("face", f.payload, arr.interior_point(f).dir)
-    return PartitionResult(False, solutions)
+    for a in edges:
+        if a.source in solved and a.target in solved:
+            consider("edge", a.interior_point())
+    if edges and len(solutions) == found:
+        return PartitionResult(False, solutions)
+    arr, _ = _assemble(edges, points)
+    for f in arr.faces:
+        consider("face", arr.interior_point(f))
+    return PartitionResult(not solutions, solutions)
 
 
 def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     """The full pipeline: sub-part Gaussian maps, reflections, pairwise
-    sums, central projections, per-pair unions, motion space, and the
-    strong-connectivity scan.  Only the sums and unions for pairs i < j
-    are built: build_motion_space takes the reversed pairs from one
-    antipodal image.  Every map is built first, in part order, so the
-    first invalid sub-part raises its own mesh error.
+    sums, central projections, per-pair unions, and the scan of the
+    motion space (find_partitions), which cuts the unions' arcs twice and
+    reads each cell's blocking graph off the kept cones' walls.  Only the
+    sums, cones and unions for pairs i < j are made: the reversed pairs'
+    boundaries are the antipodal images, and their cones are tested at
+    -p.  Every map is built first, in part order, so the first invalid
+    sub-part raises its own mesh error.
 
     The sub-part pairs (k, l) of a part pair are walked in (k, l) order,
     keeping only the maximal projections.  A sum is made only when no
@@ -549,7 +607,8 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     reflected = [[build(m.negated()) for m in subs] for subs in assembly.parts[:-1]]
     # each sub-part's vertices, read by the containment test before a sum
     vertices = [[[v.as_tuple() for v in g.primal_vertices()] for g in maps] for maps in gmaps]
-    q: Dict[Tuple[int, int], SphereArrangement] = {}
+    cones: Dict[Tuple[int, int], List[_Cone]] = {}
+    unions: Dict[Tuple[int, int], SphereArrangement] = {}
     for i in range(n):
         for j in range(i + 1, n):
             kept: List[_Cone] = []  # the maximal projections so far, in (k, l) order
@@ -563,8 +622,7 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
                         raise ValueError(f"sub-parts {i}.{k} and {j}.{l} have overlapping interiors")
                     # no kept cone holds the new one: it would hold the body
                     kept = [c for c in kept if not cone.holds(c)] + [cone]
-            q[(i, j)] = union_regions([_cycle_region(c) for c in kept])
-    del gmaps, reflected, vertices  # only the pair regions are read from here on
-
-    ms = build_motion_space(n, q)
-    return find_partitions(ms, mode)
+            cones[(i, j)] = kept
+            unions[(i, j)] = union_regions([_cycle_region(c) for c in kept])
+    del gmaps, reflected, vertices  # only the cones and unions are read from here on
+    return find_partitions(n, cones, unions, mode)

@@ -48,7 +48,7 @@ from .kernel import (
     integer_point,
     turn3,
 )
-from .spherical import BoundaryClass, GeodesicArc, classify, make_arc
+from .spherical import BoundaryClass, GeodesicArc, make_arc, primitive_point
 
 
 class InvalidMesh(ValueError):
@@ -412,7 +412,7 @@ def build(mesh: Mesh) -> GaussianMap:
     what Mesh.validate returns for it: its facets' outward normals and
     its directed-edge -> facet table."""
     normals, edge_facet = mesh.validate()
-    normals = [classify(exact_vec(*n)) for n in normals]
+    normals = [primitive_point(*n) for n in normals]
 
     # The dual arc of primal edge (a, b) runs from the normal of the facet
     # of a -> b to the normal of the facet of b -> a; the normal cone of b

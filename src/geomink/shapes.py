@@ -183,6 +183,21 @@ def hollow_box_assembly() -> List[Tuple[str, List[Mesh]]]:
     return [("core", [core]), ("shell", slabs)]
 
 
+def separated_boxes_assembly(n: int, seed: int) -> List[Tuple[str, List[Mesh]]]:
+    """n integer boxes b0, b1, ..., one sub-part each, with sides 1 to 3,
+    placed by random.Random(seed) in [0, 3n]^3: each box draws its sides,
+    then its lower corner, again until it overlaps no earlier box."""
+    rng = random.Random(seed)
+    placed: List[Tuple[List[int], List[int]]] = []
+    while len(placed) < n:
+        sides = [rng.randint(1, 3) for _ in range(3)]
+        lo = [rng.randint(0, 3 * n - s) for s in sides]
+        hi = [a + s for a, s in zip(lo, sides)]
+        if all(any(a >= d or c >= b for a, b, c, d in zip(lo, hi, *q)) for q in placed):
+            placed.append((lo, hi))
+    return [(f"b{i}", [box(*lo, *hi)]) for i, (lo, hi) in enumerate(placed)]
+
+
 def _write_scenes(outdir: str) -> None:
     import os
 

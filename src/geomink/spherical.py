@@ -118,7 +118,12 @@ def classify(direction: Vec3) -> DirPoint:
     (scale_key), tagged with its boundary class."""
     if direction.is_zero():
         raise ZeroVector("cannot classify the zero vector")
-    x, y, z = scale_key(direction.x, direction.y, direction.z)
+    return primitive_point(*scale_key(direction.x, direction.y, direction.z))
+
+
+def primitive_point(x: int, y: int, z: int) -> DirPoint:
+    """The point of a primitive integer triple (coprime ints, not all
+    zero), tagged with its boundary class: classify with no reduction."""
     if x == 0 and y == 0:
         cls = BoundaryClass.NORTH_POLE if z > 0 else BoundaryClass.SOUTH_POLE
     elif y == 0 and x < 0:

@@ -9,6 +9,7 @@ from typing import List
 from hypothesis import settings
 
 from geomink.arrangement import OverlayCallbacks, overlay
+from geomink.assembly import FIRST, PartitionResult, PartitionSolution, movable_subset
 from geomink.gaussian import Mesh, _edge_table, cycle_normal
 from geomink.kernel import cross3, dot3, integer_coords
 from geomink.spherical import classify
@@ -52,6 +53,46 @@ def movable_by_reachability(n: int, edges: frozenset):
     leaving = {comp_of[i] for i, j in edges if comp_of[i] != comp_of[j]}
     sinks = [v for v in range(n) if comp_of[v] not in leaving]
     return tuple(sinks) if len(sinks) < n else tuple(comps[comp_of[0]])
+
+
+def scan_motion_space(ms, mode: str = FIRST) -> PartitionResult:
+    """The reference scan of a motion space built as an arrangement
+    (build_motion_space), each cell read from its payload.
+
+    The vertices come first; FIRST mode returns at the first solution.
+    With no edge, the sphere is one face, which is scanned last.  Else a
+    blocking graph gets sparser on lower-dimensional cells: each edge
+    graph contains the graph of an incident vertex, and each face graph
+    that of an incident edge.  So with no vertex solution the assembly
+    is interlocked, and ALL mode scans the faces only when an edge was
+    a solution."""
+    arr = ms.arrangement
+    n = ms.n_parts
+    solutions = []
+
+    def consider(kind, payload, direction) -> bool:
+        subset = movable_subset(n, payload or frozenset())
+        if subset is None:
+            return False
+        solutions.append(PartitionSolution(kind, direction, subset))
+        return True
+
+    for v in arr.vertices:
+        if consider("vertex", v.payload, v.point.dir) and mode == FIRST:
+            return PartitionResult(False, solutions)
+    if not arr.halfedges:
+        sphere = arr.faces[0]
+        consider("face", sphere.payload, arr.interior_point(sphere).dir)
+        return PartitionResult(not solutions, solutions)
+    if not solutions:
+        return PartitionResult(True, solutions)
+    found = len(solutions)
+    for h in arr.edges():
+        consider("edge", h.payload, h.arc.interior_point().dir)
+    if len(solutions) > found:
+        for f in arr.faces:
+            consider("face", f.payload, arr.interior_point(f).dir)
+    return PartitionResult(False, solutions)
 
 
 def pierces(region, d) -> bool:

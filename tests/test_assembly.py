@@ -4,16 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_pointwise, movable_by_reachability, pierces
+from conftest import check_pointwise, movable_by_reachability, pierces, scan_motion_space
 from geomink import assembly
 from geomink.assembly import (
     ALL,
     Assembly,
     FIRST,
-    MotionSpace,
     _or_callbacks,
     cleanup_region,
-    find_partitions,
     movable_subset,
     pairwise_subpart_sums,
     partition,
@@ -21,12 +19,7 @@ from geomink.assembly import (
     reflect_region,
     union_regions,
 )
-from geomink.arrangement import (
-    OverlayCallbacks,
-    SphereArrangement,
-    overlay,
-    sweep_build,
-)
+from geomink.arrangement import OverlayCallbacks, SphereArrangement, overlay
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
 from geomink.kernel import Vec3, cross, dot, scale_key
@@ -37,10 +30,11 @@ from geomink.shapes import (
     hollow_box_assembly,
     peg_in_hole_assembly,
     random_polytope,
+    separated_boxes_assembly,
     split_star_assembly,
     tetrahedron,
 )
-from geomink.spherical import BoundaryClass, classify, full_circle_arcs, is_mergeable
+from geomink.spherical import BoundaryClass, classify, is_mergeable
 
 
 def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
@@ -392,6 +386,22 @@ class TestPartition:
                 assert not any(_payloads(xor)), (i, j)
 
 
+def _as_assembly(scene) -> Assembly:
+    return Assembly([n for n, _ in scene], [p for _, p in scene])
+
+
+def _scan_inputs(a: Assembly, mode: str = ALL):
+    """partition(a, mode), and the part count, kept cones and pair unions
+    that it hands to find_partitions."""
+    captured = []
+    real = assembly.find_partitions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "find_partitions", lambda *a: captured.append(a[:3]) or real(*a))
+        res = partition(a, mode)
+    ((n, cones, unions),) = captured
+    return res, n, cones, unions
+
+
 def _pair_unions(scene):
     """The union region of every part pair i < j, of the projections of
     all its sub-part sums."""
@@ -458,31 +468,43 @@ def test_motion_space_reflects_once_and_overlays_once_per_pair(monkeypatch):
     assert calls == {"overlay": len(q) + 1, "reflect_region": 1}
     assert len(q) == 15
 
-    calls.update(overlay=0, reflect_region=0)
-    scene = peg_in_hole_assembly()
-    partition(Assembly([n for n, _ in scene], [p for _, p in scene]), ALL)
-    assert calls["reflect_region"] == 1
+
+@pytest.mark.parametrize("scene", [peg_in_hole_assembly, split_star_assembly])
+def test_partition_overlays_nothing_after_the_pair_unions(monkeypatch, scene):
+    # the scan cuts the unions' arcs and reads the cones' walls: no
+    # overlay, reflection or motion-space fold after the last union
+    events = []
+    for name in ("overlay", "reflect_region", "build_motion_space"):
+        real = getattr(assembly, name)
+        monkeypatch.setattr(
+            assembly, name, lambda *a, real=real, name=name: events.append(name) or real(*a)
+        )
+    real_union = assembly.union_regions
+    monkeypatch.setattr(
+        assembly, "union_regions", lambda rs: (real_union(rs), events.append("union"))[0]
+    )
+    for mode in (FIRST, ALL):
+        events.clear()
+        partition(_as_assembly(scene()), mode)
+        last = max(k for k, e in enumerate(events) if e == "union")
+        assert events[last + 1:] == []
 
 
 def test_interlocked_exit_scans_only_the_vertices(monkeypatch):
-    # Two great circles: 6 vertices, 8 edges, 4 faces.  Every cell's
-    # graph is the 2-cycle 0 <-> 1, so no vertex is a solution, and the
-    # edges and faces, whose graphs contain a vertex graph, are not read.
-    arr = overlay(
-        sweep_build(full_circle_arcs(Vec3(0, 0, 1))),
-        sweep_build(full_circle_arcs(Vec3(1, 0, 0))),
-        OverlayCallbacks(),
-    )
-    assert arr.counts() == (6, 16, 4)
-    for cell in arr.vertices + arr.halfedges + arr.faces:
-        cell.payload = frozenset({(0, 1), (1, 0)})
+    # With every blocking graph strongly connected, no vertex is a
+    # solution, and the edges and faces, whose graphs contain a vertex
+    # graph, are not read: one test per vertex of Split Star's motion
+    # space, and no face is assembled.
+    a = _as_assembly(split_star_assembly())
+    _, _, _, unions = _scan_inputs(a)
+    _, vertices, _ = assembly._motion_space_cells(list(unions.values()))
     calls = []
-    real = assembly.movable_subset
-    monkeypatch.setattr(assembly, "movable_subset", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(assembly, "movable_subset", lambda *a: calls.append(a))
+    monkeypatch.setattr(SphereArrangement, "interior_point", lambda *a: pytest.fail("a face"))
     for mode in (FIRST, ALL):
         calls.clear()
-        assert find_partitions(MotionSpace(arr, 2), mode) == (True, [])
-        assert len(calls) == len(arr.vertices)
+        assert partition(a, mode) == (True, [])
+        assert len(calls) == len(vertices) == 26
 
 
 def test_motion_space_rejects_a_reversed_pair():
@@ -760,29 +782,29 @@ def test_cleanup_keeps_a_lune_side_vertex_and_a_hole_and_drops_a_buried_point():
     st.lists(st.tuples(_small, _small, _small), min_size=12, max_size=12),
 )
 def test_motion_space_cells_carry_every_blocking_pair(a, dirs):
-    # the blocking graph of each cell, not only of the solutions: a
-    # partition that skipped the antipodal reflection fails here
-    spaces = []
-    real = assembly.build_motion_space
-
-    def capture(n, q):
-        spaces.append(real(n, q))
-        return spaces[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "build_motion_space", capture)
-        partition(a, ALL)
-    (ms,) = spaces
-    arr = ms.arrangement
+    # the blocking graph of each cell, not only of the solutions: a scan
+    # that skipped the reversed pairs fails here, and so does a fold
+    # that skipped the antipodal reflection
+    _, n, cones, unions = _scan_inputs(a)
+    arr = assembly.build_motion_space(n, unions).arrangement
+    edges, vertices, _ = assembly._motion_space_cells(list(unions.values()))
+    scan = assembly._blocking_pairs(cones)
     diffs = _difference_planes(a)
-    # random directions, and one inside every vertex, edge and face
-    probes = [Vec3(*d) for d in dirs if any(d)] + [d for d, _ in cell_directions(arr)]
-    for d in probes:
-        blocking = frozenset(
+
+    def blocking(d):
+        return frozenset(
             pair for pair, bodies in diffs.items()
             if any(ray_meets_planes(planes, d) for planes in bodies)
         )
-        assert arr.locate(classify(d)).payload == blocking, d
+
+    # the fold at random directions and inside every vertex, edge and face
+    for d in [Vec3(*d) for d in dirs if any(d)] + [d for d, _ in cell_directions(arr)]:
+        assert arr.locate(classify(d)).payload == blocking(d), d
+    # the scan at random directions, every candidate vertex and every
+    # piece interior
+    probes = [classify(Vec3(*d)) for d in dirs if any(d)] + vertices
+    for p in probes + [e.interior_point() for e in edges]:
+        assert frozenset(scan(p)) == blocking(p.dir), p
 
 
 def _overlay_refusing_point_location(monkeypatch):
@@ -958,7 +980,7 @@ def _reference_partition(a: Assembly):
     projected, each pair's projections united in (k, l) order, the motion
     space and its scan.  Returns the pair unions and the result."""
     _, unions = _pair_unions([(n, p) for n, p in zip(a.names, a.parts)])
-    return unions, find_partitions(assembly.build_motion_space(len(a.parts), unions), ALL)
+    return unions, scan_motion_space(assembly.build_motion_space(len(a.parts), unions), ALL)
 
 
 _CELL_SIDES = [(0, 2), (0, 2), (0, 1), (1, 2)]  # the whole cell side weighs double
@@ -1009,7 +1031,6 @@ def _touching_assemblies(draw):
 @given(_touching_assemblies(), st.lists(st.tuples(_small, _small, _small), max_size=6))
 def test_partition_matches_the_reference_from_every_sum(a, dirs):
     events = []  # ("made" | "kept", cone), and None after each pair's union
-    captured = []
     with pytest.MonkeyPatch.context() as mp:
         real_cone, real_cycle = assembly._projection_cone, assembly._cycle_region
 
@@ -1021,15 +1042,9 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
         mp.setattr(assembly, "_cycle_region", lambda c: events.append(("kept", c)) or real_cycle(c))
         real_union = assembly.union_regions
         mp.setattr(assembly, "union_regions", lambda rs: events.append(None) or real_union(rs))
-        real_ms = assembly.build_motion_space
-
-        def motion_space(n, q):
-            captured.append((q, real_ms(n, q)))
-            return captured[-1][1]
-
-        mp.setattr(assembly, "build_motion_space", motion_space)
-        res = partition(a, ALL)
-    ((q, ms),) = captured
+        res, n, _cones, q = _scan_inputs(a)
+    # the fold over the unions partition made
+    ms = assembly.build_motion_space(n, q)
     ref_q, ref = _reference_partition(a)
 
     # the verdict and the movable subsets are the reference's
@@ -1067,3 +1082,70 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
     for key in q:
         check_pointwise(q[key], ref_q[key], probes)
     check_pointwise(ms.arrangement, ref_ms, probes)
+
+
+@st.composite
+def _unit_cube_grids(draw):
+    """2 or 3 parts of unit cubes in a 2 x 2 x 2 grid about the origin,
+    each cube a sub-part of one part: cubes touch at facets, edges and
+    vertices, and the contacts' hemisphere and lune boundaries lie on the
+    coordinate planes, through the seam and both poles."""
+    coords = st.integers(-1, 0)
+    cells = draw(
+        st.lists(st.tuples(coords, coords, coords), min_size=2, max_size=8, unique=True)
+    )
+    n = draw(st.integers(2, min(3, len(cells))))
+    owners = list(range(n)) + draw(
+        st.lists(st.integers(0, n - 1), min_size=len(cells) - n, max_size=len(cells) - n)
+    )
+    parts = [
+        [box(x, y, z, x + 1, y + 1, z + 1) for (x, y, z), o in zip(cells, owners) if o == k]
+        for k in range(n)
+    ]
+    return Assembly([f"p{k}" for k in range(n)], parts)
+
+
+def _boxes(n, seed):
+    return _as_assembly(separated_boxes_assembly(n, seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(
+        st.builds(_boxes, st.integers(2, 6), st.integers(0, 10**6)), _unit_cube_grids()
+    )
+)
+def test_scan_matches_the_fold_motion_space(a):
+    res, n, cones, unions = _scan_inputs(a)
+    ms = assembly.build_motion_space(n, unions)
+    arr = ms.arrangement
+    edges, vertices, _ = assembly._motion_space_cells(list(unions.values()))
+    blocking = assembly._blocking_pairs(cones)
+    # the candidates are the fold's vertices, once each, with its payloads,
+    # and the pieces are its edges
+    assert len(vertices) == len(set(vertices))
+    assert set(vertices) == {v.point for v in arr.vertices}
+    for p in vertices:
+        assert frozenset(blocking(p)) == arr.find_vertex(p).payload, p
+    fold_edges = {frozenset((h.source.point, h.target.point)): h for h in arr.edges()}
+    assert {frozenset((e.source, e.target)) for e in edges} == fold_edges.keys()
+    for e in edges:
+        h = fold_edges[frozenset((e.source, e.target))]
+        assert frozenset(blocking(e.interior_point())) == h.payload, e
+    # verdicts and ALL solutions; a face solution by the fold's face that
+    # holds its direction
+    ref = scan_motion_space(ms, ALL)
+
+    def solution_set(solutions):
+        return {
+            (s.cell_kind, id(arr.locate(classify(s.direction)).ref), s.subset)
+            if s.cell_kind == "face" else s
+            for s in solutions
+        }
+
+    assert res.interlocked == ref.interlocked
+    assert solution_set(res.solutions) == solution_set(ref.solutions)
+    first = partition(a, FIRST)
+    assert first.interlocked == res.interlocked
+    assert all(s in res.solutions for s in first.solutions)
+    assert len(first.solutions) == (0 if first.interlocked else 1)

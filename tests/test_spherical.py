@@ -34,6 +34,7 @@ from geomink.spherical import (
     make_arc,
     merge,
     point_on_arc,
+    primitive_point,
     split,
 )
 
@@ -397,6 +398,22 @@ def test_point_is_the_primitive_triple_of_its_direction(d, e, k):
     # equality on triples agrees with the geometric test on any representatives
     for other in (e, e.scale(k), d.scale(k), -d.scale(k)):
         assert (p == classify(other)) == parallel_same_direction(d, other)
+
+
+_primitive_triples = st.tuples(*[st.integers(-10**6, 10**6)] * 3).filter(
+    lambda t: math.gcd(*t) == 1
+) | st.sampled_from([(0, 0, 1), (0, 0, -1), (-1, 0, 0), (-3, 0, 2), (1, 0, 0), (0, -1, 0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_primitive_triples)
+def test_primitive_point_is_classify_of_a_primitive_triple(t):
+    # build hands Mesh.validate's primitive normals to primitive_point
+    p, q = primitive_point(*t), classify(Vec3(*t))
+    assert (p.dir.as_tuple(), p.boundary_class, p.key_hash) == (
+        q.dir.as_tuple(), q.boundary_class, q.key_hash
+    )
+    assert all(type(c) is int for c in p.dir.as_tuple())
 
 
 # Small-int arcs, biased toward the poles, the seam (y = 0, x < 0) and
