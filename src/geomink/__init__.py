@@ -3,12 +3,7 @@ unit sphere, Gaussian maps of convex polytopes, Minkowski sums,
 proximity queries, worst-case sum generators, and assembly partitioning
 by infinite translations."""
 
-from .arrangement import (
-    OverlayCallbacks,
-    SphereArrangement,
-    overlay,
-    sweep_build,
-)
+from .arrangement import SphereArrangement, overlay, sweep_build
 from .assembly import Assembly, MotionSpace, PartitionResult, partition
 from .extremal import max_complexity, verify_bound, witness_polytope
 from .gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
@@ -25,7 +20,6 @@ __all__ = [
     "GeodesicArc",
     "Mesh",
     "MotionSpace",
-    "OverlayCallbacks",
     "PartitionResult",
     "Rational",
     "Sign",

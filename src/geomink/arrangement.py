@@ -32,7 +32,10 @@ q, inside an arc or in a corner at a vertex; closeness is compared
 exactly, and no probe arc is cast.  An overlay face takes its source
 faces from the source edges its pieces run along, and a face that no
 edge of one operand touches by a flood across the other operand's
-edges, so `overlay` makes no point-location call either.
+edges, so `overlay` makes no point-location call either.  It gives
+every output cell one payload, from one merge function of the cell's
+kind and the two source features that hold it; the types of those
+features name the cell's provenance case.
 
 A built arrangement changes only by insertion (`insert_disjoint_arc`,
 `insert_isolated_vertex`); nothing is removed from it in place, so a
@@ -850,24 +853,6 @@ def _assemble(
 # -- overlay -------------------------------------------------------------------
 
 
-class OverlayCallbacks(NamedTuple):
-    """The ten payload-merge functions of a map overlay, one per
-    provenance case.  Each receives the payloads of the two inducing
-    features (first the left operand's, then the right's) and returns
-    the payload of the new feature."""
-
-    vertex_vertex: Callable[[Any, Any], Any] = lambda a, b: None
-    vertex_edge: Callable[[Any, Any], Any] = lambda a, b: None
-    edge_vertex: Callable[[Any, Any], Any] = lambda a, b: None
-    vertex_face: Callable[[Any, Any], Any] = lambda a, b: None
-    face_vertex: Callable[[Any, Any], Any] = lambda a, b: None
-    edge_edge: Callable[[Any, Any], Any] = lambda a, b: None
-    edge_overlap: Callable[[Any, Any], Any] = lambda a, b: None
-    edge_face: Callable[[Any, Any], Any] = lambda a, b: None
-    face_edge: Callable[[Any, Any], Any] = lambda a, b: None
-    face_face: Callable[[Any, Any], Any] = lambda a, b: None
-
-
 def _operand_features(
     a: SphereArrangement, b: SphereArrangement
 ) -> Tuple[List[Tuple[GeodesicArc, Any]], List[Tuple[DirPoint, Any]]]:
@@ -884,10 +869,14 @@ def _operand_features(
 
 
 def overlay(
-    a: SphereArrangement, b: SphereArrangement, cb: OverlayCallbacks
+    a: SphereArrangement, b: SphereArrangement, merge: Callable[[str, Any, Any], Any]
 ) -> SphereArrangement:
-    """Overlay two arrangements; every output cell's payload is produced
-    by exactly one callback named after its provenance case."""
+    """Overlay two arrangements.  Every output cell's payload is
+    merge(kind, fa, fb): kind is the cell's kind, "vertex", "edge" or
+    "face", and fa and fb are the features of a and of b that hold the
+    cell, each a Vertex, a Halfedge directed along the cell, or a Face.
+    The source features' types name the provenance case; kind tells a
+    crossing vertex from an overlap edge when both sources are edges."""
     operands = (a, b)
     tagged, iso_points = _operand_features(a, b)
     pieces = _split_all(tagged, iso_points)
@@ -936,52 +925,27 @@ def overlay(
                 (face_prov[f][side],) = arr.faces
 
     # --- provenance of output vertices ------------------------------------
-    def vertex_side_prov(v: Vertex, side: int):
+    def vertex_source(v: Vertex, side: int):
         sv = operands[side].find_vertex(v.point)
         if sv is not None:
-            return ("vertex", sv)
+            return sv
         for h in v.out:
             src = edge_prov[h][side]
             if src is not None:
-                return ("edge", src)
+                return src
         # Interior to a face of that side: inherit from an incident cell.
         f = v.out[0].face if v.out else v.isolated_face
-        return ("face", face_prov[f][side])
+        return face_prov[f][side]
 
-    # --- apply the ten callbacks ------------------------------------------
+    # --- merge the payloads -----------------------------------------------
     for v in out.vertices:
-        ka, ra = vertex_side_prov(v, 0)
-        kb, rb = vertex_side_prov(v, 1)
-        pa = ra.payload
-        pb = rb.payload
-        if ka == "vertex" and kb == "vertex":
-            v.payload = cb.vertex_vertex(pa, pb)
-        elif ka == "vertex" and kb == "edge":
-            v.payload = cb.vertex_edge(pa, pb)
-        elif ka == "edge" and kb == "vertex":
-            v.payload = cb.edge_vertex(pa, pb)
-        elif ka == "vertex" and kb == "face":
-            v.payload = cb.vertex_face(pa, pb)
-        elif ka == "face" and kb == "vertex":
-            v.payload = cb.face_vertex(pa, pb)
-        elif ka == "edge" and kb == "edge":
-            v.payload = cb.edge_edge(pa, pb)
-        else:  # pragma: no cover - an output vertex always has a feature side
-            raise AssertionError("vertex with face/face provenance")
-
+        v.payload = merge("vertex", vertex_source(v, 0), vertex_source(v, 1))
     for h in out.edges():
         ea, eb = edge_prov[h]
-        if ea is not None and eb is not None:
-            val = cb.edge_overlap(ea.payload, eb.payload)
-        elif ea is not None:
-            val = cb.edge_face(ea.payload, face_prov[h.face][1].payload)
-        else:
-            val = cb.face_edge(face_prov[h.face][0].payload, eb.payload)
-        out.set_edge_payload(h, val)
-
+        fa, fb = face_prov[h.face]
+        out.set_edge_payload(h, merge("edge", ea or fa, eb or fb))
     for f in out.faces:
-        fa, fb = face_prov[f]
-        f.payload = cb.face_face(fa.payload, fb.payload)
+        f.payload = merge("face", *face_prov[f])
     return out
 
 

@@ -62,8 +62,7 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .arrangement import Halfedge, OverlayCallbacks, SphereArrangement, _assemble, overlay
-from .arrangement import _split_all
+from .arrangement import Halfedge, SphereArrangement, _assemble, _split_all, overlay
 from .gaussian import GaussianMap, Mesh, build
 from .kernel import ZERO3, Vec3, cross, cross3, det3, dot, dot3
 from .minkowski import minkowski
@@ -82,11 +81,15 @@ from .spherical import (
 
 class Assembly:
     """Named parts, each an ordered list of convex sub-part meshes whose
-    interiors are pairwise disjoint across different parts."""
+    interiors are pairwise disjoint across different parts.  Every part
+    has at least one sub-part."""
 
     def __init__(self, names: List[str], parts: List[List[Mesh]]):
         if len(names) != len(parts):
             raise ValueError("names and parts differ in length")
+        for name, subs in zip(names, parts):
+            if not subs:
+                raise ValueError(f"part {name!r} has no sub-parts")
         self.names = names
         self.parts = parts
 
@@ -272,11 +275,6 @@ def _gnomonic_hull(points: Set[DirPoint], w: Vec3) -> List[DirPoint]:
 # -- union of regions -----------------------------------------------------------
 
 
-def _or_callbacks() -> OverlayCallbacks:
-    orf = lambda a, b: bool(a) or bool(b)
-    return OverlayCallbacks(*[orf] * 10)
-
-
 def union_regions(regions: Sequence[SphereArrangement]) -> SphereArrangement:
     """Non-regularized union: flags are or-combined under overlay, then
     cells interior to the pierced set are removed while lower-dimensional
@@ -289,7 +287,7 @@ def union_regions(regions: Sequence[SphereArrangement]) -> SphereArrangement:
     for r in regions[1:]:
         # Cleaning at every step keeps the fold's accumulator down to the
         # current union's boundary, so no buried edge is split again.
-        out = cleanup_region(overlay(out, r, _or_callbacks()))
+        out = cleanup_region(overlay(out, r, lambda kind, a, b: bool(a.payload or b.payload)))
     return out
 
 
@@ -476,11 +474,11 @@ def build_motion_space(
     half = SphereArrangement()
     half.faces[0].payload = frozenset()
     for pair in sorted(q_regions):
-        f = lambda a, b, pair=pair: a | {pair} if b else a
-        half = overlay(half, q_regions[pair], OverlayCallbacks(*[f] * 10))
+        f = lambda kind, a, b, pair=pair: a.payload | {pair} if b.payload else a.payload
+        half = overlay(half, q_regions[pair], f)
     image = reflect_region(half)
-    f = lambda a, b: a | frozenset((j, i) for i, j in b)
-    return MotionSpace(overlay(half, image, OverlayCallbacks(*[f] * 10)), n_parts)
+    f = lambda kind, a, b: a.payload | frozenset((j, i) for i, j in b.payload)
+    return MotionSpace(overlay(half, image, f), n_parts)
 
 
 def _motion_space_cells(unions: Sequence[SphereArrangement]):

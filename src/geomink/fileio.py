@@ -146,10 +146,10 @@ def parse_scene(text: str, path: str = "<string>"):
         if toks is None or toks[0] != "part" or len(toks) != 3:
             raise ParseError(path, line, "expected 'part <name> <subparts>'")
         names.append(toks[1])
-        subs = []
-        for _ in range(_parse_count(toks[2], path, line)):
-            subs.append(parse_mesh_tokens(tok_iter, path))
-        parts.append(subs)
+        count = _parse_count(toks[2], path, line)
+        if count == 0:
+            raise ParseError(path, line, f"part {toks[1]!r} has no sub-parts")
+        parts.append([parse_mesh_tokens(tok_iter, path) for _ in range(count)])
     _expect_end(tok_iter, path)
     return names, parts
 

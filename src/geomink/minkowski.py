@@ -4,8 +4,11 @@ maps.
 The overlay identifies every pair of features with parallel supporting
 planes; a face of the result is decorated with the sum of the primal
 vertices of the two inducing faces, so the output is again a decorated
-Gaussian map.  The facet counts come from each map's own facet list,
-`GaussianMap.facet_vertices`.
+Gaussian map.  A vertex is tagged with its provenance case, named from
+the types of its two source features, as the first and only element of
+a tuple: "vv", "ve", "ev", "vf", "fv", or "xx" where two edges cross.
+Edges carry no payload.  The facet counts come from each map's own
+facet list, `GaussianMap.facet_vertices`.
 
 A sum's facet count alone needs none of that assembly, nor the split
 pieces: `sum_facet_count` counts the overlay's vertices off the split
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Sequence, Set, Tuple
 
-from .arrangement import OverlayCallbacks, _cut_sets, _operand_features, overlay
+from .arrangement import Face, Halfedge, Vertex, _cut_sets, _operand_features, overlay
 from .gaussian import GaussianMap
 from .kernel import scale_key
 from .spherical import BoundaryClass, DirPoint
@@ -28,26 +31,27 @@ class DegenerateCoincidence(ValueError):
     """Overlay vertices coincide; crossing counts are only lower bounds."""
 
 
-_SUM_CALLBACKS = OverlayCallbacks(
-    vertex_vertex=lambda a, b: ("vv", a, b),
-    vertex_edge=lambda a, b: ("ve", a),
-    edge_vertex=lambda a, b: ("ev", b),
-    vertex_face=lambda a, b: ("vf", a),
-    face_vertex=lambda a, b: ("fv", b),
-    edge_edge=lambda a, b: ("xx",),
-    edge_overlap=lambda a, b: None,
-    edge_face=lambda a, b: None,
-    face_edge=lambda a, b: None,
-    face_face=lambda a, b: a + b,
-)
+_VERTEX_TAGS = {
+    (Vertex, Vertex): ("vv",), (Vertex, Halfedge): ("ve",), (Halfedge, Vertex): ("ev",),
+    (Vertex, Face): ("vf",), (Face, Vertex): ("fv",), (Halfedge, Halfedge): ("xx",),
+}
+
+
+def _sum_payload(kind: str, a, b):
+    """The overlay merge of a sum: a face gets the sum of its two source
+    faces' primal vertices, a vertex its provenance tag, an edge None."""
+    if kind == "face":
+        return a.payload + b.payload
+    if kind == "vertex":
+        return _VERTEX_TAGS[type(a), type(b)]
+    return None
 
 
 def minkowski(g1: GaussianMap, g2: GaussianMap) -> GaussianMap:
     """Gaussian map of the Minkowski sum: overlay with primal vertices
     added face by face.  Vertices keep provenance tags; edges carry no
     payload."""
-    arr = overlay(g1.arrangement, g2.arrangement, _SUM_CALLBACKS)
-    return GaussianMap(arr)
+    return GaussianMap(overlay(g1.arrangement, g2.arrangement, _sum_payload))
 
 
 def minkowski_many(gs: Sequence[GaussianMap]) -> GaussianMap:
@@ -75,14 +79,12 @@ class SumStats(NamedTuple):
 
 def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
     """Derive the crossing count v_x = V_out - sum(V_in) and check the
-    vertex-degree identity; raises DegenerateCoincidence when overlay
-    vertices coincide (the count is then only a lower bound)."""
+    vertex-degree identity; raises DegenerateCoincidence, naming the tag,
+    when overlay vertices coincide (the count is then only a lower
+    bound): when a vertex tag's first element is "vv", "ve" or "ev"."""
     for v in g_out.arrangement.vertices:
-        tag = v.payload
-        if isinstance(tag, tuple) and tag and tag[0] in ("vv", "ve", "ev"):
-            raise DegenerateCoincidence(
-                f"coincident overlay features at {v.point}: {tag[0]}"
-            )
+        if v.payload in (("vv",), ("ve",), ("ev",)):
+            raise DegenerateCoincidence(f"coincident overlay features at {v.point}: {v.payload[0]}")
     V_out, HE_out, _ = g_out.counts()
     v_in = sum(g.counts()[0] for g in inputs)
     e_in = [g.counts()[1] // 2 for g in inputs]

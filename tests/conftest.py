@@ -8,7 +8,7 @@ from typing import List
 
 from hypothesis import settings
 
-from geomink.arrangement import OverlayCallbacks, overlay
+from geomink.arrangement import Face, Halfedge, Vertex, overlay
 from geomink.assembly import FIRST, PartitionResult, PartitionSolution, movable_subset
 from geomink.gaussian import Mesh, _edge_table, cycle_normal
 from geomink.kernel import cross3, dot3, integer_coords
@@ -136,20 +136,24 @@ def labelled(arr):
     return arr
 
 
-def case_tag(case):
-    return lambda pa, pb: (case, pa, pb)
+FEATURE_KIND = {Vertex: "vertex", Halfedge: "edge", Face: "face"}
 
 
-CASE_TAGGING = OverlayCallbacks(*map(case_tag, OverlayCallbacks._fields))
+def case_tag(kind, fa, fb):
+    """Overlay merge that tags a cell with its provenance case, named from
+    the kinds of its source features, and with their payloads."""
+    case = f"{FEATURE_KIND[type(fa)]}_{FEATURE_KIND[type(fb)]}"
+    if case == "edge_edge" and kind == "edge":
+        case = "edge_overlap"
+    return (case, fa.payload, fb.payload)
 
 
 def check_pointwise(a, b, directions):
-    """Every output cell's payload is its provenance case's callback on
-    the payloads of the cells that locate finds in a and in b, at each
-    output vertex, inside each output edge and face, and at the given
-    directions."""
+    """Every output cell's payload is case_tag of the cells that locate
+    finds in a and in b, at each output vertex, inside each output edge
+    and face, and at the given directions."""
     a, b = labelled(a), labelled(b)
-    out = overlay(a, b, CASE_TAGGING)
+    out = overlay(a, b, case_tag)
     assert out.validate() == []
     probes = [(v.point, v) for v in out.vertices]
     probes += [(h.arc.interior_point(), h) for h in out.edges()]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import CASE_TAGGING, check_pointwise
+from conftest import FEATURE_KIND, case_tag, check_pointwise
 from geomink.assembly import build_motion_space, project_polytope, union_regions
 from geomink.gaussian import build, reflect
 from geomink.kernel import Vec3, cross, det3, dot, scale_key
@@ -18,7 +18,7 @@ from geomink.arrangement import (
     RIGHT,
     ArcNotDisjoint,
     AnchorMismatch,
-    OverlayCallbacks,
+    Halfedge,
     SphereArrangement,
     _assemble,
     _split_all,
@@ -269,20 +269,24 @@ class TestSweepBuild:
         assert arr.validate() == []
 
 
+def _no_payload(kind, fa, fb):
+    return None
+
+
 class TestOverlay:
     def test_overlay_with_empty(self):
         a1 = arc_between(Vec3(1, -1, 0), Vec3(1, 1, 0))
         a2 = arc_between(Vec3(1, 0, -1), Vec3(1, 0, 1))
         x = sweep_build([a1, a2])
         e = SphereArrangement()
-        out = overlay(x, e, OverlayCallbacks())
+        out = overlay(x, e, _no_payload)
         assert out.counts() == x.counts()
         assert out.validate() == []
 
     def test_two_great_circles_make_four_lunes(self):
         a = sweep_build(full_circle_arcs(Vec3(0, 0, 1)))
         b = sweep_build(full_circle_arcs(Vec3(1, 0, 0)))
-        out = overlay(a, b, OverlayCallbacks())
+        out = overlay(a, b, _no_payload)
         assert len(out.faces) == 4
         assert out.validate() == []
 
@@ -295,38 +299,32 @@ class TestOverlay:
         for f in b.faces:
             q = b.interior_point(f)
             f.payload = "E" if q.dir.x > 0 else "W"
-        cb = OverlayCallbacks(face_face=lambda x, y: x + y)
-        out = overlay(a, b, cb)
+        out = overlay(a, b, lambda kind, x, y: x.payload + y.payload if kind == "face" else None)
         payloads = sorted(f.payload for f in out.faces)
         assert payloads == ["NE", "NW", "SE", "SW"]
 
     def test_overlay_crossing_counts(self):
         a = sweep_build([arc_between(Vec3(1, -1, Fraction(1, 3)), Vec3(1, 1, Fraction(1, 3)))])
         b = sweep_build([arc_between(Vec3(1, 0, -1), Vec3(1, 0, 1))])
-        out = overlay(a, b, OverlayCallbacks())
+        out = overlay(a, b, _no_payload)
         assert len(out.vertices) == 5
         assert out.validate() == []
 
 
-_PAIR_CASES = [
-    ("vertex", "vertex"), ("vertex", "edge"), ("edge", "vertex"),
-    ("vertex", "face"), ("face", "vertex"), ("edge", "edge"),
-    ("edge", "face"), ("face", "edge"), ("face", "face"),
-]
+def _tagging_merge(swap: bool):
+    """The merge for overlay(a, b) whose payload is (feature kind in a,
+    kind in b, a's payload, b's payload), both kinds "overlap" on an
+    overlap edge; with swap, the merge for overlay(b, a) that gives every
+    feature the same payload."""
 
+    def merge(kind, fx, fy):
+        fa, fb = (fy, fx) if swap else (fx, fy)
+        ka, kb = FEATURE_KIND[type(fa)], FEATURE_KIND[type(fb)]
+        if kind == ka == kb == "edge":
+            ka = kb = "overlap"
+        return (ka, kb, fa.payload, fb.payload)
 
-def _tagging_callbacks(swap: bool) -> OverlayCallbacks:
-    """Callbacks for overlay(a, b) whose payload is (feature kind in a,
-    kind in b, a's payload, b's payload); with swap, the callbacks for
-    overlay(b, a) that give every feature the same payload."""
-
-    def tag(ka, kb):
-        if swap:
-            return lambda pb, pa: (ka, kb, pa, pb)
-        return lambda pa, pb: (ka, kb, pa, pb)
-
-    fields = {(f"{kb}_{ka}" if swap else f"{ka}_{kb}"): tag(ka, kb) for ka, kb in _PAIR_CASES}
-    return OverlayCallbacks(edge_overlap=tag("overlap", "overlap"), **fields)
+    return merge
 
 
 def _side_tagged(mesh, side):
@@ -369,12 +367,30 @@ def _mesh_pairs(draw):
 def test_overlay_commutes_with_swapped_callbacks(pair):
     ma, mb = pair
     a, b = _side_tagged(ma, "a"), _side_tagged(mb, "b")
-    ab = overlay(a, b, _tagging_callbacks(swap=False))
-    ba = overlay(b, a, _tagging_callbacks(swap=True))
+    ab = overlay(a, b, _tagging_merge(swap=False))
+    ba = overlay(b, a, _tagging_merge(swap=True))
     assert _cells(ab) == _cells(ba)
     features = [v.payload for v in ab.vertices] + [h.payload for h in ab.edges()]
     for _ka, _kb, pa, pb in features + [f.payload for f in ab.faces]:
         assert pa[0] == "a" and pb[0] == "b"
+
+
+@settings(max_examples=10, deadline=None)
+@given(_mesh_pairs())
+def test_merge_gets_each_edge_source_directed_along_the_edge(pair):
+    """An edge's merge gets, from each operand, the halfedge the edge runs
+    along, in the edge's direction, or the face that holds the edge."""
+    a, b = (build(m).arrangement for m in pair)
+    out = overlay(a, b, lambda kind, fa, fb: (fa, fb))
+    for h in out.edges():
+        q, left = h.arc.interior_point(), out.interior_point(h.face)
+        for src, operand in zip(h.payload, (a, b)):
+            if isinstance(src, Halfedge):
+                assert operand.locate(q).ref in (src, src.twin)
+                assert dot(src.arc.normal, h.arc.normal) > 0
+                assert operand.locate(left).ref is src.face
+            else:
+                assert operand.locate(q).ref is src
 
 
 class TestValidate:
@@ -816,7 +832,7 @@ def test_interior_point_is_located_in_its_face(scene, block, a, b, crowded):
     edgeless = SphereArrangement()
     for d in _CROWDED[:crowded]:
         edgeless.insert_isolated_vertex(d)
-    for out in (arr, overlay(a, b, CASE_TAGGING), edgeless):
+    for out in (arr, overlay(a, b, case_tag), edgeless):
         assert out.validate() == []
         for f in out.faces:
             q = out.interior_point(f)

@@ -10,7 +10,6 @@ from geomink.assembly import (
     ALL,
     Assembly,
     FIRST,
-    _or_callbacks,
     cleanup_region,
     movable_subset,
     pairwise_subpart_sums,
@@ -19,7 +18,7 @@ from geomink.assembly import (
     reflect_region,
     union_regions,
 )
-from geomink.arrangement import OverlayCallbacks, SphereArrangement, overlay
+from geomink.arrangement import SphereArrangement, overlay
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
 from geomink.kernel import Vec3, cross, dot, scale_key
@@ -307,6 +306,10 @@ class TestPartition:
             res = partition(a, mode)
             assert res.interlocked and not res.solutions
 
+    def test_a_part_with_no_sub_parts_is_rejected(self):
+        with pytest.raises(ValueError, match="part 'two' has no sub-parts"):
+            Assembly(["one", "two"], [[cube(1)], []])
+
     def test_overlapping_interiors_rejected(self):
         a = Assembly(["one", "two"], [[cube(1)], [cube(1)]])
         with pytest.raises(ValueError):
@@ -382,7 +385,7 @@ class TestPartition:
                 q.setdefault((i, j), []).append(project_polytope(m))
             q = {pair: union_regions(regions) for pair, regions in q.items()}
             for (i, j), region in q.items():
-                xor = overlay(reflect_region(region), q[(j, i)], _xor_callbacks())
+                xor = overlay(reflect_region(region), q[(j, i)], _xor_flags)
                 assert not any(_payloads(xor)), (i, j)
 
 
@@ -423,8 +426,8 @@ def _folded_motion_space(q):
     acc = SphereArrangement()
     acc.faces[0].payload = frozenset()
     for pair in sorted(regions):
-        f = lambda a, b, pair=pair: a | {pair} if b else a
-        acc = overlay(acc, regions[pair], OverlayCallbacks(*[f] * 10))
+        f = lambda kind, a, b, pair=pair: a.payload | {pair} if b.payload else a.payload
+        acc = overlay(acc, regions[pair], f)
     return acc
 
 
@@ -447,7 +450,7 @@ def test_motion_space_equals_the_fold_over_ordered_pairs(scene):
     ms = assembly.build_motion_space(n, q).arrangement
     ref = _folded_motion_space(q)
     assert ms.validate() == []
-    xor = overlay(ms, ref, OverlayCallbacks(*[lambda a, b: a ^ b] * 10))
+    xor = overlay(ms, ref, lambda kind, a, b: a.payload ^ b.payload)
     assert not any(_payloads(xor))
     assert _cells(ms) == _cells(ref)
 
@@ -515,9 +518,12 @@ def test_motion_space_rejects_a_reversed_pair():
         assembly.build_motion_space(2, {(0, 1): r, (1, 0): reflect_region(r)})
 
 
-def _xor_callbacks() -> OverlayCallbacks:
-    xor = lambda a, b: bool(a) != bool(b)
-    return OverlayCallbacks(*([xor] * 10))
+def _xor_flags(kind, a, b):
+    return bool(a.payload) != bool(b.payload)
+
+
+def _or_flags(kind, a, b):
+    return bool(a.payload) or bool(b.payload)
 
 
 def _payloads(arr):
@@ -645,7 +651,7 @@ def _or_union_cleaned_once(regions):
     """Reference union: every overlay first, then one cleanup."""
     acc = regions[0]
     for r in regions[1:]:
-        acc = overlay(acc, r, _or_callbacks())
+        acc = overlay(acc, r, _or_flags)
     return cleanup_region(acc)
 
 
@@ -725,7 +731,7 @@ def _projection_lists(draw):
 def test_union_cleaned_per_step_matches_union_cleaned_once(regions):
     u = union_regions(regions)
     ref = _or_union_cleaned_once(regions)
-    xor = overlay(u, ref, _xor_callbacks())
+    xor = overlay(u, ref, _xor_flags)
     assert not any(_payloads(xor))
     assert u.validate() == []
 
@@ -756,7 +762,7 @@ def _check_cleaned(raw, clean):
 def test_cleanup_keeps_every_flag_and_no_buried_or_fusable_cell(regions):
     raw = regions[0]
     for r in regions[1:]:
-        raw = overlay(raw, r, _or_callbacks())
+        raw = overlay(raw, r, _or_flags)
     _check_cleaned(raw, cleanup_region(raw))
 
 
@@ -821,10 +827,10 @@ def _overlay_refusing_point_location(monkeypatch):
 
         monkeypatch.setattr(SphereArrangement, name, refuse)
 
-    def guarded(a, b, cb):
+    def guarded(a, b, merge):
         running.append(True)
         try:
-            return overlay(a, b, cb)
+            return overlay(a, b, merge)
         finally:
             running.pop()
 
@@ -840,7 +846,7 @@ def test_overlay_takes_face_provenance_without_point_location(monkeypatch):
     for d in (Vec3(0, 0, 1), Vec3(-1, 0, 0), Vec3(1, 2, 3)):  # pole, seam, inside
         isolated.insert_isolated_vertex(d, face).payload = "V"
     overlay_ = _overlay_refusing_point_location(monkeypatch)
-    tag = OverlayCallbacks(*([lambda a, b: (a, b)] * 10))
+    tag = lambda kind, a, b: (a.payload, b.payload)
 
     # an empty accumulator, as build_motion_space starts its fold
     acc = SphereArrangement()
@@ -907,7 +913,7 @@ def test_cones_with_corners_on_the_seam_and_at_a_pole():
     assert classify(Vec3(0, 0, 1)) in inner.corners
     assert outer.holds(inner) and not inner.holds(outer)
     regions = [project_polytope(build(m)) for m in (outer_mesh, inner_mesh)]
-    xor = overlay(union_regions(regions), regions[0], _xor_callbacks())
+    xor = overlay(union_regions(regions), regions[0], _xor_flags)
     assert not any(_payloads(xor))
 
 
@@ -1074,10 +1080,10 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
     probes = [Vec3(*d) for d in dirs if any(d)]
     assert q.keys() == ref_q.keys()
     for key in q:
-        xor = overlay(q[key], ref_q[key], _xor_callbacks())
+        xor = overlay(q[key], ref_q[key], _xor_flags)
         assert not any(_payloads(xor)), key
     ref_ms = assembly.build_motion_space(len(a.parts), ref_q).arrangement
-    xor = overlay(ms.arrangement, ref_ms, OverlayCallbacks(*[lambda x, y: x ^ y] * 10))
+    xor = overlay(ms.arrangement, ref_ms, lambda kind, x, y: x.payload ^ y.payload)
     assert not any(_payloads(xor))
     for key in q:
         check_pointwise(q[key], ref_q[key], probes)

@@ -98,6 +98,7 @@ def test_report_schema():
         (parse_scene, "assembly 1\n# one part\npart a x\n", "in.txt:3"),
         (parse_mesh, "EOFF\n-1 4\n", "in.txt:2"),
         (parse_scene, "assembly -2\n", "in.txt:1"),
+        (parse_scene, "assembly 2\npart a 0\npart b 0\n", "in.txt:2: part 'a' has no sub-parts"),
     ],
 )
 def test_bad_count_reports_line(parse, text, where):

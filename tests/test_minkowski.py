@@ -1,5 +1,6 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from geomink.extremal import (
 from geomink import arrangement, extremal, gaussian
 from geomink.gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3, meshes_equivalent, pairwise_sums
-from geomink.arrangement import OverlayCallbacks, overlay, sweep_build
+from geomink.arrangement import overlay, sweep_build
 from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import (
     DegenerateCoincidence,
@@ -126,6 +127,30 @@ class TestStats:
         assert st.degree_identity_holds(
             [g1.counts()[1] // 2, g2.counts()[1] // 2]
         )
+
+    def test_normal_inside_a_dual_arc_is_tagged_and_degenerate(self):
+        # one facet of the tetrahedron lies in the plane x + y = 1: its
+        # normal (1, 1, 0) is strictly inside the octahedron's dual arc
+        # from (1, 1, 1) to (1, 1, -1)
+        g1 = build(octahedron())
+        pts = [Vec3(1, 0, 0), Vec3(0, 1, 2), Vec3(2, -1, 1), Vec3(-3, -2, -2)]
+        g2 = build(convex_hull_3(pts))
+        for a, b, tag in ((g1, g2, "ev"), (g2, g1, "ve")):
+            s = minkowski(a, b)
+            tags = Counter(v.payload for v in s.arrangement.vertices)
+            assert tags[(tag,)] == 1
+            assert set(tags) == {(tag,), ("vf",), ("fv",), ("xx",)}
+            with pytest.raises(DegenerateCoincidence, match=rf"DirPoint\(1, 1, 0\): {tag}$"):
+                stats(s, [a, b])
+
+    def test_generic_pair_tags_only_face_vertices_and_crossings(self):
+        g1 = build(random_polytope(8, 71))
+        g2 = build(random_polytope(8, 72))
+        s = minkowski(g1, g2)
+        tags = Counter(v.payload for v in s.arrangement.vertices)
+        assert set(tags) == {("vf",), ("fv",), ("xx",)}
+        assert tags[("vf",)] == g1.counts()[0] and tags[("fv",)] == g2.counts()[0]
+        assert stats(s, [g1, g2]).crossings == tags[("xx",)]
 
     def test_reflect_then_sum_is_difference_body(self):
         c = build(box(0, 0, 0, 1, 1, 1))
@@ -279,7 +304,7 @@ def test_sum_facet_count_matches_the_overlay_of_any_arcs(a, b):
     """The count follows the facet rule of the assembled overlay on any
     two arrangements, also at what no polytope's map has: antenna tips
     and corners of two arcs on the seam and at the poles."""
-    want = len(GaussianMap(overlay(a, b, OverlayCallbacks())).facet_vertices)
+    want = len(GaussianMap(overlay(a, b, lambda kind, fa, fb: None)).facet_vertices)
     assert sum_facet_count(GaussianMap(a), GaussianMap(b)) == want
 
 
