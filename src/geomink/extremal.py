@@ -13,10 +13,11 @@ the overlay split (`minkowski.sum_facet_count`): `tune_params` and
 `verify_bound` assemble no sum.  `multi_witness_sum` returns its sum, so
 it builds it.
 
-The vertices carry large denominators, so the exact work stays on small
-values: facets are oriented on the integer representative of the vertex
-set, a rotation takes one rational dot per coordinate, and the tuning
-loop validates each candidate mesh once, in `build`.
+The construction fixes the combinatorics: every facet cycle is written
+counterclockwise as seen from outside, and the feature counts follow
+from it.  The vertices carry large denominators, so the exact work stays
+on small values: a rotation takes one rational dot per coordinate, and
+the tuning loop validates each candidate mesh once, in `build`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
 from .gaussian import GaussianMap, InvalidMesh, Mesh, build
-from .kernel import Rational, Vec3, dot, dot3, exact_vec, integer_coords, turn3
+from .kernel import Rational, Vec3, dot, exact_vec
 from .minkowski import facet_count, minkowski_many, sum_facet_count
 
 
@@ -167,7 +168,7 @@ def _simple_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     mid = (lo + hi) / 2
     den = 16
     while den < 10**9:
-        cand = Fraction(float(mid)).limit_denominator(den)
+        cand = mid.limit_denominator(den)
         if lo < cand < hi:
             return cand
         den *= 4
@@ -218,22 +219,14 @@ def witness_polytope(params: WitnessParams) -> Mesh:
         mesh.validate()
     except InvalidMesh as e:
         raise ParamsRejected(f"witness mesh invalid: {e}") from e
-    return _counted(mesh, params.facets)
-
-
-def _counted(mesh: Mesh, i: int) -> Mesh:
-    """The mesh, unless it does not have i facets, 3i-6 edges and 2i-4
-    vertices."""
-    if len(mesh.facets) != i or mesh.edge_count() != 3 * i - 6 or len(
-        mesh.vertices
-    ) != 2 * i - 4:
-        raise ParamsRejected("witness mesh has wrong feature counts")
     return mesh
 
 
 def _witness_mesh(params: WitnessParams) -> Mesh:
-    """The witness polytope's vertices and oriented facet cycles, not yet
-    validated."""
+    """The witness polytope's vertices and facet cycles, each cycle
+    counterclockwise seen from outside; not yet validated.  The vertex
+    loop makes 2i-4 vertices and the facet list has 3 + n_right + n_left
+    + 2 = i entries."""
     i = params.facets
     if i < 4:
         raise InvalidFacetCount("need at least 4 facets")
@@ -305,13 +298,13 @@ def _witness_mesh(params: WitnessParams) -> Mesh:
     facets.append(list(range(j3, 2 * i - 4)) + [0])  # f_w: the tilted one
     facets.append([j5, j4, j2, j1])  # f_u: straddles the x axis
     for m in range(n_right):
-        facets.append([j1 - 1 - m, j1 - m, j5 + m, j5 + 1 + m])
+        facets.append([j5 + 1 + m, j5 + m, j1 - m, j1 - 1 - m])
     for m in range(n_left):
-        facets.append([j2 + m, j2 + m + 1, j4 - 1 - m, j4 - m])
-    facets.append([2 * i - 5, 0, 1])  # right triangle
-    facets.append([j3 - 1, j3, j3 + 1])  # left triangle
+        facets.append([j4 - m, j4 - 1 - m, j2 + m + 1, j2 + m])
+    facets.append([1, 0, 2 * i - 5])  # right triangle
+    facets.append([j3 + 1, j3, j3 - 1])  # left triangle
 
-    return _orient_facets(Mesh(verts, facets))
+    return Mesh(verts, facets)
 
 
 def _witness_p4(params: WitnessParams) -> Mesh:
@@ -325,28 +318,7 @@ def _witness_p4(params: WitnessParams) -> Mesh:
     v1 = Vec3(-1, 0, -h)
     v2 = Vec3(-s_b, -c_b, 0)
     v3 = Vec3(s_b, -c_b, -h)
-    return _orient_facets(
-        Mesh([v0, v1, v2, v3], [[0, 1, 2], [0, 2, 3], [3, 1, 0], [3, 2, 1]])
-    )
-
-
-def _orient_facets(mesh: Mesh) -> Mesh:
-    """Flip facet cycles so every outward normal points away from the
-    vertex centroid S / V.  The turn n at a facet's first corner a is
-    taken on the integer representative of the vertices
-    (kernel.integer_coords), and the cycle flips when <n, S> > V <n, a>:
-    scaling every point by one positive integer changes no sign."""
-    pts = integer_coords(mesh.vertices)
-    nv = len(pts)
-    total = tuple(sum(p[k] for p in pts) for k in range(3))
-    fixed = []
-    for cyc in mesh.facets:
-        a, b, c = (pts[cyc[k]] for k in (0, 1, 2))
-        n = turn3(a, b, c)
-        if dot3(n, total) > nv * dot3(n, a):
-            cyc = list(reversed(cyc))
-        fixed.append(cyc)
-    return Mesh(mesh.vertices, fixed)
+    return Mesh([v0, v1, v2, v3], [[0, 1, 2], [0, 2, 3], [3, 1, 0], [3, 2, 1]])
 
 
 QUARTER_TURN = rotation_about_y(Fraction(1))
@@ -356,8 +328,8 @@ def _witness_maps(pm: WitnessParams, pn: WitnessParams):
     """The Gaussian maps of the two witnesses, the second turned a
     quarter turn about Y.  build validates each mesh, once: a rejected
     mesh rejects the params, as witness_polytope would."""
-    mesh_m = _counted(_witness_mesh(pm), pm.facets)
-    mesh_n = mesh_m if pn == pm else _counted(_witness_mesh(pn), pn.facets)
+    mesh_m = _witness_mesh(pm)
+    mesh_n = mesh_m if pn == pm else _witness_mesh(pn)
     try:
         return build(mesh_m), build(rotate_mesh(mesh_n, QUARTER_TURN))
     except InvalidMesh as e:

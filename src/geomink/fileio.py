@@ -117,8 +117,9 @@ def read_mesh(path: str) -> Mesh:
 
 
 def write_mesh(mesh: Mesh, path: str) -> None:
+    text = format_mesh(mesh)  # before the open: a failed format keeps the file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_mesh(mesh))
+        fh.write(text)
 
 
 # -- assembly scenes ------------------------------------------------------------
@@ -160,8 +161,9 @@ def read_scene(path: str):
 
 
 def write_scene(names: List[str], parts: List[List[Mesh]], path: str) -> None:
+    text = format_scene(names, parts)  # before the open, as in write_mesh
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_scene(names, parts))
+        fh.write(text)
 
 
 # -- point clouds ----------------------------------------------------------------

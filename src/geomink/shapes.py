@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .gaussian import Mesh
-from .hull import convex_hull_3
+from .hull import DegenerateInput, convex_hull_3
 from .kernel import Vec3
 
 
@@ -59,20 +59,23 @@ def icosahedron() -> Mesh:
 
 
 def random_polytope(n_points: int, seed: int, spread: int = 12) -> Mesh:
-    """Hull of random rational points (at most n_points hull vertices)."""
-    rng = random.Random(seed)
-    pts = []
-    while len(pts) < n_points:
-        p = Vec3(
-            Fraction(rng.randint(-spread, spread), rng.randint(1, 4)),
-            Fraction(rng.randint(-spread, spread), rng.randint(1, 4)),
-            Fraction(rng.randint(-spread, spread), rng.randint(1, 4)),
-        )
-        pts.append(p)
-    try:
-        return convex_hull_3(pts, seed=seed ^ 0xC0FFEE)
-    except Exception:
-        return random_polytope(n_points, seed + 7919, spread)
+    """Hull of random rational points (at most n_points hull vertices).
+    Degenerate draws are redrawn with seed + 7919 until one spans space."""
+    if n_points < 4:
+        raise ValueError("a polytope needs at least 4 points")
+    if spread < 1:
+        raise ValueError("spread must be at least 1")
+    while True:
+        rng = random.Random(seed)
+
+        def coord() -> Fraction:
+            return Fraction(rng.randint(-spread, spread), rng.randint(1, 4))
+
+        pts = [Vec3(coord(), coord(), coord()) for _ in range(n_points)]
+        try:
+            return convex_hull_3(pts, seed=seed ^ 0xC0FFEE)
+        except DegenerateInput:
+            seed += 7919
 
 
 # -- assemblies ---------------------------------------------------------------

@@ -3,10 +3,20 @@ import json
 import pytest
 
 from geomink.cli import main
-from geomink.fileio import write_mesh, write_scene
+from geomink.extremal import max_complexity
+from geomink.fileio import read_mesh, write_mesh, write_scene
 from geomink.gaussian import Mesh
 from geomink.kernel import Vec3
-from geomink.shapes import box, cube, octahedron, peg_in_hole_assembly, tetrahedron
+from geomink.gaussian import build
+from geomink.minkowski import minkowski, stats
+from geomink.shapes import (
+    box,
+    cube,
+    octahedron,
+    peg_in_hole_assembly,
+    random_polytope,
+    tetrahedron,
+)
 
 
 @pytest.fixture
@@ -43,6 +53,23 @@ def test_minkowski_writes_mesh(tmp_path, octa_path, capsys):
     assert len(m.facets) == 8
 
 
+def test_minkowski_prints_counts_without_stats(octa_path, capsys):
+    assert main(["minkowski", octa_path, octa_path]) == 0
+    assert capsys.readouterr().out == "facets=8 edges=12 vertices=6\n"
+
+
+def test_minkowski_stats_count_crossings_of_a_generic_pair(tmp_path, capsys):
+    a, b = random_polytope(8, 71), random_polytope(8, 72)
+    paths = [str(tmp_path / "a.eoff"), str(tmp_path / "b.eoff")]
+    write_mesh(a, paths[0])
+    write_mesh(b, paths[1])
+    assert main(["minkowski", *paths, "--stats"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "degenerate" not in report
+    ga, gb = build(a), build(b)
+    assert report["crossings"] == stats(minkowski(ga, gb), [ga, gb]).crossings
+
+
 def test_collide(tmp_path, capsys):
     a = tmp_path / "a.eoff"
     write_mesh(box(0, 0, 0, 1, 1, 1), str(a))
@@ -65,6 +92,20 @@ def test_maxgen_verify(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["facetCount"] == 18 and report["bound"] == 18
     assert report["verdict"] == "PASS"
+
+
+def test_maxgen_writes_one_witness(tmp_path, capsys):
+    out = tmp_path / "w6.eoff"
+    assert main(["maxgen", "--facets", "6", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "facets=6 edges=12 vertices=8\n"
+    assert len(read_mesh(str(out)).facets) == 6
+
+
+def test_maxgen_verifies_three_summands(capsys):
+    assert main(["maxgen", "--facets", "4", "--facets", "4", "--facets", "4", "--verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["facetCount"] <= report["bound"] == max_complexity([4, 4, 4])
+    assert (report["verdict"] == "PASS") == (report["facetCount"] == report["bound"])
 
 
 def test_partition_report(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from geomink.extremal import (
     InvalidFacetCount,
     QUARTER_TURN,
-    _orient_facets,
+    _witness_mesh,
     default_params,
     max_complexity,
     multi_witness_sum,
@@ -86,22 +86,15 @@ def _fraction_orientation(mesh: Mesh) -> Mesh:
     return Mesh(mesh.vertices, fixed)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.integers(5, 12),
-    st.integers(0, 10**6),
-    st.builds(Fraction, st.integers(1, 2**40), st.integers(1, 2**120)),
-    st.lists(st.booleans(), min_size=20, max_size=20),
-)
-def test_orient_facets_matches_the_fraction_orientation(size, seed, k, flips):
-    hull = random_polytope(size, seed)
-    vertices = [v.scale(k) for v in hull.vertices]
-    scrambled = Mesh(
-        vertices, [f[::-1] if flip else list(f) for f, flip in zip(hull.facets, flips)]
-    )
-    oriented = _orient_facets(scrambled)
-    oriented.validate()
-    assert oriented.facets == _fraction_orientation(scrambled).facets == hull.facets
+@pytest.mark.parametrize("i", range(4, 17))
+def test_witness_cycles_run_outward(i):
+    """Every hand-written cycle already turns away from the vertex
+    centroid, as the reference orients it, and the mesh validates, at
+    three scalings."""
+    for k in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+        mesh = _witness_mesh(default_params(i).scaled(k))
+        assert mesh.facets == _fraction_orientation(mesh).facets
+        mesh.validate()
 
 
 class TestWitness:
@@ -173,8 +166,6 @@ class TestBound:
         assert st.crossings == (2 * m - 5) * (2 * n - 5) + 1
 
     def test_random_pairs_respect_bound(self):
-        from geomink.shapes import random_polytope
-
         for seed in range(4):
             m1 = random_polytope(9, 300 + seed)
             m2 = random_polytope(9, 400 + seed)

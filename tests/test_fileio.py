@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +16,7 @@ from geomink.fileio import (
     write_mesh,
     write_scene,
 )
-from geomink.gaussian import InvalidMesh
+from geomink.gaussian import InvalidMesh, Mesh
 from geomink.kernel import Vec3
 from geomink.shapes import cube, octahedron, split_star_assembly, tetrahedron
 
@@ -159,3 +161,28 @@ def test_bad_point_line_names_its_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         read_points(str(p))
     assert str(exc.value) == f"{p}:3: expected three rationals per point"
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on the digits of an int turned into a str."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_a_failed_write_keeps_the_old_file(tmp_path, int_str_limit):
+    """A 5 001-digit denominator cannot be formatted; the file at the
+    path keeps its contents."""
+    t = tetrahedron()
+    tiny = Mesh([v.scale(Fraction(1, 10**5000)) for v in t.vertices], t.facets)
+    p = tmp_path / "old.eoff"
+    write_mesh(t, str(p))
+    before = p.read_text()
+    with pytest.raises(ValueError):
+        write_mesh(tiny, str(p))
+    assert p.read_text() == before
+    with pytest.raises(ValueError):
+        write_scene(["a", "b"], [[t], [tiny]], str(p))
+    assert p.read_text() == before

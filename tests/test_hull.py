@@ -101,6 +101,31 @@ def test_euler_on_random_hulls():
         assert V - E + F == 2
 
 
+@pytest.mark.parametrize("n_points, spread", [(3, 12), (8, 0)])
+def test_random_polytope_rejects_what_spans_no_space(n_points, spread):
+    with pytest.raises(ValueError):
+        random_polytope(n_points, 1, spread=spread)
+
+
+def test_random_polytope_redraws_a_degenerate_draw(monkeypatch):
+    """Four points with coordinates in [-1, 1] from seed 27 span no
+    space: the draw and the hull seed are retaken from seed 27 + 7919."""
+    import geomink.shapes as shapes
+
+    hull_seeds = []
+
+    def hull(pts, seed):
+        hull_seeds.append(seed)
+        return convex_hull_3(pts, seed=seed)
+
+    monkeypatch.setattr(shapes, "convex_hull_3", hull)
+    m = random_polytope(4, 27, spread=1)
+    assert hull_seeds == [27 ^ 0xC0FFEE, (27 + 7919) ^ 0xC0FFEE]
+    m.validate()
+    again = random_polytope(4, 27 + 7919, spread=1)
+    assert (m.vertices, m.facets) == (again.vertices, again.facets)
+
+
 _coord = st.integers(min_value=-5, max_value=5)
 _points = st.lists(st.tuples(_coord, _coord, _coord), min_size=4, max_size=14)
 _scales = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9)

@@ -182,6 +182,17 @@ class TestCompareVAtU:
         assert compare_v_at_u(classify(Vec3(1, 1, 0)), arc) == EQUAL
         assert compare_v_at_u(classify(Vec3(1, 1, -2)), arc) == SMALLER
 
+    def test_vertical_arc(self):
+        """On a meridian arc: on, below and above it on its meridian; a
+        point between its ends' latitudes on another meridian is refused."""
+        arc = make_arc(Vec3(1, 1, -1), Vec3(1, 1, 1))[0]
+        assert arc.is_vertical
+        assert compare_v_at_u(classify(Vec3(1, 1, 0)), arc) == EQUAL
+        assert compare_v_at_u(classify(Vec3(1, 1, -3)), arc) == SMALLER
+        assert compare_v_at_u(classify(Vec3(1, 1, 3)), arc) == LARGER
+        with pytest.raises(PreconditionViolation):
+            compare_v_at_u(classify(Vec3(1, 2, 0)), arc)
+
     def test_right_examples(self):
         p = Vec3(1, 0, 0)
         equator = arc_between(p, Vec3(0, 1, 0))
@@ -272,9 +283,10 @@ class TestSplitMerge:
     def test_split_then_merge_roundtrip(self):
         arc = make_arc(Vec3(1, 0, 0), Vec3(0, 1, 0))[0]
         a, b = split(arc, Vec3(2, 3, 0))
-        assert is_mergeable(a, b)
+        assert is_mergeable(a, b) and is_mergeable(b, a)
         m = merge(a, b)
         assert m.source == arc.source and m.target == arc.target
+        assert merge(b, a) == m == arc
 
     def test_split_at_endpoint_fails(self):
         arc = make_arc(Vec3(1, 0, 0), Vec3(0, 1, 0))[0]
@@ -287,6 +299,15 @@ class TestSplitMerge:
         assert not is_mergeable(a, b)
         with pytest.raises(NotMergeable):
             merge(a, b)
+
+    def test_arcs_of_one_circle_that_do_not_touch_do_not_merge(self):
+        arc = make_arc(Vec3(1, 0, 0), Vec3(0, 1, 0))[0]
+        a, rest = split(arc, Vec3(2, 1, 0))
+        _, c = split(rest, Vec3(1, 2, 0))
+        for x, y in ((a, c), (c, a)):
+            assert not is_mergeable(x, y)
+            with pytest.raises(NotMergeable):
+                merge(x, y)
 
     def test_not_mergeable_when_span_reaches_pi(self):
         a = make_arc(Vec3(1, 0, 0), Vec3(0, 1, 0))[0]
@@ -306,6 +327,9 @@ class TestBoundaryPredicates:
         assert d.v is BoundarySide.TOP
         assert d.u is BoundarySide.INTERIOR
         assert boundary_predicates(arc, MIN_END).v is BoundarySide.INTERIOR
+        south_end = arc_between(Vec3(1, 1, -1), Vec3(0, 0, -1))
+        d = boundary_predicates(south_end, MAX_END)
+        assert d == (BoundarySide.INTERIOR, BoundarySide.BOTTOM)
 
     def test_identification_sides(self):
         # Arc leaving the identification curve into y < 0: left end at u=-pi.
@@ -316,6 +340,11 @@ class TestBoundaryPredicates:
         b = arc_between(Vec3(-1, 0, 0), Vec3(-1, 1, 0))
         d = boundary_predicates(b, MIN_END)
         assert d.u is BoundarySide.RIGHT
+        # An arc on the identification curve: both ends are on it.
+        c = arc_between(Vec3(-1, 0, -1), Vec3(-1, 0, 1))
+        for end in (MIN_END, MAX_END):
+            d = boundary_predicates(c, end)
+            assert d == (BoundarySide.ON_IDENTIFICATION, BoundarySide.INTERIOR)
 
     def test_vertical_arcs_at_pole_u_order(self):
         # Two vertical arcs hanging from the north pole at azimuths 45 and 135.
@@ -337,6 +366,16 @@ class TestBoundaryPredicates:
         # Same endpoint: tie broken by which arc climbs higher.
         d1 = arc_between(Vec3(-1, 0, 0), Vec3(-1, -1, 1))
         assert compare_v_near_boundary(c2, d1, MIN_END) == SMALLER
+
+    def test_right_ends_sharing_a_seam_point(self):
+        # Both arcs leave (-1, 0, 0) into y > 0, so the shared end sits at
+        # u = +pi; the one climbing north is above the equator.
+        equator = arc_between(Vec3(-1, 0, 0), Vec3(-1, 1, 0))
+        climbing = arc_between(Vec3(-1, 0, 0), Vec3(-1, 1, 1))
+        assert boundary_predicates(equator, MIN_END).u is BoundarySide.RIGHT
+        assert boundary_predicates(climbing, MIN_END).u is BoundarySide.RIGHT
+        assert compare_v_near_boundary(equator, climbing, MIN_END) == SMALLER
+        assert compare_v_near_boundary(climbing, equator, MIN_END) == LARGER
 
     def test_compare_v_on_identification(self):
         p1 = classify(Vec3(-1, 0, -1))
