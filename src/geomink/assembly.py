@@ -36,13 +36,13 @@ valid motions may sit on single arrangement vertices.
    whose generators lie inside its walls and is kept (a kept one cannot
    hold it, or its sum would have been skipped), so each pair keeps its
    maximal projections;
-4. the union of each pair's kept projections, in (k, l) order: each
-   assembled in cycle order with no point location, then a left fold of
-   overlays that re-assembles the surviving arcs and points after every
-   step (`cleanup_region`), buried cells dropped and collinear degree-2
-   vertices fused;
+4. the boundary of the union of each pair's kept projections, its arcs
+   and isolated points, with no region built (`_union_boundary`): one
+   cut of the kept cones' sides, the pieces and points that no cone
+   holds strictly kept, and the collinear degree-2 vertices off the
+   seam and the poles fused as `cleanup_region` fuses them;
 5. the motion space's edges and vertices, with no arrangement built:
-   one cut of the unions' boundary arcs, then one of those pieces
+   one cut of the union boundaries' arcs, then one of those pieces
    against their antipodal images, which bound the reversed pairs'
    regions: d is blocked for (j, i) iff -d is for (i, j);
 6. each cell's blocking set, read off the kept cones' int walls at one
@@ -354,6 +354,75 @@ def cleanup_region(arr: SphereArrangement) -> SphereArrangement:
     return out
 
 
+def _union_boundary(kept: List[_Cone]) -> Tuple[List[GeodesicArc], List[DirPoint]]:
+    """The boundary arcs and isolated points of the union of the kept
+    cones' open regions, which union_regions of their _cycle_regions
+    keeps, with no region made.
+
+    Each cone's sides are made by make_arc, as _cycle_region makes them,
+    and cut once (_split_all), a cone's own sides unpaired.  A piece is
+    kept when its interior direction s + t lies strictly inside no cone,
+    <m, s + t> > 0 for its every wall m: then it is not buried, and as
+    the cut leaves no cone side crossing it, neither is any point inside
+    it.  A piece endpoint whose pieces were all dropped is an isolated
+    point when no cone holds it strictly, and buried otherwise.  A kept
+    piece and its endpoints lie in no open cone, so their flags agree,
+    as cleanup_region asks before it fuses.
+
+    The fusion is cleanup_region's rule: a vertex off the parameter-space
+    boundary with two kept arcs that make one (is_mergeable) is fused,
+    the first arc running on over the second.  The vertices are taken
+    once each, in the order the cut's pieces first meet them, source
+    before target.  A fused arc only lengthens, so a vertex that cannot
+    fuse now cannot fuse later.  On a collinear run of pi or more, which
+    vertex stays unfused depends on that order, so it may differ from the
+    one the fold keeps: the arcs cover the same points either way.
+
+    A single cone takes the same path: no piece is held, and a vertex
+    fuses only where make_arc cut a lune's half-circle side at the seam
+    or a pole, which leaves the side's midpoint on a run shorter than
+    pi."""
+    sides = [
+        (piece, (c,))
+        for c, cone in enumerate(kept)
+        for p, q in zip(cone.corners, cone.corners[1:] + cone.corners[:1])
+        for piece in make_arc(p, q)
+    ]
+    pieces = [a for a, _ in _split_all(sides)]
+    # each piece end's <m, p> for every wall m, by cone
+    rows: Dict[DirPoint, List[List[int]]] = {}
+    for a in pieces:
+        for p in (a.source, a.target):
+            if p not in rows:
+                x, y, z = p.dir.x, p.dir.y, p.dir.z
+                rows[p] = [
+                    [mx * x + my * y + mz * z for mx, my, mz in cone.walls] for cone in kept
+                ]
+    arcs: Dict[int, GeodesicArc] = {}
+    ring: Dict[DirPoint, List[int]] = {p: [] for p in rows}  # each end's kept pieces
+    for k, a in enumerate(pieces):
+        rs, rt = rows[a.source], rows[a.target]
+        if any(all(u + w > 0 for u, w in zip(us, ws)) for us, ws in zip(rs, rt)):
+            continue
+        arcs[k] = a
+        ring[a.source].append(k)
+        ring[a.target].append(k)
+    points = [
+        p for p, ks in ring.items()
+        if not ks and not any(all(u > 0 for u in us) for us in rows[p])
+    ]
+    for v, ks in ring.items():
+        if len(ks) != 2 or v.boundary_class is not BoundaryClass.INTERIOR:
+            continue
+        ka, kb = ks
+        if is_mergeable(arcs[ka], arcs[kb]):
+            b = arcs.pop(kb)
+            far = b.target if b.source == v else b.source
+            arcs[ka] = merge(arcs[ka], b)
+            ring[far] = [ka if k == kb else k for k in ring[far]]
+    return list(arcs.values()), points
+
+
 def reflect_region(src: SphereArrangement) -> SphereArrangement:
     """The antipodal image of a region; a direction pierces the original
     solid iff its negation pierces the reflected solid.
@@ -481,16 +550,17 @@ def build_motion_space(
     return MotionSpace(overlay(half, image, f), n_parts)
 
 
-def _motion_space_cells(unions: Sequence[SphereArrangement]):
+def _motion_space_cells(boundaries: Sequence[Tuple[List[GeodesicArc], List[DirPoint]]]):
     """The motion space's edges, its vertices (each once, in order) and
-    its points, from the unions of the pairs i < j, in two cuts.  The
-    first splits the unions' boundary arcs, a union's own arcs unpaired,
-    at each other and at the unions' isolated points.  The second splits
-    those pieces and their antipodal images, make_arc(-s, -t) each, at
-    each other and at the points and their antipodes.  Its pieces are the
+    its points, from the union boundaries of the pairs i < j, each its
+    arcs and its isolated points (_union_boundary), in two cuts.  The
+    first splits the boundaries' arcs, a union's own arcs unpaired, at
+    each other and at the isolated points.  The second splits those
+    pieces and their antipodal images, make_arc(-s, -t) each, at each
+    other and at the points and their antipodes.  Its pieces are the
     edges; their endpoints, then the points, are the vertices."""
-    tagged = [(h.arc, (k,)) for k, r in enumerate(unions) for h in r.edges()]
-    points = [v.point for r in unions for v in r.vertices if v.is_isolated]
+    tagged = [(a, (k,)) for k, (arcs, _) in enumerate(boundaries) for a in arcs]
+    points = [p for _, isolated in boundaries for p in isolated]
     half = [a for a, _ in _split_all(tagged, [(p, None) for p in points])]
     antipode = lambda p: primitive_point(-p.dir.x, -p.dir.y, -p.dir.z)
     points += [antipode(p) for p in points]
@@ -530,11 +600,15 @@ def _blocking_pairs(cones: Dict[Tuple[int, int], List[_Cone]]):
     return blocking
 
 
-def find_partitions(n_parts: int, cones: dict, unions: dict, mode: str = FIRST) -> PartitionResult:
+def find_partitions(
+    n_parts: int, cones: dict, boundaries: dict, mode: str = FIRST
+) -> PartitionResult:
     """Scan the motion space of the pairs i < j, from each pair's kept
-    cones and union, for blocking graphs that are not strongly connected,
-    with one exit per verdict: the cells of _motion_space_cells, each
-    graph from _blocking_pairs at one point of its cell.
+    cones and the (arcs, points) boundary of their union
+    (_union_boundary), for blocking graphs that are not strongly
+    connected, with one exit per verdict: the cells of
+    _motion_space_cells, each graph from _blocking_pairs at one point of
+    its cell.
 
     The vertices come first; FIRST mode returns at the first solution.
     As a blocking set is open, an edge's graph contains each of its
@@ -544,7 +618,7 @@ def find_partitions(n_parts: int, cones: dict, unions: dict, mode: str = FIRST) 
     mode tests only the edges whose endpoints are both solutions, and it
     assembles the faces to test them only when an edge is one, or when
     there is no edge: then the sphere less the points is one face."""
-    edges, vertices, points = _motion_space_cells(list(unions.values()))
+    edges, vertices, points = _motion_space_cells(list(boundaries.values()))
     blocking = _blocking_pairs(cones)
     solutions: List[PartitionSolution] = []
 
@@ -576,13 +650,15 @@ def find_partitions(n_parts: int, cones: dict, unions: dict, mode: str = FIRST) 
 
 def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     """The full pipeline: sub-part Gaussian maps, reflections, pairwise
-    sums, central projections, per-pair unions, and the scan of the
-    motion space (find_partitions), which cuts the unions' arcs twice and
-    reads each cell's blocking graph off the kept cones' walls.  Only the
-    sums, cones and unions for pairs i < j are made: the reversed pairs'
-    boundaries are the antipodal images, and their cones are tested at
-    -p.  Every map is built first, in part order, so the first invalid
-    sub-part raises its own mesh error.
+    sums, central projections, each pair's union boundary
+    (_union_boundary, one cut of its kept cones' sides), and the scan of
+    the motion space (find_partitions), which cuts the boundaries' arcs
+    twice and reads each cell's blocking graph off the kept cones'
+    walls.  The sums are the only overlays.  Only the sums, cones and
+    boundaries for pairs i < j are made: the reversed pairs' boundaries
+    are the antipodal images, and their cones are tested at -p.  Every
+    map is built first, in part order, so the first invalid sub-part
+    raises its own mesh error.
 
     The sub-part pairs (k, l) of a part pair are walked in (k, l) order,
     keeping only the maximal projections.  A sum is made only when no
@@ -606,7 +682,7 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
     # each sub-part's vertices, read by the containment test before a sum
     vertices = [[[v.as_tuple() for v in g.primal_vertices()] for g in maps] for maps in gmaps]
     cones: Dict[Tuple[int, int], List[_Cone]] = {}
-    unions: Dict[Tuple[int, int], SphereArrangement] = {}
+    boundaries: Dict[Tuple[int, int], Tuple[List[GeodesicArc], List[DirPoint]]] = {}
     for i in range(n):
         for j in range(i + 1, n):
             kept: List[_Cone] = []  # the maximal projections so far, in (k, l) order
@@ -621,6 +697,6 @@ def partition(assembly: Assembly, mode: str = FIRST) -> PartitionResult:
                     # no kept cone holds the new one: it would hold the body
                     kept = [c for c in kept if not cone.holds(c)] + [cone]
             cones[(i, j)] = kept
-            unions[(i, j)] = union_regions([_cycle_region(c) for c in kept])
-    del gmaps, reflected, vertices  # only the cones and unions are read from here on
-    return find_partitions(n, cones, unions, mode)
+            boundaries[(i, j)] = _union_boundary(kept)
+    del gmaps, reflected, vertices  # only the cones and boundaries are read from here on
+    return find_partitions(n, cones, boundaries, mode)

@@ -116,10 +116,21 @@ def read_mesh(path: str) -> Mesh:
         return parse_mesh(fh.read(), path)
 
 
-def write_mesh(mesh: Mesh, path: str) -> None:
-    text = format_mesh(mesh)  # before the open: a failed format keeps the file
+def _write(path: str, format_text, *args) -> None:
+    """Write format_text(*args) to path.  The text is made before the
+    file is opened, so a failed format keeps the file as it was; its
+    ValueError, such as a coordinate past Python's int-to-str digit
+    limit, is raised again naming the path."""
+    try:
+        text = format_text(*args)
+    except ValueError as e:
+        raise ValueError(f"cannot write {path}: {e}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def write_mesh(mesh: Mesh, path: str) -> None:
+    _write(path, format_mesh, mesh)
 
 
 # -- assembly scenes ------------------------------------------------------------
@@ -161,9 +172,7 @@ def read_scene(path: str):
 
 
 def write_scene(names: List[str], parts: List[List[Mesh]], path: str) -> None:
-    text = format_scene(names, parts)  # before the open, as in write_mesh
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, format_scene, names, parts)
 
 
 # -- point clouds ----------------------------------------------------------------

@@ -319,16 +319,21 @@ def full_circle_arcs(normal: Vec3) -> List[GeodesicArc]:
 
 def compare_v_at_u(p: Union[DirPoint, Vec3], arc: GeodesicArc) -> Sign:
     """Is p below (SMALLER), on (EQUAL), or above (LARGER) the arc at p's
-    azimuth?  For vertical arcs p must lie on the same meridian."""
+    azimuth?  For vertical arcs p must be a pole or lie on the arc's
+    meridian: on its plane, on the arc's side of the z-axis.  Along that
+    meridian latitude is monotone, so a point off the arc lies above or
+    below both of its ends."""
     q = as_point(p)
     if arc.is_vertical:
         if point_on_arc(q, arc):
             return EQUAL
-        cs = compare_v(q, arc.source)
-        ct = compare_v(q, arc.target)
-        if cs != EQUAL and cs == ct:
-            return cs
-        raise PreconditionViolation("point not on the vertical arc's meridian")
+        if not _is_pole(q):
+            # an arc is shorter than pi, so one of its ends is no pole
+            e = arc.target.dir if _is_pole(arc.source) else arc.source.dir
+            d = q.dir
+            if dot(arc.normal, d) != 0 or d.x * e.x + d.y * e.y <= 0:
+                raise PreconditionViolation("point not on the vertical arc's meridian")
+        return compare_v(q, arc.source)
     s = sign(dot(arc.normal, q.dir)) * sign(arc.normal.z)
     return Sign(s)
 

@@ -4,8 +4,10 @@ failure seen in CI reproduces locally with HYPOTHESIS_PROFILE=ci.
 Also the brute-force references that tests import from here."""
 
 import os
+import sys
 from typing import List
 
+import pytest
 from hypothesis import settings
 
 from geomink.arrangement import Face, Halfedge, Vertex, overlay
@@ -17,6 +19,15 @@ from geomink.spherical import classify
 settings.register_profile("ci", derandomize=True)
 if os.environ.get("HYPOTHESIS_PROFILE"):
     settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on the digits of an int turned into a str."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def reachability_components(n: int, edges: frozenset) -> List[List[int]]:

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import importlib
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import check_pointwise, movable_by_reachability, pierces, scan_motion_space
 from geomink import assembly
@@ -18,10 +20,10 @@ from geomink.assembly import (
     reflect_region,
     union_regions,
 )
-from geomink.arrangement import SphereArrangement, overlay
+from geomink.arrangement import SphereArrangement, _assemble, overlay
 from geomink.gaussian import InvalidMesh, Mesh, build, primal_mesh, reflect
 from geomink.hull import convex_hull_3
-from geomink.kernel import Vec3, cross, dot, scale_key
+from geomink.kernel import Vec3, cross, dot, dot3, scale_key
 from geomink.minkowski import minkowski
 from geomink.shapes import (
     box,
@@ -33,7 +35,14 @@ from geomink.shapes import (
     split_star_assembly,
     tetrahedron,
 )
-from geomink.spherical import BoundaryClass, classify, is_mergeable
+from geomink.spherical import (
+    BoundaryClass,
+    classify,
+    full_circle_arcs,
+    is_mergeable,
+    make_arc,
+    point_on_arc,
+)
 
 
 def ray_pierces_interior(mesh: Mesh, d: Vec3) -> bool:
@@ -394,15 +403,43 @@ def _as_assembly(scene) -> Assembly:
 
 
 def _scan_inputs(a: Assembly, mode: str = ALL):
-    """partition(a, mode), and the part count, kept cones and pair unions
-    that it hands to find_partitions."""
+    """partition(a, mode), and the part count, kept cones and pair union
+    boundaries that it hands to find_partitions."""
     captured = []
     real = assembly.find_partitions
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "find_partitions", lambda *a: captured.append(a[:3]) or real(*a))
         res = partition(a, mode)
-    ((n, cones, unions),) = captured
-    return res, n, cones, unions
+    ((n, cones, boundaries),) = captured
+    return res, n, cones, boundaries
+
+
+def _held(kept, p) -> bool:
+    """Does p lie strictly inside a kept cone, <m, p> > 0 for its every
+    wall m?"""
+    d = p.dir.as_tuple()
+    return any(all(dot3(m, d) > 0 for m in c.walls) for c in kept)
+
+
+def _boundary_region(kept, boundary):
+    """The union region of kept cones from its (arcs, points) boundary:
+    the arrangement of the boundary, every cell flagged by the cones'
+    wall tests at one point of it."""
+    arcs, points = boundary
+    arr, _ = _assemble(arcs, points)
+    for f in arr.faces:
+        f.payload = _held(kept, arr.interior_point(f))
+    for h in arr.edges():
+        arr.set_edge_payload(h, _held(kept, h.arc.interior_point()))
+    for v in arr.vertices:
+        v.payload = _held(kept, v.point)
+    return arr
+
+
+def _boundary_regions(cones, boundaries):
+    """Each pair's _boundary_region, from what partition hands to
+    find_partitions."""
+    return {pair: _boundary_region(cones[pair], b) for pair, b in boundaries.items()}
 
 
 def _pair_unions(scene):
@@ -473,24 +510,31 @@ def test_motion_space_reflects_once_and_overlays_once_per_pair(monkeypatch):
 
 
 @pytest.mark.parametrize("scene", [peg_in_hole_assembly, split_star_assembly])
-def test_partition_overlays_nothing_after_the_pair_unions(monkeypatch, scene):
-    # the scan cuts the unions' arcs and reads the cones' walls: no
-    # overlay, reflection or motion-space fold after the last union
+def test_partition_overlays_only_in_its_sums(monkeypatch, scene):
+    # each pair's union boundary is one cut of its kept cones' sides, and
+    # the scan cuts the boundaries and reads the cones' walls: every
+    # overlay is one sum's, and no region is made, united, cleaned,
+    # reflected or folded into a motion space
+    minkowski_module = importlib.import_module("geomink.minkowski")
     events = []
-    for name in ("overlay", "reflect_region", "build_motion_space"):
-        real = getattr(assembly, name)
-        monkeypatch.setattr(
-            assembly, name, lambda *a, real=real, name=name: events.append(name) or real(*a)
+    watched = [(minkowski_module, "overlay", "sum overlay"), (assembly, "minkowski", "sum")]
+    watched += [
+        (assembly, name, name)
+        for name in (
+            "overlay", "union_regions", "cleanup_region", "_cycle_region",
+            "reflect_region", "build_motion_space",
         )
-    real_union = assembly.union_regions
-    monkeypatch.setattr(
-        assembly, "union_regions", lambda rs: (real_union(rs), events.append("union"))[0]
-    )
+    ]
+    for module, name, event in watched:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, event=event: events.append(event) or real(*a)
+        )
     for mode in (FIRST, ALL):
         events.clear()
         partition(_as_assembly(scene()), mode)
-        last = max(k for k, e in enumerate(events) if e == "union")
-        assert events[last + 1:] == []
+        sums = events.count("sum")
+        assert sums > 0 and events == ["sum", "sum overlay"] * sums
 
 
 def test_interlocked_exit_scans_only_the_vertices(monkeypatch):
@@ -499,8 +543,8 @@ def test_interlocked_exit_scans_only_the_vertices(monkeypatch):
     # graph, are not read: one test per vertex of Split Star's motion
     # space, and no face is assembled.
     a = _as_assembly(split_star_assembly())
-    _, _, _, unions = _scan_inputs(a)
-    _, vertices, _ = assembly._motion_space_cells(list(unions.values()))
+    _, _, _, boundaries = _scan_inputs(a)
+    _, vertices, _ = assembly._motion_space_cells(list(boundaries.values()))
     calls = []
     monkeypatch.setattr(assembly, "movable_subset", lambda *a: calls.append(a))
     monkeypatch.setattr(SphereArrangement, "interior_point", lambda *a: pytest.fail("a face"))
@@ -791,9 +835,9 @@ def test_motion_space_cells_carry_every_blocking_pair(a, dirs):
     # the blocking graph of each cell, not only of the solutions: a scan
     # that skipped the reversed pairs fails here, and so does a fold
     # that skipped the antipodal reflection
-    _, n, cones, unions = _scan_inputs(a)
-    arr = assembly.build_motion_space(n, unions).arrangement
-    edges, vertices, _ = assembly._motion_space_cells(list(unions.values()))
+    _, n, cones, boundaries = _scan_inputs(a)
+    arr = assembly.build_motion_space(n, _boundary_regions(cones, boundaries)).arrangement
+    edges, vertices, _ = assembly._motion_space_cells(list(boundaries.values()))
     scan = assembly._blocking_pairs(cones)
     diffs = _difference_planes(a)
 
@@ -917,6 +961,85 @@ def test_cones_with_corners_on_the_seam_and_at_a_pole():
     assert not any(_payloads(xor))
 
 
+_tiny = st.integers(-2, 2)
+_triples = st.tuples(_tiny, _tiny, _tiny).filter(any)
+
+
+@st.composite
+def _hemisphere(draw):
+    """The open hemisphere <n, d> < 0: its circle runs through the poles
+    when n is horizontal, and else crosses the seam at a corner."""
+    n = Vec3(*draw(_triples))
+    return assembly._cone([a.source for a in full_circle_arcs(n)], -n)
+
+
+@st.composite
+def _lune(draw):
+    n1, n2 = Vec3(*draw(_triples)), Vec3(*draw(_triples))
+    assume(not cross(n1, n2).is_zero())
+    return assembly._lune_cone(n1, n2)
+
+
+@st.composite
+def _pointed(draw):
+    """The spherical hull of 3 to 6 small directions on the positive side
+    of w, as _projection_cone makes it: poles and seam points are among
+    the directions, and w among them or not."""
+    w = Vec3(*draw(st.sampled_from([(0, 0, 1), (0, 0, -1), (-1, 0, 0), (-1, 0, 1), (1, 1, 1)])))
+    dirs = {classify(w)} if draw(st.booleans()) else set()
+    dirs |= {classify(Vec3(*t)) for t in draw(st.lists(_triples, min_size=3, max_size=6))}
+    dirs = {p for p in dirs if dot(p.dir, w) > 0}
+    assume(len(dirs) >= 3)
+    hull = assembly._gnomonic_hull(dirs, w)
+    assume(len(hull) >= 3)
+    return assembly._cone(hull, sum((p.dir for p in hull), Vec3(0, 0, 0)))
+
+
+def _arcs_at(arcs):
+    """Each endpoint of arcs, with the arcs that end there."""
+    ends = {}
+    for a in arcs:
+        for p in (a.source, a.target):
+            ends.setdefault(p, []).append(a)
+    return ends
+
+
+def _plain_vertices(arcs):
+    """The endpoints of arcs, but those of exactly two arcs on one great
+    circle."""
+    return {
+        p for p, at in _arcs_at(arcs).items()
+        if len(at) != 2 or not cross(at[0].normal, at[1].normal).is_zero()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_hemisphere(), _lune(), _pointed()), min_size=1, max_size=5))
+def test_union_boundary_matches_the_fold(kept):
+    arcs, points = assembly._union_boundary(kept)
+    ref = union_regions([assembly._cycle_region(c) for c in kept])
+    ref_arcs = [h.arc for h in ref.edges()]
+    assert set(points) == {v.point for v in ref.vertices if v.is_isolated}
+    assert len(points) == len(set(points))
+    assert _plain_vertices(arcs) == _plain_vertices(ref_arcs)
+    # no vertex off the seam and the poles is left that cleanup_region
+    # would fuse, and no arc runs over the seam or a pole
+    for p, at in _arcs_at(arcs).items():
+        if len(at) == 2 and p.boundary_class is BoundaryClass.INTERIOR:
+            assert not is_mergeable(*at) and not is_mergeable(*at[::-1]), p
+    assert all(len(make_arc(a.source, a.target)) == 1 for a in arcs)
+    for mine, other in ((arcs, ref_arcs), (ref_arcs, arcs)):
+        for a in mine:
+            for p in (a.source, a.interior_point(), a.target):
+                assert any(point_on_arc(p, b) for b in other), (a, p)
+            # shorter than pi: cross(s, t) a positive multiple of the normal
+            assert dot(cross(a.source.dir, a.target.dir), a.normal) > 0, a
+    # the boundary, flagged by the walls, is the fold's region at every point
+    region = _boundary_region(kept, (arcs, points))
+    assert region.validate() == []
+    assert not any(_payloads(overlay(region, ref, _xor_flags)))
+
+
 def _made_sums(monkeypatch):
     """The summands (part j's sub-part l, part i's reflected sub-part k)
     of every sum made through assembly.minkowski, in order."""
@@ -935,13 +1058,10 @@ def test_equal_projections_keep_the_first(monkeypatch):
     second = assembly._projection_cone(minkowski(build(deep), build(cube(1).negated())))
     assert first == second and first.holds(second) and second.holds(first)
     made = _made_sums(monkeypatch)
-    kept = []
-    real = assembly._cycle_region
-    monkeypatch.setattr(assembly, "_cycle_region", lambda c: kept.append(c) or real(c))
     a = Assembly(["cube", "slabs"], [[cube(1)], [wide, deep]])
-    res = partition(a, ALL)
+    res, _, cones, _ = _scan_inputs(a)
     assert [g.primal_vertices() for g, _ in made] == [build(wide).primal_vertices()]
-    assert kept == [first]
+    assert cones == {(0, 1): [first]}
     assert {s.subset for s in res.solutions} == {(0,), (1,)}
 
 
@@ -1036,20 +1156,20 @@ def _touching_assemblies(draw):
 @settings(max_examples=25, deadline=None)
 @given(_touching_assemblies(), st.lists(st.tuples(_small, _small, _small), max_size=6))
 def test_partition_matches_the_reference_from_every_sum(a, dirs):
-    events = []  # ("made" | "kept", cone), and None after each pair's union
+    events = []  # each made cone, and None after each pair's union boundary
     with pytest.MonkeyPatch.context() as mp:
-        real_cone, real_cycle = assembly._projection_cone, assembly._cycle_region
+        real_cone, real_boundary = assembly._projection_cone, assembly._union_boundary
 
         def made(g):
-            events.append(("made", real_cone(g)))
-            return events[-1][1]
+            events.append(real_cone(g))
+            return events[-1]
 
         mp.setattr(assembly, "_projection_cone", made)
-        mp.setattr(assembly, "_cycle_region", lambda c: events.append(("kept", c)) or real_cycle(c))
-        real_union = assembly.union_regions
-        mp.setattr(assembly, "union_regions", lambda rs: events.append(None) or real_union(rs))
-        res, n, _cones, q = _scan_inputs(a)
-    # the fold over the unions partition made
+        mp.setattr(assembly, "_union_boundary", lambda k: events.append(None) or real_boundary(k))
+        res, n, cones, boundaries = _scan_inputs(a)
+    # the fold over the unions partition made: each pair's boundary, its
+    # cells flagged by its kept cones' walls
+    q = _boundary_regions(cones, boundaries)
     ms = assembly.build_motion_space(n, q)
     ref_q, ref = _reference_partition(a)
 
@@ -1057,16 +1177,17 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
     assert res.interlocked == ref.interlocked
     assert {s.subset for s in res.solutions} == {s.subset for s in ref.solutions}
     # each pair keeps maximal projections that hold every one it made
-    pair = []
+    pairs = iter(sorted(cones))
+    made = []
     for event in events:
         if event is not None:
-            pair.append(event)
+            made.append(event)
             continue
-        made = [cone for tag, cone in pair if tag == "made"]
-        kept = [cone for tag, cone in pair if tag == "kept"]
+        kept = cones[next(pairs)]
         assert kept and all(any(k.holds(c) for k in kept) for c in made)
         assert not any(x.holds(y) for x in kept for y in kept if x is not y)
-        pair = []
+        made = []
+    assert next(pairs, None) is None and made == []
     # every ALL direction is a free motion
     diffs = _difference_planes(a)
     for sol in res.solutions:
@@ -1122,10 +1243,10 @@ def _boxes(n, seed):
     )
 )
 def test_scan_matches_the_fold_motion_space(a):
-    res, n, cones, unions = _scan_inputs(a)
-    ms = assembly.build_motion_space(n, unions)
+    res, n, cones, boundaries = _scan_inputs(a)
+    ms = assembly.build_motion_space(n, _boundary_regions(cones, boundaries))
     arr = ms.arrangement
-    edges, vertices, _ = assembly._motion_space_cells(list(unions.values()))
+    edges, vertices, _ = assembly._motion_space_cells(list(boundaries.values()))
     blocking = assembly._blocking_pairs(cones)
     # the candidates are the fold's vertices, once each, with its payloads,
     # and the pieces are its edges

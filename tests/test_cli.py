@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,25 @@ def test_minkowski_stats_count_crossings_of_a_generic_pair(tmp_path, capsys):
     assert "degenerate" not in report
     ga, gb = build(a), build(b)
     assert report["crossings"] == stats(minkowski(ga, gb), [ga, gb]).crossings
+
+
+def test_minkowski_names_an_output_past_the_digit_limit(tmp_path, capsys, int_str_limit):
+    """Each summand's coordinates have about 2 600 digits, under the
+    4 300-digit int-to-str limit, and the sum's about 5 200: the write
+    fails, exit 2 names the output path, and the old file stays."""
+    t, c = tetrahedron(), cube(1)
+    a = Mesh([v.scale(Fraction(1, 10**2600)) for v in t.vertices], t.facets)
+    b = Mesh([v.scale(Fraction(1, 3**5450)) for v in c.vertices], c.facets)
+    paths = [str(tmp_path / "a.eoff"), str(tmp_path / "b.eoff")]
+    write_mesh(a, paths[0])
+    write_mesh(b, paths[1])
+    out = tmp_path / "sum.eoff"
+    out.write_text("old\n")
+    assert main(["minkowski", *paths, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: Exceeds the limit (4300 digits)"), err
+    assert "Traceback" not in err
+    assert out.read_text() == "old\n"
 
 
 def test_collide(tmp_path, capsys):

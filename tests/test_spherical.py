@@ -183,15 +183,26 @@ class TestCompareVAtU:
         assert compare_v_at_u(classify(Vec3(1, 1, -2)), arc) == SMALLER
 
     def test_vertical_arc(self):
-        """On a meridian arc: on, below and above it on its meridian; a
-        point between its ends' latitudes on another meridian is refused."""
+        """On a meridian arc: on, below and above it on its meridian, and
+        at the poles; a point on another meridian is refused, between the
+        ends' latitudes or past them, on the arc's plane across the
+        z-axis or off it."""
         arc = make_arc(Vec3(1, 1, -1), Vec3(1, 1, 1))[0]
         assert arc.is_vertical
         assert compare_v_at_u(classify(Vec3(1, 1, 0)), arc) == EQUAL
         assert compare_v_at_u(classify(Vec3(1, 1, -3)), arc) == SMALLER
         assert compare_v_at_u(classify(Vec3(1, 1, 3)), arc) == LARGER
+        assert compare_v_at_u(classify(Vec3(0, 0, -1)), arc) == SMALLER
+        assert compare_v_at_u(classify(Vec3(0, 0, 1)), arc) == LARGER
+        for d in ((1, 2, 0), (1, 2, 5), (-3, 1, -9), (-1, -1, 0), (-1, -1, 5)):
+            with pytest.raises(PreconditionViolation):
+                compare_v_at_u(classify(Vec3(*d)), arc)
+        # an arc that ends at a pole takes its meridian from its other end
+        to_pole = arc_between(Vec3(1, 1, 1), Vec3(0, 0, 1))
+        assert compare_v_at_u(classify(Vec3(1, 1, 0)), to_pole) == SMALLER
+        assert compare_v_at_u(classify(Vec3(0, 0, 1)), to_pole) == EQUAL
         with pytest.raises(PreconditionViolation):
-            compare_v_at_u(classify(Vec3(1, 2, 0)), arc)
+            compare_v_at_u(classify(Vec3(-1, -1, 0)), to_pole)
 
     def test_right_examples(self):
         p = Vec3(1, 0, 0)
