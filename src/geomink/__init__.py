@@ -4,7 +4,7 @@ proximity queries, worst-case sum generators, and assembly partitioning
 by infinite translations."""
 
 from .arrangement import SphereArrangement, overlay, sweep_build
-from .assembly import Assembly, MotionSpace, PartitionResult, partition
+from .assembly import Assembly, PartitionResult, partition
 from .extremal import max_complexity, verify_bound, witness_polytope
 from .gaussian import GaussianMap, Mesh, build, primal_mesh, reflect
 from .hull import convex_hull_3, meshes_equivalent, pairwise_sums
@@ -19,7 +19,6 @@ __all__ = [
     "GaussianMap",
     "GeodesicArc",
     "Mesh",
-    "MotionSpace",
     "PartitionResult",
     "Rational",
     "Sign",

@@ -19,8 +19,7 @@ of one strictly inside the other, with no intersection test; two arcs on
 different circles are tested only if they share no endpoint, neither has
 both endpoints strictly on one side of the other's plane, and not both
 have an endpoint on the other's circle; the sides come from one table of
-<normal, endpoint> signs.  `loads` runs the same split over a dump's
-arcs to check them before it assembles them.
+<normal, endpoint> signs.
 The assembler sorts each vertex ring once, links the boundary cycles
 from the rings, and gives each cycle of a connected component its own
 face; a further component or isolated point is placed by side-of-cycle
@@ -62,10 +61,9 @@ from typing import (
 )
 
 from .kernel import (
-    Rational, Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, exact_vec, format_rat,
+    Vec3, ccw_class, ccw_strictly_before, cross, det3, dot, exact_vec, format_rat,
 )
 from .spherical import (
-    BoundaryClass,
     DirPoint,
     GeodesicArc,
     arc_between,
@@ -76,10 +74,6 @@ from .spherical import (
     point_on_arc,
     strictly_inside_arc,
 )
-
-
-class AnchorMismatch(ValueError):
-    pass
 
 
 class ArcNotDisjoint(ValueError):
@@ -292,34 +286,20 @@ class SphereArrangement:
         b.prv = g_in
         v.out.insert(pos + 1, h_out)
 
-    def insert_disjoint_arc(
-        self,
-        arc: GeodesicArc,
-        v1: Optional[Vertex] = None,
-        v2: Optional[Vertex] = None,
-        face: Optional[Face] = None,
-    ) -> Halfedge:
+    def insert_disjoint_arc(self, arc: GeodesicArc) -> Halfedge:
         """Insert an arc whose interior is disjoint from all existing
-        features; returns the halfedge along it.  Anchors are checked
-        against the endpoints and resolved automatically when omitted.
+        features; returns the halfedge along it.
 
         The arc's place in the ring of each existing endpoint, and the
         face it runs through, are found before anything changes, so an
         arc that is not disjoint raises ArcNotDisjoint and leaves the
         arrangement as it was.  When both endpoints are missing, the face
-        is the given one, or the one located at the arc's interior point.
-        A missing endpoint is then made as a bare vertex, the tip of an
-        antenna, and the arc is spliced into the rings of its two
-        endpoints."""
+        is the one located at the arc's interior point.  A missing
+        endpoint is then made as a bare vertex, the tip of an antenna,
+        and the arc is spliced into the rings of its two endpoints."""
         src, tgt = arc.source, arc.target
-        if v1 is not None and v1.point != src:
-            raise AnchorMismatch("v1 does not match the arc source")
-        if v2 is not None and v2.point != tgt:
-            raise AnchorMismatch("v2 does not match the arc target")
-        if v1 is None:
-            v1 = self.find_vertex(src)
-        if v2 is None:
-            v2 = self.find_vertex(tgt)
+        v1 = self.find_vertex(src)
+        v2 = self.find_vertex(tgt)
 
         pos1, f1 = (0, None) if v1 is None else self._insert_position(v1, arc.normal)
         pos2, f2 = (0, None) if v2 is None else self._insert_position(v2, -arc.normal)
@@ -327,12 +307,10 @@ class SphereArrangement:
             raise ArcNotDisjoint("arc endpoints see different faces")
         f = f1 if f1 is not None else f2
         if f is None:
-            if face is None:
-                cell = self.locate(arc.interior_point())
-                if cell.kind != "face":
-                    raise ArcNotDisjoint("arc interior touches an existing feature")
-                face = cell.ref
-            f = face
+            cell = self.locate(arc.interior_point())
+            if cell.kind != "face":
+                raise ArcNotDisjoint("arc interior touches an existing feature")
+            f = cell.ref
         bare1 = v1 is None or not v1.out
         bare2 = v2 is None or not v2.out
         if v1 is None:
@@ -953,7 +931,7 @@ def overlay(
 
 
 def dumps(arr: SphereArrangement) -> str:
-    """Round-trippable text dump: vertices, edges, face CCB index lists."""
+    """Text dump: vertices, edges, face CCB index lists."""
     vid = {v: i for i, v in enumerate(arr.vertices)}
     lines = [f"spherical-arrangement {len(arr.vertices)} {len(arr.edges())} {len(arr.faces)}"]
     for v in arr.vertices:
@@ -975,43 +953,3 @@ def dumps(arr: SphereArrangement) -> str:
         iso = ",".join(str(vid[w]) for w in sorted(f.isolated, key=lambda v: vid[v]))
         lines.append(f"f ccbs={';'.join(cycles)} isolated={iso}")
     return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> SphereArrangement:
-    """Rebuild an arrangement from its dump (payloads are not carried).
-
-    The dump is outside text, so it is checked before it is assembled:
-    the arcs, split at their pairwise intersections and at the isolated
-    points, must come back as themselves, and no isolated point may
-    repeat or be an arc endpoint.  Otherwise ArcNotDisjoint is raised."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    nv, ne = int(head[1]), int(head[2])
-    dirs: List[Vec3] = []
-    isolated: List[bool] = []
-    for ln in lines[1 : 1 + nv]:
-        parts = ln.split()
-        dirs.append(Vec3(parts[1], parts[2], parts[3]))
-        isolated.append(ln.endswith(" isolated"))
-    def num(text: str) -> Rational:
-        # an integral value stays an int, as a computed normal is
-        q = Fraction(text)
-        return q.numerator if q.denominator == 1 else q
-
-    arcs = []
-    for ln in lines[1 + nv : 1 + nv + ne]:
-        parts = ln.split()
-        s, t = int(parts[1]), int(parts[2])
-        normal = Vec3(*map(num, parts[3:6]))
-        arcs.append(arc_between(dirs[s], dirs[t], normal))
-    points = [classify(d) for d, iso in zip(dirs, isolated) if iso]
-    pieces = _split_all([(a, (i,)) for i, a in enumerate(arcs)], [(p, None) for p in points])
-    ends = {p for a in arcs for p in (a.source, a.target)}
-    if (
-        Counter(frozenset((a.source, a.target)) for a in arcs)
-        != Counter(frozenset((a.source, a.target)) for a, _ in pieces)
-        or len(set(points)) < len(points)
-        or ends.intersection(points)
-    ):
-        raise ArcNotDisjoint("the dumped arcs and isolated points are not interior-disjoint")
-    return _assemble(arcs, points)[0]

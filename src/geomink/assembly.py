@@ -483,11 +483,6 @@ def movable_subset(n: int, edges: frozenset) -> Optional[Tuple[int, ...]]:
     return tuple(j for j in range(n) if reach[0] >> j & 1)  # every part a sink
 
 
-class MotionSpace(NamedTuple):
-    arrangement: SphereArrangement
-    n_parts: int
-
-
 class PartitionSolution(NamedTuple):
     cell_kind: str  # vertex | edge | face
     direction: Vec3
@@ -528,8 +523,8 @@ def pairwise_subpart_sums(
 
 
 def build_motion_space(
-    n_parts: int, q_regions: Dict[Tuple[int, int], SphereArrangement]
-) -> MotionSpace:
+    q_regions: Dict[Tuple[int, int], SphereArrangement]
+) -> SphereArrangement:
     """Overlay all pairwise piercing regions into one arrangement whose
     cells carry the directional blocking graph.
 
@@ -547,7 +542,7 @@ def build_motion_space(
         half = overlay(half, q_regions[pair], f)
     image = reflect_region(half)
     f = lambda kind, a, b: a.payload | frozenset((j, i) for i, j in b.payload)
-    return MotionSpace(overlay(half, image, f), n_parts)
+    return overlay(half, image, f)
 
 
 def _motion_space_cells(boundaries: Sequence[Tuple[List[GeodesicArc], List[DirPoint]]]):

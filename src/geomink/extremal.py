@@ -164,15 +164,30 @@ def _tangent_pivot(p, y_c: Fraction) -> Fraction:
 
 
 def _simple_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """A small-denominator rational strictly inside (lo, hi)."""
-    mid = (lo + hi) / 2
-    den = 16
-    while den < 10**9:
-        cand = mid.limit_denominator(den)
-        if lo < cand < hi:
-            return cand
-        den *= 4
-    return mid
+    """The rational with the smallest denominator strictly inside the
+    middle quarter of (lo, hi), (mid - w/8, mid + w/8) with w = hi - lo,
+    found exactly by continued fractions (the Stern-Brocot tree; Graham,
+    Knuth and Patashnik, Concrete Mathematics, 4.5).  Its digits grow
+    with the window's, never with the midpoint's."""
+    mid, r = (lo + hi) / 2, (hi - lo) / 8
+    lo, hi = mid - r, mid + r
+    # the continued fraction terms shared by the window's ends, then the
+    # smallest term that puts the rational strictly inside
+    terms = []
+    while True:
+        q = lo // 1
+        if q + 1 < hi:
+            terms.append(q + 1)
+            break
+        if lo == q:
+            terms += [q, 1 / (hi - q) // 1 + 1]
+            break
+        terms.append(q)
+        lo, hi = 1 / (hi - q), 1 / (lo - q)
+    x = Fraction(terms.pop())
+    while terms:
+        x = terms.pop() + 1 / x
+    return x
 
 
 def _pivot_chain(

@@ -196,7 +196,11 @@ def rational_triple(v: Vec3):
 
 
 def approx_triple(v: Vec3):
-    return [float(v.x), float(v.y), float(v.z)]
+    """Floats for a direction, which is defined only up to a positive
+    factor: each coordinate over the largest |coordinate|, by true
+    division, which rounds correctly and cannot overflow."""
+    m = max(abs(v.x), abs(v.y), abs(v.z))
+    return [float(c / m) for c in (v.x, v.y, v.z)]
 
 
 def report(payload: dict) -> str:

@@ -21,10 +21,10 @@ is the one list of facet vertices, `GaussianMap.facet_planes` adds
 their planes, and every reader of the primal facets (the primal mesh,
 facet counts, projections and proximity queries) takes them from these.
 The map also holds, each computed once, the primal mesh
-(`GaussianMap.mesh`), the centroid of the primal vertices
-(`GaussianMap.centroid`) and the facet planes as ints over one common
-denominator (`GaussianMap.integer_planes`); `GaussianMap.facet_neighbors`
-reads a facet's neighbours off the arrangement, across the splits.
+(`GaussianMap.mesh`) and the facet planes and the centroid of the
+primal vertices as ints over common denominators
+(`GaussianMap.integer_planes`); `GaussianMap.facet_neighbors` reads a
+facet's neighbours off the arrangement, across the splits.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ from .kernel import (
     dot,
     dot3,
     exact_vec,
-    integer_coords,
     integer_point,
+    integer_representative,
     turn3,
 )
 from .spherical import BoundaryClass, GeodesicArc, make_arc, primitive_point
@@ -86,9 +86,9 @@ class Mesh:
         facets, and every vertex on a facet.
 
         Every predicate runs on the common-denominator integer
-        representative of the vertex set (kernel.integer_coords), with
-        each facet's normal computed once, as the turn at its first corner
-        (cycle_normal's if that corner is collinear), and divided by the
+        representative of the vertex set (kernel.integer_representative),
+        with each facet's normal computed once, as the turn at its first
+        corner (cycle_normal's if that corner is collinear), and divided by the
         gcd of its components: scaling all vertices by one positive
         integer, or a normal by a positive factor, changes no sign.  The
         mesh keeps its input coordinates.  Returns the facets' outward
@@ -126,7 +126,7 @@ class Mesh:
         "Checking geometric programs or verification of geometric
         structures", CGTA 12 (1999), also CGAL's is_strongly_convex_3."""
         seen = _edge_table(self)
-        pts = integer_coords(self.vertices)
+        pts, _ = integer_representative(self.vertices)
         nv = len(pts)
         sx, sy, sz = map(sum, zip(*pts))
         normals = []
@@ -366,18 +366,13 @@ class GaussianMap:
         return primal_mesh(self)
 
     @cached_property
-    def centroid(self) -> Vec3:
-        """The mean of the primal vertices, computed once."""
-        pts = self.primal_vertices()
-        return sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
-
-    @cached_property
     def integer_planes(self) -> IntegerPlanes:
-        """facet_planes and centroid as ints (IntegerPlanes), computed
-        once."""
+        """facet_planes and the mean of the primal vertices as ints
+        (IntegerPlanes), computed once."""
         planes = self.facet_planes
         den = lcm(*(b.denominator for _, b in planes.values()))
-        cx, cy, cz, dc = integer_point(self.centroid)
+        pts = self.primal_vertices()
+        cx, cy, cz, dc = integer_point(sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts))))
         rows = {}
         for w, (n, b) in planes.items():
             nx, ny, nz = n.x, n.y, n.z

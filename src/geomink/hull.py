@@ -8,10 +8,10 @@ and the horizon is read from it.  Coplanar triangles are merged into
 maximal facets at the end so facet counts compare directly against
 Gaussian-map results, and the output passes Mesh.validate's linear-time
 convexity certificate.  All predicates are exact signs, taken on the
-integer representative of the input (kernel.integer_coords: every point
-scaled by the lcm of all the denominators, which changes no sign), on
-which equal points are also found; each triangle keeps its plane as four
-ints, read inline by every visibility test.  The output mesh holds the
+integer representative of the input (kernel.integer_representative:
+every point scaled by the lcm of all the denominators, which changes no
+sign), on which equal points are also found; each triangle keeps its
+plane as four ints, read inline by every visibility test.  The output mesh holds the
 input points themselves.  pairwise_sums adds ints too (see there).
 """
 
@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Tuple
 
 from .gaussian import Mesh, cycle_normal
 from .kernel import (
-    Rational, Vec3, dot3, exact_vec, integer_coords, integer_representative, scale_key, turn3,
+    Rational, Vec3, dot3, exact_vec, integer_representative, scale_key, turn3,
 )
 
 
@@ -56,7 +56,7 @@ def convex_hull_3(points: Iterable[Vec3], seed: int = 20111) -> Mesh:
     given = list(points)
     # equal points have equal integer triples: keep each one's first index
     first: Dict[tuple, int] = {}
-    for i, t in enumerate(integer_coords(given)):
+    for i, t in enumerate(integer_representative(given)[0]):
         first.setdefault(t, i)
     if len(first) < 4:
         raise DegenerateInput("need at least 4 distinct points")
@@ -186,10 +186,11 @@ def meshes_equivalent(a: Mesh, b: Mesh) -> bool:
 
 
 def _plane_keys(m: Mesh) -> set:
-    """Keys of the facets' oriented supporting planes, taken on
-    integer_coords(m.vertices): the keys of two meshes compare when
-    their vertex sets are equal, which meshes_equivalent checks first."""
-    pts = integer_coords(m.vertices)
+    """Keys of the facets' oriented supporting planes, taken on the
+    integer representative of m's vertices: the keys of two meshes
+    compare when their vertex sets are equal, which meshes_equivalent
+    checks first."""
+    pts, _ = integer_representative(m.vertices)
     keys = set()
     for fi, cyc in enumerate(m.facets):
         n = cycle_normal(fi, [pts[v] for v in cyc])

@@ -11,15 +11,16 @@ products on them are plain integer arithmetic; every triple product
 of them, ``dot(cross(u, v), w)``, goes through ``det3``, which builds
 no vector.
 Predicates on a whole point set, such as a mesh's, run on one integer
-representative of the set (``integer_coords``; ``integer_representative``
-adds its denominator) with the triple helpers ``cross3``, ``dot3`` and
+representative of the set (``integer_representative``, the ints and
+their one denominator) with the triple helpers ``cross3``, ``dot3`` and
 ``turn3``; ``integer_point`` puts one vector over its own denominator.
 
 ``dot``, ``cross`` and ``Vec3.norm_sq`` have a rational path for
 Fraction coordinates.  The operator expression on Fractions normalises
 every product and every sum, one gcd each.  The rational path reads each
-coordinate's numerator and denominator once, works on ints over the
-product of the denominators, and builds one ``Fraction(n, d)`` per
+coordinate's numerator and denominator once, works on ints over one
+common denominator (``integer_point``'s, for ``cross`` and ``norm_sq``),
+and builds one ``Fraction(n, d)`` per
 result scalar.  It is taken when the x coordinate of the point argument
 is a Fraction: ``dot``'s second argument (``dot(normal, point)``), the
 first of ``cross``, ``norm_sq``'s vector.  One type test is all the int
@@ -102,17 +103,13 @@ def scale_key(*nums: Rational) -> tuple:
     return tuple(c // g for c in ints)
 
 
-def integer_coords(points: Iterable["Vec3"]) -> List[Tuple[int, int, int]]:
-    """The points scaled by the lcm of all their denominators, as int
-    triples; all-int points come back as they are.  One positive scaling
-    of every point changes no orientation, side, planarity or coplanarity
-    sign, so exact predicates on a point set can run on these ints."""
-    return integer_representative(points)[0]
-
-
 def integer_representative(points: Iterable["Vec3"]) -> Tuple[List[tuple], int]:
-    """(integer_coords(points), m), m the lcm of all the denominators (1
-    for all-int points): point i is triple i over m."""
+    """(coords, m): the points scaled by m, the lcm of all their
+    denominators (1 for all-int points), as int triples, so that point i
+    is triple i over m; all-int points come back as they are.  One
+    positive scaling of every point changes no orientation, side,
+    planarity or coplanarity sign, so exact predicates on a point set
+    can run on these ints."""
     coords = [(p.x, p.y, p.z) for p in points]
     if all(type(x) is int and type(y) is int and type(z) is int for x, y, z in coords):
         return coords, 1
@@ -132,7 +129,7 @@ def integer_point(v: "Vec3") -> Tuple[int, int, int, int]:
 
 
 def cross3(u: tuple, v: tuple) -> tuple:
-    """Cross product of coordinate triples (see integer_coords)."""
+    """Cross product of coordinate triples (see integer_representative)."""
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -305,17 +302,8 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
 # They are helpers so that the int paths above keep small frames.
 
 
-def _over_common_denominator(v: Vec3) -> Tuple[int, int, int, int]:
-    """(x, y, z, d) with v = (x, y, z) / d: ints, d > 0 the product of
-    v's denominators."""
-    a, p = v.x.as_integer_ratio()
-    b, q = v.y.as_integer_ratio()
-    c, r = v.z.as_integer_ratio()
-    return a * q * r, b * p * r, c * p * q, p * q * r
-
-
 def _norm_sq_rational(v: Vec3) -> Fraction:
-    x, y, z, d = _over_common_denominator(v)
+    x, y, z, d = integer_point(v)
     return Fraction(x * x + y * y + z * z, d * d)
 
 
@@ -336,8 +324,8 @@ def _dot_rational(u: Vec3, v: Vec3) -> Fraction:
 
 
 def _cross_rational(u: Vec3, v: Vec3) -> Vec3:
-    ux, uy, uz, du = _over_common_denominator(u)
-    vx, vy, vz, dv = _over_common_denominator(v)
+    ux, uy, uz, du = integer_point(u)
+    vx, vy, vz, dv = integer_point(v)
     d = du * dv
     # u.x is a factor of the y and z coordinates, so they are Fractions;
     # the x coordinate is an int when its four factors are.

@@ -5,8 +5,8 @@ The overlay identifies every pair of features with parallel supporting
 planes; a face of the result is decorated with the sum of the primal
 vertices of the two inducing faces, so the output is again a decorated
 Gaussian map.  A vertex is tagged with its provenance case, named from
-the types of its two source features, as the first and only element of
-a tuple: "vv", "ve", "ev", "vf", "fv", or "xx" where two edges cross.
+the types of its two source features: "vv", "ve", "ev", "vf", "fv", or
+"xx" where two edges cross.
 Edges carry no payload.  The facet counts come from each map's own
 facet list, `GaussianMap.facet_vertices`.
 
@@ -32,8 +32,8 @@ class DegenerateCoincidence(ValueError):
 
 
 _VERTEX_TAGS = {
-    (Vertex, Vertex): ("vv",), (Vertex, Halfedge): ("ve",), (Halfedge, Vertex): ("ev",),
-    (Vertex, Face): ("vf",), (Face, Vertex): ("fv",), (Halfedge, Halfedge): ("xx",),
+    (Vertex, Vertex): "vv", (Vertex, Halfedge): "ve", (Halfedge, Vertex): "ev",
+    (Vertex, Face): "vf", (Face, Vertex): "fv", (Halfedge, Halfedge): "xx",
 }
 
 
@@ -81,10 +81,10 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
     """Derive the crossing count v_x = V_out - sum(V_in) and check the
     vertex-degree identity; raises DegenerateCoincidence, naming the tag,
     when overlay vertices coincide (the count is then only a lower
-    bound): when a vertex tag's first element is "vv", "ve" or "ev"."""
+    bound): when a vertex tag is "vv", "ve" or "ev"."""
     for v in g_out.arrangement.vertices:
-        if v.payload in (("vv",), ("ve",), ("ev",)):
-            raise DegenerateCoincidence(f"coincident overlay features at {v.point}: {v.payload[0]}")
+        if v.payload in ("vv", "ve", "ev"):
+            raise DegenerateCoincidence(f"coincident overlay features at {v.point}: {v.payload}")
     V_out, HE_out, _ = g_out.counts()
     v_in = sum(g.counts()[0] for g in inputs)
     e_in = [g.counts()[1] // 2 for g in inputs]

@@ -9,8 +9,8 @@ neighbors alone, so a good start saves the work: each answer carries its
 facet as a hint for the next query on the same map.  Every table a
 query reads is held by the map: its facets and their planes
 (`GaussianMap.facet_planes`), the facet adjacency across seam and pole
-splits (`facet_neighbors`), and the centroid and primal mesh, each
-computed once (`centroid`, `mesh`).
+splits (`facet_neighbors`), and the primal mesh, computed once
+(`mesh`).
 
 The walk runs on ints alone.  The map's integer plane table
 (`GaussianMap.integer_planes`) holds every facet plane over one common

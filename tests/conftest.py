@@ -13,7 +13,7 @@ from hypothesis import settings
 from geomink.arrangement import Face, Halfedge, Vertex, overlay
 from geomink.assembly import FIRST, PartitionResult, PartitionSolution, movable_subset
 from geomink.gaussian import Mesh, _edge_table, cycle_normal
-from geomink.kernel import cross3, dot3, integer_coords
+from geomink.kernel import cross3, dot3, integer_representative
 from geomink.spherical import classify
 
 settings.register_profile("ci", derandomize=True)
@@ -66,9 +66,9 @@ def movable_by_reachability(n: int, edges: frozenset):
     return tuple(sinks) if len(sinks) < n else tuple(comps[comp_of[0]])
 
 
-def scan_motion_space(ms, mode: str = FIRST) -> PartitionResult:
-    """The reference scan of a motion space built as an arrangement
-    (build_motion_space), each cell read from its payload.
+def scan_motion_space(n: int, arr, mode: str = FIRST) -> PartitionResult:
+    """The reference scan of the motion space of n parts built as an
+    arrangement (build_motion_space), each cell read from its payload.
 
     The vertices come first; FIRST mode returns at the first solution.
     With no edge, the sphere is one face, which is scanned last.  Else a
@@ -77,8 +77,6 @@ def scan_motion_space(ms, mode: str = FIRST) -> PartitionResult:
     that of an incident edge.  So with no vertex solution the assembly
     is interlocked, and ALL mode scans the faces only when an edge was
     a solution."""
-    arr = ms.arrangement
-    n = ms.n_parts
     solutions = []
 
     def consider(kind, payload, direction) -> bool:
@@ -117,7 +115,7 @@ def convex_by_scan(mesh: Mesh) -> bool:
     pass Mesh.validate's checks: every vertex lies on or below every
     facet plane, a vertex on a plane is on that facet, and no two
     neighbouring facets are coplanar."""
-    pts = integer_coords(mesh.vertices)
+    pts, _ = integer_representative(mesh.vertices)
     normals = []
     for fi, cyc in enumerate(mesh.facets):
         n = cycle_normal(fi, [pts[vi] for vi in cyc])

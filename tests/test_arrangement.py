@@ -17,13 +17,11 @@ from geomink.arrangement import (
     LEFT,
     RIGHT,
     ArcNotDisjoint,
-    AnchorMismatch,
     Halfedge,
     SphereArrangement,
     _assemble,
     _split_all,
     dumps,
-    loads,
     overlay,
     sweep_build,
 )
@@ -80,13 +78,6 @@ class TestBasics:
         classes = [v.point.boundary_class for v in arr.vertices]
         assert classes.count(BoundaryClass.ON_IDENTIFICATION) == 1
         assert arr.validate() == []
-
-    def test_anchor_mismatch(self):
-        arr = SphereArrangement()
-        h = arr.insert_disjoint_arc(quadrant())
-        other = arc_between(Vec3(0, 0, 1), Vec3(1, 1, 1))
-        with pytest.raises(AnchorMismatch):
-            arr.insert_disjoint_arc(other, v1=h.source)
 
     def test_overlapping_insert_detected(self):
         arr = SphereArrangement()
@@ -412,56 +403,59 @@ class TestValidate:
 
 
 def test_dump_roundtrip():
+    """The dump writes every vertex and arc exactly: its lines, read
+    back, give the counts, the points and their isolated flags, and each
+    arc's endpoint indices and normal."""
     a1 = arc_between(Vec3(1, -1, 0), Vec3(1, 1, 0))
     a2 = arc_between(Vec3(1, 0, -1), Vec3(1, 0, 1))
     arr = sweep_build([a1, a2])
     arr.insert_isolated_vertex(Vec3(-1, -1, -1))
-    text = dumps(arr)
-    arr2 = loads(text)
-    assert arr2.counts() == arr.counts()
-    assert dumps(arr2) == text
-    assert arr2.validate() == []
+    lines = dumps(arr).splitlines()
+    nv, ne, nf = (int(c) for c in lines[0].split()[1:])
+    assert (nv, ne, nf) == (len(arr.vertices), len(arr.edges()), len(arr.faces))
+    assert len(lines) == 1 + nv + ne + nf
+    vid = {v: i for i, v in enumerate(arr.vertices)}
+    for v, line in zip(arr.vertices, lines[1:]):
+        _, x, y, z, *iso = line.split()
+        assert Vec3(Fraction(x), Fraction(y), Fraction(z)) == v.point.dir
+        assert (iso == ["isolated"]) == v.is_isolated
+    for h, line in zip(arr.edges(), lines[1 + nv:]):
+        _, s, t, x, y, z = line.split()
+        assert (int(s), int(t)) == (vid[h.source], vid[h.target])
+        assert Vec3(Fraction(x), Fraction(y), Fraction(z)) == h.arc.normal
+    assert all(line.startswith("f ccbs=") for line in lines[1 + nv + ne:])
 
 
-def _dump_text(vertices, edges):
-    """A dump of the given vertices ((x, y, z), isolated) and edges
-    (source index, target index), each arc's normal the cross product of
-    its endpoints; loads reads no face line."""
-    lines = [f"spherical-arrangement {len(vertices)} {len(edges)} 1"]
-    for d, iso in vertices:
-        lines.append("v %d %d %d" % d + (" isolated" if iso else ""))
-    for s, t in edges:
-        n = cross(Vec3(*vertices[s][0]), Vec3(*vertices[t][0]))
-        lines.append(f"e {s} {t} {n.x} {n.y} {n.z}")
-    return "\n".join(lines) + "\n"
-
-
-_S, _N = ((1, -1, 0), False), ((1, 1, 0), False)  # the ends of a short arc through (1, 0, 0)
+_S, _N = (1, -1, 0), (1, 1, 0)  # the ends of a short arc through (1, 0, 0)
 
 
 @pytest.mark.parametrize(
-    "vertices, edges",
+    "ends, points",
     [
         # (1, 0, 0)-(1, 1, 0) runs along the arc (1, 0, 0)-(0, 1, 0) from their shared vertex
-        ([((1, 0, 0), False), ((1, 1, 0), False), ((0, 1, 0), False)], [(0, 1), (0, 2)]),
-        ([_S, _N, ((1, 0, -1), False), ((1, 0, 1), False)], [(0, 1), (2, 3)]),  # crossing
+        ([((1, 0, 0), (1, 1, 0)), ((1, 0, 0), (0, 1, 0))], []),
+        ([(_S, _N), ((1, 0, -1), (1, 0, 1))], []),  # crossing
         # a T-junction, with the stem listed first and last
-        ([_S, _N, ((1, 0, 0), False), ((1, 0, 1), False)], [(2, 3), (0, 1)]),
-        ([_S, _N, ((1, 0, 0), False), ((1, 0, 1), False)], [(0, 1), (2, 3)]),
-        ([_S, _N, ((1, 0, 0), True)], [(0, 1)]),  # isolated point on an edge
-        ([_S, _N, ((1, 1, 0), True)], [(0, 1)]),  # isolated point on a vertex
-        ([_S, _N, ((0, 0, 1), True), ((0, 0, 1), True)], [(0, 1)]),  # one point twice
-        ([_S, _N], [(0, 1), (1, 0)]),  # one arc twice
+        ([((1, 0, 0), (1, 0, 1)), (_S, _N)], []),
+        ([(_S, _N), ((1, 0, 0), (1, 0, 1))], []),
+        ([(_S, _N)], [(1, 0, 0)]),  # a point on an edge
+        ([(_S, _N), (_N, _S)], []),  # one arc twice
     ],
     ids=[
         "overlap", "crossing", "t-junction", "t-junction-stem-last", "point-on-edge",
-        "point-on-vertex", "repeated-point", "repeated-arc",
+        "repeated-arc",
     ],
 )
-def test_loads_rejects_malformed_dumps(vertices, edges):
-    text = _dump_text(vertices, edges)
-    with pytest.raises(ArcNotDisjoint):
-        loads(text)
+def test_split_all_cuts_arcs_that_are_not_interior_disjoint(ends, points):
+    """Arcs that overlap, cross or end inside one another, or hold a point
+    inside, are not interior-disjoint: their pieces do not come back as
+    the arcs themselves, while each arc alone is its own piece."""
+    arcs = [arc_between(Vec3(*s), Vec3(*t)) for s, t in ends]
+    tagged = [(a, (i,)) for i, a in enumerate(arcs)]
+    pieces = _split_all(tagged, [(classify(Vec3(*p)), None) for p in points])
+    ends_of = lambda arcs: Counter(frozenset((a.source, a.target)) for a in arcs)
+    assert ends_of(arcs) != ends_of(a for a, _ in pieces)
+    assert all(_split_all([(a, (0,))]) == [(a, [(0,)])] for a in arcs)
 
 
 # -- one-pass assembly and the pair filter --------------------------------------
@@ -772,7 +766,7 @@ def _overlay_operands(draw):
     pairs = {}
     if draw(st.booleans()):
         pairs = {(0, 1): union_regions(draw(_regions()))}
-    return build_motion_space(2, pairs).arrangement
+    return build_motion_space(pairs)
 
 
 @settings(max_examples=100, deadline=None)

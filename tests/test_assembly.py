@@ -483,8 +483,8 @@ def _cells(arr):
     "scene", [peg_in_hole_assembly, hollow_box_assembly, split_star_assembly]
 )
 def test_motion_space_equals_the_fold_over_ordered_pairs(scene):
-    n, q = _pair_unions(scene())
-    ms = assembly.build_motion_space(n, q).arrangement
+    _, q = _pair_unions(scene())
+    ms = assembly.build_motion_space(q)
     ref = _folded_motion_space(q)
     assert ms.validate() == []
     xor = overlay(ms, ref, lambda kind, a, b: a.payload ^ b.payload)
@@ -502,9 +502,9 @@ def test_motion_space_reflects_once_and_overlays_once_per_pair(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(assembly, name, counted)
-    n, q = _pair_unions(split_star_assembly())
+    _, q = _pair_unions(split_star_assembly())
     calls.update(overlay=0, reflect_region=0)
-    assembly.build_motion_space(n, q)
+    assembly.build_motion_space(q)
     assert calls == {"overlay": len(q) + 1, "reflect_region": 1}
     assert len(q) == 15
 
@@ -557,9 +557,9 @@ def test_interlocked_exit_scans_only_the_vertices(monkeypatch):
 def test_motion_space_rejects_a_reversed_pair():
     r = project_polytope(build(cube(1).translated(Vec3(5, 0, 0))))
     with pytest.raises(ValueError):
-        assembly.build_motion_space(2, {(1, 0): r})
+        assembly.build_motion_space({(1, 0): r})
     with pytest.raises(ValueError):
-        assembly.build_motion_space(2, {(0, 1): r, (1, 0): reflect_region(r)})
+        assembly.build_motion_space({(0, 1): r, (1, 0): reflect_region(r)})
 
 
 def _xor_flags(kind, a, b):
@@ -835,8 +835,8 @@ def test_motion_space_cells_carry_every_blocking_pair(a, dirs):
     # the blocking graph of each cell, not only of the solutions: a scan
     # that skipped the reversed pairs fails here, and so does a fold
     # that skipped the antipodal reflection
-    _, n, cones, boundaries = _scan_inputs(a)
-    arr = assembly.build_motion_space(n, _boundary_regions(cones, boundaries)).arrangement
+    _, _, cones, boundaries = _scan_inputs(a)
+    arr = assembly.build_motion_space(_boundary_regions(cones, boundaries))
     edges, vertices, _ = assembly._motion_space_cells(list(boundaries.values()))
     scan = assembly._blocking_pairs(cones)
     diffs = _difference_planes(a)
@@ -1106,7 +1106,7 @@ def _reference_partition(a: Assembly):
     projected, each pair's projections united in (k, l) order, the motion
     space and its scan.  Returns the pair unions and the result."""
     _, unions = _pair_unions([(n, p) for n, p in zip(a.names, a.parts)])
-    return unions, scan_motion_space(assembly.build_motion_space(len(a.parts), unions), ALL)
+    return unions, scan_motion_space(len(a.parts), assembly.build_motion_space(unions), ALL)
 
 
 _CELL_SIDES = [(0, 2), (0, 2), (0, 1), (1, 2)]  # the whole cell side weighs double
@@ -1170,7 +1170,7 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
     # the fold over the unions partition made: each pair's boundary, its
     # cells flagged by its kept cones' walls
     q = _boundary_regions(cones, boundaries)
-    ms = assembly.build_motion_space(n, q)
+    ms = assembly.build_motion_space(q)
     ref_q, ref = _reference_partition(a)
 
     # the verdict and the movable subsets are the reference's
@@ -1203,12 +1203,12 @@ def test_partition_matches_the_reference_from_every_sum(a, dirs):
     for key in q:
         xor = overlay(q[key], ref_q[key], _xor_flags)
         assert not any(_payloads(xor)), key
-    ref_ms = assembly.build_motion_space(len(a.parts), ref_q).arrangement
-    xor = overlay(ms.arrangement, ref_ms, lambda kind, x, y: x.payload ^ y.payload)
+    ref_ms = assembly.build_motion_space(ref_q)
+    xor = overlay(ms, ref_ms, lambda kind, x, y: x.payload ^ y.payload)
     assert not any(_payloads(xor))
     for key in q:
         check_pointwise(q[key], ref_q[key], probes)
-    check_pointwise(ms.arrangement, ref_ms, probes)
+    check_pointwise(ms, ref_ms, probes)
 
 
 @st.composite
@@ -1244,8 +1244,7 @@ def _boxes(n, seed):
 )
 def test_scan_matches_the_fold_motion_space(a):
     res, n, cones, boundaries = _scan_inputs(a)
-    ms = assembly.build_motion_space(n, _boundary_regions(cones, boundaries))
-    arr = ms.arrangement
+    arr = assembly.build_motion_space(_boundary_regions(cones, boundaries))
     edges, vertices, _ = assembly._motion_space_cells(list(boundaries.values()))
     blocking = assembly._blocking_pairs(cones)
     # the candidates are the fold's vertices, once each, with its payloads,
@@ -1261,7 +1260,7 @@ def test_scan_matches_the_fold_motion_space(a):
         assert frozenset(blocking(e.interior_point())) == h.payload, e
     # verdicts and ALL solutions; a face solution by the fold's face that
     # holds its direction
-    ref = scan_motion_space(ms, ALL)
+    ref = scan_motion_space(n, arr, ALL)
 
     def solution_set(solutions):
         return {

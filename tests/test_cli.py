@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from geomink.arrangement import dumps
 from geomink.cli import main
 from geomink.extremal import max_complexity
 from geomink.fileio import read_mesh, write_mesh, write_scene
@@ -36,10 +38,8 @@ def test_gmap_counts(octa_path, capsys):
 def test_gmap_dump_roundtrip(octa_path, capsys):
     assert main(["gmap", octa_path, "--dump"]) == 0
     out = capsys.readouterr().out
-    from geomink.arrangement import loads
-
-    arr = loads(out)
-    assert arr.counts() == (10, 28, 6)
+    assert out == dumps(build(read_mesh(octa_path)).arrangement)
+    assert out.splitlines()[0] == "spherical-arrangement 10 14 6"
 
 
 def test_minkowski_writes_mesh(tmp_path, octa_path, capsys):
@@ -138,6 +138,26 @@ def test_partition_report(tmp_path, capsys):
     assert data["interlocked"] is False
     assert data["solutions"][0]["subset"] == ["peg"]
     assert data["schema"] == 1
+
+
+@pytest.mark.parametrize("mode", ["first", "all"])
+def test_partition_reports_directions_with_400_digit_coordinates(tmp_path, capsys, mode):
+    """directionApprox divides by the largest |coordinate|, so a direction
+    whose ints would overflow a float still has finite approximations."""
+    b = 10**400
+    scene = tmp_path / "big.asm"
+    parts = [[box(0, 0, 0, b, 3, 1)], [box(b + 1, 5, 2, 2 * b + 7, 9, b)]]
+    write_scene(["a", "b"], parts, str(scene))
+    assert main(["partition", str(scene), "--mode", mode]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["interlocked"] is False and data["solutions"]
+    for s in data["solutions"]:
+        approx = s["directionApprox"]
+        assert all(math.isfinite(c) and abs(c) <= 1 for c in approx) and 1 in map(abs, approx)
+        # a coordinate may round to zero next to a 400-digit one, but
+        # no sign flips
+        exact = [Fraction(c) for c in s["direction"]]
+        assert not any(a > 0 > e or a < 0 < e for a, e in zip(approx, exact))
 
 
 def test_bad_mesh_exits_2(tmp_path, capsys):

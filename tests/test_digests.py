@@ -102,7 +102,7 @@ EXPECTED = {
     "gaussian/box": "791bf7102913cb10b7adc7bc7e7d16e7d445ea49e17b8368da81e8078a016c5c",
     "gaussian/random": "c23bd7fcb83d97c9dfa87956301429f2d521b3ee2e586a6dc512354fbdc7fbb8",
     "sums/random": "f9b9731d0f5511cb4102d7204748a84854ff7882c59d90878426a70282848f14",
-    "tuner": "cd8fcb197a871201c1a3cab94917045474189b0e04705c49530ad6f6b25c1136",
+    "tuner": "2ff73559d5e3880313370a43abc3a121e839ce897c11adfbb77d17650f1e5684",
     "proximity": "0dc6eaa187da32ae73e0e98d5ff1cd84f30edadb6175258f412c9a14fb517b37",
     "hulls": "9ddebaf7b4cc0cee2e12a53f8925f7f1d1298665982dbb43bfdb69e1763f2349",
     "projections": "c8520ae9421d5730c08a77aa5ba303c9c913d156a325ba8cf78429c4a41d88b9",
@@ -218,7 +218,7 @@ def unions_and_motion_space_forms(scene):
     unions = "\n".join(
         f"pair {pair}\n{arrangement_form(r)}" for pair, r in sorted(q.items())
     )
-    return unions, arrangement_form(build_motion_space(n, q).arrangement)
+    return unions, arrangement_form(build_motion_space(q))
 
 
 def gaussian_form(mesh) -> str:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from geomink.extremal import (
     InvalidFacetCount,
     QUARTER_TURN,
+    _simple_rational_between,
     _witness_mesh,
     default_params,
     max_complexity,
@@ -156,6 +158,16 @@ class TestBound:
         r = verify_bound(5, 7)
         assert r.tight and r.facets == 58
 
+    def test_24x24_is_tight_on_small_denominators(self):
+        # the pivots' denominators grow with the window's, so the tuned
+        # witness keeps about 200 digits here, where exact midpoints
+        # doubled them at each pivot step
+        r = verify_bound(24, 24)
+        assert r.tight and r.facets == 1898
+        mesh = witness_polytope(tune_params(24, 24)[0])
+        digits = [len(str(Fraction(c).denominator)) for v in mesh.vertices for c in v.as_tuple()]
+        assert max(digits) < 300
+
     def test_crossing_count_formula(self):
         m = n = 5
         pm, pn = tune_params(m, n)
@@ -172,6 +184,21 @@ class TestBound:
             s = minkowski(build(m1), build(m2))
             fm, fn = len(m1.facets), len(m2.facets)
             assert facet_count(s) <= max_complexity([fm, fn])
+
+
+@given(
+    st.builds(Fraction, st.integers(-(10**4), 10**4), st.integers(1, 500)),
+    st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**4)),
+)
+def test_pivot_is_the_simplest_rational_in_the_middle_quarter(lo, w):
+    mid, r = lo + w / 2, w / 8
+    got = _simple_rational_between(lo, lo + w)
+    assert mid - r < got < mid + r
+    # no smaller denominator has a multiple strictly inside
+    assert not any(
+        mid - r < Fraction(math.floor((mid - r) * d) + 1, d) < mid + r
+        for d in range(1, got.denominator)
+    )
 
 
 def test_multi_witness_tetrahedra():

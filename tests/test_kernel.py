@@ -22,8 +22,8 @@ from geomink.kernel import (
     dot3,
     exact_vec,
     format_rat,
-    integer_coords,
     integer_point,
+    integer_representative,
     rat,
     side_of_origin_plane,
     turn3,
@@ -138,10 +138,10 @@ def test_rat_parsing_and_formatting():
 
 def test_integer_coords_scales_by_the_common_denominator():
     pts = [Vec3(Fraction(1, 2), 0, Fraction(-2, 3)), Vec3(3, Fraction(4, 2), Fraction(5, 6))]
-    assert integer_coords(pts) == [(3, 0, -4), (18, 12, 5)]
+    assert integer_representative(pts) == ([(3, 0, -4), (18, 12, 5)], 6)
     ints = [Vec3(1, -2, 3), Vec3(0, 5, Fraction(8, 4))]
-    got = integer_coords(ints)
-    assert got == [(1, -2, 3), (0, 5, 2)]
+    got, m = integer_representative(ints)
+    assert (got, m) == ([(1, -2, 3), (0, 5, 2)], 1)
     assert all(type(c) is int for t in got for c in t)
 
 
@@ -161,7 +161,7 @@ def test_integer_coords_keep_orientation_signs():
         ]
         a, b, c, d = pts
         want = dot_sign(cross(b - a, c - a), d - a)
-        ia, ib, ic, id_ = integer_coords(pts)
+        (ia, ib, ic, id_), _ = integer_representative(pts)
         got = dot3(turn3(ia, ib, ic), (id_[0] - ia[0], id_[1] - ia[1], id_[2] - ia[2]))
         assert (got > 0) - (got < 0) == want
 

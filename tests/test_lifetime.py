@@ -20,7 +20,7 @@ from typing import Tuple
 
 from geomink import assembly
 from geomink.arrangement import (
-    Face, Halfedge, SphereArrangement, Vertex, dumps, loads, overlay,
+    Face, Halfedge, SphereArrangement, Vertex, dumps, overlay,
     sweep_build,
 )
 from geomink.assembly import (
@@ -84,13 +84,13 @@ def _union_and_cleanup():
 def _reflect_region_and_motion_space():
     q = union_regions([project_polytope(build(box(1, -1, -1, 3, 1, 1))),
                        project_polytope(build(box(-1, 2, -1, 1, 4, 1)))])
-    build_motion_space(2, {(0, 1): q})
+    build_motion_space({(0, 1): q})
 
 
-def _sweep_build_and_loads():
+def _sweep_build_and_dumps():
     arcs = [arc_between(Vec3(1, 0, 0), Vec3(0, 1, 1)), arc_between(Vec3(0, 1, 0), Vec3(1, 0, 1)),
             arc_between(Vec3(0, 0, 1), Vec3(1, 1, 0)), arc_between(Vec3(-1, 0, 0), Vec3(0, -1, 0))]
-    loads(dumps(sweep_build(arcs)))
+    dumps(sweep_build(arcs))
 
 
 def _insert_with_face_split():
@@ -114,7 +114,7 @@ CASES = [
     _projections,
     _union_and_cleanup,
     _reflect_region_and_motion_space,
-    _sweep_build_and_loads,
+    _sweep_build_and_dumps,
     _insert_with_face_split,
     _partition_and_verify_bound,
 ]

@@ -138,8 +138,8 @@ class TestStats:
         for a, b, tag in ((g1, g2, "ev"), (g2, g1, "ve")):
             s = minkowski(a, b)
             tags = Counter(v.payload for v in s.arrangement.vertices)
-            assert tags[(tag,)] == 1
-            assert set(tags) == {(tag,), ("vf",), ("fv",), ("xx",)}
+            assert tags[tag] == 1
+            assert set(tags) == {tag, "vf", "fv", "xx"}
             with pytest.raises(DegenerateCoincidence, match=rf"DirPoint\(1, 1, 0\): {tag}$"):
                 stats(s, [a, b])
 
@@ -148,9 +148,9 @@ class TestStats:
         g2 = build(random_polytope(8, 72))
         s = minkowski(g1, g2)
         tags = Counter(v.payload for v in s.arrangement.vertices)
-        assert set(tags) == {("vf",), ("fv",), ("xx",)}
-        assert tags[("vf",)] == g1.counts()[0] and tags[("fv",)] == g2.counts()[0]
-        assert stats(s, [g1, g2]).crossings == tags[("xx",)]
+        assert set(tags) == {"vf", "fv", "xx"}
+        assert tags["vf"] == g1.counts()[0] and tags["fv"] == g2.counts()[0]
+        assert stats(s, [g1, g2]).crossings == tags["xx"]
 
     def test_reflect_then_sum_is_difference_body(self):
         c = build(box(0, 0, 0, 1, 1, 1))

@@ -286,7 +286,8 @@ def test_hintless_start_is_the_first_best_aligned_facet(monkeypatch):
     ties = 0
     for M in (sum_cube(), _seeded_sum(11), _seeded_sum(12)):
         planes = M.facet_planes
-        c = M.centroid
+        pts = M.primal_vertices()
+        c = sum(pts, Vec3(0, 0, 0)).scale(Fraction(1, len(pts)))
         points = [Vec3(x, y, z) for x in (-1, 0, 1, 2) for y in (-1, 0, 2) for z in (0, 1)]
         points += [
             Vec3(*(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in "xyz"))
