@@ -832,12 +832,11 @@ def _assemble(
 
 
 def _operand_features(
-    a: SphereArrangement, b: SphereArrangement
+    *operands: SphereArrangement,
 ) -> Tuple[List[Tuple[GeodesicArc, Any]], List[Tuple[DirPoint, Any]]]:
-    """What the split step of overlay cuts: each edge of a and b, tagged
-    (side, halfedge) with side 0 for a and 1 for b, and the isolated
-    points, tagged (side, vertex)."""
-    operands = (a, b)
+    """What the split step of an overlay of the operands cuts: each
+    operand's edges, tagged (side, halfedge) with side the operand's
+    position, and its isolated points, tagged (side, vertex)."""
     tagged = [(h.arc, (side, h)) for side, arr in enumerate(operands) for h in arr.edges()]
     iso_points = [
         (v.point, (side, v))

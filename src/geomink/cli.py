@@ -11,19 +11,12 @@ import sys
 from . import fileio
 from .arrangement import dumps as dump_arrangement
 from .assembly import ALL, FIRST, Assembly, partition
-from .gaussian import InvalidMesh, build, primal_mesh
+from .gaussian import build, primal_mesh
 from .hull import DegenerateInput, convex_hull_3
 from .kernel import Vec3, rat
 from .minkowski import DegenerateCoincidence, minkowski, stats
 from .proximity import collide
-from .extremal import (
-    NonTermination,
-    ParamsRejected,
-    multi_witness_sum,
-    tune_params,
-    verify_bound,
-    witness_polytope,
-)
+from .extremal import multi_witness_sum, tune_params, verify_bound, witness_polytope
 
 
 def _parse_vec(text: str) -> Vec3:
@@ -94,33 +87,31 @@ def cmd_hull(args) -> int:
 
 
 def cmd_maxgen(args) -> int:
+    """One path per summand count: one --facets writes or describes the
+    tuned witness, two go to verify_bound, three or more to
+    multi_witness_sum.  --verify adds the verdict and its exit code."""
     ms = args.facets
     if len(ms) == 1:
+        if args.verify:
+            raise ValueError("--verify needs two or more --facets")
         mesh = witness_polytope(tune_params(ms[0], ms[0])[0])
         if args.output:
             fileio.write_mesh(mesh, args.output)
         print(f"facets={len(mesh.facets)} edges={mesh.edge_count()} "
               f"vertices={len(mesh.vertices)}")
         return 0
-    if len(ms) == 2 and args.verify:
-        r = verify_bound(ms[0], ms[1])
-        sys.stdout.write(
-            fileio.report(
-                {
-                    "summands": ms,
-                    "facetCount": r.facets,
-                    "bound": r.bound,
-                    "verdict": "PASS" if r.tight else "FAIL",
-                }
-            )
-        )
-        return 0 if r.tight else 2
-    got, bound, _g = multi_witness_sum(ms)
+    if args.output:
+        raise ValueError("-o/--output writes one witness and takes one --facets")
+    if len(ms) == 2:
+        r = verify_bound(*ms)
+        got, bound, miss = r.facets, r.bound, "FAIL"
+    else:
+        (got, bound), miss = multi_witness_sum(ms), "NEAR-MISS"
     payload = {"summands": ms, "facetCount": got, "bound": bound}
     if args.verify:
-        payload["verdict"] = "PASS" if got == bound else "NEAR-MISS"
+        payload["verdict"] = "PASS" if got == bound else miss
     sys.stdout.write(fileio.report(payload))
-    return 0
+    return 2 if payload.get("verdict") == "FAIL" else 0
 
 
 def cmd_partition(args) -> int:
@@ -195,11 +186,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 VALIDATION_ERRORS = (
-    InvalidMesh,
-    fileio.ParseError,
-    DegenerateInput,
-    ParamsRejected,
-    ValueError,
+    ValueError,  # bad input: InvalidMesh, ParseError, DegenerateInput, ParamsRejected
     OSError,  # an input or output path that cannot be used
 )
 
@@ -211,10 +198,7 @@ def main(argv=None) -> int:
     except VALIDATION_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NonTermination as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 1
-    except Exception as e:  # pragma: no cover - defensive
+    except Exception as e:  # NonTermination and any other bug
         print(f"internal error: {e}", file=sys.stderr)
         return 1
 

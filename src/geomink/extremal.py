@@ -9,9 +9,8 @@ long dual edge of one map cross every long dual edge of the other,
 attaining the exact bound on the number of facets.
 
 The bound is checked by counting the facets of each candidate sum off
-the overlay split (`minkowski.sum_facet_count`): `tune_params` and
-`verify_bound` assemble no sum.  `multi_witness_sum` returns its sum, so
-it builds it.
+the overlay split (`minkowski.sum_facet_count`): `tune_params`,
+`verify_bound` and `multi_witness_sum` assemble no sum.
 
 The construction fixes the combinatorics: every facet cycle is written
 counterclockwise as seen from outside, and the feature counts follow
@@ -26,9 +25,9 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Sequence, Tuple
 
-from .gaussian import GaussianMap, InvalidMesh, Mesh, build
+from .gaussian import InvalidMesh, Mesh, build
 from .kernel import Rational, Vec3, dot, exact_vec
-from .minkowski import facet_count, minkowski_many, sum_facet_count
+from .minkowski import sum_facet_count
 
 
 class InvalidFacetCount(ValueError):
@@ -400,18 +399,19 @@ def verify_bound(m: int, n: int) -> BoundReport:
     return BoundReport(m, n, max_complexity([m, n]), got)
 
 
-def multi_witness_sum(ms: Sequence[int]) -> Tuple[int, int, GaussianMap]:
-    """Sum k witnesses rotated 180(i-1)/k degrees about Y (rational
-    approximations for k > 2); returns (facet count, bound, map).  Each
-    distinct facet count is tuned once."""
+def multi_witness_sum(ms: Sequence[int]) -> Tuple[int, int]:
+    """Sum k >= 3 witnesses rotated 180(i-1)/k degrees about Y (rational
+    approximations) and return (facet count, bound), counted off one
+    overlay cut (sum_facet_count).  Each distinct facet count is tuned
+    once, and build validates each turned copy.  Two summands belong to
+    verify_bound, which tunes the pair together."""
     k = len(ms)
-    witness = {m: witness_polytope(tune_params(m, m)[0]) for m in set(ms)}
+    if k < 3:
+        raise ValueError("multi_witness_sum needs three or more summands")
+    witness = {m: _witness_mesh(tune_params(m, m)[0]) for m in set(ms)}
     maps = []
     for idx, m in enumerate(ms):
-        mesh = witness[m]
         angle = math.pi * idx / k
         t = Fraction(math.tan(angle / 2)).limit_denominator(10**4)
-        mesh = rotate_mesh(mesh, rotation_about_y(t))
-        maps.append(build(mesh))
-    s = minkowski_many(maps)
-    return facet_count(s), max_complexity(ms), s
+        maps.append(build(rotate_mesh(witness[m], rotation_about_y(t))))
+    return sum_facet_count(*maps), max_complexity(ms)

@@ -151,6 +151,8 @@ def parse_scene(text: str, path: str = "<string>"):
     if head is None or head[0] != "assembly" or len(head) != 2:
         raise ParseError(path, line, "expected 'assembly <count>' header")
     n = _parse_count(head[1], path, line)
+    if n < 2:
+        raise ParseError(path, line, f"an assembly needs at least two parts, got {n}")
     names: List[str] = []
     parts: List[List[Mesh]] = []
     for _ in range(n):

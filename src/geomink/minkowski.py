@@ -11,10 +11,10 @@ Edges carry no payload.  The facet counts come from each map's own
 facet list, `GaussianMap.facet_vertices`.
 
 A sum's facet count alone needs none of that assembly, nor the split
-pieces: `sum_facet_count` counts the overlay's vertices off the split
-step's cut points, less the seam and pole points that only split an arc.
-The worst-case witness tuner (`extremal`) checks the tight bound this
-way.
+pieces: `sum_facet_count` counts the vertices of the overlay of any
+number of maps off one cut of all their arcs, less the seam and pole
+points that only split an arc.  The worst-case witnesses (`extremal`)
+check the tight bound this way, for two summands and for more.
 """
 
 from __future__ import annotations
@@ -104,22 +104,19 @@ def stats(g_out: GaussianMap, inputs: Sequence[GaussianMap]) -> SumStats:
     return st
 
 
-def facet_count(g: GaussianMap) -> int:
-    return len(g.facet_vertices)
+def sum_facet_count(*gs: GaussianMap) -> int:
+    """len(minkowski_many(gs).facet_vertices), without splitting or
+    assembling, for any number of maps.
 
-
-def sum_facet_count(g1: GaussianMap, g2: GaussianMap) -> int:
-    """facet_count(minkowski(g1, g2)), without splitting or assembling.
-
-    The overlay's vertices are the operands' arc endpoints, the points
-    where _cut_sets cuts their arcs, and their isolated points.  A vertex
-    is a facet unless GaussianMap.facet_vertices would call it a seam or
-    pole split (_is_split_artifact): an arc through a non-interior point p
+    The overlay's vertices are the maps' arc endpoints, the points where
+    _cut_sets cuts their arcs, and their isolated points.  A vertex is a
+    facet unless GaussianMap.facet_vertices would call it a seam or pole
+    split (_is_split_artifact): an arc through a non-interior point p
     leaves p along +n (unless p is its target) and -n (unless p is its
     source), and two split pieces at p coincide exactly when they leave p
     the same way, so p is a split when exactly two opposite directions
     leave it."""
-    tagged, iso_points = _operand_features(g1.arrangement, g2.arrangement)
+    tagged, iso_points = _operand_features(*(g.arrangement for g in gs))
     vertices = {p for p, _ in iso_points}
     leaving: Dict[DirPoint, Set[Tuple[int, int, int]]] = {}
     for (arc, _tag), cut in zip(tagged, _cut_sets(tagged, iso_points)):

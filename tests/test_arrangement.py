@@ -15,6 +15,7 @@ from geomink import arrangement
 from geomink.shapes import box, random_polytope, split_star_assembly
 from geomink.arrangement import (
     LEFT,
+    Face,
     RIGHT,
     ArcNotDisjoint,
     Halfedge,
@@ -27,6 +28,7 @@ from geomink.arrangement import (
 )
 from geomink.spherical import (
     BoundaryClass,
+    GeodesicArc,
     arc_between,
     classify,
     full_circle_arcs,
@@ -390,6 +392,42 @@ class TestValidate:
         h = arr.insert_disjoint_arc(quadrant())
         h.twin = h
         assert any("twin" in e for e in arr.validate())
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda arr, h, v: arr.halfedges.remove(h), "dangling link to a removed halfedge"),
+            (lambda arr, h, v: setattr(h, "prv", h.nxt), "next/prev not inverse"),
+            (lambda arr, h, v: setattr(h.nxt, "face", h.twin.face), "face differs along CCB"),
+            (lambda arr, h, v: setattr(h.nxt, "face", h.twin.face), "has wrong face"),
+            (lambda arr, h, v: setattr(h, "face", h.twin.face), "points to another face"),
+            (lambda arr, h, v: h.source.out.remove(h), "missing from source vertex ring"),
+            (lambda arr, h, v: h.face.ccbs.clear(), "not reachable from any face CCB"),
+            (lambda arr, h, v: h.face.ccbs.append(h.nxt), "appears in two CCBs"),
+            (lambda arr, h, v: setattr(v, "isolated_face", h.twin.face), "isolated face link"),
+            (lambda arr, h, v: h.source.out.reverse(), "vertex ring not CCW-sorted"),
+            (
+                lambda arr, h, v: setattr(
+                    h, "arc", GeodesicArc(h.source.point, h.target.point, Vec3(1, 1, 1))
+                ),
+                "source not on arc plane",
+            ),
+            (lambda arr, h, v: arr.faces.append(Face(-1)), "Euler failure"),
+        ],
+    )
+    def test_corruption_reported(self, corrupt, message):
+        """The octahedron's three great circles and an isolated point, with
+        one link, ring, face, arc or count broken: h leads the first face's
+        boundary cycle, and its source has four arcs."""
+        axes = (Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0))
+        circles = sweep_build([a for n in axes for a in full_circle_arcs(n)])
+        arr, _ = _assemble([h.arc for h in circles.edges()], [classify(Vec3(1, 2, 3))])
+        assert arr.validate() == []
+        (h,) = arr.faces[0].ccbs
+        (v,) = [w for w in arr.vertices if w.is_isolated]
+        assert h.source.degree == 4 and h.twin.face is not h.face
+        corrupt(arr, h, v)
+        assert any(message in e for e in arr.validate())
 
     def test_octahedron_euler(self):
         # Eight faces of an octahedron's Gaussian map arise from the six

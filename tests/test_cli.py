@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from geomink.arrangement import dumps
+from geomink import cli
 from geomink.cli import main
-from geomink.extremal import max_complexity
+from geomink.extremal import NonTermination, max_complexity
 from geomink.fileio import read_mesh, write_mesh, write_scene
 from geomink.gaussian import Mesh
 from geomink.kernel import Vec3
@@ -128,6 +129,48 @@ def test_maxgen_verifies_three_summands(capsys):
     assert (report["verdict"] == "PASS") == (report["facetCount"] == report["bound"])
 
 
+def test_maxgen_counts_a_pair_the_same_with_and_without_verify(capsys):
+    """Two summands take one path, verify_bound; --verify only adds the
+    verdict."""
+    for m in range(4, 13):
+        for n in range(4, 13):
+            assert main(["maxgen", "--facets", str(m), "--facets", str(n)]) == 0
+            plain = json.loads(capsys.readouterr().out)
+            assert main(["maxgen", "--facets", str(m), "--facets", str(n), "--verify"]) == 0
+            verified = json.loads(capsys.readouterr().out)
+            assert "verdict" not in plain and verified.pop("verdict") == "PASS"
+            assert plain == verified
+            assert plain["facetCount"] == plain["bound"] == max_complexity([m, n])
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--facets", "5", "--facets", "6", "-o"], "-o/--output"),
+        (["--facets", "4", "--facets", "4", "--facets", "4", "-o"], "-o/--output"),
+        (["--facets", "5", "--verify"], "--verify"),
+    ],
+)
+def test_maxgen_option_a_mode_would_ignore_exits_2(tmp_path, capsys, argv, option):
+    if argv[-1] == "-o":
+        argv = argv + [str(tmp_path / "w.eoff")]
+    assert main(["maxgen"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {option} ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [NonTermination("no valid angles found"), RuntimeError("a bug")])
+def test_a_command_that_fails_inside_exits_1(monkeypatch, capsys, error):
+    def fail(m, n):
+        raise error
+
+    monkeypatch.setattr(cli, "verify_bound", fail)
+    assert main(["maxgen", "--facets", "5", "--facets", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"internal error: {error}\n"
+
+
 def test_partition_report(tmp_path, capsys):
     parts = peg_in_hole_assembly()
     scene = tmp_path / "peg.asm"
@@ -186,9 +229,19 @@ def test_missing_input_exits_2_and_names_path(tmp_path, capsys):
 
 def test_bad_count_exits_2_with_path_and_line(tmp_path, capsys):
     bad = tmp_path / "bad.asm"
-    bad.write_text("assembly 1\npart a x\n")
+    bad.write_text("assembly 2\npart a x\n")
     assert main(["partition", str(bad)]) == 2
     assert f"{bad}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_scene_with_fewer_than_two_parts_exits_2_naming_its_header(tmp_path, capsys, count):
+    scene = tmp_path / "one.asm"
+    write_scene(["a"] * count, [[cube(1)]] * count, str(scene))
+    assert main(["partition", str(scene)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {scene}:1: an assembly needs at least two parts, got {count}\n"
 
 
 def test_trailing_facet_line_exits_2_with_path_and_line(tmp_path, capsys):

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geomink import extremal
 from geomink.extremal import (
     InvalidFacetCount,
+    NonTermination,
+    ParamsRejected,
     QUARTER_TURN,
     _simple_rational_between,
     _witness_mesh,
@@ -20,7 +23,7 @@ from geomink.extremal import (
 )
 from geomink.gaussian import Mesh, build
 from geomink.kernel import Vec3, cross, det3, dot
-from geomink.minkowski import facet_count, minkowski, stats
+from geomink.minkowski import minkowski, stats
 from geomink.shapes import random_polytope
 from geomink.spherical import NORTH
 
@@ -183,7 +186,7 @@ class TestBound:
             m2 = random_polytope(9, 400 + seed)
             s = minkowski(build(m1), build(m2))
             fm, fn = len(m1.facets), len(m2.facets)
-            assert facet_count(s) <= max_complexity([fm, fn])
+            assert len(s.facet_vertices) <= max_complexity([fm, fn])
 
 
 @given(
@@ -202,6 +205,62 @@ def test_pivot_is_the_simplest_rational_in_the_middle_quarter(lo, w):
 
 
 def test_multi_witness_tetrahedra():
-    got, bound, _g = multi_witness_sum([4, 4, 4])
-    assert bound == 42
-    assert got <= bound
+    assert multi_witness_sum([4, 4, 4]) == (32, 42)
+
+
+@pytest.mark.parametrize(
+    "ms, want",
+    [((5, 5, 5), 89), ((4, 5, 6), 80), ((4, 4, 4, 4), 58), ((8, 8, 8), 386), ((11, 11, 11), 899)],
+)
+def test_multi_witness_counts(ms, want):
+    """The k-summand witnesses' facet counts, counted off one overlay
+    cut, as the assembled k-fold sums counted them."""
+    assert multi_witness_sum(list(ms)) == (want, max_complexity(ms))
+
+
+@pytest.mark.parametrize("ms", [[], [7], [4, 5]])
+def test_multi_witness_needs_three_summands(ms):
+    with pytest.raises(ValueError, match="three or more summands"):
+        multi_witness_sum(ms)
+
+
+def test_tuner_shrinks_angles_the_witness_rejects(monkeypatch):
+    """Started from angles whose hinge corner leaves its quadrant, the
+    tuner halves every angle until the witnesses validate, then reaches
+    the tight count."""
+    start = default_params
+    monkeypatch.setattr(extremal, "default_params", lambda i: start(i)._replace(beta_t=Fraction(2)))
+    maps = extremal._witness_maps
+    log = []
+
+    def logged(pm, pn):
+        try:
+            got = maps(pm, pn)
+        except ParamsRejected:
+            log.append("rejected")
+            raise
+        log.append("built")
+        return got
+
+    monkeypatch.setattr(extremal, "_witness_maps", logged)
+    for m, n, want in ((5, 5, 36), (6, 9, 107)):
+        log.clear()
+        with pytest.raises(ParamsRejected, match="hinge corner left its quadrant"):
+            maps(extremal.default_params(m), extremal.default_params(n))
+        r = verify_bound(m, n)
+        assert r.tight and r.facets == want
+        assert log[:2] == ["rejected", "rejected"] and log[-1] == "built"
+
+
+def test_tuner_gives_up_after_64_attempts(monkeypatch):
+    calls = []
+
+    def reject(pm, pn):
+        calls.append(pm)
+        raise ParamsRejected("every angle rejected")
+
+    monkeypatch.setattr(extremal, "_witness_maps", reject)
+    with pytest.raises(NonTermination, match=r"no valid angles found for \(5, 6\)"):
+        verify_bound(5, 6)
+    assert len(calls) == 64
+    assert calls[-1] == default_params(5).scaled(Fraction(1, 2**63))

@@ -96,7 +96,7 @@ def test_report_schema():
     [
         (parse_mesh, "EOFF\n4 x\n", "in.txt:2"),
         (parse_scene, "assembly x\n", "in.txt:1"),
-        (parse_scene, "assembly 1\n# one part\npart a x\n", "in.txt:3"),
+        (parse_scene, "assembly 2\n# two parts\npart a x\n", "in.txt:3"),
         (parse_mesh, "EOFF\n-1 4\n", "in.txt:2"),
         (parse_scene, "assembly -2\n", "in.txt:1"),
         (parse_scene, "assembly 2\npart a 0\npart b 0\n", "in.txt:2: part 'a' has no sub-parts"),
@@ -143,8 +143,9 @@ TETRA_VERTICES = "EOFF\n4 4\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
         (parse_mesh, TETRA_VERTICES + "3 0 2 4\n", 7, "facet index out of range"),
         (parse_scene, "", 0, "expected 'assembly <count>' header"),
         (parse_scene, "scene 1\n", 1, "expected 'assembly <count>' header"),
-        (parse_scene, "assembly 1\npart a\n", 2, "expected 'part <name> <subparts>'"),
-        (parse_scene, "assembly 1\nparts a 1\n", 2, "expected 'part <name> <subparts>'"),
+        (parse_scene, "assembly 1\npart a 1\n", 1, "an assembly needs at least two parts, got 1"),
+        (parse_scene, "assembly 2\npart a\n", 2, "expected 'part <name> <subparts>'"),
+        (parse_scene, "assembly 2\nparts a 1\n", 2, "expected 'part <name> <subparts>'"),
     ],
 )
 def test_parse_errors_name_their_line(parse, text, line, message):

@@ -209,6 +209,21 @@ def _winds_twice():
     return Mesh(v, [star] + sides)
 
 
+def _flat_square():
+    # A unit square as a closed surface, split along one diagonal on top
+    # and the other below: every vertex lies on facet 0's plane, and
+    # vertex 3 is off facet 0.
+    v = [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(0, 1, 0)]
+    return Mesh(v, [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]])
+
+
+def _flat_pentagon():
+    # A convex pentagon on top, fanned into triangles below: facet 0
+    # holds every vertex.
+    v = [Vec3(x, y, 0) for x, y in [(0, 0), (2, 0), (3, 2), (1, 3), (-1, 2)]]
+    return Mesh(v, [[0, 1, 2, 3, 4], [0, 2, 1], [0, 3, 2], [0, 4, 3]])
+
+
 def _pentagram_bipyramid():
     # Two pyramids over a pentagram, glued along its five chords: locally
     # convex at every edge, with the centroid below every facet plane,
@@ -236,6 +251,9 @@ def _pentagram_bipyramid():
         (_non_convex, "facet 0 is not a strictly convex CCW polygon"),
         (_vertex_outside, "vertex 4 lies outside facet 0: not convex or facets are misoriented"),
         (_coplanar_not_on_facet, "vertex 6 is coplanar with facet 8 but not on it"),
+        # flat surfaces, whose centroid lies on facet 0's plane
+        (_flat_square, "vertex 3 is coplanar with facet 0 but not on it"),
+        (_flat_pentagon, "facets 0 and 1 are coplanar; merge them first"),
         # An orientable mesh has an even Euler characteristic, so unused
         # vertices pass the Euler check only in pairs, beside facets that
         # wind more than once, as here; the unused-vertex check now

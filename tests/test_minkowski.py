@@ -16,7 +16,6 @@ from geomink.arrangement import overlay, sweep_build
 from geomink.kernel import Vec3, cross, det3, dot
 from geomink.minkowski import (
     DegenerateCoincidence,
-    facet_count,
     minkowski,
     minkowski_many,
     stats,
@@ -215,12 +214,12 @@ def test_facet_count_computes_no_plane_offset(monkeypatch):
     want = [len(primal_mesh(s).facets) for s in sums]
 
     def no_offset(u, v):
-        raise AssertionError("facet_count computed a plane offset")
+        raise AssertionError("counting facets computed a plane offset")
 
     monkeypatch.setattr(gaussian, "dot", no_offset)
     for s, n in zip(sums, want):
         g = GaussianMap(s.arrangement)
-        assert facet_count(g) == n
+        assert len(g.facet_vertices) == n
         assert "facet_planes" not in vars(g)
 
 
@@ -238,7 +237,7 @@ def test_sum_facet_count_matches_the_assembled_sum(pa, pb, how):
     g2 = g1 if how.startswith("self") else build(pb)
     if how.endswith("reflected"):
         g2 = reflect(g2)
-    assert sum_facet_count(g1, g2) == facet_count(minkowski(g1, g2))
+    assert sum_facet_count(g1, g2) == len(minkowski(g1, g2).facet_vertices)
 
 
 def test_sum_facet_count_on_seam_and_pole_normals():
@@ -248,7 +247,7 @@ def test_sum_facet_count_on_seam_and_pole_normals():
     maps += [reflect(g) for g in maps]
     for g1 in maps:
         for g2 in maps:
-            assert sum_facet_count(g1, g2) == facet_count(minkowski(g1, g2))
+            assert sum_facet_count(g1, g2) == len(minkowski(g1, g2).facet_vertices)
 
 
 def test_sum_facet_count_on_every_tuner_attempt(monkeypatch):
@@ -259,7 +258,7 @@ def test_sum_facet_count_on_every_tuner_attempt(monkeypatch):
 
     def checked(g1, g2):
         got = count(g1, g2)
-        assert got == facet_count(minkowski(g1, g2))
+        assert got == len(minkowski(g1, g2).facet_vertices)
         attempts.append(got)
         return got
 
@@ -277,7 +276,7 @@ def test_sum_facet_count_orders_no_cut_point(monkeypatch):
         (build(random_polytope(9, 3)), reflect(build(random_polytope(8, 4)))),
         (build(cube()), build(octahedron())),
     ]
-    want = [facet_count(minkowski(g1, g2)) for g1, g2 in pairs]
+    want = [len(minkowski(g1, g2).facet_vertices) for g1, g2 in pairs]
 
     def no_order(arc, pts):
         raise AssertionError("sum_facet_count ordered cut points along an arc")
@@ -326,4 +325,37 @@ def test_sum_facet_count_on_turned_witnesses(m, n, q):
     them), where cut points crowd the seam and the poles."""
     mesh_m, mesh_n = _witness_meshes(m, n)
     g1, g2 = build(mesh_m), build(rotate_mesh(mesh_n, _quaternion_rotation(*q)))
-    assert sum_facet_count(g1, g2) == facet_count(minkowski(g1, g2))
+    assert sum_facet_count(g1, g2) == len(minkowski(g1, g2).facet_vertices)
+
+
+_stock_solids = st.sampled_from(
+    [tetrahedron, cube, octahedron, icosahedron, lambda: box(0, 0, 0, 3, 1, 2)]
+).map(lambda make: make())
+
+
+@st.composite
+def _summand_maps(draw):
+    """2 to 4 maps of random polytopes and stock solids.  Each is left
+    as it is, turned by one integer quaternion that all of the turned
+    ones share, or by its own, and then reflected or not.  Unturned or
+    jointly turned cubes, boxes and octahedra share their normals, and
+    unturned ones hold them at the poles and on the seam."""
+    shared = _quaternion_rotation(*draw(_quaternions))
+    maps = []
+    for _ in range(draw(st.integers(2, 4))):
+        mesh = draw(st.one_of(_polytopes, _stock_solids))
+        turn = draw(st.sampled_from(["none", "shared", "own"]))
+        if turn != "none":
+            rot = shared if turn == "shared" else _quaternion_rotation(*draw(_quaternions))
+            mesh = rotate_mesh(mesh, rot)
+        g = build(mesh)
+        maps.append(reflect(g) if draw(st.booleans()) else g)
+    return maps
+
+
+@settings(max_examples=100, deadline=None)
+@given(_summand_maps())
+def test_sum_facet_count_of_many_maps_matches_the_folded_sum(gs):
+    """One cut of all k maps' arcs counts the facets that the left fold
+    of pairwise sums assembles."""
+    assert sum_facet_count(*gs) == len(minkowski_many(gs).facet_vertices)

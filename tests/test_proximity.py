@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geomink.gaussian import GaussianMap, build, primal_mesh, reflect
-from geomink.kernel import Vec3, dot, scale_key
+from geomink.kernel import Vec3, ZeroVector, dot, scale_key
 from geomink.minkowski import minkowski
 from geomink.proximity import (
     INSIDE,
@@ -178,6 +178,10 @@ class TestDirectionalPenetration:
         M = sum_cube()
         with pytest.raises(PointOutside):
             directional_penetration(M, Vec3(5, 0, 0), Vec3(1, 0, 0))
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ZeroVector, match="penetration direction must be nonzero"):
+            directional_penetration(sum_cube(), Vec3(0, 0, 0), Vec3(0, 0, 0))
 
 
 def test_simulation_trace():
